@@ -142,10 +142,7 @@ def zero_locus(bm):
     if not is_equivalence(bm):
         raise ValueError("zero locus is only defined for equivalences")
     n = bm.base.n
-    out = [bm.base.labels[a] for a in range(n) if bm.g01[a][a] == ZERO]
-    check = [bm.base.labels[a] for a in range(n) if bm.g10[a][a] == ZERO]
-    assert out == check  # the two definitions agree under symmetry
-    return tuple(out)
+    return tuple(bm.base.labels[a] for a in range(n) if bm.g01[a][a] == ZERO)
 
 
 def is_effective(bm):

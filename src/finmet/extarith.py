@@ -94,7 +94,10 @@ def parse(token):
         return INF
     if "/" in token:
         p, q = token.split("/", 1)
-        return ExtValue(Fraction(int(p), int(q)))
+        try:
+            return ExtValue(Fraction(int(p), int(q)))
+        except ZeroDivisionError:
+            raise ValueError("zero denominator in token %r" % token) from None
     return ExtValue(Fraction(int(token)))
 
 
@@ -106,10 +109,6 @@ def ext_add(u, v):
 def ext_min(u, v):
     """The smaller value under the total order rationals < INF."""
     return u if u <= v else v
-
-
-def ext_leq(u, v):
-    return u <= v
 
 
 def ext_min_all(values, default=INF):

@@ -1,9 +1,11 @@
 """Explicit pushouts along embeddings.
 
-The pushout of B <- A -> X (with A -> X an embedding) is computed as the
-separation quotient of B + X under an explicitly described submetric
-gamma; an independent shortest-path closure oracle recomputes gamma from
-the raw gluing costs so the two routes can be compared exactly.
+The pushout of B <- A -> X (with A -> X an embedding and A -> B
+non-expansive) is the separation quotient of B + X under a submetric
+gamma whose mixed blocks are min-plus products over the glue points.
+Every pushout goes through this one formula, cokernel pairs included.
+An independent shortest-path closure oracle recomputes gamma from the
+raw gluing costs so the two routes can be compared exactly.
 """
 
 from __future__ import annotations
@@ -11,10 +13,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .extarith import ZERO, ext_min, ext_min_all
+from .extarith import ZERO, ext_min
 from .limits import Square, coproduct
 from .maps import FinMap, compose, is_embedding, is_nonexpansive
-from .minplus import minplus_closure
+from .minplus import minplus_closure, minplus_product
 from .quotients import Submetric, quotient_by_submetric
 from .spaces import is_separated
 
@@ -42,6 +44,8 @@ def _check_pushout_inputs(i, f):
         raise ValueError("pushout legs must share their source")
     if not is_embedding(i):
         raise ValueError("pushout is only computed along an embedding")
+    if not is_nonexpansive(f):
+        raise ValueError("pushout is only computed along a non-expansive map")
     for sp in (i.source, i.target, f.target):
         if not is_separated(sp):
             raise ValueError("pushout requires separated spaces")
@@ -50,123 +54,65 @@ def _check_pushout_inputs(i, f):
 def pushout_along_embedding(i, f):
     """Pushout of f: A -> B along the embedding i: A -> X.
 
-    gamma on B + X: within B it is d_B; within X the direct distance
-    competes with detours through the glued subspace; mixed entries route
-    through a single glue point.  The apex is the separation quotient.
+    gamma on B + X has four blocks.  B-B is d_B.  The mixed blocks route
+    through one glue point, each a min-plus product over A:
+    B->X = d_B[:, fA] * d_X[iA, :] and X->B = d_X[:, iA] * d_B[fA, :].
+    X-X is the pointwise min of d_X and the detour X->B->X, the X->B
+    block on the fA columns times d_X[iA, :].  The apex is the
+    separation quotient.
     """
     _check_pushout_inputs(i, f)
     a_space, x_space, b_space = i.source, i.target, f.target
     ia = [x_space.index(i(a)) for a in a_space.labels]
     fa = [b_space.index(f(a)) for a in a_space.labels]
-    na = a_space.n
+    d_b, d_x = b_space.dist, x_space.dist
+
+    x_cols = [[d_x[s][y] for s in ia] for y in range(x_space.n)]
+    b_to_x = minplus_product([[row[t] for t in fa] for row in d_b], x_cols)
+    x_to_b = minplus_product([[row[s] for s in ia] for row in d_x],
+                             [[d_b[t][b] for t in fa] for b in range(b_space.n)])
+    detour = minplus_product([[row[t] for t in fa] for row in x_to_b], x_cols)
+    x_to_x = [tuple(ext_min(u, v) for u, v in zip(direct, via))
+              for direct, via in zip(d_x, detour)]
 
     bx, iota_b, iota_x = coproduct(b_space, x_space)
-    nb = b_space.n
-
-    def entry(p, q):
-        if p < nb and q < nb:
-            return b_space.dist[p][q]
-        if p >= nb and q >= nb:
-            x, y = p - nb, q - nb
-            direct = x_space.dist[x][y]
-            detour = ext_min_all(
-                x_space.dist[x][ia[s]] + b_space.dist[fa[s]][fa[t]]
-                + x_space.dist[ia[t]][y]
-                for s in range(na) for t in range(na)
-            )
-            return ext_min(direct, detour)
-        if p < nb:
-            b, x = p, q - nb
-            return ext_min_all(
-                b_space.dist[b][fa[s]] + x_space.dist[ia[s]][x]
-                for s in range(na)
-            )
-        x, b = p - nb, q
-        return ext_min_all(
-            x_space.dist[x][ia[s]] + b_space.dist[fa[s]][b]
-            for s in range(na)
-        )
-
-    n = bx.n
-    gamma = Submetric(bx, tuple(
-        tuple(entry(p, q) for q in range(n)) for p in range(n)
-    ))
+    rows = [d + m for d, m in zip(d_b, b_to_x)]
+    rows += [m + d for m, d in zip(x_to_b, x_to_x)]
+    gamma = Submetric(bx, rows)
     proj = quotient_by_submetric(gamma)
     square = Square(left=f, top=i,
                     bottom=compose(iota_b, proj), right=compose(iota_x, proj))
     return PushoutResult(square=square, gamma=gamma)
 
 
+def _glue_and_close(i, f, costs):
+    """Closure of a cost matrix on B + X after adding zero-cost arcs
+    between f(a) and i(a), both ways, for every glue point a."""
+    nb = f.target.n
+    cost = [list(row) for row in costs]
+    for a in f.source.labels:
+        p = f.target.index(f(a))
+        q = nb + i.target.index(i(a))
+        cost[p][q] = ZERO
+        cost[q][p] = ZERO
+    return minplus_closure(cost)
+
+
 def pushout_closure_oracle(i, f):
     """Independent recomputation of the pushout submetric.
 
-    Start from the coproduct metric on B + X, add zero-cost arcs between
-    f(a) and i(a) for every glue point a, and saturate with the all-pairs
-    min-plus closure.  Must agree exactly with the formula route.
+    Start from the coproduct metric on B + X, glue f(a) to i(a) at zero
+    cost and saturate with the all-pairs min-plus closure.  Must agree
+    exactly with the formula route, which it never calls.
     """
     _check_pushout_inputs(i, f)
-    a_space, x_space, b_space = i.source, i.target, f.target
-    bx, _, _ = coproduct(b_space, x_space)
-    nb = b_space.n
-    cost = [list(row) for row in bx.dist]
-    for a in a_space.labels:
-        p = b_space.index(f(a))
-        q = nb + x_space.index(i(a))
-        cost[p][q] = ZERO
-        cost[q][p] = ZERO
-    return Submetric(bx, minplus_closure(cost))
-
-
-def pushout_of_embeddings(f0, f1):
-    """Pushout of two embeddings out of a common space.
-
-    Same-summand distances survive unchanged; cross distances route once
-    through the shared subspace.  Both legs into the apex are embeddings
-    and the resulting square is also a pullback.
-    """
-    if f0.source != f1.source:
-        raise ValueError("pushout legs must share their source")
-    if not (is_embedding(f0) and is_embedding(f1)):
-        raise ValueError("both legs must be embeddings")
-    for sp in (f0.source, f0.target, f1.target):
-        if not is_separated(sp):
-            raise ValueError("pushout requires separated spaces")
-    x_space, y0, y1 = f0.source, f0.target, f1.target
-    i0 = [y0.index(f0(x)) for x in x_space.labels]
-    i1 = [y1.index(f1(x)) for x in x_space.labels]
-    nx = x_space.n
-
-    yy, iota0, iota1 = coproduct(y0, y1)
-    n0 = y0.n
-
-    def entry(p, q):
-        if p < n0 and q < n0:
-            return y0.dist[p][q]
-        if p >= n0 and q >= n0:
-            return y1.dist[p - n0][q - n0]
-        if p < n0:
-            u, v = p, q - n0
-            return ext_min_all(
-                y0.dist[u][i0[s]] + y1.dist[i1[s]][v] for s in range(nx)
-            )
-        v, u = p - n0, q
-        return ext_min_all(
-            y1.dist[v][i1[s]] + y0.dist[i0[s]][u] for s in range(nx)
-        )
-
-    n = yy.n
-    gamma = Submetric(yy, tuple(
-        tuple(entry(p, q) for q in range(n)) for p in range(n)
-    ))
-    proj = quotient_by_submetric(gamma)
-    square = Square(left=f0, top=f1,
-                    bottom=compose(iota0, proj), right=compose(iota1, proj))
-    return PushoutResult(square=square, gamma=gamma)
+    bx, _, _ = coproduct(f.target, i.target)
+    return Submetric(bx, _glue_and_close(i, f, bx.dist))
 
 
 def cokernel_pair(i):
     """The two legs of the pushout of an embedding along itself."""
-    result = pushout_of_embeddings(i, i)
+    result = pushout_along_embedding(i, i)
     return result.leg_b, result.leg_x, result.apex
 
 
@@ -192,18 +138,9 @@ def _mediator_exists(result, j, g):
 def _glued_quotient_cocone(result, costs):
     """Cocone obtained by quotienting B + X along a cost matrix that glues
     f(a) to i(a); always commutes and is non-expansive by construction."""
-    sq = result.square
-    f, i = sq.left, sq.top
-    b_space, x_space = f.target, i.target
-    bx, iota_b, iota_x = coproduct(b_space, x_space)
-    nb = b_space.n
-    cost = [list(row) for row in costs]
-    for a in f.source.labels:
-        p = b_space.index(f(a))
-        q = nb + x_space.index(i(a))
-        cost[p][q] = ZERO
-        cost[q][p] = ZERO
-    proj = quotient_by_submetric(Submetric(bx, minplus_closure(cost)))
+    f, i = result.square.left, result.square.top
+    bx, iota_b, iota_x = coproduct(f.target, i.target)
+    proj = quotient_by_submetric(Submetric(bx, _glue_and_close(i, f, costs)))
     return compose(iota_b, proj), compose(iota_x, proj)
 
 

@@ -8,8 +8,8 @@ from dataclasses import dataclass
 
 from .maps import FinMap, is_surjective
 from .minplus import freeze
-from .spaces import (FinSpace, Violation, class_label, is_separated,
-                     metric_violations, zero_classes)
+from .spaces import (FinSpace, Violation, is_separated, metric_violations,
+                     quotient_by_zero_classes)
 
 
 @dataclass(frozen=True)
@@ -69,14 +69,7 @@ def quotient_by_submetric(sm):
     base = sm.base
     if not is_separated(base):
         raise ValueError("quotient base must be separated")
-    classes, assigned = zero_classes(base.labels, sm.gamma)
-    qlabels = tuple(class_label(base.labels, members) for members in classes)
-    qdist = tuple(
-        tuple(sm.gamma[ci[0]][cj[0]] for cj in classes) for ci in classes
-    )
-    quotient = FinSpace(qlabels, qdist)
-    return FinMap(base, quotient,
-                  tuple(qlabels[assigned[i]] for i in range(base.n)))
+    return quotient_by_zero_classes(base, sm.gamma)
 
 
 def quotient_leq(f, g):

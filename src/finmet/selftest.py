@@ -304,7 +304,7 @@ def _embedding_pair(seed, max_points=6):
 def suite_pullback(seed=0, trials=300):
     for t in range(trials):
         f0, f1 = _embedding_pair(_seed(seed, 7, t))
-        result = pushouts.pushout_of_embeddings(f0, f1)
+        result = pushouts.pushout_along_embedding(f1, f0)
         if not is_pullback_square(result.square):
             return CriterionResult(7, "pullback", False,
                                    "pushout square not a pullback at trial %d" % t)

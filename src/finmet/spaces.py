@@ -1,4 +1,4 @@
-"""Finite separated Lawvere metric spaces and finite preorders.
+"""Finite separated Lawvere metric spaces.
 
 A FinSpace is a finite labelled point set with an ExtValue distance
 matrix required to satisfy only d(x,x) = 0 and the triangle inequality;
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .extarith import INF, ZERO
+from .extarith import ZERO
 from .minplus import freeze
 
 
@@ -53,40 +53,6 @@ class FinSpace:
 
     def d(self, x, y):
         return self.dist[self.index(x)][self.index(y)]
-
-
-@dataclass(frozen=True)
-class FinPreorder:
-    labels: tuple
-    rel: tuple  # rel[i][j] is True when labels[i] <= labels[j]
-
-    def __post_init__(self):
-        object.__setattr__(self, "labels", tuple(self.labels))
-        object.__setattr__(self, "rel", freeze(self.rel))
-        n = len(self.labels)
-        if len(set(self.labels)) != n:
-            raise ValueError("duplicate point labels")
-        if len(self.rel) != n or any(len(row) != n for row in self.rel):
-            raise ValueError("relation matrix shape does not match label count")
-
-    def preorder_violations(self):
-        """Reflexivity and transitivity failures, as Violations."""
-        out = []
-        n = len(self.labels)
-        for i in range(n):
-            if not self.rel[i][i]:
-                out.append(Violation("non-reflexive", (self.labels[i],), "x <= x fails"))
-        for i in range(n):
-            for j in range(n):
-                if not self.rel[i][j]:
-                    continue
-                for k in range(n):
-                    if self.rel[j][k] and not self.rel[i][k]:
-                        out.append(Violation(
-                            "non-transitive",
-                            (self.labels[i], self.labels[j], self.labels[k]),
-                            "x <= y and y <= z but not x <= z"))
-        return out
 
 
 def validate_metric(space):
@@ -147,56 +113,30 @@ def zero_classes(labels, mat):
     return classes, assigned
 
 
-def class_label(labels, members):
-    return "[%s]" % min(labels[i] for i in members)
+def quotient_by_zero_classes(space, mat):
+    """The projection of space onto its classes under x ~ y iff
+    mat(x,y) = mat(y,x) = 0.
+
+    The quotient distance between classes is mat between any
+    representatives, which the triangle inequality makes well-defined;
+    class labels are "[least member label]".
+    """
+    from .maps import FinMap
+
+    classes, assigned = zero_classes(space.labels, mat)
+    qlabels = tuple("[%s]" % min(space.labels[i] for i in members)
+                    for members in classes)
+    qdist = tuple(tuple(mat[ci[0]][cj[0]] for cj in classes) for ci in classes)
+    quotient = FinSpace(qlabels, qdist)
+    return FinMap(space, quotient,
+                  tuple(qlabels[assigned[i]] for i in range(space.n)))
 
 
 def sep_reflection(space):
     """The separation-reflection quotient and its projection.
 
-    Identifies x, y whenever d(x,y) = d(y,x) = 0; the quotient distance
-    between classes is the distance between any representatives, which
-    the triangle inequality makes well-defined.
+    Identifies x, y whenever d(x,y) = d(y,x) = 0: the quotient of the
+    space by its own metric.
     """
-    from .maps import FinMap
-
-    classes, assigned = zero_classes(space.labels, space.dist)
-    qlabels = tuple(class_label(space.labels, members) for members in classes)
-    qdist = tuple(
-        tuple(space.dist[ci[0]][cj[0]] for cj in classes) for ci in classes
-    )
-    quotient = FinSpace(qlabels, qdist)
-    proj = FinMap(space, quotient,
-                  tuple(qlabels[assigned[i]] for i in range(space.n)))
-    return quotient, proj
-
-
-def symmetrize(space):
-    """Replace d by max of the two directions; preserves validity and separation."""
-    def bigger(u, v):
-        return u if v <= u else v
-
-    dist = tuple(
-        tuple(bigger(space.dist[i][j], space.dist[j][i]) for j in range(space.n))
-        for i in range(space.n)
-    )
-    return FinSpace(space.labels, dist)
-
-
-def order_to_metric(preorder):
-    """The {0, inf}-valued metric of a preorder: 0 iff x <= y."""
-    bad = preorder.preorder_violations()
-    if bad:
-        raise ValueError("not a preorder: %s" % "; ".join(map(str, bad)))
-    dist = tuple(
-        tuple(ZERO if cell else INF for cell in row) for row in preorder.rel
-    )
-    return FinSpace(preorder.labels, dist)
-
-
-def metric_to_order(space):
-    """x <= y iff d(x,y) = 0; reflexive and transitive for any valid metric."""
-    rel = tuple(
-        tuple(cell == ZERO for cell in row) for row in space.dist
-    )
-    return FinPreorder(space.labels, rel)
+    proj = quotient_by_zero_classes(space, space.dist)
+    return proj.target, proj

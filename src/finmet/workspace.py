@@ -70,6 +70,8 @@ def load_workspace(doc):
     ws = Workspace()
     deferred_maps = []
     for entry in doc["objects"]:
+        if not isinstance(entry, dict):
+            raise ValueError("every entry of 'objects' must be an object")
         kind = entry.get("kind")
         name = entry.get("name")
         if kind not in KINDS:

@@ -44,9 +44,32 @@ CASES = [
                               "--seed", "0"]),
 ]
 
+# Each bad input must exit 2 with nothing on stdout and one "error:" line
+# on stderr.  The second field is the workspace: the shared fixture's
+# path, a document written to its own temporary file, or None for no -w.
+
+# f: A -> B stretches d(s, t) = 1 to 3, so it is no morphism.
+_STRETCHING_SPAN = [
+    {"kind": "space", "name": "A", "points": ["s", "t"],
+     "dist": [["0", "1"], ["1", "0"]]},
+    {"kind": "space", "name": "B", "points": ["u", "v"],
+     "dist": [["0", "3"], ["3", "0"]]},
+    {"kind": "map", "name": "i", "source": "A", "target": "A",
+     "assignment": ["s", "t"]},
+    {"kind": "map", "name": "f", "source": "A", "target": "B",
+     "assignment": ["u", "v"]},
+]
+
 BAD_INPUT_CASES = [
-    ("missing_space", ["validate", "space", "nope"]),
-    ("missing_workspace_flag", None),
+    ("missing_space", WORKSPACE, ["validate", "space", "nope"]),
+    ("missing_workspace_flag", None, ["validate", "space", "X2"]),
+    ("zero_denominator",
+     {"objects": [{"kind": "space", "name": "Z", "points": ["a", "b"],
+                   "dist": [["0", "1/0"], ["1", "0"]]}]},
+     ["validate", "space", "Z"]),
+    ("non_object_entry", {"objects": [3]}, ["validate", "space", "Z"]),
+    ("expansive_pushout_leg", {"objects": _STRETCHING_SPAN},
+     ["pushout", "--embedding", "i", "--along", "f"]),
 ]
 
 

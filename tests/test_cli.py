@@ -6,7 +6,7 @@ import pytest
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
-from cli_cases import WORKSPACE, run_case
+from cli_cases import BAD_INPUT_CASES, WORKSPACE, run_case
 from finmet import cli
 from finmet.workspace import dump_workspace, load_workspace, load_workspace_file
 
@@ -35,6 +35,22 @@ def test_wrong_document_shape(tmp_path):
     p = tmp_path / "ws.json"
     p.write_text(json.dumps({"objects": {"kind": "space"}}))
     assert cli.main(["-w", str(p), "validate", "space", "X2"]) == 2
+
+
+@pytest.mark.parametrize("name,doc,argv", BAD_INPUT_CASES,
+                         ids=[case[0] for case in BAD_INPUT_CASES])
+def test_bad_input_exits_2_with_one_error_line(name, doc, argv, tmp_path,
+                                                capsys):
+    if isinstance(doc, dict):
+        path = tmp_path / ("%s.json" % name)
+        path.write_text(json.dumps(doc))
+        doc = str(path)
+    full = argv if doc is None else ["-w", doc] + argv
+    assert cli.main(full) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
 
 
 def test_json_mode_is_json(capsys):

@@ -33,6 +33,11 @@ def test_negative_rejected():
         parse("-1/2")
 
 
+def test_zero_denominator_rejected():
+    with pytest.raises(ValueError):
+        parse("1/0")
+
+
 def test_inf_absorbs_addition():
     assert INF + fin(3) == INF
     assert fin(3) + INF == INF

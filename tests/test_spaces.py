@@ -4,10 +4,9 @@ import pytest
 
 from finmet.extarith import INF, ZERO, fin
 from finmet.harness import GenConfig, gen_metric
-from finmet.spaces import (FinPreorder, FinSpace, is_separated,
-                           is_valid_metric, metric_to_order, metric_violations,
-                           order_to_metric, sep_reflection, symmetrize,
-                           validate_metric, zero_classes)
+from finmet.spaces import (FinSpace, is_separated, is_valid_metric,
+                           metric_violations, sep_reflection, validate_metric,
+                           zero_classes)
 
 
 def two_point(v=fin(1)):
@@ -85,39 +84,6 @@ def test_zero_classes_first_occurrence_order():
     classes, assigned = zero_classes(("x", "y", "z"), mat)
     assert classes == [(0, 2), (1,)]
     assert assigned == [0, 1, 0]
-
-
-def test_symmetrize():
-    sp = FinSpace(("a", "b"), ((ZERO, fin(1)), (fin(3), ZERO)))
-    sym = symmetrize(sp)
-    assert sym.d("a", "b") == fin(3) and sym.d("b", "a") == fin(3)
-    assert validate_metric(sym) == []
-
-
-def test_order_metric_round_trip():
-    rel = ((True, True, False),
-           (False, True, False),
-           (True, True, True))
-    pre = FinPreorder(("x", "y", "z"), rel)
-    assert pre.preorder_violations() == []
-    sp = order_to_metric(pre)
-    assert sp.d("x", "y") == ZERO and sp.d("y", "x") == INF
-    assert validate_metric(sp) == []
-    back = metric_to_order(sp)
-    assert back.rel == pre.rel
-
-
-def test_order_to_metric_rejects_non_preorder():
-    rel = ((True, True), (False, False))  # y not reflexive
-    with pytest.raises(ValueError):
-        order_to_metric(FinPreorder(("x", "y"), rel))
-
-
-def test_metric_to_order_always_preorder():
-    rng = random.Random(9)
-    for t in range(100):
-        sp = gen_metric(GenConfig(seed=rng.getrandbits(40), max_points=5))
-        assert metric_to_order(sp).preorder_violations() == []
 
 
 def test_metric_violations_on_raw_matrix():

@@ -18,8 +18,8 @@ from .maps import check_nonexpansive, factorize
 from .quotients import (kernel_metric, quotient_by_submetric, quotient_leq,
                         validate_submetric)
 from .spaces import validate_metric
-from .workspace import (blockmetric_entry, load_workspace_file, map_entry,
-                        matrix_tokens, space_entry, submetric_entry)
+from .workspace import (blockmetric_entry, load_workspace_file,
+                        matrix_tokens, space_entry)
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -77,15 +77,25 @@ def cmd_validate(ws, args):
     return _report_violations("validate map %s" % name, check_nonexpansive(sm))
 
 
+def _metric_space(ws, name):
+    space = ws.space(name)
+    violations = validate_metric(space)
+    if violations:
+        raise ValueError("space %s is not a metric: %s" % (name, violations[0]))
+    return space
+
+
 def cmd_product(ws, args):
-    space, p1, p2 = product(ws.space(args.left), ws.space(args.right))
+    space, p1, p2 = product(_metric_space(ws, args.left),
+                            _metric_space(ws, args.right))
     lines = _space_lines("product %s x %s" % (args.left, args.right), space)
     lines += _map_lines("projection 1", p1) + _map_lines("projection 2", p2)
     return EXIT_OK, lines, {"space": space_entry("product", space)}
 
 
 def cmd_coproduct(ws, args):
-    space, j1, j2 = coproduct(ws.space(args.left), ws.space(args.right))
+    space, j1, j2 = coproduct(_metric_space(ws, args.left),
+                              _metric_space(ws, args.right))
     lines = _space_lines("coproduct %s + %s" % (args.left, args.right), space)
     lines += _map_lines("injection 1", j1) + _map_lines("injection 2", j2)
     return EXIT_OK, lines, {"space": space_entry("coproduct", space)}
@@ -164,31 +174,17 @@ def cmd_quotient_leq(ws, args):
     return (EXIT_OK if verdict else EXIT_FALSE), lines, {"leq": verdict}
 
 
-def _refl_witness(bm):
-    d = bm.base.dist
-    for i in (0, 1):
-        for j in (0, 1):
-            block = bm.block(i, j)
-            for x in range(bm.base.n):
-                for y in range(bm.base.n):
-                    if not d[x][y] <= block[x][y]:
-                        return "d(%s,%s) = %s > %s = gamma((%s,%d),(%s,%d))" % (
-                            bm.base.labels[x], bm.base.labels[y], d[x][y],
-                            block[x][y], bm.base.labels[x], i,
-                            bm.base.labels[y], j)
-    return None
+def _refl_witness(bm, witness):
+    x, i, y, j = witness
+    return "d(%s,%s) = %s > %s = gamma((%s,%d),(%s,%d))" % (
+        x, y, bm.base.d(x, y), bm.value(x, i, y, j), x, i, y, j)
 
 
-def _symm_witness(bm):
-    for (i, j), (pi, pj) in (((0, 0), (1, 1)), ((0, 1), (1, 0))):
-        a, b = bm.block(i, j), bm.block(pi, pj)
-        for x in range(bm.base.n):
-            for y in range(bm.base.n):
-                if a[x][y] != b[x][y]:
-                    return "gamma((%s,%d),(%s,%d)) = %s != %s = gamma((%s,%d),(%s,%d))" % (
-                        bm.base.labels[x], i, bm.base.labels[y], j, a[x][y],
-                        b[x][y], bm.base.labels[x], pi, bm.base.labels[y], pj)
-    return None
+def _symm_witness(bm, witness):
+    x, i, y, j = witness
+    return "gamma((%s,%d),(%s,%d)) = %s != %s = gamma((%s,%d),(%s,%d))" % (
+        x, i, y, j, bm.value(x, i, y, j), bm.value(x, 1 - i, y, 1 - j),
+        x, 1 - i, y, 1 - j)
 
 
 def cmd_corelation_check(ws, args):
@@ -197,14 +193,16 @@ def cmd_corelation_check(ws, args):
     if bad:
         return _report_violations("corelation %s" % args.name, bad)
     lines = ["corelation %s:" % args.name]
-    refl = corelations.is_reflexive(bm)
+    refl_witness = corelations.reflexive_witness(bm)
+    refl = refl_witness is None
     lines.append("  reflexive: %s" % ("true" if refl else "false"))
     if not refl:
-        lines.append("    witness: %s" % _refl_witness(bm))
-    symm = corelations.is_symmetric(bm)
+        lines.append("    witness: %s" % _refl_witness(bm, refl_witness))
+    symm_witness = corelations.symmetric_witness(bm)
+    symm = symm_witness is None
     lines.append("  symmetric: %s" % ("true" if symm else "false"))
     if not symm:
-        lines.append("    witness: %s" % _symm_witness(bm))
+        lines.append("    witness: %s" % _symm_witness(bm, symm_witness))
     payload = {"reflexive": refl, "symmetric": symm}
     if refl:
         trans = corelations.is_transitive(bm)

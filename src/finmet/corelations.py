@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .extarith import ZERO, ext_min_all
+from .extarith import ZERO
 from .limits import coproduct, copair
 from .maps import is_surjective
-from .minplus import freeze, minplus_matmul
+from .minplus import freeze, minplus_matmul, minplus_product
 from .quotients import kernel_metric, validate_submetric
 from .spaces import FinSpace, is_separated
 
@@ -85,8 +85,9 @@ def corelation_from_cospan(q0, q1):
     )
 
 
-def is_reflexive(bm):
-    """d(x, y) <= every block entry; dual of relation reflexivity."""
+def reflexive_witness(bm):
+    """The first (x, i, y, j) with d(x, y) > gamma((x, i), (y, j)), as
+    labels and summand indices; None when there is none."""
     d = bm.base.dist
     n = bm.base.n
     for i in (0, 1):
@@ -95,13 +96,32 @@ def is_reflexive(bm):
             for x in range(n):
                 for y in range(n):
                     if not d[x][y] <= block[x][y]:
-                        return False
-    return True
+                        return bm.base.labels[x], i, bm.base.labels[y], j
+    return None
+
+
+def is_reflexive(bm):
+    """d(x, y) <= every block entry; dual of relation reflexivity."""
+    return reflexive_witness(bm) is None
+
+
+def symmetric_witness(bm):
+    """The first (x, i, y, j) in blocks 00 then 01 with
+    gamma((x, i), (y, j)) != gamma((x, 1-i), (y, 1-j)), as labels and
+    summand indices; None when there is none."""
+    n = bm.base.n
+    for i, j in ((0, 0), (0, 1)):
+        a, b = bm.block(i, j), bm.block(1 - i, 1 - j)
+        for x in range(n):
+            for y in range(n):
+                if a[x][y] != b[x][y]:
+                    return bm.base.labels[x], i, bm.base.labels[y], j
+    return None
 
 
 def is_symmetric(bm):
     """Invariance under swapping both summand indices."""
-    return bm.g00 == bm.g11 and bm.g01 == bm.g10
+    return symmetric_witness(bm) is None
 
 
 def is_transitive(bm):
@@ -129,11 +149,8 @@ def gamma_from_subset(x_space, subset):
     if len(set(idx)) != len(list(subset)):
         raise ValueError("duplicate labels in subset")
     d = x_space.dist
-    n = x_space.n
-    cross = tuple(
-        tuple(ext_min_all(d[x][a] + d[a][y] for a in idx) for y in range(n))
-        for x in range(n)
-    )
+    cross = minplus_product([[row[a] for a in idx] for row in d],
+                            [[d[a][y] for a in idx] for y in range(x_space.n)])
     return BlockMetric(base=x_space, g00=d, g01=cross, g10=cross, g11=d)
 
 

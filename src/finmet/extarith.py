@@ -8,6 +8,7 @@ additive identity INF and multiplicative identity 0; + saturates at INF.
 from __future__ import annotations
 
 import functools
+import re
 from fractions import Fraction
 
 
@@ -18,11 +19,14 @@ class ExtValue:
     __slots__ = ("_frac",)
 
     def __init__(self, frac):
-        # frac: Fraction >= 0, or None for infinity.
+        # frac: Fraction or int >= 0, or None for infinity.
         if frac is not None:
             if not isinstance(frac, Fraction):
+                if not isinstance(frac, int):
+                    raise TypeError("ExtValue needs an int or a Fraction, "
+                                    "not %r" % (frac,))
                 frac = Fraction(frac)
-            if frac < 0:
+            if frac.numerator < 0:
                 raise ValueError("negative value: %s" % frac)
         object.__setattr__(self, "_frac", frac)
 
@@ -87,23 +91,29 @@ def fin(numerator, denominator=1):
     return ExtValue(Fraction(numerator, denominator))
 
 
+_TOKEN = re.compile(r"(0|[1-9][0-9]*)(?:/([1-9][0-9]*))?")
+
+
 def parse(token):
-    """Inverse of ExtValue.token(); raises ValueError on malformed input."""
-    token = token.strip()
+    """Inverse of ExtValue.token(); raises ValueError on any other input.
+
+    Only canonical tokens parse: "inf", "0", an integer without sign or
+    leading zeros, or "p/q" in lowest terms with q >= 2, so that
+    parse(t).token() == t for every accepted t.
+    """
     if token == "inf":
         return INF
-    if "/" in token:
-        p, q = token.split("/", 1)
-        try:
-            return ExtValue(Fraction(int(p), int(q)))
-        except ZeroDivisionError:
-            raise ValueError("zero denominator in token %r" % token) from None
-    return ExtValue(Fraction(int(token)))
-
-
-def ext_add(u, v):
-    """Saturating sum: INF + v = INF."""
-    return u + v
+    match = _TOKEN.fullmatch(token) if isinstance(token, str) else None
+    if match is None:
+        raise ValueError("malformed value token %r" % (token,))
+    p, q = match.groups()
+    if q is None:
+        return ExtValue(Fraction(int(p)))
+    denominator = int(q)
+    frac = Fraction(int(p), denominator)
+    if frac.denominator != denominator or denominator == 1:
+        raise ValueError("value token %r is not in lowest terms" % (token,))
+    return ExtValue(frac)
 
 
 def ext_min(u, v):

@@ -12,7 +12,6 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .corelations import gamma_from_subset
 from .extarith import INF, ZERO, fin
 from .maps import FinMap, compose, is_nonexpansive
 from .minplus import minplus_closure
@@ -95,13 +94,6 @@ def gen_nonexpansive_map(source, target, rng, attempts=50):
 def gen_subset(space, rng):
     """A seed-chosen subset of the space's points."""
     return tuple(lab for lab in space.labels if rng.random() < 0.5)
-
-
-def gen_equivalence(space, cfg):
-    """An equivalence block metric: the subset block metric of a sampled
-    subset (a complete generator at finite scale)."""
-    rng = random.Random(cfg.seed)
-    return gamma_from_subset(space, gen_subset(space, rng))
 
 
 def enumerate_mediators(source, target, precompose=(), postcompose=(),

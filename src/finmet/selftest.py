@@ -433,11 +433,7 @@ def suite_idempotence(seed=0, generated=200):
         space = gen_metric(GenConfig(seed=rng.getrandbits(63),
                                      max_points=rng.randint(1, 6)))
         subset = gen_subset(space, rng) or (space.labels[0],)
-        idx = [space.index(lab) for lab in subset]
-        d = space.dist
-        rho = tuple(
-            tuple(min(d[i][a] + d[a][j] for a in idx) for j in range(space.n))
-            for i in range(space.n))
+        rho = corelations.gamma_from_subset(space, subset).g01
         cm = idempotents.CostMatrix(space.labels, rho)
         if not idempotents.is_idempotent(cm):
             return CriterionResult(10, "idempotence", False,

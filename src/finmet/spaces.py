@@ -27,19 +27,28 @@ class Violation:
         return "%s at (%s): %s" % (self.kind, ", ".join(self.points), self.detail)
 
 
+def freeze_labelled_square(obj, field, what):
+    """Freeze obj.labels and the matrix obj.<field> to tuples, in place,
+    and check that the labels are unique and the matrix is square over
+    them.  Shared by every frozen labels-plus-square-matrix class."""
+    labels = tuple(obj.labels)
+    matrix = freeze(getattr(obj, field))
+    n = len(labels)
+    if len(set(labels)) != n:
+        raise ValueError("duplicate point labels")
+    if len(matrix) != n or any(len(row) != n for row in matrix):
+        raise ValueError("%s shape does not match label count" % what)
+    object.__setattr__(obj, "labels", labels)
+    object.__setattr__(obj, field, matrix)
+
+
 @dataclass(frozen=True)
 class FinSpace:
     labels: tuple
     dist: tuple  # row-major, dist[i][j] = d(labels[i], labels[j])
 
     def __post_init__(self):
-        object.__setattr__(self, "labels", tuple(self.labels))
-        object.__setattr__(self, "dist", freeze(self.dist))
-        n = len(self.labels)
-        if len(set(self.labels)) != n:
-            raise ValueError("duplicate point labels")
-        if len(self.dist) != n or any(len(row) != n for row in self.dist):
-            raise ValueError("distance matrix shape does not match label count")
+        freeze_labelled_square(self, "dist", "distance matrix")
 
     @property
     def n(self):
@@ -76,10 +85,6 @@ def metric_violations(labels, dist):
                         "triangle", (labels[i], labels[j], labels[k]),
                         "%s > %s + %s" % (dist[i][k], dist[i][j], dist[j][k])))
     return out
-
-
-def is_valid_metric(space):
-    return not validate_metric(space)
 
 
 def is_separated(space):

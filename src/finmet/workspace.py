@@ -1,15 +1,17 @@
 """The fixture file format: one JSON document holding named objects of
 every kind, each entry tagged with its kind.
 
-Matrices are row-major lists of lists of value tokens ("p/q", "p", or
-"inf"); serialization round-trips bit-exactly because tokens are
-canonical.
+Every kind is a labelled matrix of some sort, so one table says how
+each is read and written.  Matrices are row-major lists of lists of
+value tokens ("p/q", "p", or "inf"); serialization round-trips
+bit-exactly because tokens are canonical.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import partialmethod
 
 from . import extarith
 from .corelations import BlockMetric
@@ -18,49 +20,97 @@ from .maps import FinMap
 from .quotients import Submetric
 from .spaces import FinSpace
 
-KINDS = ("space", "map", "submetric", "blockmetric", "costmatrix", "relation")
+BLOCKS = ("g00", "g01", "g10", "g11")
 
 
-@dataclass
-class Workspace:
-    spaces: dict = field(default_factory=dict)
-    maps: dict = field(default_factory=dict)
-    submetrics: dict = field(default_factory=dict)
-    blockmetrics: dict = field(default_factory=dict)
-    costmatrices: dict = field(default_factory=dict)
-    relations: dict = field(default_factory=dict)
-
-    def space(self, name):
-        return self._get(self.spaces, name, "space")
-
-    def map(self, name):
-        return self._get(self.maps, name, "map")
-
-    def submetric(self, name):
-        return self._get(self.submetrics, name, "submetric")
-
-    def blockmetric(self, name):
-        return self._get(self.blockmetrics, name, "blockmetric")
-
-    def costmatrix(self, name):
-        return self._get(self.costmatrices, name, "costmatrix")
-
-    def relation(self, name):
-        return self._get(self.relations, name, "relation")
-
-    @staticmethod
-    def _get(table, name, kind):
-        if name not in table:
-            raise ValueError("no %s named %r in workspace" % (kind, name))
-        return table[name]
+def _list(entry, key, ok, what):
+    """entry[key], once it is a list whose items all pass ok; a ValueError
+    otherwise."""
+    value = entry.get(key)
+    if not (isinstance(value, list) and all(ok(v) for v in value)):
+        raise ValueError("%s %r: field %r must be %s"
+                         % (entry["kind"], entry["name"], key, what))
+    return value
 
 
-def parse_matrix(rows):
+def _strings(entry, key):
+    return tuple(_list(entry, key, lambda s: isinstance(s, str),
+                       "a list of strings"))
+
+
+def _matrix(entry, key):
+    rows = _list(entry, key, lambda row: isinstance(row, list),
+                 "a list of lists")
     return tuple(tuple(extarith.parse(tok) for tok in row) for row in rows)
+
+
+def _cells(entry, key):
+    rows = _list(entry, key, lambda row: isinstance(row, list) and all(
+        type(c) is int and c in (0, 1) for c in row),
+        "a list of lists of 0 and 1")
+    return tuple(tuple(bool(c) for c in row) for row in rows)
 
 
 def matrix_tokens(matrix):
     return [[v.token() for v in row] for row in matrix]
+
+
+# kind -> (load(entry, ws), dump(obj, space_name)).  dump gives the fields
+# besides kind and name, and names each space it refers to through
+# space_name.  The order is the load order, spaces first, because every
+# other kind may name a space declared anywhere in the document; it is
+# also the dump order.
+TABLE = {
+    "space": (
+        lambda e, ws: FinSpace(_strings(e, "points"), _matrix(e, "dist")),
+        lambda sp, space_name: {"points": list(sp.labels),
+                                "dist": matrix_tokens(sp.dist)}),
+    "map": (
+        lambda e, ws: FinMap(ws.space(e.get("source")),
+                             ws.space(e.get("target")),
+                             _strings(e, "assignment")),
+        lambda f, space_name: {"source": space_name(f.source),
+                               "target": space_name(f.target),
+                               "assignment": list(f.assignment)}),
+    "submetric": (
+        lambda e, ws: Submetric(ws.space(e.get("base")), _matrix(e, "matrix")),
+        lambda sm, space_name: {"base": space_name(sm.base),
+                                "matrix": matrix_tokens(sm.gamma)}),
+    "blockmetric": (
+        lambda e, ws: BlockMetric(ws.space(e.get("base")),
+                                  *(_matrix(e, b) for b in BLOCKS)),
+        lambda bm, space_name: {"base": space_name(bm.base), **{
+            b: matrix_tokens(getattr(bm, b)) for b in BLOCKS}}),
+    "costmatrix": (
+        lambda e, ws: CostMatrix(_strings(e, "points"), _matrix(e, "matrix")),
+        lambda cm, space_name: {"points": list(cm.labels),
+                                "matrix": matrix_tokens(cm.rho)}),
+    "relation": (
+        lambda e, ws: BoolRelation(_strings(e, "points"), _cells(e, "rel")),
+        lambda r, space_name: {"points": list(r.labels),
+                               "rel": [[int(c) for c in row] for row in r.rel]}),
+}
+KINDS = tuple(TABLE)
+
+
+@dataclass
+class Workspace:
+    """Named objects of every kind: objects[kind][name]."""
+
+    objects: dict = field(default_factory=lambda: {k: {} for k in KINDS})
+
+    def get(self, kind, name):
+        table = self.objects[kind]
+        if not isinstance(name, str) or name not in table:
+            raise ValueError("no %s named %r in workspace" % (kind, name))
+        return table[name]
+
+    space = partialmethod(get, "space")
+    map = partialmethod(get, "map")
+    submetric = partialmethod(get, "submetric")
+    blockmetric = partialmethod(get, "blockmetric")
+    costmatrix = partialmethod(get, "costmatrix")
+    relation = partialmethod(get, "relation")
 
 
 def load_workspace(doc):
@@ -68,7 +118,6 @@ def load_workspace(doc):
     if not isinstance(doc, dict) or not isinstance(doc.get("objects"), list):
         raise ValueError("document must be an object with an 'objects' list")
     ws = Workspace()
-    deferred_maps = []
     for entry in doc["objects"]:
         if not isinstance(entry, dict):
             raise ValueError("every entry of 'objects' must be an object")
@@ -78,42 +127,13 @@ def load_workspace(doc):
             raise ValueError("unknown kind %r" % (kind,))
         if not isinstance(name, str) or not name:
             raise ValueError("every object needs a nonempty string name")
-        table = {
-            "space": ws.spaces, "map": ws.maps, "submetric": ws.submetrics,
-            "blockmetric": ws.blockmetrics, "costmatrix": ws.costmatrices,
-            "relation": ws.relations,
-        }[kind]
-        if name in table:
+        if name in ws.objects[kind]:
             raise ValueError("duplicate %s name %r" % (kind, name))
-        if kind == "space":
-            table[name] = FinSpace(tuple(entry["points"]),
-                                   parse_matrix(entry["dist"]))
-        elif kind == "map":
-            deferred_maps.append(entry)
-            table[name] = None  # reserve the name
-        elif kind == "submetric":
-            table[name] = entry  # resolved after spaces are loaded
-        elif kind == "blockmetric":
-            table[name] = entry
-        elif kind == "costmatrix":
-            table[name] = CostMatrix(tuple(entry["points"]),
-                                     parse_matrix(entry["matrix"]))
-        else:
-            table[name] = BoolRelation(
-                tuple(entry["points"]),
-                tuple(tuple(bool(c) for c in row) for row in entry["rel"]))
-    for entry in deferred_maps:
-        ws.maps[entry["name"]] = FinMap(
-            ws.space(entry["source"]), ws.space(entry["target"]),
-            tuple(entry["assignment"]))
-    for name, entry in list(ws.submetrics.items()):
-        ws.submetrics[name] = Submetric(ws.space(entry["base"]),
-                                        parse_matrix(entry["matrix"]))
-    for name, entry in list(ws.blockmetrics.items()):
-        ws.blockmetrics[name] = BlockMetric(
-            base=ws.space(entry["base"]),
-            g00=parse_matrix(entry["g00"]), g01=parse_matrix(entry["g01"]),
-            g10=parse_matrix(entry["g10"]), g11=parse_matrix(entry["g11"]))
+        ws.objects[kind][name] = entry
+    for kind, (load, _) in TABLE.items():
+        table = ws.objects[kind]
+        for name, entry in table.items():
+            table[name] = load(entry, ws)
     return ws
 
 
@@ -126,53 +146,24 @@ def load_workspace_file(path):
     return load_workspace(doc)
 
 
+def _entry(kind, name, obj, space_name):
+    return {"kind": kind, "name": name, **TABLE[kind][1](obj, space_name)}
+
+
 def space_entry(name, space):
-    return {"kind": "space", "name": name, "points": list(space.labels),
-            "dist": matrix_tokens(space.dist)}
-
-
-def map_entry(name, fmap, source_name, target_name):
-    return {"kind": "map", "name": name, "source": source_name,
-            "target": target_name, "assignment": list(fmap.assignment)}
-
-
-def submetric_entry(name, sm, base_name):
-    return {"kind": "submetric", "name": name, "base": base_name,
-            "matrix": matrix_tokens(sm.gamma)}
+    return _entry("space", name, space, None)
 
 
 def blockmetric_entry(name, bm, base_name):
-    return {"kind": "blockmetric", "name": name, "base": base_name,
-            "g00": matrix_tokens(bm.g00), "g01": matrix_tokens(bm.g01),
-            "g10": matrix_tokens(bm.g10), "g11": matrix_tokens(bm.g11)}
+    return _entry("blockmetric", name, bm, lambda _: base_name)
 
 
-def dump_workspace(ws, names=None):
-    """Serialize back to the document shape; round-trips bit-exactly."""
-    objects = []
-    for name, space in ws.spaces.items():
-        objects.append(space_entry(name, space))
-    for name, fmap in ws.maps.items():
-        src = _space_name(ws, fmap.source)
-        tgt = _space_name(ws, fmap.target)
-        objects.append(map_entry(name, fmap, src, tgt))
-    for name, sm in ws.submetrics.items():
-        objects.append(submetric_entry(name, sm, _space_name(ws, sm.base)))
-    for name, bm in ws.blockmetrics.items():
-        objects.append(blockmetric_entry(name, bm, _space_name(ws, bm.base)))
-    for name, cm in ws.costmatrices.items():
-        objects.append({"kind": "costmatrix", "name": name,
-                        "points": list(cm.labels),
-                        "matrix": matrix_tokens(cm.rho)})
-    for name, rel in ws.relations.items():
-        objects.append({"kind": "relation", "name": name,
-                        "points": list(rel.labels),
-                        "rel": [list(row) for row in rel.rel]})
-    return {"objects": objects}
+def dump_workspace(ws):
+    """Serialize back to the document shape; round-trips bit-exactly.
 
-
-def _space_name(ws, space):
-    for name, sp in ws.spaces.items():
-        if sp == space:
-            return name
-    raise ValueError("space is not registered in the workspace")
+    Spaces are named by identity, so equal spaces keep their own names.
+    """
+    names = {id(sp): name for name, sp in ws.objects["space"].items()}
+    return {"objects": [_entry(kind, name, obj, lambda sp: names[id(sp)])
+                        for kind in KINDS
+                        for name, obj in ws.objects[kind].items()]}

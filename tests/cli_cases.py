@@ -60,6 +60,17 @@ _STRETCHING_SPAN = [
      "assignment": ["u", "v"]},
 ]
 
+
+def _space_doc(points, dist, *more):
+    """A document with the space Z and the given further entries."""
+    return {"objects": [{"kind": "space", "name": "Z", "points": points,
+                         "dist": dist}, *more]}
+
+
+_VALIDATE_Z = ["validate", "space", "Z"]
+# d(a, c) = 5 > d(a, b) + d(b, c) = 2: the triangle inequality fails.
+_TRIANGLE_BREAKING = [["0", "1", "5"], ["1", "0", "1"], ["5", "1", "0"]]
+
 BAD_INPUT_CASES = [
     ("missing_space", WORKSPACE, ["validate", "space", "nope"]),
     ("missing_workspace_flag", None, ["validate", "space", "X2"]),
@@ -70,6 +81,28 @@ BAD_INPUT_CASES = [
     ("non_object_entry", {"objects": [3]}, ["validate", "space", "Z"]),
     ("expansive_pushout_leg", {"objects": _STRETCHING_SPAN},
      ["pushout", "--embedding", "i", "--along", "f"]),
+    ("dist_not_a_list", _space_doc(["a"], 5), _VALIDATE_Z),
+    ("points_a_string", _space_doc("ab", [["0", "1"], ["1", "0"]]),
+     _VALIDATE_Z),
+    ("points_not_strings", _space_doc([1], [["0"]]), _VALIDATE_Z),
+    ("assignment_a_string",
+     _space_doc(["a"], [["0"]], {"kind": "map", "name": "m", "source": "Z",
+                                 "target": "Z", "assignment": "a"}),
+     ["validate", "map", "m"]),
+    ("relation_cell_not_0_or_1",
+     {"objects": [{"kind": "relation", "name": "R", "points": ["x"],
+                   "rel": [["no"]]}]},
+     ["relation", "witness", "R", "x", "x"]),
+    ("json_number_token", _space_doc(["a"], [[0]]), _VALIDATE_Z),
+    ("plus_one_token", _space_doc(["a", "b"], [["0", "+1"], ["1", "0"]]),
+     _VALIDATE_Z),
+    ("unreduced_token", _space_doc(["a", "b"], [["0", "2/4"], ["1", "0"]]),
+     _VALIDATE_Z),
+    ("product_of_non_metric", _space_doc(["a", "b", "c"], _TRIANGLE_BREAKING),
+     ["product", "Z", "Z"]),
+    ("coproduct_of_non_metric",
+     _space_doc(["a", "b", "c"], _TRIANGLE_BREAKING),
+     ["coproduct", "Z", "Z"]),
 ]
 
 

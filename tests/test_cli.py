@@ -79,6 +79,25 @@ def test_workspace_round_trip():
     assert dump_workspace(ws2) == doc
 
 
+# Two equal spaces under different names, and a map on the second.
+_EQUAL_SPACES = {"objects": [
+    {"kind": "space", "name": "A", "points": ["a"], "dist": [["0"]]},
+    {"kind": "space", "name": "B", "points": ["a"], "dist": [["0"]]},
+    {"kind": "map", "name": "m", "source": "B", "target": "B",
+     "assignment": ["a"]},
+]}
+
+
+@pytest.mark.parametrize("doc", [WORKSPACE, _EQUAL_SPACES],
+                         ids=["fixture", "equal_spaces"])
+def test_dump_of_load_is_the_document(doc):
+    if isinstance(doc, str):
+        with open(doc, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    dumped = dump_workspace(load_workspace(doc))
+    assert json.dumps(dumped, sort_keys=True) == json.dumps(doc, sort_keys=True)
+
+
 def test_duplicate_names_rejected():
     doc = {"objects": [
         {"kind": "space", "name": "s", "points": ["a"], "dist": [["0"]]},

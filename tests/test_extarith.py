@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from finmet.extarith import (INF, ZERO, ExtValue, ext_add, ext_min,
-                             ext_min_all, fin, parse)
+from finmet.extarith import (INF, ZERO, ExtValue, ext_min, ext_min_all, fin,
+                             parse)
 
 
 def test_token_round_trip_basics():
@@ -38,11 +38,26 @@ def test_zero_denominator_rejected():
         parse("1/0")
 
 
+@pytest.mark.parametrize("token", ["+1", "1_0", " 1", "1 ", "01", "2/4",
+                                   "1/1", "0/5", "0/1", "1/02", "\u0661", 0,
+                                   1.5, None])
+def test_non_canonical_token_rejected(token):
+    with pytest.raises(ValueError):
+        parse(token)
+
+
+def test_non_rational_value_rejected():
+    with pytest.raises(TypeError):
+        ExtValue(0.1)
+    with pytest.raises(TypeError):
+        ExtValue("1")
+    assert ExtValue(3) == fin(3)
+
+
 def test_inf_absorbs_addition():
     assert INF + fin(3) == INF
     assert fin(3) + INF == INF
     assert INF + INF == INF
-    assert ext_add(fin(1, 2), fin(1, 2)) == fin(1)
 
 
 def test_order_total_with_top():

@@ -77,11 +77,15 @@ def cmd_validate(ws, args):
     return _report_violations("validate map %s" % name, check_nonexpansive(sm))
 
 
+def _refuse(what, violations):
+    """Raise ValueError naming the first violation, if there is one."""
+    if violations:
+        raise ValueError("%s: %s" % (what, violations[0]))
+
+
 def _metric_space(ws, name):
     space = ws.space(name)
-    violations = validate_metric(space)
-    if violations:
-        raise ValueError("space %s is not a metric: %s" % (name, violations[0]))
+    _refuse("space %s is not a metric" % name, validate_metric(space))
     return space
 
 
@@ -160,7 +164,10 @@ def cmd_kernel_metric(ws, args):
 
 
 def cmd_quotient(ws, args):
-    proj = quotient_by_submetric(ws.submetric(args.submetric))
+    sm = ws.submetric(args.submetric)
+    _refuse("submetric %s is not valid" % args.submetric,
+            validate_submetric(sm.base, sm.gamma))
+    proj = quotient_by_submetric(sm)
     lines = _space_lines("quotient by %s" % args.submetric, proj.target)
     lines += _map_lines("projection", proj)
     return EXIT_OK, lines, {"quotient": space_entry("quotient", proj.target),

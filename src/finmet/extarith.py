@@ -119,12 +119,3 @@ def parse(token):
 def ext_min(u, v):
     """The smaller value under the total order rationals < INF."""
     return u if u <= v else v
-
-
-def ext_min_all(values, default=INF):
-    """Minimum of an iterable; the empty minimum is INF (the semiring zero)."""
-    best = default
-    for v in values:
-        if v < best:
-            best = v
-    return best

@@ -56,6 +56,13 @@ def is_nonexpansive(f):
     return not check_nonexpansive(f)
 
 
+def require_nonexpansive(f):
+    """Raise ValueError naming the first pair that f stretches."""
+    violations = check_nonexpansive(f)
+    if violations:
+        raise ValueError("map is not non-expansive: %s" % violations[0])
+
+
 def compose(f, g):
     """The composite g . f (apply f first); boundary mismatch is an error."""
     if f.target != g.source:
@@ -104,6 +111,7 @@ def factorize(f):
     Stated for separated source and target only; the image inherits the
     target labels and metric, so it is separated too.
     """
+    require_nonexpansive(f)
     if not (is_separated(f.source) and is_separated(f.target)):
         raise ValueError("factorization requires separated source and target")
     image, incl = subspace(f.target, f.image_labels())

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 from .extarith import ZERO, ext_min
 from .limits import Square, coproduct
-from .maps import FinMap, compose, is_embedding, is_nonexpansive
+from .maps import (FinMap, compose, is_embedding, is_nonexpansive,
+                   require_nonexpansive)
 from .minplus import minplus_closure, minplus_product
 from .quotients import Submetric, quotient_by_submetric
 from .spaces import is_separated
@@ -44,8 +45,7 @@ def _check_pushout_inputs(i, f):
         raise ValueError("pushout legs must share their source")
     if not is_embedding(i):
         raise ValueError("pushout is only computed along an embedding")
-    if not is_nonexpansive(f):
-        raise ValueError("pushout is only computed along a non-expansive map")
+    require_nonexpansive(f)
     for sp in (i.source, i.target, f.target):
         if not is_separated(sp):
             raise ValueError("pushout requires separated spaces")

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .maps import FinMap, is_surjective
+from .maps import FinMap, is_surjective, require_nonexpansive
 from .minplus import freeze
 from .spaces import (FinSpace, Violation, is_separated, metric_violations,
                      quotient_by_zero_classes)
@@ -50,6 +50,7 @@ def is_valid_submetric(sm):
 
 def kernel_metric(f):
     """kappa_f(x, y) = d_target(f(x), f(y)); below d_source by non-expansiveness."""
+    require_nonexpansive(f)
     src, tgt = f.source, f.target
     idx = [tgt.index(lab) for lab in f.assignment]
     gamma = tuple(

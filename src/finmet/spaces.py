@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .extarith import ZERO
-from .minplus import freeze
+from .minplus import freeze, scale
 
 
 @dataclass(frozen=True)
@@ -73,14 +73,18 @@ def metric_violations(labels, dist):
     """Axiom check on a raw labelled matrix (shared with submetric validation)."""
     out = []
     n = len(labels)
+    _, _, (ints,) = scale(dist, terms=2)
     for i in range(n):
-        if dist[i][i] != ZERO:
+        if ints[i][i] != 0:
             out.append(Violation("nonzero-diagonal", (labels[i],),
                                  "d(x,x) = %s" % dist[i][i]))
     for i in range(n):
+        row_i = ints[i]
         for j in range(n):
+            dij = row_i[j]
+            row_j = ints[j]
             for k in range(n):
-                if not dist[i][k] <= dist[i][j] + dist[j][k]:
+                if row_i[k] > dij + row_j[k]:
                     out.append(Violation(
                         "triangle", (labels[i], labels[j], labels[k]),
                         "%s > %s + %s" % (dist[i][k], dist[i][j], dist[j][k])))

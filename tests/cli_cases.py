@@ -103,6 +103,16 @@ BAD_INPUT_CASES = [
     ("coproduct_of_non_metric",
      _space_doc(["a", "b", "c"], _TRIANGLE_BREAKING),
      ["coproduct", "Z", "Z"]),
+    # gamma(a, b) = 5 lies above d(a, b) = 1, so S is no submetric.
+    ("quotient_by_non_submetric",
+     _space_doc(["a", "b"], [["0", "1"], ["1", "0"]],
+                {"kind": "submetric", "name": "S", "base": "Z",
+                 "matrix": [["0", "5"], ["5", "0"]]}),
+     ["quotient", "S"]),
+    ("kernel_metric_of_expansive_map", {"objects": _STRETCHING_SPAN},
+     ["kernel-metric", "f"]),
+    ("factorize_expansive_map", {"objects": _STRETCHING_SPAN},
+     ["factorize", "f"]),
 ]
 
 

@@ -3,8 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from finmet.extarith import (INF, ZERO, ExtValue, ext_min, ext_min_all, fin,
-                             parse)
+from finmet.extarith import INF, ZERO, ExtValue, ext_min, fin, parse
 
 
 def test_token_round_trip_basics():
@@ -71,8 +70,6 @@ def test_order_total_with_top():
 def test_min_and_empty_min():
     assert ext_min(fin(2), fin(3)) == fin(2)
     assert ext_min(INF, fin(3)) == fin(3)
-    assert ext_min_all([]) == INF
-    assert ext_min_all([INF, fin(5), fin(2)]) == fin(2)
 
 
 def test_exactness_no_drift():

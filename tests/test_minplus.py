@@ -1,7 +1,10 @@
 import random
 
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
 from finmet.extarith import INF, ZERO, fin
-from finmet.minplus import minplus_closure, minplus_matmul
+from finmet.minplus import minplus_closure, minplus_matmul, minplus_product
 
 
 def rand_cost(rng, n, zero_diag=False):
@@ -69,3 +72,96 @@ def test_closure_vs_path_enumeration():
 def test_closure_disconnected_stays_inf():
     cost = [[ZERO, INF], [INF, ZERO]]
     assert minplus_closure(cost) == ((ZERO, INF), (INF, ZERO))
+
+
+# -- the integer kernel against the ExtValue loops it replaced -------------
+
+# Two Mersenne primes: a common denominator of both exceeds 2**64.
+BIG_DENOMINATORS = (2 ** 61 - 1, 2 ** 31 - 1)
+
+values = st.one_of(
+    st.just(INF),
+    st.builds(fin, st.integers(0, 6) | st.integers(0, 2 ** 70),
+              st.sampled_from((1, 2, 3, 7) + BIG_DENOMINATORS)))
+
+
+def matrices(n_rows, n_cols):
+    return st.lists(st.lists(values, min_size=n_cols, max_size=n_cols),
+                    min_size=n_rows, max_size=n_rows)
+
+
+square = st.integers(0, 5).flatmap(lambda n: matrices(n, n))
+# (rows, cols) operands of minplus_product, the inner dimension possibly 0.
+operands = st.tuples(st.integers(0, 4), st.integers(0, 4),
+                     st.integers(0, 4)).flatmap(
+    lambda s: st.tuples(matrices(s[0], s[2]), matrices(s[1], s[2])))
+
+TINY = fin(1, BIG_DENOMINATORS[0])
+SMALL = fin(1, BIG_DENOMINATORS[1])
+
+
+def reference_product(rows, cols):
+    out = []
+    for row in rows:
+        out_row = []
+        for col in cols:
+            best = INF
+            for u, v in zip(row, col):
+                if u + v < best:
+                    best = u + v
+            out_row.append(best)
+        out.append(tuple(out_row))
+    return tuple(out)
+
+
+def reference_closure(cost):
+    n = len(cost)
+    dist = [list(row) for row in cost]
+    for k in range(n):
+        for i in range(n):
+            dik = dist[i][k]
+            if dik.is_inf:
+                continue
+            for j in range(n):
+                cand = dik + dist[k][j]
+                if cand < dist[i][j]:
+                    dist[i][j] = cand
+    return tuple(tuple(row) for row in dist)
+
+
+@settings(deadline=None)
+@given(square)
+@example([])
+@example([[fin(2)]])
+@example([[INF, INF], [INF, INF]])
+@example([[fin(1), INF], [SMALL, TINY]])
+@example([[ZERO, TINY, INF], [INF, fin(3), SMALL], [SMALL, INF, INF]])
+# The diagonal closes as a cycle through all n points, n arcs of the
+# largest finite value.
+@example([[INF, fin(1), INF], [INF, INF, fin(1)], [fin(1), INF, INF]])
+def test_closure_matches_extvalue_loop(cost):
+    assert minplus_closure(cost) == reference_closure(cost)
+
+
+@settings(deadline=None)
+@given(operands)
+@example(([[], []], [[], [], []]))
+@example(([[INF, INF], [fin(1), TINY]], [[SMALL, fin(2)], [INF, INF]]))
+def test_product_matches_extvalue_loop(pair):
+    rows, cols = pair
+    out = minplus_product(rows, cols)
+    assert out == reference_product(rows, cols)
+    assert len(out) == len(rows)
+    assert all(len(row) == len(cols) for row in out)
+
+
+def test_empty_inner_dimension_is_inf():
+    assert minplus_product([[], []], [[]]) == ((INF,), (INF,))
+
+
+def test_large_common_denominator_is_exact():
+    cost = [[ZERO, TINY], [SMALL, ZERO]]
+    assert minplus_matmul(cost, cost) == ((ZERO, TINY), (SMALL, ZERO))
+    cycle = minplus_closure([[TINY, TINY], [SMALL, INF]])
+    assert cycle[1][1] == TINY + SMALL
+    assert cycle[1][1].frac.denominator > 2 ** 64

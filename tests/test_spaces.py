@@ -1,11 +1,19 @@
+import os
 import random
+import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 from finmet.extarith import INF, ZERO, fin
 from finmet.harness import GenConfig, gen_metric
-from finmet.spaces import (FinSpace, is_separated, metric_violations,
-                           sep_reflection, validate_metric, zero_classes)
+from finmet.spaces import (FinSpace, Violation, is_separated,
+                           metric_violations, sep_reflection, validate_metric,
+                           zero_classes)
+from test_minplus import SMALL, TINY, reference_closure, square
 
 
 def two_point(v=fin(1)):
@@ -88,3 +96,34 @@ def test_zero_classes_first_occurrence_order():
 def test_metric_violations_on_raw_matrix():
     bad = metric_violations(("p", "q"), ((ZERO, ZERO), (fin(1), fin(2))))
     assert any(v.kind == "nonzero-diagonal" and v.points == ("q",) for v in bad)
+
+
+def reference_violations(labels, dist):
+    out = []
+    n = len(labels)
+    for i in range(n):
+        if dist[i][i] != ZERO:
+            out.append(Violation("nonzero-diagonal", (labels[i],),
+                                 "d(x,x) = %s" % dist[i][i]))
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if not dist[i][k] <= dist[i][j] + dist[j][k]:
+                    out.append(Violation(
+                        "triangle", (labels[i], labels[j], labels[k]),
+                        "%s > %s + %s" % (dist[i][k], dist[i][j], dist[j][k])))
+    return out
+
+
+@settings(deadline=None)
+@given(square, st.booleans())
+@example([], False)
+@example([[fin(1)]], False)
+@example([[INF, INF], [INF, INF]], False)
+@example([[ZERO, TINY, fin(1)], [INF, ZERO, SMALL], [INF, INF, ZERO]], False)
+def test_violations_match_extvalue_loop(dist, closed):
+    if closed:
+        dist = reference_closure(dist)
+    labels = tuple("p%d" % i for i in range(len(dist)))
+    assert metric_violations(labels, dist) == reference_violations(labels,
+                                                                   dist)

@@ -14,7 +14,7 @@ import sys
 
 from . import corelations, idempotents, pushouts, selftest, workspace
 from .limits import coproduct, equalizer, product
-from .maps import check_nonexpansive, factorize
+from .maps import check_nonexpansive, factorize, require_nonexpansive
 from .quotients import (kernel_metric, quotient_by_submetric, quotient_leq,
                         validate_submetric)
 from .spaces import validate_metric
@@ -83,10 +83,23 @@ def _refuse(what, violations):
         raise ValueError("%s: %s" % (what, violations[0]))
 
 
-def _metric_space(ws, name):
-    space = ws.space(name)
-    _refuse("space %s is not a metric" % name, validate_metric(space))
+def _require_metric(what, space):
+    _refuse("%s is not a metric" % what, validate_metric(space))
     return space
+
+
+def _metric_space(ws, name):
+    return _require_metric("space %s" % name, ws.space(name))
+
+
+def _metric_map(ws, name):
+    """The map named name, once its spaces are metrics and it is
+    non-expansive."""
+    f = ws.map(name)
+    _require_metric("source of map %s" % name, f.source)
+    _require_metric("target of map %s" % name, f.target)
+    require_nonexpansive(f)
+    return f
 
 
 def cmd_product(ws, args):
@@ -106,7 +119,7 @@ def cmd_coproduct(ws, args):
 
 
 def cmd_equalizer(ws, args):
-    incl = equalizer(ws.map(args.left), ws.map(args.right))
+    incl = equalizer(_metric_map(ws, args.left), _metric_map(ws, args.right))
     lines = _space_lines("equalizer of %s, %s" % (args.left, args.right),
                          incl.source)
     lines += _map_lines("inclusion", incl)
@@ -241,7 +254,7 @@ def cmd_corelation_effective(ws, args):
 
 
 def cmd_corelation_from_subset(ws, args):
-    space = ws.space(args.space)
+    space = _metric_space(ws, args.space)
     subset = () if args.subset in ("", "-") else tuple(args.subset.split(","))
     bm = corelations.gamma_from_subset(space, subset)
     lines = []

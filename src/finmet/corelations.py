@@ -11,10 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .extarith import ZERO
 from .limits import coproduct, copair
 from .maps import is_surjective
-from .minplus import freeze, minplus_matmul, minplus_product
+from .minplus import IntMatrix, int_product, minplus_matmul, scale
 from .quotients import kernel_metric, validate_submetric
 from .spaces import FinSpace, is_separated
 
@@ -24,17 +23,17 @@ class BlockMetric:
     """blocks[i][j][x][y] encodes the distance from (x, i) to (y, j)."""
 
     base: FinSpace
-    g00: tuple
-    g01: tuple
-    g10: tuple
-    g11: tuple
+    g00: IntMatrix
+    g01: IntMatrix
+    g10: IntMatrix
+    g11: IntMatrix
 
     def __post_init__(self):
         n = self.base.n
         for name in ("g00", "g01", "g10", "g11"):
-            block = freeze(getattr(self, name))
+            block = IntMatrix.of(getattr(self, name))
             object.__setattr__(self, name, block)
-            if len(block) != n or any(len(row) != n for row in block):
+            if not block.is_square(n):
                 raise ValueError("block %s shape does not match base" % name)
 
     def block(self, i, j):
@@ -45,9 +44,11 @@ class BlockMetric:
 
     def as_matrix(self):
         """The full matrix on X + X (summand 0 first)."""
-        top = tuple(r0 + r1 for r0, r1 in zip(self.g00, self.g01))
-        bottom = tuple(r0 + r1 for r0, r1 in zip(self.g10, self.g11))
-        return top + bottom
+        common, big, (g00, g01, g10, g11) = scale(
+            self.g00, self.g01, self.g10, self.g11, terms=1)
+        rows = [r0 + r1 for r0, r1 in zip(g00, g01)]
+        rows += [r0 + r1 for r0, r1 in zip(g10, g11)]
+        return IntMatrix.from_scaled(common, rows, big)
 
 
 def doubled_space(x_space):
@@ -76,27 +77,27 @@ def corelation_from_cospan(q0, q1):
         raise ValueError("cospan is not jointly surjective, hence not a corelation")
     full = kernel_metric(folded).gamma
     n = x_space.n
+    first, second = range(n), range(n, 2 * n)
     return BlockMetric(
         base=x_space,
-        g00=tuple(row[:n] for row in full[:n]),
-        g01=tuple(row[n:] for row in full[:n]),
-        g10=tuple(row[:n] for row in full[n:]),
-        g11=tuple(row[n:] for row in full[n:]),
+        g00=full.sub(first, first),
+        g01=full.sub(first, second),
+        g10=full.sub(second, first),
+        g11=full.sub(second, second),
     )
 
 
 def reflexive_witness(bm):
     """The first (x, i, y, j) with d(x, y) > gamma((x, i), (y, j)), as
     labels and summand indices; None when there is none."""
-    d = bm.base.dist
-    n = bm.base.n
-    for i in (0, 1):
-        for j in (0, 1):
-            block = bm.block(i, j)
-            for x in range(n):
-                for y in range(n):
-                    if not d[x][y] <= block[x][y]:
-                        return bm.base.labels[x], i, bm.base.labels[y], j
+    labels = bm.base.labels
+    _, _, (d, *blocks) = scale(bm.base.dist, bm.g00, bm.g01, bm.g10, bm.g11,
+                               terms=1)
+    for (i, j), block in zip(((0, 0), (0, 1), (1, 0), (1, 1)), blocks):
+        for x, (d_row, b_row) in enumerate(zip(d, block)):
+            for y, d_xy in enumerate(d_row):
+                if d_xy > b_row[y]:
+                    return labels[x], i, labels[y], j
     return None
 
 
@@ -109,13 +110,14 @@ def symmetric_witness(bm):
     """The first (x, i, y, j) in blocks 00 then 01 with
     gamma((x, i), (y, j)) != gamma((x, 1-i), (y, 1-j)), as labels and
     summand indices; None when there is none."""
-    n = bm.base.n
-    for i, j in ((0, 0), (0, 1)):
-        a, b = bm.block(i, j), bm.block(1 - i, 1 - j)
-        for x in range(n):
-            for y in range(n):
-                if a[x][y] != b[x][y]:
-                    return bm.base.labels[x], i, bm.base.labels[y], j
+    labels = bm.base.labels
+    _, _, (g00, g01, g10, g11) = scale(bm.g00, bm.g01, bm.g10, bm.g11,
+                                       terms=1)
+    for (i, j), a, b in (((0, 0), g00, g11), ((0, 1), g01, g10)):
+        for x, (a_row, b_row) in enumerate(zip(a, b)):
+            for y, a_xy in enumerate(a_row):
+                if a_xy != b_row[y]:
+                    return labels[x], i, labels[y], j
     return None
 
 
@@ -148,18 +150,21 @@ def gamma_from_subset(x_space, subset):
     idx = sorted(x_space.index(lab) for lab in subset)
     if len(set(idx)) != len(list(subset)):
         raise ValueError("duplicate labels in subset")
-    d = x_space.dist
-    cross = minplus_product([[row[a] for a in idx] for row in d],
-                            [[d[a][y] for a in idx] for y in range(x_space.n)])
-    return BlockMetric(base=x_space, g00=d, g01=cross, g10=cross, g11=d)
+    common, big, (d,) = scale(x_space.dist, terms=2)
+    cross = IntMatrix.from_scaled(common, int_product(
+        [[row[a] for a in idx] for row in d], [d[a] for a in idx],
+        x_space.n, big), big)
+    return BlockMetric(base=x_space, g00=x_space.dist, g01=cross, g10=cross,
+                       g11=x_space.dist)
 
 
 def zero_locus(bm):
     """Points whose cross self-distance vanishes; requires an equivalence."""
     if not is_equivalence(bm):
         raise ValueError("zero locus is only defined for equivalences")
-    n = bm.base.n
-    return tuple(bm.base.labels[a] for a in range(n) if bm.g01[a][a] == ZERO)
+    rows = bm.g01.rows
+    return tuple(lab for a, lab in enumerate(bm.base.labels)
+                 if rows[a][a] == 0)
 
 
 def is_effective(bm):

@@ -101,9 +101,18 @@ def parse(token):
     leading zeros, or "p/q" in lowest terms with q >= 2, so that
     parse(t).token() == t for every accepted t.
     """
+    if not isinstance(token, str):
+        raise ValueError("malformed value token %r" % (token,))
+    return _parse(token)
+
+
+# A document repeats few distinct tokens many times, and ExtValue is
+# immutable, so equal tokens may share one parsed value.
+@functools.lru_cache(maxsize=4096)
+def _parse(token):
     if token == "inf":
         return INF
-    match = _TOKEN.fullmatch(token) if isinstance(token, str) else None
+    match = _TOKEN.fullmatch(token)
     if match is None:
         raise ValueError("malformed value token %r" % (token,))
     p, q = match.groups()
@@ -114,8 +123,3 @@ def parse(token):
     if frac.denominator != denominator or denominator == 1:
         raise ValueError("value token %r is not in lowest terms" % (token,))
     return ExtValue(frac)
-
-
-def ext_min(u, v):
-    """The smaller value under the total order rationals < INF."""
-    return u if u <= v else v

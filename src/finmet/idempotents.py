@@ -11,15 +11,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .extarith import ZERO
-from .minplus import minplus_matmul
+from .minplus import IntMatrix, freeze, minplus_matmul, scale
 from .spaces import freeze_labelled_square
 
 
 @dataclass(frozen=True)
 class CostMatrix:
     labels: tuple
-    rho: tuple
+    rho: IntMatrix
 
     def __post_init__(self):
         freeze_labelled_square(self, "rho", "cost matrix")
@@ -31,7 +30,7 @@ class BoolRelation:
     rel: tuple
 
     def __post_init__(self):
-        freeze_labelled_square(self, "rel", "relation matrix")
+        freeze_labelled_square(self, "rel", "relation matrix", freeze)
 
 
 def minplus_square(cm):
@@ -67,20 +66,20 @@ def factor_through_zero_diagonal(cm):
     """
     if not is_idempotent(cm):
         raise ValueError("input is not min-plus idempotent")
-    n = len(cm.labels)
-    rho = cm.rho
-    a_idx = [i for i in range(n) if rho[i][i] == ZERO]
+    labels = cm.labels
+    _, big, (rho,) = scale(cm.rho, terms=2)
+    a_idx = [i for i, row in enumerate(rho) if row[i] == 0]
     witnesses = {}
     failures = []
-    for x in range(n):
-        for y in range(n):
-            pair = (cm.labels[x], cm.labels[y])
-            if rho[x][y].is_inf:
+    for x, row in enumerate(rho):
+        for y, target in enumerate(row):
+            pair = (labels[x], labels[y])
+            if target >= big:
                 witnesses[pair] = None
                 continue
             for a in a_idx:
-                if rho[x][a] + rho[a][y] == rho[x][y]:
-                    witnesses[pair] = cm.labels[a]
+                if row[a] + rho[a][y] == target:
+                    witnesses[pair] = labels[a]
                     break
             else:
                 failures.append(pair)
@@ -90,13 +89,21 @@ def factor_through_zero_diagonal(cm):
 
 
 def bool_compose(rel_a, rel_b):
-    """Existential composition of boolean square matrices."""
+    """Existential composition of boolean square matrices.
+
+    Row i of the result is the union of the rows k of rel_b with
+    rel_a[i][k], each row held as a bitmask.
+    """
     n = len(rel_a)
-    return tuple(
-        tuple(any(rel_a[i][k] and rel_b[k][j] for k in range(n))
-              for j in range(n))
-        for i in range(n)
-    )
+    masks = [sum(1 << j for j, c in enumerate(row) if c) for row in rel_b]
+    out = []
+    for row in rel_a:
+        acc = 0
+        for c, mask in zip(row, masks):
+            if c:
+                acc |= mask
+        out.append(tuple([acc >> j & 1 == 1 for j in range(n)]))
+    return tuple(out)
 
 
 def is_bool_idempotent(relation):

@@ -5,8 +5,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .extarith import INF
 from .maps import FinMap, compose, is_isomorphism, subspace
+from .minplus import IntMatrix, scale
 from .spaces import FinSpace
 
 
@@ -40,23 +40,15 @@ def pair_label(x, y):
 
 def product(m1, m2):
     """All pairs with the sup-metric; returns (space, p1, p2)."""
-    labels = []
-    pairs = []
-    for x in m1.labels:
-        for y in m2.labels:
-            labels.append(pair_label(x, y))
-            pairs.append((m1.index(x), m2.index(y)))
-
-    def sup(u, v):
-        return u if v <= u else v
-
-    dist = tuple(
-        tuple(sup(m1.dist[i1][j1], m2.dist[i2][j2]) for (j1, j2) in pairs)
-        for (i1, i2) in pairs
-    )
-    space = FinSpace(tuple(labels), dist)
-    p1 = FinMap(space, m1, tuple(m1.labels[i] for (i, _) in pairs))
-    p2 = FinMap(space, m2, tuple(m2.labels[j] for (_, j) in pairs))
+    labels = tuple(pair_label(x, y) for x in m1.labels for y in m2.labels)
+    # Pair (x, y) has index x * n2 + y, so row (x, y) of the sup metric
+    # runs over x' then y'.  INF is big, above every finite entry.
+    common, big, (a, b) = scale(m1.dist, m2.dist, terms=1)
+    rows = [[u if u >= v else v for u in a_row for v in b_row]
+            for a_row in a for b_row in b]
+    space = FinSpace(labels, IntMatrix.from_scaled(common, rows, big))
+    p1 = FinMap(space, m1, tuple(x for x in m1.labels for _ in m2.labels))
+    p2 = FinMap(space, m2, tuple(y for _ in m1.labels for y in m2.labels))
     return space, p1, p2
 
 
@@ -71,17 +63,10 @@ def coproduct(m1, m2):
         + [summand_label(1, y) for y in m2.labels]
     )
     n1 = m1.n
-    n = n1 + m2.n
-
-    def entry(i, j):
-        if i < n1 and j < n1:
-            return m1.dist[i][j]
-        if i >= n1 and j >= n1:
-            return m2.dist[i - n1][j - n1]
-        return INF
-
-    dist = tuple(tuple(entry(i, j) for j in range(n)) for i in range(n))
-    space = FinSpace(labels, dist)
+    common, big, (a, b) = scale(m1.dist, m2.dist, terms=1)
+    rows = ([row + [big] * m2.n for row in a]
+            + [[big] * n1 + row for row in b])
+    space = FinSpace(labels, IntMatrix.from_scaled(common, rows, big))
     j1 = FinMap(m1, space, tuple(labels[:n1]))
     j2 = FinMap(m2, space, tuple(labels[n1:]))
     return space, j1, j2

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .minplus import scale
 from .spaces import FinSpace, Violation, is_separated
 
 
@@ -43,9 +44,11 @@ def check_nonexpansive(f):
     out = []
     src, tgt = f.source, f.target
     idx = [tgt.index(lab) for lab in f.assignment]
-    for i in range(src.n):
-        for j in range(src.n):
-            if not tgt.dist[idx[i]][idx[j]] <= src.dist[i][j]:
+    _, _, (s, t) = scale(src.dist, tgt.dist, terms=1)
+    for i, s_row in enumerate(s):
+        t_row = t[idx[i]]
+        for j, s_ij in enumerate(s_row):
+            if t_row[idx[j]] > s_ij:
                 out.append(Violation(
                     "expansive", (src.labels[i], src.labels[j]),
                     "%s > %s" % (tgt.dist[idx[i]][idx[j]], src.dist[i][j])))
@@ -80,11 +83,8 @@ def is_embedding(f):
         return False
     src, tgt = f.source, f.target
     idx = [tgt.index(lab) for lab in f.assignment]
-    for i in range(src.n):
-        for j in range(src.n):
-            if src.dist[i][j] != tgt.dist[idx[i]][idx[j]]:
-                return False
-    return True
+    _, _, (s, t) = scale(src.dist, tgt.dist, terms=1)
+    return all(s_row == [t[i][j] for j in idx] for s_row, i in zip(s, idx))
 
 
 def is_surjective(f):
@@ -100,8 +100,7 @@ def subspace(space, labels):
     together with its inclusion embedding."""
     keep = [lab for lab in space.labels if lab in set(labels)]
     idx = [space.index(lab) for lab in keep]
-    dist = tuple(tuple(space.dist[i][j] for j in idx) for i in idx)
-    sub = FinSpace(tuple(keep), dist)
+    sub = FinSpace(tuple(keep), space.dist.sub(idx, idx))
     return sub, FinMap(sub, space, tuple(keep))
 
 

@@ -1,21 +1,28 @@
-"""Min-plus (tropical) matrix operations on ExtValue matrices.
+"""Exact matrices over [0, inf] and the min-plus (tropical) kernels on them.
 
-Matrices are tuples of tuples of ExtValue.  One product kernel serves
-square and rectangular operands alike; the pushout formula builds its
-mixed blocks from it.  The closure here is the all-pairs shortest-path
-saturation: the least matrix below the given costs that satisfies the
-triangle inequality.  It doubles as the independent oracle for the
-explicit pushout formula and as the repair step of the random-space
-generator.
+An IntMatrix holds its entries as plain ints over one common
+denominator, with None for INF; it is how every space, submetric, block
+and cost matrix stores its distances.  Reading a row or an entry gives
+ExtValue, so callers that index, iterate or take len() see nested
+ExtValue sequences, and the kernels accept either form.
 
-Every kernel is exact integer arithmetic: its operands are scaled once
-to a common denominator, the loops run on plain ints, and the result is
-converted back to ExtValue.
+One product kernel serves square and rectangular operands alike; the
+pushout formula builds its mixed blocks from it.  The closure here is
+the all-pairs shortest-path saturation: the least matrix below the given
+costs that satisfies the triangle inequality.  It doubles as the
+independent oracle for the explicit pushout formula and as the repair
+step of the random-space generator.
+
+Every kernel is exact integer arithmetic: its operands are put over one
+common denominator (a no-op when they already share it), the loops run
+on plain ints, and the result is again an IntMatrix.
 """
 
 from __future__ import annotations
 
-from math import lcm
+from functools import lru_cache
+from itertools import chain
+from math import gcd, lcm
 
 from .extarith import INF, fin
 
@@ -24,37 +31,152 @@ def freeze(rows):
     return tuple(tuple(row) for row in rows)
 
 
-def scale(*matrices, terms):
-    """(L, big, scaled): the matrices over one common denominator L.
+# Matrices built from one another share most of their entries, and
+# ExtValue is immutable, so they may share the converted values too.
+@lru_cache(maxsize=4096)
+def _ext_value(x, den):
+    return fin(x, den)
 
-    A finite entry p/q becomes the int p * (L // q) and INF becomes big,
+
+class IntMatrix:
+    """A frozen matrix over [0, inf]: entry (i, j) is rows[i][j] / den, or
+    INF where rows[i][j] is None.
+
+    den is reduced by the gcd of the finite entries, so two matrices with
+    the same entries have the same (den, rows), and == and hash compare
+    exactly that.  len(), indexing and iteration read the ExtValue form,
+    converted once and kept.  == also accepts a nested ExtValue sequence,
+    for literals; such a sequence does not hash like its IntMatrix.
+    """
+
+    __slots__ = ("den", "rows", "top", "_ext")
+
+    def __init__(self, den, rows):
+        rows = tuple(map(tuple, rows))
+        finite = [x for row in rows for x in row if x is not None]
+        g = gcd(den, *finite)
+        if g > 1:
+            den //= g
+            rows = tuple(tuple(None if x is None else x // g for x in row)
+                         for row in rows)
+        set_ = object.__setattr__
+        set_(self, "den", den)
+        set_(self, "rows", rows)
+        # The largest finite numerator, which bounds every finite entry.
+        set_(self, "top", max(finite, default=0) // g)
+        set_(self, "_ext", None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("IntMatrix is immutable")
+
+    @classmethod
+    def of(cls, matrix):
+        """matrix itself if it is an IntMatrix, else the IntMatrix of a
+        nested sequence of ExtValue; TypeError for any other entry."""
+        if isinstance(matrix, cls):
+            return matrix
+        try:
+            # _frac is the Fraction, or None for INF.
+            fracs = [[v._frac for v in row] for row in matrix]
+        except AttributeError:
+            raise TypeError("matrix entries must be ExtValue") from None
+        den = lcm(*{f.denominator for row in fracs for f in row
+                    if f is not None})
+        return cls(den, [[None if f is None
+                          else f.numerator * (den // f.denominator)
+                          for f in row] for row in fracs])
+
+    @classmethod
+    def from_scaled(cls, den, rows, big):
+        """The matrix of ints over den in which values >= big are INF."""
+        return cls(den, [[None if x >= big else x for x in row]
+                         for row in rows])
+
+    def scaled(self, factor, big):
+        """The rows as lists of ints times factor, INF as big."""
+        if factor == 1:
+            return [[big if x is None else x for x in row] for row in self.rows]
+        return [[big if x is None else x * factor for x in row]
+                for row in self.rows]
+
+    def sub(self, row_idx, col_idx):
+        """The matrix of entries (i, j) for i in row_idx, j in col_idx."""
+        rows = self.rows
+        return IntMatrix(self.den, [[rows[i][j] for j in col_idx]
+                                    for i in row_idx])
+
+    def is_square(self, n):
+        return len(self.rows) == n and all(len(row) == n for row in self.rows)
+
+    def ext(self):
+        """The entries as a tuple of tuples of ExtValue."""
+        ext = self._ext
+        if ext is None:
+            den = self.den
+            value = {x: INF if x is None else _ext_value(x, den)
+                     for x in set(chain.from_iterable(self.rows))}.__getitem__
+            ext = tuple(tuple(map(value, row)) for row in self.rows)
+            object.__setattr__(self, "_ext", ext)
+        return ext
+
+    def __len__(self):
+        return len(self.rows)
+
+    def __getitem__(self, i):
+        return self.ext()[i]
+
+    def __iter__(self):
+        return iter(self.ext())
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if not isinstance(other, IntMatrix):
+            try:
+                other = IntMatrix.of(other)
+            except TypeError:
+                return NotImplemented
+        return self.den == other.den and self.rows == other.rows
+
+    def __hash__(self):
+        return hash((self.den, self.rows))
+
+    def __repr__(self):
+        return "IntMatrix(%r)" % ([[v.token() for v in row]
+                                   for row in self.ext()],)
+
+
+def scale(*matrices, terms):
+    """(L, big, scaled): the matrices' ints over one common denominator L.
+
+    Each matrix may be an IntMatrix or a nested ExtValue sequence.  A
+    finite entry p/q becomes the int p * (L // q) and INF becomes big,
     which exceeds every sum of at most `terms` finite entries, so such a
     sum is finite exactly when it is below big.
     """
-    # _frac is the Fraction, or None for INF; the public properties cost
-    # about a tenth of a 24-point closure.
-    fracs = [[[v._frac for v in row] for row in m] for m in matrices]
-    common = lcm(*{f.denominator for m in fracs for row in m
-                   for f in row if f is not None})
-    nums = [[[None if f is None else f.numerator * (common // f.denominator)
-              for f in row] for row in m] for m in fracs]
-    big = terms * max((x for m in nums for row in m for x in row
-                       if x is not None), default=0) + 1
-    return common, big, [[[big if x is None else x for x in row]
-                          for row in m] for m in nums]
+    ms = [IntMatrix.of(m) for m in matrices]
+    common = lcm(*[m.den for m in ms])
+    factors = [common // m.den for m in ms]
+    big = terms * max([m.top * f for m, f in zip(ms, factors)], default=0) + 1
+    return common, big, [m.scaled(f, big) for m, f in zip(ms, factors)]
 
 
-def unscale(m, common, big):
-    """The ExtValue matrix of a scaled one: values >= big are INF."""
-    memo = {}
+def int_product(rows, other, ncols, big):
+    """out[i][j] = min_k rows[i][k] + other[k][j] on scaled ints, with
+    ncols columns; an empty minimum is big.
 
-    def value(x):
-        v = memo.get(x)
-        if v is None:
-            v = memo[x] = INF if x >= big else fin(x, common)
-        return v
-
-    return tuple(tuple(value(x) for x in row) for row in m)
+    Row i is the elementwise minimum of the rows of other, each shifted
+    by rows[i][k]; a shift by INF is skipped, as every sum it gives is.
+    """
+    out = []
+    for row in rows:
+        shifted = [[w + v for v in o_row]
+                   for w, o_row in zip(row, other) if w < big]
+        if len(shifted) > 1:
+            out.append(list(map(min, *shifted)))
+        else:
+            out.append(shifted[0] if shifted else [big] * ncols)
+    return out
 
 
 def minplus_product(rows, cols):
@@ -65,13 +187,14 @@ def minplus_product(rows, cols):
     minimum INF.
     """
     common, big, (rows, cols) = scale(rows, cols, terms=2)
-    return unscale([[min([u + v for u, v in zip(row, col)], default=big)
-                     for col in cols] for row in rows], common, big)
+    return IntMatrix.from_scaled(
+        common, int_product(rows, list(zip(*cols)), len(cols), big), big)
 
 
 def minplus_matmul(a, b):
     """Tropical product of square matrices: out[i][j] = min_k a[i][k] + b[k][j]."""
-    return minplus_product(a, tuple(zip(*b)))
+    common, big, (a, b) = scale(a, b, terms=2)
+    return IntMatrix.from_scaled(common, int_product(a, b, len(b), big), big)
 
 
 def minplus_closure(cost):
@@ -95,4 +218,4 @@ def minplus_closure(cost):
                 cand = dik + row_k[j]
                 if cand < row_i[j]:
                     row_i[j] = cand
-    return unscale(dist, common, big)
+    return IntMatrix.from_scaled(common, dist, big)

@@ -13,11 +13,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .extarith import ZERO, ext_min
 from .limits import Square, coproduct
 from .maps import (FinMap, compose, is_embedding, is_nonexpansive,
                    require_nonexpansive)
-from .minplus import minplus_closure, minplus_product
+from .minplus import IntMatrix, int_product, minplus_closure, scale
 from .quotients import Submetric, quotient_by_submetric
 from .spaces import is_separated
 
@@ -65,20 +64,23 @@ def pushout_along_embedding(i, f):
     a_space, x_space, b_space = i.source, i.target, f.target
     ia = [x_space.index(i(a)) for a in a_space.labels]
     fa = [b_space.index(f(a)) for a in a_space.labels]
-    d_b, d_x = b_space.dist, x_space.dist
+    # A detour sums at most three finite entries, so big marks INF
+    # through both products.
+    common, big, (d_b, d_x) = scale(b_space.dist, x_space.dist, terms=3)
 
-    x_cols = [[d_x[s][y] for s in ia] for y in range(x_space.n)]
-    b_to_x = minplus_product([[row[t] for t in fa] for row in d_b], x_cols)
-    x_to_b = minplus_product([[row[s] for s in ia] for row in d_x],
-                             [[d_b[t][b] for t in fa] for b in range(b_space.n)])
-    detour = minplus_product([[row[t] for t in fa] for row in x_to_b], x_cols)
-    x_to_x = [tuple(ext_min(u, v) for u, v in zip(direct, via))
-              for direct, via in zip(d_x, detour)]
+    x_glue = [d_x[s] for s in ia]
+    b_to_x = int_product([[row[t] for t in fa] for row in d_b], x_glue,
+                         x_space.n, big)
+    x_to_b = int_product([[row[s] for s in ia] for row in d_x],
+                         [d_b[t] for t in fa], b_space.n, big)
+    detour = int_product([[row[t] for t in fa] for row in x_to_b], x_glue,
+                         x_space.n, big)
+    x_to_x = [list(map(min, direct, via)) for direct, via in zip(d_x, detour)]
 
     bx, iota_b, iota_x = coproduct(b_space, x_space)
     rows = [d + m for d, m in zip(d_b, b_to_x)]
     rows += [m + d for m, d in zip(x_to_b, x_to_x)]
-    gamma = Submetric(bx, rows)
+    gamma = Submetric(bx, IntMatrix.from_scaled(common, rows, big))
     proj = quotient_by_submetric(gamma)
     square = Square(left=f, top=i,
                     bottom=compose(iota_b, proj), right=compose(iota_x, proj))
@@ -89,13 +91,14 @@ def _glue_and_close(i, f, costs):
     """Closure of a cost matrix on B + X after adding zero-cost arcs
     between f(a) and i(a), both ways, for every glue point a."""
     nb = f.target.n
-    cost = [list(row) for row in costs]
+    costs = IntMatrix.of(costs)
+    cost = [list(row) for row in costs.rows]
     for a in f.source.labels:
         p = f.target.index(f(a))
         q = nb + i.target.index(i(a))
-        cost[p][q] = ZERO
-        cost[q][p] = ZERO
-    return minplus_closure(cost)
+        cost[p][q] = 0
+        cost[q][p] = 0
+    return minplus_closure(IntMatrix(costs.den, cost))
 
 
 def pushout_closure_oracle(i, f):

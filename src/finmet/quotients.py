@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .maps import FinMap, is_surjective, require_nonexpansive
-from .minplus import freeze
+from .minplus import IntMatrix, scale
 from .spaces import (FinSpace, Violation, is_separated, metric_violations,
                      quotient_by_zero_classes)
 
@@ -17,12 +17,11 @@ class Submetric:
     """A (possibly non-separated) metric on base's points, pointwise below d."""
 
     base: FinSpace
-    gamma: tuple
+    gamma: IntMatrix
 
     def __post_init__(self):
-        object.__setattr__(self, "gamma", freeze(self.gamma))
-        n = self.base.n
-        if len(self.gamma) != n or any(len(row) != n for row in self.gamma):
+        object.__setattr__(self, "gamma", IntMatrix.of(self.gamma))
+        if not self.gamma.is_square(self.base.n):
             raise ValueError("submetric matrix shape does not match base")
 
     def value(self, x, y):
@@ -31,13 +30,14 @@ class Submetric:
 
 def validate_submetric(base, gamma):
     """Metric-axiom violations of gamma plus below-d violations against base."""
-    n = base.n
-    if len(gamma) != n or any(len(row) != n for row in gamma):
+    gamma = IntMatrix.of(gamma)
+    if not gamma.is_square(base.n):
         raise ValueError("submetric matrix shape does not match base")
     out = metric_violations(base.labels, gamma)
-    for i in range(n):
-        for j in range(n):
-            if not gamma[i][j] <= base.dist[i][j]:
+    _, _, (g, d) = scale(gamma, base.dist, terms=1)
+    for i, (g_row, d_row) in enumerate(zip(g, d)):
+        for j, d_ij in enumerate(d_row):
+            if g_row[j] > d_ij:
                 out.append(Violation(
                     "above-ambient", (base.labels[i], base.labels[j]),
                     "%s > %s" % (gamma[i][j], base.dist[i][j])))
@@ -51,13 +51,8 @@ def is_valid_submetric(sm):
 def kernel_metric(f):
     """kappa_f(x, y) = d_target(f(x), f(y)); below d_source by non-expansiveness."""
     require_nonexpansive(f)
-    src, tgt = f.source, f.target
-    idx = [tgt.index(lab) for lab in f.assignment]
-    gamma = tuple(
-        tuple(tgt.dist[idx[i]][idx[j]] for j in range(src.n))
-        for i in range(src.n)
-    )
-    return Submetric(src, gamma)
+    idx = [f.target.index(lab) for lab in f.assignment]
+    return Submetric(f.source, f.target.dist.sub(idx, idx))
 
 
 def quotient_by_submetric(sm):
@@ -83,10 +78,10 @@ def quotient_leq(f, g):
         raise ValueError("quotients must share a source")
     if not (is_surjective(f) and is_surjective(g)):
         raise ValueError("quotient comparison needs surjective morphisms")
-    kf = kernel_metric(f).gamma
-    kg = kernel_metric(g).gamma
-    n = f.source.n
-    return all(kg[i][j] <= kf[i][j] for i in range(n) for j in range(n))
+    _, _, (kg, kf) = scale(kernel_metric(g).gamma, kernel_metric(f).gamma,
+                           terms=1)
+    return all(u <= v for g_row, f_row in zip(kg, kf)
+               for u, v in zip(g_row, f_row))
 
 
 def counit_iso(f):

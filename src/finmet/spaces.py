@@ -1,18 +1,18 @@
 """Finite separated Lawvere metric spaces.
 
-A FinSpace is a finite labelled point set with an ExtValue distance
-matrix required to satisfy only d(x,x) = 0 and the triangle inequality;
-neither symmetry nor finiteness of distances is assumed.  Separation
-(d(x,y) = 0 = d(y,x) implies x = y) is the metric analogue of
-antisymmetry and is checked, not assumed.
+A FinSpace is a finite labelled point set with a distance matrix, an
+exact IntMatrix whose entries read as ExtValue, required to satisfy
+only d(x,x) = 0 and the triangle inequality; neither symmetry nor
+finiteness of distances is assumed.  Separation (d(x,y) = 0 = d(y,x)
+implies x = y) is the metric analogue of antisymmetry and is checked,
+not assumed.  The checks here run on the matrix's ints.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .extarith import ZERO
-from .minplus import freeze, scale
+from .minplus import IntMatrix, scale
 
 
 @dataclass(frozen=True)
@@ -27,16 +27,18 @@ class Violation:
         return "%s at (%s): %s" % (self.kind, ", ".join(self.points), self.detail)
 
 
-def freeze_labelled_square(obj, field, what):
-    """Freeze obj.labels and the matrix obj.<field> to tuples, in place,
-    and check that the labels are unique and the matrix is square over
-    them.  Shared by every frozen labels-plus-square-matrix class."""
+def freeze_labelled_square(obj, field, what, freeze=IntMatrix.of):
+    """Freeze obj.labels to a tuple and the matrix obj.<field> with
+    freeze, in place, and check that the labels are unique and the
+    matrix is square over them.  Shared by every frozen
+    labels-plus-square-matrix class."""
     labels = tuple(obj.labels)
     matrix = freeze(getattr(obj, field))
     n = len(labels)
     if len(set(labels)) != n:
         raise ValueError("duplicate point labels")
-    if len(matrix) != n or any(len(row) != n for row in matrix):
+    rows = matrix.rows if isinstance(matrix, IntMatrix) else matrix
+    if len(rows) != n or any(len(row) != n for row in rows):
         raise ValueError("%s shape does not match label count" % what)
     object.__setattr__(obj, "labels", labels)
     object.__setattr__(obj, field, matrix)
@@ -45,7 +47,7 @@ def freeze_labelled_square(obj, field, what):
 @dataclass(frozen=True)
 class FinSpace:
     labels: tuple
-    dist: tuple  # row-major, dist[i][j] = d(labels[i], labels[j])
+    dist: IntMatrix  # row-major, dist[i][j] = d(labels[i], labels[j])
 
     def __post_init__(self):
         freeze_labelled_square(self, "dist", "distance matrix")
@@ -73,6 +75,7 @@ def metric_violations(labels, dist):
     """Axiom check on a raw labelled matrix (shared with submetric validation)."""
     out = []
     n = len(labels)
+    dist = IntMatrix.of(dist)
     _, _, (ints,) = scale(dist, terms=2)
     for i in range(n):
         if ints[i][i] != 0:
@@ -93,9 +96,10 @@ def metric_violations(labels, dist):
 
 def is_separated(space):
     """No distinct pair at distance 0 in both directions."""
-    for i in range(space.n):
-        for j in range(space.n):
-            if i != j and space.dist[i][j] == ZERO and space.dist[j][i] == ZERO:
+    rows = space.dist.rows
+    for i, row in enumerate(rows):
+        for j in range(i + 1, len(rows)):
+            if row[j] == 0 and rows[j][i] == 0:
                 return False
     return True
 
@@ -106,6 +110,7 @@ def zero_classes(labels, mat):
     Classes are ordered by first occurrence; members keep label order.
     Well-defined for any matrix satisfying the metric axioms.
     """
+    rows = IntMatrix.of(mat).rows
     n = len(labels)
     assigned = [None] * n
     classes = []
@@ -114,8 +119,9 @@ def zero_classes(labels, mat):
             continue
         members = [i]
         assigned[i] = len(classes)
+        row = rows[i]
         for j in range(i + 1, n):
-            if assigned[j] is None and mat[i][j] == ZERO and mat[j][i] == ZERO:
+            if assigned[j] is None and row[j] == 0 and rows[j][i] == 0:
                 members.append(j)
                 assigned[j] = len(classes)
         classes.append(tuple(members))
@@ -132,11 +138,12 @@ def quotient_by_zero_classes(space, mat):
     """
     from .maps import FinMap
 
+    mat = IntMatrix.of(mat)
     classes, assigned = zero_classes(space.labels, mat)
     qlabels = tuple("[%s]" % min(space.labels[i] for i in members)
                     for members in classes)
-    qdist = tuple(tuple(mat[ci[0]][cj[0]] for cj in classes) for ci in classes)
-    quotient = FinSpace(qlabels, qdist)
+    reps = [members[0] for members in classes]
+    quotient = FinSpace(qlabels, mat.sub(reps, reps))
     return FinMap(space, quotient,
                   tuple(qlabels[assigned[i]] for i in range(space.n)))
 

@@ -17,6 +17,7 @@ from . import extarith
 from .corelations import BlockMetric
 from .idempotents import BoolRelation, CostMatrix
 from .maps import FinMap
+from .minplus import IntMatrix
 from .quotients import Submetric
 from .spaces import FinSpace
 
@@ -41,7 +42,7 @@ def _strings(entry, key):
 def _matrix(entry, key):
     rows = _list(entry, key, lambda row: isinstance(row, list),
                  "a list of lists")
-    return tuple(tuple(extarith.parse(tok) for tok in row) for row in rows)
+    return IntMatrix.of([[extarith.parse(tok) for tok in row] for row in rows])
 
 
 def _cells(entry, key):

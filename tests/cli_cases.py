@@ -68,6 +68,16 @@ def _space_doc(points, dist, *more):
 
 
 _VALIDATE_Z = ["validate", "space", "Z"]
+# The fixture's X2 with d(a, a) = 1, which no metric allows, and the two
+# maps on it.
+_X2_NONZERO_DIAGONAL = [
+    {"kind": "space", "name": "X2", "points": ["a", "b"],
+     "dist": [["1", "1"], ["1", "0"]]},
+    {"kind": "map", "name": "swap", "source": "X2", "target": "X2",
+     "assignment": ["b", "a"]},
+    {"kind": "map", "name": "ident", "source": "X2", "target": "X2",
+     "assignment": ["a", "b"]},
+]
 # d(a, c) = 5 > d(a, b) + d(b, c) = 2: the triangle inequality fails.
 _TRIANGLE_BREAKING = [["0", "1", "5"], ["1", "0", "1"], ["5", "1", "0"]]
 
@@ -113,6 +123,10 @@ BAD_INPUT_CASES = [
      ["kernel-metric", "f"]),
     ("factorize_expansive_map", {"objects": _STRETCHING_SPAN},
      ["factorize", "f"]),
+    ("from_subset_of_non_metric", {"objects": _X2_NONZERO_DIAGONAL},
+     ["corelation", "from-subset", "X2", "a"]),
+    ("equalizer_on_non_metric", {"objects": _X2_NONZERO_DIAGONAL},
+     ["equalizer", "swap", "ident"]),
 ]
 
 

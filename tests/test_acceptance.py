@@ -1,8 +1,9 @@
 """The acceptance gate: one check per criterion, one printed line each.
 
 Criteria 1-11 delegate to the library's self-test suites (every suite
-pairs the construction under test with an independent oracle); criterion
-12 pins the CLI output byte-for-byte against the golden files.
+pairs the construction under test with an independent oracle), each run
+with seeds 0, 1 and 2; criterion 12 pins the CLI output byte-for-byte
+against the golden files.
 """
 
 import os
@@ -16,13 +17,21 @@ from cli_cases import CASES, GOLDEN_DIR, golden_text, run_case
 from finmet.selftest import SUITES, run_suite
 
 SUITE_ORDER = list(SUITES)
+SEEDS = (0, 1, 2)
 
 
-@pytest.mark.parametrize("name", SUITE_ORDER, ids=[
-    "criterion%02d_%s" % (k + 1, n.replace("-", "_"))
-    for k, n in enumerate(SUITE_ORDER)])
-def test_criterion(name):
-    (result,) = run_suite(name, seed=0)
+def _criterion_id(k, name, seed):
+    """criterion01_metric_laws for seed 0, criterion01_metric_laws_seed1
+    for seed 1, and so on."""
+    base = "criterion%02d_%s" % (k + 1, name.replace("-", "_"))
+    return base if seed == 0 else "%s_seed%d" % (base, seed)
+
+
+@pytest.mark.parametrize("name,seed", [
+    pytest.param(name, seed, id=_criterion_id(k, name, seed))
+    for seed in SEEDS for k, name in enumerate(SUITE_ORDER)])
+def test_criterion(name, seed):
+    (result,) = run_suite(name, seed=seed)
     print(result.line())
     assert result.ok, result.line()
 

@@ -88,8 +88,19 @@ _EQUAL_SPACES = {"objects": [
 ]}
 
 
-@pytest.mark.parametrize("doc", [WORKSPACE, _EQUAL_SPACES],
-                         ids=["fixture", "equal_spaces"])
+# Mixed denominators whose least common multiple exceeds 2**64, INF,
+# and a matrix all of whose entries share the factor 2.
+_FRACTIONS = {"objects": [
+    {"kind": "space", "name": "Z", "points": ["a", "b", "c"],
+     "dist": [["0", "1/3", "inf"], ["1/2305843009213693951", "0", "7/6"],
+              ["inf", "1/2147483647", "0"]]},
+    {"kind": "costmatrix", "name": "rho", "points": ["x", "y"],
+     "matrix": [["2", "4"], ["inf", "6"]]},
+]}
+
+
+@pytest.mark.parametrize("doc", [WORKSPACE, _EQUAL_SPACES, _FRACTIONS],
+                         ids=["fixture", "equal_spaces", "fractions"])
 def test_dump_of_load_is_the_document(doc):
     if isinstance(doc, str):
         with open(doc, encoding="utf-8") as fh:

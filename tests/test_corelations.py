@@ -1,7 +1,13 @@
 import itertools
+import os
 import random
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 from finmet.corelations import (BlockMetric, corelation_from_cospan,
                                 doubled_space, gamma_from_subset,
@@ -15,6 +21,7 @@ from finmet.harness import GenConfig, gen_metric, gen_subset
 from finmet.maps import FinMap
 from finmet.pushouts import cokernel_pair
 from finmet.spaces import FinSpace
+from test_minplus import matrices, reference_product, separated_metric
 
 
 def two_point(v=fin(1)):
@@ -133,3 +140,67 @@ def test_cospan_needs_joint_surjectivity():
     q = FinMap(x2, one, ("*", "*"))
     with pytest.raises(ValueError):
         corelation_from_cospan(q, q)
+
+
+# -- the integer block checks against the ExtValue loops --------------------
+
+def reference_reflexive_witness(bm):
+    d, n = bm.base.dist, bm.base.n
+    for i in (0, 1):
+        for j in (0, 1):
+            block = bm.block(i, j)
+            for x in range(n):
+                for y in range(n):
+                    if not d[x][y] <= block[x][y]:
+                        return bm.base.labels[x], i, bm.base.labels[y], j
+    return None
+
+
+def reference_symmetric_witness(bm):
+    n = bm.base.n
+    for i, j in ((0, 0), (0, 1)):
+        a, b = bm.block(i, j), bm.block(1 - i, 1 - j)
+        for x in range(n):
+            for y in range(n):
+                if a[x][y] != b[x][y]:
+                    return bm.base.labels[x], i, bm.base.labels[y], j
+    return None
+
+
+@st.composite
+def block_metrics(draw):
+    """Blocks over a random base; half the time symmetric, and with
+    blocks often equal to the base metric, so both verdicts occur."""
+    n = draw(st.integers(1, 4))
+    base = FinSpace(tuple("x%d" % k for k in range(n)), draw(matrices(n, n)))
+    block = st.just(base.dist) | matrices(n, n)
+    g00, g01 = draw(block), draw(block)
+    if draw(st.booleans()):
+        g10, g11 = g01, g00
+    else:
+        g10, g11 = draw(block), draw(block)
+    return BlockMetric(base, g00, g01, g10, g11)
+
+
+@settings(deadline=None)
+@given(block_metrics())
+def test_block_checks_match_extvalue_loops(bm):
+    assert reflexive_witness(bm) == reference_reflexive_witness(bm)
+    assert symmetric_witness(bm) == reference_symmetric_witness(bm)
+    assert bm.as_matrix() == tuple(r0 + r1 for r0, r1 in zip(bm.g00, bm.g01)) \
+        + tuple(r0 + r1 for r0, r1 in zip(bm.g10, bm.g11))
+
+
+@settings(deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+    separated_metric(n), st.sets(st.integers(0, n - 1)))))
+def test_gamma_from_subset_matches_extvalue_product(case):
+    dist, subset = case
+    x = FinSpace(tuple("x%d" % k for k in range(len(dist))), dist)
+    idx = sorted(subset)
+    bm = gamma_from_subset(x, [x.labels[a] for a in idx])
+    assert bm.g01 == reference_product(
+        [[row[a] for a in idx] for row in dist],
+        [[dist[a][y] for a in idx] for y in range(x.n)])
+    assert bm.g00 == x.dist and bm.g10 == bm.g01
+    assert zero_locus(bm) == tuple(x.labels[a] for a in idx)

@@ -1,14 +1,23 @@
 import itertools
+import os
 import random
+import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 from finmet.extarith import INF, ZERO, fin
 from finmet.idempotents import (BoolRelation, CostMatrix, bool_compose,
                                 factor_through_zero_diagonal, is_bool_idempotent,
                                 is_idempotent, minplus_square,
                                 relation_density_witness)
+from finmet.idempotents import FactorReport
 from finmet.minplus import minplus_closure
+from test_minplus import (SMALL, TINY, reference_closure, reference_product,
+                          values)
 
 
 def closed_matrix(rng, n, grid=None):
@@ -132,3 +141,84 @@ def test_relation_witness_errors():
     assert not is_bool_idempotent(bad)
     with pytest.raises(ValueError):
         relation_density_witness(bad, "x", "y")
+
+
+# -- the integer idempotent checks against the ExtValue loops ---------------
+
+def reference_factor(labels, rho):
+    n = len(labels)
+    a_idx = [i for i in range(n) if rho[i][i] == ZERO]
+    witnesses = {}
+    failures = []
+    for x in range(n):
+        for y in range(n):
+            pair = (labels[x], labels[y])
+            if rho[x][y].is_inf:
+                witnesses[pair] = None
+                continue
+            for a in a_idx:
+                if rho[x][a] + rho[a][y] == rho[x][y]:
+                    witnesses[pair] = labels[a]
+                    break
+            else:
+                failures.append(pair)
+    return FactorReport(zero_diagonal=tuple(labels[i] for i in a_idx),
+                        witnesses=witnesses, failures=tuple(failures))
+
+
+@st.composite
+def routed_costs(draw):
+    """min over a in T of X(x, a) + X(a, y) for a closed zero-diagonal X:
+    idempotent, with a zero diagonal at least on T.  Sometimes one entry
+    is raised afterwards, which usually breaks idempotence."""
+    n = draw(st.integers(1, 5))
+    cost = draw(st.lists(st.lists(st.just(ZERO) | values, min_size=n,
+                                  max_size=n), min_size=n, max_size=n))
+    x = reference_closure([[ZERO if i == j else v for j, v in enumerate(row)]
+                           for i, row in enumerate(cost)])
+    t = draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True))
+    rho = [list(row) for row in reference_product(
+        [[row[a] for a in t] for row in x],
+        [[x[a][y] for a in t] for y in range(n)])]
+    if draw(st.booleans()):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        rho[i][j] = rho[i][j] + draw(values)
+    return rho
+
+
+@settings(deadline=None)
+@given(routed_costs())
+@example([[ZERO, TINY], [INF, SMALL]])
+@example([[ZERO, TINY], [SMALL, SMALL + TINY]])
+def test_factor_matches_extvalue_loop(rho):
+    labels = tuple("p%d" % i for i in range(len(rho)))
+    cm = CostMatrix(labels, rho)
+    idempotent = reference_product(rho, tuple(zip(*rho))) == tuple(
+        tuple(row) for row in rho)
+    assert is_idempotent(cm) == idempotent
+    if not idempotent:
+        with pytest.raises(ValueError):
+            factor_through_zero_diagonal(cm)
+        return
+    assert factor_through_zero_diagonal(cm) == reference_factor(labels, rho)
+
+
+def reference_bool_compose(rel_a, rel_b):
+    n = len(rel_a)
+    return tuple(
+        tuple(any(rel_a[i][k] and rel_b[k][j] for k in range(n))
+              for j in range(n))
+        for i in range(n)
+    )
+
+
+relations = st.integers(0, 6).flatmap(lambda n: st.lists(
+    st.lists(st.booleans(), min_size=n, max_size=n), min_size=n, max_size=n))
+
+
+@given(relations, relations)
+def test_bool_compose_matches_any_loop(rel_a, rel_b):
+    n = min(len(rel_a), len(rel_b))
+    rel_a = [row[:n] for row in rel_a[:n]]
+    rel_b = [row[:n] for row in rel_b[:n]]
+    assert bool_compose(rel_a, rel_b) == reference_bool_compose(rel_a, rel_b)

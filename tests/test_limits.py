@@ -1,7 +1,12 @@
 import itertools
+import os
 import random
+import sys
 
 import pytest
+from hypothesis import example, given, settings
+
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 from finmet.extarith import INF, ZERO, fin
 from finmet.harness import (GenConfig, enumerate_mediators, gen_metric,
@@ -10,6 +15,7 @@ from finmet.limits import (Square, coproduct, copair, equalizer,
                            is_pullback_square, product, pullback)
 from finmet.maps import FinMap, compose, identity, is_embedding, is_nonexpansive
 from finmet.spaces import FinSpace, is_separated, validate_metric
+from test_minplus import SMALL, TINY, square
 
 
 def two_point(v=fin(1)):
@@ -143,3 +149,49 @@ def test_is_pullback_raises_on_noncommuting():
                 bottom=identity(x2), right=identity(x2))
     with pytest.raises(ValueError):
         is_pullback_square(sq)
+
+
+# -- the integer sup and block assembly against the ExtValue loops ----------
+
+def labelled(dist, prefix):
+    return FinSpace(tuple("%s%d" % (prefix, i) for i in range(len(dist))),
+                    dist)
+
+
+def reference_product_dist(m1, m2):
+    pairs = [(i, j) for i in range(m1.n) for j in range(m2.n)]
+
+    def sup(u, v):
+        return u if v <= u else v
+
+    return tuple(tuple(sup(m1.dist[i1][j1], m2.dist[i2][j2])
+                       for (j1, j2) in pairs) for (i1, i2) in pairs)
+
+
+def reference_coproduct_dist(m1, m2):
+    n1, n = m1.n, m1.n + m2.n
+
+    def entry(i, j):
+        if i < n1 and j < n1:
+            return m1.dist[i][j]
+        if i >= n1 and j >= n1:
+            return m2.dist[i - n1][j - n1]
+        return INF
+
+    return tuple(tuple(entry(i, j) for j in range(n)) for i in range(n))
+
+
+@settings(deadline=None)
+@given(square, square)
+@example([[TINY, INF], [SMALL, ZERO]], [[SMALL]])
+@example([], [[INF]])
+def test_product_and_coproduct_match_extvalue_loops(d1, d2):
+    m1, m2 = labelled(d1, "x"), labelled(d2, "y")
+    prod, p1, p2 = product(m1, m2)
+    assert prod.dist == reference_product_dist(m1, m2)
+    assert prod.labels == tuple("(%s,%s)" % (x, y) for x in m1.labels
+                                for y in m2.labels)
+    assert [(p1(lab), p2(lab)) for lab in prod.labels] == [
+        (x, y) for x in m1.labels for y in m2.labels]
+    coprod, _, _ = coproduct(m1, m2)
+    assert coprod.dist == reference_coproduct_dist(m1, m2)

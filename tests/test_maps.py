@@ -1,13 +1,20 @@
+import os
 import random
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 from finmet.extarith import INF, ZERO, fin
 from finmet.harness import GenConfig, gen_metric, gen_nonexpansive_map
 from finmet.maps import (FinMap, check_nonexpansive, compose, factorize,
                          identity, is_embedding, is_injective, is_isomorphism,
                          is_nonexpansive, is_surjective, subspace)
-from finmet.spaces import FinSpace
+from finmet.spaces import FinSpace, Violation
+from test_minplus import matrices
 
 
 def three_chain():
@@ -101,3 +108,56 @@ def test_factorize_requires_separation():
     f = FinMap(glued, two_point(INF), ("a", "a"))
     with pytest.raises(ValueError):
         factorize(f)
+
+
+# -- the integer map checks against the ExtValue loops ----------------------
+
+def reference_check_nonexpansive(f):
+    out = []
+    src, tgt = f.source, f.target
+    idx = [tgt.index(lab) for lab in f.assignment]
+    for i in range(src.n):
+        for j in range(src.n):
+            if not tgt.dist[idx[i]][idx[j]] <= src.dist[i][j]:
+                out.append(Violation(
+                    "expansive", (src.labels[i], src.labels[j]),
+                    "%s > %s" % (tgt.dist[idx[i]][idx[j]], src.dist[i][j])))
+    return out
+
+
+def reference_is_embedding(f):
+    src, tgt = f.source, f.target
+    idx = [tgt.index(lab) for lab in f.assignment]
+    return len(set(idx)) == src.n and all(
+        src.dist[i][j] == tgt.dist[idx[i]][idx[j]]
+        for i in range(src.n) for j in range(src.n))
+
+
+@st.composite
+def maps(draw):
+    """A map between labelled matrices; half the time its source is the
+    target restricted along an injection, so embeddings occur."""
+    m = draw(st.integers(1, 5))
+    tgt = FinSpace(tuple("t%d" % k for k in range(m)), draw(matrices(m, m)))
+    if draw(st.booleans()):
+        idx = draw(st.permutations(range(m)))[:draw(st.integers(0, m))]
+        dist = [[tgt.dist[i][j] for j in idx] for i in idx]
+    else:
+        n = draw(st.integers(0, 4))
+        idx = draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n))
+        dist = draw(matrices(n, n))
+    src = FinSpace(tuple("s%d" % k for k in range(len(idx))), dist)
+    return FinMap(src, tgt, tuple(tgt.labels[k] for k in idx))
+
+
+@settings(deadline=None)
+@given(maps())
+def test_map_checks_match_extvalue_loops(f):
+    assert check_nonexpansive(f) == reference_check_nonexpansive(f)
+    assert is_embedding(f) == reference_is_embedding(f)
+    keep = set(f.assignment)
+    sub, incl = subspace(f.target, keep)
+    idx = [k for k, lab in enumerate(f.target.labels) if lab in keep]
+    assert sub.dist == tuple(tuple(f.target.dist[i][j] for j in idx)
+                             for i in idx)
+    assert is_embedding(incl)

@@ -1,10 +1,13 @@
 import random
+from math import gcd
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from finmet.extarith import INF, ZERO, fin
-from finmet.minplus import minplus_closure, minplus_matmul, minplus_product
+from finmet.extarith import INF, ZERO, ExtValue, fin
+from finmet.minplus import (IntMatrix, minplus_closure, minplus_matmul,
+                            minplus_product)
 
 
 def rand_cost(rng, n, zero_diag=False):
@@ -91,6 +94,10 @@ def matrices(n_rows, n_cols):
 
 
 square = st.integers(0, 5).flatmap(lambda n: matrices(n, n))
+positive = st.one_of(
+    st.just(INF),
+    st.builds(fin, st.integers(1, 6) | st.integers(1, 2 ** 70),
+              st.sampled_from((1, 2, 3, 7) + BIG_DENOMINATORS)))
 # (rows, cols) operands of minplus_product, the inner dimension possibly 0.
 operands = st.tuples(st.integers(0, 4), st.integers(0, 4),
                      st.integers(0, 4)).flatmap(
@@ -129,6 +136,14 @@ def reference_closure(cost):
     return tuple(tuple(row) for row in dist)
 
 
+def separated_metric(n):
+    """A separated metric on n points: the closure of positive costs."""
+    return st.lists(st.lists(positive, min_size=n, max_size=n),
+                    min_size=n, max_size=n).map(lambda rows: reference_closure(
+                        [[ZERO if i == j else v for j, v in enumerate(row)]
+                         for i, row in enumerate(rows)]))
+
+
 @settings(deadline=None)
 @given(square)
 @example([])
@@ -165,3 +180,43 @@ def test_large_common_denominator_is_exact():
     cycle = minplus_closure([[TINY, TINY], [SMALL, INF]])
     assert cycle[1][1] == TINY + SMALL
     assert cycle[1][1].frac.denominator > 2 ** 64
+
+
+# -- the IntMatrix protocol -------------------------------------------------
+
+def test_int_matrix_protocol():
+    a = ((fin(1, 2), INF), (fin(3, 2), fin(1, 2)))
+    product = minplus_matmul(a, a)
+    literal = ((fin(1), INF), (fin(2), fin(1)))
+    # The fractional operands give an all-integer product, which is held
+    # over the denominator 1, exactly as its integer literal is.
+    assert (product.den, product.rows) == (1, ((1, None), (2, 1)))
+    assert product == IntMatrix.of(literal)
+    assert hash(product) == hash(IntMatrix.of(literal))
+    assert product == literal and literal == product
+    assert product != ((fin(1), INF), (fin(2), fin(2)))
+    assert product != 5 and product != [[1, 2]]
+    assert len(product) == 2
+    rows = list(product)
+    assert all(isinstance(row, tuple) for row in rows)
+    assert all(isinstance(v, ExtValue) for row in rows for v in row)
+    assert rows == [(fin(1), INF), (fin(2), fin(1))]
+    assert product[1][0] == fin(2) and product[0][1].is_inf
+    with pytest.raises(AttributeError):
+        product.den = 2
+
+
+def test_int_matrix_rejects_non_values():
+    with pytest.raises(TypeError):
+        IntMatrix.of([[1, 2]])
+
+
+@settings(deadline=None)
+@given(st.integers(0, 4).flatmap(lambda n: matrices(n, 3)))
+@example([[TINY, SMALL, INF]])
+def test_int_matrix_round_trip_is_reduced(matrix):
+    m = IntMatrix.of(matrix)
+    assert m.ext() == tuple(tuple(row) for row in matrix)
+    assert gcd(m.den, *[x for row in m.rows for x in row if x is not None]) == 1
+    assert IntMatrix(m.den * 6, [[None if x is None else 6 * x for x in row]
+                                 for row in m.rows]) == m

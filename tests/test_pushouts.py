@@ -1,6 +1,12 @@
+import os
 import random
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 from finmet.extarith import INF, ZERO, fin
 from finmet.harness import GenConfig, gen_metric
@@ -9,6 +15,7 @@ from finmet.pushouts import (cokernel_pair, pushout_along_embedding,
                              pushout_closure_oracle, verify_pushout_universal)
 from finmet.limits import is_pullback_square
 from finmet.spaces import FinSpace, is_separated, validate_metric
+from test_minplus import positive, reference_closure, separated_metric
 
 
 def worked_instance():
@@ -140,3 +147,53 @@ def test_cokernel_pair_diagonal():
     assert q0("b") != q1("b")
     assert apex.n == 3
     assert apex.d(q0("b"), q1("b")) == fin(2)  # b -> a -> b'
+
+
+@st.composite
+def spans(draw):
+    """An embedding i: A -> X of a subspace and a non-expansive f: A -> B
+    on separated metrics with mixed denominators and INF rows: B's costs
+    are capped by d_A along f before the closure, which only lowers them."""
+    n = draw(st.integers(1, 5))
+    x = FinSpace(tuple("x%d" % k for k in range(n)),
+                 draw(separated_metric(n)))
+    keep = draw(st.lists(st.sampled_from(x.labels), unique=True))
+    a, i = subspace(x, keep)
+    m = draw(st.integers(1, 4))
+    fa = draw(st.lists(st.integers(0, m - 1), min_size=a.n, max_size=a.n))
+    cost = draw(st.lists(st.lists(positive, min_size=m, max_size=m),
+                         min_size=m, max_size=m))
+    cost = [[ZERO if p == q else v for q, v in enumerate(row)]
+            for p, row in enumerate(cost)]
+    for s in range(a.n):
+        for t in range(a.n):
+            if fa[s] != fa[t] and a.dist[s][t] < cost[fa[s]][fa[t]]:
+                cost[fa[s]][fa[t]] = a.dist[s][t]
+    b = FinSpace(tuple("b%d" % k for k in range(m)), reference_closure(cost))
+    return i, FinMap(a, b, tuple(b.labels[k] for k in fa))
+
+
+@settings(deadline=None)
+@given(spans())
+def test_formula_gamma_matches_oracle_on_exact_spans(span):
+    i, f = span
+    result = pushout_along_embedding(i, f)
+    assert result.gamma.gamma == pushout_closure_oracle(i, f).gamma
+    assert validate_metric(result.apex) == []
+    assert result.square.commutes()
+
+
+def test_detour_of_three_finite_arcs():
+    # x -> p, then f(p) -> f(q) in B, then q -> y: three finite arcs of
+    # the largest value, while d_X(x, y) is infinite.
+    x = FinSpace(("x", "p", "q", "y"), (
+        (ZERO, fin(1), INF, INF),
+        (INF, ZERO, INF, INF),
+        (INF, INF, ZERO, fin(1)),
+        (INF, INF, INF, ZERO)))
+    a, i = subspace(x, ("p", "q"))
+    b = FinSpace(("b1", "b2"), ((ZERO, fin(1)), (INF, ZERO)))
+    f = FinMap(a, b, ("b1", "b2"))
+    result = pushout_along_embedding(i, f)
+    assert result.gamma.value("1:x", "1:y") == fin(3)
+    assert result.gamma.gamma == pushout_closure_oracle(i, f).gamma

@@ -1,6 +1,12 @@
+import os
 import random
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 from finmet.extarith import INF, ZERO, fin
 from finmet.harness import (GenConfig, enumerate_mediators, gen_metric,
@@ -9,7 +15,10 @@ from finmet.maps import FinMap, compose, is_isomorphism, is_nonexpansive, is_sur
 from finmet.quotients import (Submetric, counit_iso, is_valid_submetric,
                               kernel_metric, quotient_by_submetric,
                               quotient_leq, validate_submetric)
-from finmet.spaces import FinSpace, is_separated, validate_metric
+from finmet.spaces import FinSpace, Violation, is_separated, validate_metric
+from test_maps import maps
+from test_minplus import matrices
+from test_spaces import reference_violations
 
 
 def three_chain():
@@ -121,3 +130,38 @@ def test_quotient_leq_requires_surjections():
     surj = FinMap(sp, x2, ("a", "a", "b"))
     with pytest.raises(ValueError):
         quotient_leq(not_surj, surj)
+
+
+# -- the integer submetric checks against the ExtValue loops ----------------
+
+def reference_validate_submetric(base, gamma):
+    out = reference_violations(base.labels, gamma)
+    for i in range(base.n):
+        for j in range(base.n):
+            if not gamma[i][j] <= base.dist[i][j]:
+                out.append(Violation(
+                    "above-ambient", (base.labels[i], base.labels[j]),
+                    "%s > %s" % (gamma[i][j], base.dist[i][j])))
+    return out
+
+
+@settings(deadline=None)
+@given(st.integers(0, 4).flatmap(lambda n: st.tuples(matrices(n, n),
+                                                     matrices(n, n))))
+def test_validate_submetric_matches_extvalue_loop(pair):
+    dist, gamma = pair
+    base = FinSpace(tuple("p%d" % i for i in range(len(dist))), dist)
+    assert validate_submetric(base, gamma) == reference_validate_submetric(
+        base, gamma)
+
+
+@settings(deadline=None)
+@given(maps())
+def test_kernel_metric_matches_extvalue_loop(f):
+    if not is_nonexpansive(f):
+        with pytest.raises(ValueError):
+            kernel_metric(f)
+        return
+    idx = [f.target.index(lab) for lab in f.assignment]
+    kappa = kernel_metric(f).gamma
+    assert kappa == tuple(tuple(f.target.dist[i][j] for j in idx) for i in idx)

@@ -11,9 +11,9 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from finmet.extarith import INF, ZERO, fin
 from finmet.harness import GenConfig, gen_metric
 from finmet.spaces import (FinSpace, Violation, is_separated,
-                           metric_violations, sep_reflection, validate_metric,
-                           zero_classes)
-from test_minplus import SMALL, TINY, reference_closure, square
+                           metric_violations, quotient_by_zero_classes,
+                           sep_reflection, validate_metric, zero_classes)
+from test_minplus import SMALL, TINY, reference_closure, square, values
 
 
 def two_point(v=fin(1)):
@@ -127,3 +127,48 @@ def test_violations_match_extvalue_loop(dist, closed):
     labels = tuple("p%d" % i for i in range(len(dist)))
     assert metric_violations(labels, dist) == reference_violations(labels,
                                                                    dist)
+
+
+# -- zero classes on ints against the ExtValue loops ------------------------
+
+def reference_zero_classes(n, mat):
+    assigned = [None] * n
+    classes = []
+    for i in range(n):
+        if assigned[i] is not None:
+            continue
+        members = [i]
+        assigned[i] = len(classes)
+        for j in range(i + 1, n):
+            if assigned[j] is None and mat[i][j] == ZERO and mat[j][i] == ZERO:
+                members.append(j)
+                assigned[j] = len(classes)
+        classes.append(tuple(members))
+    return classes, assigned
+
+
+def reference_is_separated(n, mat):
+    return not any(i != j and mat[i][j] == ZERO and mat[j][i] == ZERO
+                   for i in range(n) for j in range(n))
+
+
+# Zeros are common, so zero classes of several points show up.
+zero_heavy = st.integers(0, 6).flatmap(lambda n: st.lists(
+    st.lists(st.just(ZERO) | values, min_size=n, max_size=n),
+    min_size=n, max_size=n))
+
+
+@settings(deadline=None)
+@given(zero_heavy)
+@example([[ZERO, TINY, ZERO], [INF, ZERO, ZERO], [ZERO, ZERO, SMALL]])
+def test_zero_classes_match_extvalue_loop(mat):
+    n = len(mat)
+    labels = tuple("p%d" % i for i in range(n))
+    classes, assigned = reference_zero_classes(n, mat)
+    assert zero_classes(labels, mat) == (classes, assigned)
+    space = FinSpace(labels, mat)
+    assert is_separated(space) == reference_is_separated(n, mat)
+    proj = quotient_by_zero_classes(space, mat)
+    assert proj.target.dist == tuple(tuple(mat[ci[0]][cj[0]] for cj in classes)
+                                     for ci in classes)
+    assert proj.assignment == tuple(proj.target.labels[c] for c in assigned)

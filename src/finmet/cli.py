@@ -17,7 +17,7 @@ from .limits import coproduct, equalizer, product
 from .maps import check_nonexpansive, factorize, require_nonexpansive
 from .quotients import (kernel_metric, quotient_by_submetric, quotient_leq,
                         validate_submetric)
-from .spaces import validate_metric
+from .spaces import raise_first_violation, validate_metric
 from .workspace import (blockmetric_entry, load_workspace_file,
                         matrix_tokens, space_entry)
 
@@ -77,14 +77,8 @@ def cmd_validate(ws, args):
     return _report_violations("validate map %s" % name, check_nonexpansive(sm))
 
 
-def _refuse(what, violations):
-    """Raise ValueError naming the first violation, if there is one."""
-    if violations:
-        raise ValueError("%s: %s" % (what, violations[0]))
-
-
 def _require_metric(what, space):
-    _refuse("%s is not a metric" % what, validate_metric(space))
+    raise_first_violation("%s is not a metric" % what, validate_metric(space))
     return space
 
 
@@ -178,8 +172,8 @@ def cmd_kernel_metric(ws, args):
 
 def cmd_quotient(ws, args):
     sm = ws.submetric(args.submetric)
-    _refuse("submetric %s is not valid" % args.submetric,
-            validate_submetric(sm.base, sm.gamma))
+    raise_first_violation("submetric %s is not valid" % args.submetric,
+                          validate_submetric(sm.base, sm.gamma))
     proj = quotient_by_submetric(sm)
     lines = _space_lines("quotient by %s" % args.submetric, proj.target)
     lines += _map_lines("projection", proj)

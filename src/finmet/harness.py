@@ -25,14 +25,10 @@ DEFAULT_GRID = (ZERO, fin(1, 2), fin(1), fin(2), INF)
 class GenConfig:
     seed: int = 0
     max_points: int = 4
-    value_grid: tuple = DEFAULT_GRID
-    trials: int = 100
 
     def __post_init__(self):
         if self.max_points < 0:
             raise ValueError("max_points must be >= 0")
-        if not self.value_grid or ZERO not in self.value_grid:
-            raise ValueError("value grid must be nonempty and contain 0")
 
 
 def gen_metric(cfg):
@@ -43,7 +39,7 @@ def gen_metric(cfg):
     """
     rng = random.Random(cfg.seed)
     n = cfg.max_points
-    cost = [[ZERO if i == j else rng.choice(cfg.value_grid) for j in range(n)]
+    cost = [[ZERO if i == j else rng.choice(DEFAULT_GRID) for j in range(n)]
             for i in range(n)]
     raw = FinSpace(tuple("p%d" % i for i in range(n)), minplus_closure(cost))
     reflected, _ = sep_reflection(raw)
@@ -51,11 +47,11 @@ def gen_metric(cfg):
                     reflected.dist)
 
 
-def sample_cost_below(space, rng, grid=DEFAULT_GRID):
+def sample_cost_below(space, rng):
     """A zero-diagonal grid matrix capped pointwise by the space's metric."""
     n = space.n
     return [
-        [ZERO if i == j else min(rng.choice(grid), space.dist[i][j])
+        [ZERO if i == j else min(rng.choice(DEFAULT_GRID), space.dist[i][j])
          for j in range(n)]
         for i in range(n)
     ]
@@ -67,7 +63,7 @@ def gen_submetric(space, cfg):
     The closure stays below d because d itself is closed.
     """
     rng = random.Random(cfg.seed)
-    cost = sample_cost_below(space, rng, cfg.value_grid)
+    cost = sample_cost_below(space, rng)
     return Submetric(space, minplus_closure(cost))
 
 

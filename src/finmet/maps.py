@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .minplus import scale
-from .spaces import FinSpace, Violation, is_separated
+from .spaces import FinSpace, Violation, is_separated, raise_first_violation
 
 
 @dataclass(frozen=True)
@@ -61,9 +61,7 @@ def is_nonexpansive(f):
 
 def require_nonexpansive(f):
     """Raise ValueError naming the first pair that f stretches."""
-    violations = check_nonexpansive(f)
-    if violations:
-        raise ValueError("map is not non-expansive: %s" % violations[0])
+    raise_first_violation("map is not non-expansive", check_nonexpansive(f))
 
 
 def compose(f, g):

@@ -27,6 +27,12 @@ class Violation:
         return "%s at (%s): %s" % (self.kind, ", ".join(self.points), self.detail)
 
 
+def raise_first_violation(what, violations):
+    """Raise ValueError naming the first violation, if there is one."""
+    if violations:
+        raise ValueError("%s: %s" % (what, violations[0]))
+
+
 def freeze_labelled_square(obj, field, what, freeze=IntMatrix.of):
     """Freeze obj.labels to a tuple and the matrix obj.<field> with
     freeze, in place, and check that the labels are unique and the

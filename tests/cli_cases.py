@@ -127,6 +127,7 @@ BAD_INPUT_CASES = [
      ["corelation", "from-subset", "X2", "a"]),
     ("equalizer_on_non_metric", {"objects": _X2_NONZERO_DIAGONAL},
      ["equalizer", "swap", "ident"]),
+    ("unknown_suite", None, ["selftest", "--suite", "nope"]),
 ]
 
 

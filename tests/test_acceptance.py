@@ -49,3 +49,10 @@ def test_criterion12_cli_golden():
         "FAIL" if mismatches else "PASS", len(CASES))
     print(line)
     assert not mismatches, "output drifted for: %s" % ", ".join(mismatches)
+
+
+def test_golden_files_are_exactly_the_cases():
+    """One golden per case and no other file: regen_golden.py never
+    deletes, so a renamed case would leave its old golden behind."""
+    want = sorted(name + ".txt" for name, _ in CASES)
+    assert sorted(os.listdir(GOLDEN_DIR)) == want

@@ -68,10 +68,6 @@ def test_selftest_subcommand_runs_without_workspace(capsys):
     assert "criterion  1" in out and "PASS" in out
 
 
-def test_selftest_unknown_suite():
-    assert cli.main(["selftest", "--suite", "bogus"]) == 2
-
-
 def test_workspace_round_trip():
     ws = load_workspace_file(WORKSPACE)
     doc = dump_workspace(ws)

@@ -30,8 +30,6 @@ def test_gen_metric_always_valid_and_separated():
 def test_gen_config_validation():
     with pytest.raises(ValueError):
         GenConfig(max_points=-1)
-    with pytest.raises(ValueError):
-        GenConfig(value_grid=(fin(1),))  # no zero
 
 
 def test_sample_cost_below_stays_below():

@@ -1,0 +1,30 @@
+"""The FAIL path of the self-test runner: plant one fault, read the line.
+
+Each planted fault makes its suite stop at the first check it breaks,
+so the criterion line names that suite's number, its name and the
+formatted counterexample.
+"""
+
+import pytest
+
+from finmet import corelations, idempotents, selftest
+
+
+@pytest.mark.parametrize("module,attr,fake,suite,line", [
+    (selftest, "is_embedding", lambda f: False, "embedding-stability",
+     "criterion  6 embedding-stability    FAIL  "
+     "(pushed-out leg not embedding at trial 0)"),
+    (idempotents, "relation_density_witness", lambda rel, x, y: None,
+     "idempotence",
+     "criterion 10 idempotence            FAIL  "
+     "(no density witness for ((True,),))"),
+    (corelations, "is_transitive", lambda bm: True, "pinned-fixtures",
+     "criterion 11 pinned-fixtures        FAIL  "
+     "(corrected fixture unexpectedly transitive)"),
+], ids=["embedding_stability", "idempotence", "pinned_fixtures"])
+def test_planted_fault_gives_fail_line(monkeypatch, module, attr, fake,
+                                        suite, line):
+    monkeypatch.setattr(module, attr, fake)
+    (result,) = selftest.run_suite(suite, seed=0)
+    assert not result.ok
+    assert result.line() == line

@@ -4,6 +4,10 @@ Loads a workspace document, runs one construction or predicate, and
 prints a byte-stable report.  Exit codes: 0 success / property true,
 1 property false or validation failed (with witnesses), 2 malformed
 input.
+
+A command reads objects through the workspace getters, which refuse
+(exit 2) one that breaks its kind's contract; `validate` and
+`corelation check` report the violations instead (exit 1).
 """
 
 from __future__ import annotations
@@ -12,12 +16,10 @@ import argparse
 import json
 import sys
 
-from . import corelations, idempotents, pushouts, selftest, workspace
+from . import corelations, idempotents, pushouts, selftest
 from .limits import coproduct, equalizer, product
-from .maps import check_nonexpansive, factorize, require_nonexpansive
-from .quotients import (kernel_metric, quotient_by_submetric, quotient_leq,
-                        validate_submetric)
-from .spaces import raise_first_violation, validate_metric
+from .maps import factorize
+from .quotients import kernel_metric, quotient_by_submetric, quotient_leq
 from .workspace import (blockmetric_entry, load_workspace_file,
                         matrix_tokens, space_entry)
 
@@ -65,55 +67,26 @@ def _report_violations(title, violations):
 
 
 def cmd_validate(ws, args):
-    kind, name = args.kind, args.name
-    if kind == "space":
-        return _report_violations("validate space %s" % name,
-                                  validate_metric(ws.space(name)))
-    if kind == "submetric":
-        sm = ws.submetric(name)
-        return _report_violations("validate submetric %s" % name,
-                                  validate_submetric(sm.base, sm.gamma))
-    sm = ws.map(name)
-    return _report_violations("validate map %s" % name, check_nonexpansive(sm))
-
-
-def _require_metric(what, space):
-    raise_first_violation("%s is not a metric" % what, validate_metric(space))
-    return space
-
-
-def _metric_space(ws, name):
-    return _require_metric("space %s" % name, ws.space(name))
-
-
-def _metric_map(ws, name):
-    """The map named name, once its spaces are metrics and it is
-    non-expansive."""
-    f = ws.map(name)
-    _require_metric("source of map %s" % name, f.source)
-    _require_metric("target of map %s" % name, f.target)
-    require_nonexpansive(f)
-    return f
+    return _report_violations("validate %s %s" % (args.kind, args.name),
+                              ws.violations(args.kind, args.name))
 
 
 def cmd_product(ws, args):
-    space, p1, p2 = product(_metric_space(ws, args.left),
-                            _metric_space(ws, args.right))
+    space, p1, p2 = product(ws.space(args.left), ws.space(args.right))
     lines = _space_lines("product %s x %s" % (args.left, args.right), space)
     lines += _map_lines("projection 1", p1) + _map_lines("projection 2", p2)
     return EXIT_OK, lines, {"space": space_entry("product", space)}
 
 
 def cmd_coproduct(ws, args):
-    space, j1, j2 = coproduct(_metric_space(ws, args.left),
-                              _metric_space(ws, args.right))
+    space, j1, j2 = coproduct(ws.space(args.left), ws.space(args.right))
     lines = _space_lines("coproduct %s + %s" % (args.left, args.right), space)
     lines += _map_lines("injection 1", j1) + _map_lines("injection 2", j2)
     return EXIT_OK, lines, {"space": space_entry("coproduct", space)}
 
 
 def cmd_equalizer(ws, args):
-    incl = equalizer(_metric_map(ws, args.left), _metric_map(ws, args.right))
+    incl = equalizer(ws.map(args.left), ws.map(args.right))
     lines = _space_lines("equalizer of %s, %s" % (args.left, args.right),
                          incl.source)
     lines += _map_lines("inclusion", incl)
@@ -171,10 +144,7 @@ def cmd_kernel_metric(ws, args):
 
 
 def cmd_quotient(ws, args):
-    sm = ws.submetric(args.submetric)
-    raise_first_violation("submetric %s is not valid" % args.submetric,
-                          validate_submetric(sm.base, sm.gamma))
-    proj = quotient_by_submetric(sm)
+    proj = quotient_by_submetric(ws.submetric(args.submetric))
     lines = _space_lines("quotient by %s" % args.submetric, proj.target)
     lines += _map_lines("projection", proj)
     return EXIT_OK, lines, {"quotient": space_entry("quotient", proj.target),
@@ -202,10 +172,10 @@ def _symm_witness(bm, witness):
 
 
 def cmd_corelation_check(ws, args):
-    bm = ws.blockmetric(args.name)
-    bad = corelations.validate_blockmetric(bm)
+    bad = ws.violations("blockmetric", args.name)
     if bad:
         return _report_violations("corelation %s" % args.name, bad)
+    bm = ws.blockmetric(args.name)
     lines = ["corelation %s:" % args.name]
     refl_witness = corelations.reflexive_witness(bm)
     refl = refl_witness is None
@@ -248,7 +218,7 @@ def cmd_corelation_effective(ws, args):
 
 
 def cmd_corelation_from_subset(ws, args):
-    space = _metric_space(ws, args.space)
+    space = ws.space(args.space)
     subset = () if args.subset in ("", "-") else tuple(args.subset.split(","))
     bm = corelations.gamma_from_subset(space, subset)
     lines = []

@@ -179,18 +179,6 @@ def int_product(rows, other, ncols, big):
     return out
 
 
-def minplus_product(rows, cols):
-    """out[i][j] = min_k rows[i][k] + cols[j][k], of shape len(rows) x len(cols).
-
-    The second operand is given by its columns, so an inner dimension of
-    zero still fixes the output shape; every such entry is the empty
-    minimum INF.
-    """
-    common, big, (rows, cols) = scale(rows, cols, terms=2)
-    return IntMatrix.from_scaled(
-        common, int_product(rows, list(zip(*cols)), len(cols), big), big)
-
-
 def minplus_matmul(a, b):
     """Tropical product of square matrices: out[i][j] = min_k a[i][k] + b[k][j]."""
     common, big, (a, b) = scale(a, b, terms=2)

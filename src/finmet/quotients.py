@@ -44,10 +44,6 @@ def validate_submetric(base, gamma):
     return out
 
 
-def is_valid_submetric(sm):
-    return not validate_submetric(sm.base, sm.gamma)
-
-
 def kernel_metric(f):
     """kappa_f(x, y) = d_target(f(x), f(y)); below d_source by non-expansiveness."""
     require_nonexpansive(f)

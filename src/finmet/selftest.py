@@ -4,9 +4,9 @@ test suite.
 
 A suite takes a seed, runs a fixed number of seeded trials and returns
 its PASS detail.  Each check goes through `_require`, so a suite stops
-at its first counterexample.  `run_suite` turns either outcome into a
-CriterionResult, whose number is the suite's 1-based position in SUITES
-and whose name is its key there.
+at its first counterexample.  `run_suite` turns either outcome, or any
+exception the suite raises, into a CriterionResult, whose number is the
+suite's 1-based position in SUITES and whose name is its key there.
 """
 
 from __future__ import annotations
@@ -514,4 +514,7 @@ def run_suite(name, seed=0):
                 results.append(CriterionResult(number, key, True, suite(seed)))
             except _Counterexample as exc:
                 results.append(CriterionResult(number, key, False, str(exc)))
+            except Exception as exc:
+                results.append(CriterionResult(
+                    number, key, False, "%s: %s" % (type(exc).__name__, exc)))
     return results

@@ -2,9 +2,14 @@
 every kind, each entry tagged with its kind.
 
 Every kind is a labelled matrix of some sort, so one table says how
-each is read and written.  Matrices are row-major lists of lists of
-value tokens ("p/q", "p", or "inf"); serialization round-trips
-bit-exactly because tokens are canonical.
+each is read and written, and what contract an object of the kind
+must meet.  Matrices are row-major lists of lists of value tokens
+("p/q", "p", or "inf"); serialization round-trips bit-exactly because
+tokens are canonical.
+
+The loader checks only the shape of each entry; a contract is checked
+when its object is first asked for.  `Workspace.get` (so `ws.space`,
+`ws.map`, ...) hands out only objects that meet it.
 """
 
 from __future__ import annotations
@@ -14,12 +19,12 @@ from dataclasses import dataclass, field
 from functools import partialmethod
 
 from . import extarith
-from .corelations import BlockMetric
+from .corelations import BlockMetric, validate_blockmetric
 from .idempotents import BoolRelation, CostMatrix
-from .maps import FinMap
+from .maps import FinMap, check_nonexpansive
 from .minplus import IntMatrix
-from .quotients import Submetric
-from .spaces import FinSpace
+from .quotients import Submetric, validate_submetric
+from .spaces import FinSpace, raise_first_violation, validate_metric
 
 BLOCKS = ("g00", "g01", "g10", "g11")
 
@@ -56,55 +61,89 @@ def matrix_tokens(matrix):
     return [[v.token() for v in row] for row in matrix]
 
 
-# kind -> (load(entry, ws), dump(obj, space_name)).  dump gives the fields
-# besides kind and name, and names each space it refers to through
-# space_name.  The order is the load order, spaces first, because every
-# other kind may name a space declared anywhere in the document; it is
-# also the dump order.
+# kind -> (load(entry, ws), dump(obj, space_name), check(obj, spaces)).
+# dump gives the fields besides kind and name, and names each space it
+# refers to through space_name.  check lists the violations of the
+# kind's contract, starting with those of each distinct space the
+# object is built on, which spaces(*sps) gives.  The order is the load
+# order, spaces first, because every other kind may name a space
+# declared anywhere in the document; it is also the dump order.
 TABLE = {
     "space": (
         lambda e, ws: FinSpace(_strings(e, "points"), _matrix(e, "dist")),
         lambda sp, space_name: {"points": list(sp.labels),
-                                "dist": matrix_tokens(sp.dist)}),
+                                "dist": matrix_tokens(sp.dist)},
+        lambda sp, spaces: validate_metric(sp)),
     "map": (
-        lambda e, ws: FinMap(ws.space(e.get("source")),
-                             ws.space(e.get("target")),
+        lambda e, ws: FinMap(ws.lookup("space", e.get("source")),
+                             ws.lookup("space", e.get("target")),
                              _strings(e, "assignment")),
         lambda f, space_name: {"source": space_name(f.source),
                                "target": space_name(f.target),
-                               "assignment": list(f.assignment)}),
+                               "assignment": list(f.assignment)},
+        lambda f, spaces: spaces(f.source, f.target) + check_nonexpansive(f)),
     "submetric": (
-        lambda e, ws: Submetric(ws.space(e.get("base")), _matrix(e, "matrix")),
+        lambda e, ws: Submetric(ws.lookup("space", e.get("base")),
+                                _matrix(e, "matrix")),
         lambda sm, space_name: {"base": space_name(sm.base),
-                                "matrix": matrix_tokens(sm.gamma)}),
+                                "matrix": matrix_tokens(sm.gamma)},
+        lambda sm, spaces: (spaces(sm.base)
+                            + validate_submetric(sm.base, sm.gamma))),
     "blockmetric": (
-        lambda e, ws: BlockMetric(ws.space(e.get("base")),
+        lambda e, ws: BlockMetric(ws.lookup("space", e.get("base")),
                                   *(_matrix(e, b) for b in BLOCKS)),
         lambda bm, space_name: {"base": space_name(bm.base), **{
-            b: matrix_tokens(getattr(bm, b)) for b in BLOCKS}}),
+            b: matrix_tokens(getattr(bm, b)) for b in BLOCKS}},
+        lambda bm, spaces: spaces(bm.base) + validate_blockmetric(bm)),
     "costmatrix": (
         lambda e, ws: CostMatrix(_strings(e, "points"), _matrix(e, "matrix")),
         lambda cm, space_name: {"points": list(cm.labels),
-                                "matrix": matrix_tokens(cm.rho)}),
+                                "matrix": matrix_tokens(cm.rho)},
+        lambda obj, spaces: []),
     "relation": (
         lambda e, ws: BoolRelation(_strings(e, "points"), _cells(e, "rel")),
         lambda r, space_name: {"points": list(r.labels),
-                               "rel": [[int(c) for c in row] for row in r.rel]}),
+                               "rel": [[int(c) for c in row] for row in r.rel]},
+        lambda obj, spaces: []),
 }
 KINDS = tuple(TABLE)
 
 
 @dataclass
 class Workspace:
-    """Named objects of every kind: objects[kind][name]."""
+    """Named objects of every kind: objects[kind][name], and the
+    violations of each object's contract once they have been asked for."""
 
     objects: dict = field(default_factory=lambda: {k: {} for k in KINDS})
+    _checked: dict = field(default_factory=dict, init=False, repr=False)
 
-    def get(self, kind, name):
+    def lookup(self, kind, name):
+        """The named object, whether or not it meets its contract."""
         table = self.objects[kind]
         if not isinstance(name, str) or name not in table:
             raise ValueError("no %s named %r in workspace" % (kind, name))
         return table[name]
+
+    def violations(self, kind, name):
+        """The violations of the named object's contract; empty means it
+        meets it.  Computed on the first ask and kept."""
+        key = (kind, name)
+        if key not in self._checked:
+            obj = self.lookup(kind, name)
+            self._checked[key] = TABLE[kind][2](obj, self._space_violations)
+        return self._checked[key]
+
+    def _space_violations(self, *spaces):
+        names = {id(sp): name for name, sp in self.objects["space"].items()}
+        return [v for name in dict.fromkeys(names[id(sp)] for sp in spaces)
+                for v in self.violations("space", name)]
+
+    def get(self, kind, name):
+        """The named object, once it meets its contract; a ValueError
+        naming the first violation otherwise."""
+        raise_first_violation("%s %s is invalid" % (kind, name),
+                              self.violations(kind, name))
+        return self.objects[kind][name]
 
     space = partialmethod(get, "space")
     map = partialmethod(get, "map")
@@ -131,7 +170,7 @@ def load_workspace(doc):
         if name in ws.objects[kind]:
             raise ValueError("duplicate %s name %r" % (kind, name))
         ws.objects[kind][name] = entry
-    for kind, (load, _) in TABLE.items():
+    for kind, (load, _, _) in TABLE.items():
         table = ws.objects[kind]
         for name, entry in table.items():
             table[name] = load(entry, ws)

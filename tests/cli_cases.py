@@ -80,6 +80,16 @@ _X2_NONZERO_DIAGONAL = [
 ]
 # d(a, c) = 5 > d(a, b) + d(b, c) = 2: the triangle inequality fails.
 _TRIANGLE_BREAKING = [["0", "1", "5"], ["1", "0", "1"], ["5", "1", "0"]]
+# Objects built on that non-metric X: the identity map and the block
+# metric with every block d, which is no submetric of X + X.
+TRIANGLE_X = {"objects": [
+    {"kind": "space", "name": "X", "points": ["a", "b", "c"],
+     "dist": _TRIANGLE_BREAKING},
+    {"kind": "map", "name": "id", "source": "X", "target": "X",
+     "assignment": ["a", "b", "c"]},
+    {"kind": "blockmetric", "name": "E", "base": "X",
+     **{b: _TRIANGLE_BREAKING for b in ("g00", "g01", "g10", "g11")}},
+]}
 
 BAD_INPUT_CASES = [
     ("missing_space", WORKSPACE, ["validate", "space", "nope"]),
@@ -128,6 +138,14 @@ BAD_INPUT_CASES = [
     ("equalizer_on_non_metric", {"objects": _X2_NONZERO_DIAGONAL},
      ["equalizer", "swap", "ident"]),
     ("unknown_suite", None, ["selftest", "--suite", "nope"]),
+    ("cokernel_pair_on_non_metric", TRIANGLE_X, ["cokernel-pair", "id"]),
+    ("pushout_on_non_metric", TRIANGLE_X,
+     ["pushout", "--embedding", "id", "--along", "id"]),
+    ("factorize_on_non_metric", TRIANGLE_X, ["factorize", "id"]),
+    ("kernel_metric_on_non_metric", TRIANGLE_X, ["kernel-metric", "id"]),
+    ("quotient_leq_on_non_metric", TRIANGLE_X, ["quotient-leq", "id", "id"]),
+    ("effective_on_non_submetric", TRIANGLE_X,
+     ["corelation", "effective", "E"]),
 ]
 
 

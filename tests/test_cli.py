@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import sys
@@ -6,7 +7,7 @@ import pytest
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
-from cli_cases import BAD_INPUT_CASES, WORKSPACE, run_case
+from cli_cases import BAD_INPUT_CASES, CASES, TRIANGLE_X, WORKSPACE, run_case
 from finmet import cli
 from finmet.workspace import dump_workspace, load_workspace, load_workspace_file
 
@@ -51,6 +52,37 @@ def test_bad_input_exits_2_with_one_error_line(name, doc, argv, tmp_path,
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+def test_validate_map_lists_each_space_once(tmp_path, capsys):
+    """id: X -> X joins one space, so X's two triangle violations are
+    listed once, and id itself stretches nothing."""
+    path = tmp_path / "x.json"
+    path.write_text(json.dumps(TRIANGLE_X))
+    assert cli.main(["-w", str(path), "validate", "map", "id"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "validate map id: INVALID",
+        "  triangle at (a, b, c): 5 > 1 + 1",
+        "  triangle at (c, b, a): 5 > 1 + 1",
+    ]
+
+
+def _command_paths(parser, prefix=()):
+    """Every leaf subcommand of parser, as its tuple of words."""
+    subs = [a for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return [prefix]
+    return [path for a in subs for name, p in a.choices.items()
+            for path in _command_paths(p, prefix + (name,))]
+
+
+def test_every_subcommand_has_a_golden():
+    pinned = [tuple(w for w in argv if not w.startswith("-"))
+              for _, argv in CASES]
+    unpinned = [" ".join(path) for path in _command_paths(cli.build_parser())
+                if not any(words[:len(path)] == path for words in pinned)]
+    assert not unpinned, "no golden case for: %s" % ", ".join(unpinned)
 
 
 def test_json_mode_is_json(capsys):

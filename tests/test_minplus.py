@@ -6,8 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from finmet.extarith import INF, ZERO, ExtValue, fin
-from finmet.minplus import (IntMatrix, minplus_closure, minplus_matmul,
-                            minplus_product)
+from finmet.minplus import (IntMatrix, int_product, minplus_closure,
+                            minplus_matmul, scale)
 
 
 def rand_cost(rng, n, zero_diag=False):
@@ -98,13 +98,22 @@ positive = st.one_of(
     st.just(INF),
     st.builds(fin, st.integers(1, 6) | st.integers(1, 2 ** 70),
               st.sampled_from((1, 2, 3, 7) + BIG_DENOMINATORS)))
-# (rows, cols) operands of minplus_product, the inner dimension possibly 0.
+# (rows, cols) operands of int_route_product, the inner dimension possibly 0.
 operands = st.tuples(st.integers(0, 4), st.integers(0, 4),
                      st.integers(0, 4)).flatmap(
     lambda s: st.tuples(matrices(s[0], s[2]), matrices(s[1], s[2])))
 
 TINY = fin(1, BIG_DENOMINATORS[0])
 SMALL = fin(1, BIG_DENOMINATORS[1])
+
+
+def int_route_product(rows, cols):
+    """min_k rows[i][k] + cols[j][k] through scale and int_product, the
+    second operand given by its columns so that an inner dimension of
+    zero still fixes the output shape."""
+    common, big, (rows, cols) = scale(rows, cols, terms=2)
+    return IntMatrix.from_scaled(
+        common, int_product(rows, list(zip(*cols)), len(cols), big), big)
 
 
 def reference_product(rows, cols):
@@ -164,14 +173,14 @@ def test_closure_matches_extvalue_loop(cost):
 @example(([[INF, INF], [fin(1), TINY]], [[SMALL, fin(2)], [INF, INF]]))
 def test_product_matches_extvalue_loop(pair):
     rows, cols = pair
-    out = minplus_product(rows, cols)
+    out = int_route_product(rows, cols)
     assert out == reference_product(rows, cols)
     assert len(out) == len(rows)
     assert all(len(row) == len(cols) for row in out)
 
 
 def test_empty_inner_dimension_is_inf():
-    assert minplus_product([[], []], [[]]) == ((INF,), (INF,))
+    assert int_route_product([[], []], [[]]) == ((INF,), (INF,))
 
 
 def test_large_common_denominator_is_exact():

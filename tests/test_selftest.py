@@ -2,12 +2,12 @@
 
 Each planted fault makes its suite stop at the first check it breaks,
 so the criterion line names that suite's number, its name and the
-formatted counterexample.
+formatted counterexample, or the exception the suite raised.
 """
 
 import pytest
 
-from finmet import corelations, idempotents, selftest
+from finmet import cli, corelations, idempotents, selftest
 
 
 @pytest.mark.parametrize("module,attr,fake,suite,line", [
@@ -28,3 +28,15 @@ def test_planted_fault_gives_fail_line(monkeypatch, module, attr, fake,
     (result,) = selftest.run_suite(suite, seed=0)
     assert not result.ok
     assert result.line() == line
+
+
+def test_suite_that_raises_gives_fail_line(monkeypatch, capsys):
+    """An exception inside a suite is that suite's failure (exit 1), not
+    malformed input (exit 2)."""
+    monkeypatch.setattr(corelations, "zero_locus", lambda bm: ("zz",))
+    assert cli.main(["selftest", "--suite", "gamma-subset"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out == (
+        "criterion  8 gamma-subset           FAIL  "
+        "(KeyError: \"no point labelled 'zz'\")\n")

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .minplus import IntMatrix, freeze, minplus_matmul, scale
-from .spaces import freeze_labelled_square
+from .spaces import freeze_labelled_square, label_index
 
 
 @dataclass(frozen=True)
@@ -116,8 +116,8 @@ def relation_density_witness(relation, x, y):
     valid finite input).  Least index wins."""
     if not is_bool_idempotent(relation):
         raise ValueError("relation is not idempotent")
-    i = relation.labels.index(x)
-    j = relation.labels.index(y)
+    i = label_index(relation.labels, x)
+    j = label_index(relation.labels, y)
     if not relation.rel[i][j]:
         raise ValueError("pair is not related")
     for k in range(len(relation.labels)):

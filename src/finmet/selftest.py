@@ -361,6 +361,43 @@ def _int_idempotent(rho, n):
     return True
 
 
+def _grid_idempotents(grid, n):
+    """Every n x n matrix over grid (ints, _INT_INF for inf) that equals
+    its min-plus square, as a list of rows, in itertools.product order.
+
+    Cells are filled row by row, each with the grid's values in order,
+    and a partial matrix is dropped as soon as an assigned triple breaks
+    rho(x, z) <= rho(x, y) + rho(y, z).  No idempotent breaks one, as
+    rho(x, z) = (rho * rho)(x, z) <= rho(x, y) + rho(y, z), so the prune
+    loses none; every full matrix it keeps goes through _int_idempotent.
+    """
+    cells = n * n
+    # closing[c]: the triples (xz, xy, yz), as flat cells, whose last
+    # cell is c.  A triple with y = x or y = z always holds.
+    closing = [[] for _ in range(cells)]
+    for x, y, z in itertools.product(range(n), repeat=3):
+        if y != x and y != z:
+            xz, xy, yz = x * n + z, x * n + y, y * n + z
+            closing[max(xz, xy, yz)].append((xz, xy, yz))
+    flat = [0] * cells
+
+    def fill(c):
+        if c == cells:
+            rho = [flat[i * n:(i + 1) * n] for i in range(n)]
+            if _int_idempotent(rho, n):
+                yield rho
+            return
+        for v in grid:
+            flat[c] = v
+            for xz, xy, yz in closing[c]:
+                if flat[xz] > flat[xy] + flat[yz]:
+                    break
+            else:
+                yield from fill(c + 1)
+
+    return fill(0)
+
+
 def _int_to_cost(rho, n):
     conv = {0: ZERO, 1: fin(1), 2: fin(2), _INT_INF: INF}
     return idempotents.CostMatrix(
@@ -368,18 +405,24 @@ def _int_to_cost(rho, n):
         tuple(tuple(conv[rho[i][j]] for j in range(n)) for i in range(n)))
 
 
+def _int_to_relation(rho, n):
+    """The relation with p_i R p_j where rho[i][j] is 0."""
+    return idempotents.BoolRelation(
+        tuple("p%d" % i for i in range(n)),
+        tuple(tuple(v == 0 for v in row) for row in rho))
+
+
 def suite_idempotence(seed):
-    # Exhaustive integer-grid scan with a fast pre-filter; survivors are
-    # re-confirmed through the exact-arithmetic route.  The pre-filter
-    # scans the 262,144 grid matrices about 18 times faster than the
-    # exact route would, and it is a second, independent product.
+    # Exhaustive over the integer grid, pruned: _grid_idempotents drops a
+    # partial matrix only when it breaks a triangle, which no idempotent
+    # does, since rho(x, z) is the least rho(x, y) + rho(y, z).  Each full
+    # matrix it keeps is checked by _int_idempotent, a second, independent
+    # product, and the survivors are re-confirmed through the
+    # exact-arithmetic route.
     generated = 200
     checked = 0
     for n in (1, 2, 3):
-        for flat in itertools.product(_INT_GRID, repeat=n * n):
-            rho = [list(flat[i * n:(i + 1) * n]) for i in range(n)]
-            if not _int_idempotent(rho, n):
-                continue
+        for rho in _grid_idempotents(_INT_GRID, n):
             cm = _int_to_cost(rho, n)
             _require(idempotents.is_idempotent(cm),
                      "pre-filter disagrees with exact route")
@@ -406,21 +449,31 @@ def suite_idempotence(seed):
         report = idempotents.factor_through_zero_diagonal(cm)
         _require(report.ok and set(report.zero_diagonal) == set(subset),
                  "generated matrix factors wrongly, trial %d", t)
-    # Relational variant: all idempotent boolean relations on <= 4 points.
+    # Relational variant: all idempotent boolean relations on <= 4 points,
+    # as the {inf, 0} matrices (0 for related), whose product order is
+    # that of (False, True).  relation_density_witness re-confirms each
+    # one through bool_compose.
     rel_checked = 0
     for n in (1, 2, 3, 4):
-        labels = tuple("p%d" % i for i in range(n))
-        for flat in itertools.product((False, True), repeat=n * n):
-            rel = tuple(tuple(flat[i * n + j] for j in range(n)) for i in range(n))
-            if idempotents.bool_compose(rel, rel) != rel:
-                continue
-            relation = idempotents.BoolRelation(labels, rel)
+        for rho in _grid_idempotents((_INT_INF, 0), n):
+            relation = _int_to_relation(rho, n)
+            rel, labels = relation.rel, relation.labels
             for i, j in itertools.product(range(n), repeat=2):
                 if rel[i][j]:
                     w = idempotents.relation_density_witness(
                         relation, labels[i], labels[j])
                     _require(w is not None, "no density witness for %r", rel)
             rel_checked += 1
+    # bool_compose against the int product on random relations, about
+    # half of them not idempotent.
+    rng = random.Random(_seed(seed, 10, 1))
+    for _ in range(1000):
+        n = rng.randint(1, 4)
+        rho = [[rng.choice((_INT_INF, 0)) for _ in range(n)] for _ in range(n)]
+        relation = _int_to_relation(rho, n)
+        _require(_int_idempotent(rho, n)
+                 == idempotents.is_bool_idempotent(relation),
+                 "bool_compose unsound on %r", relation.rel)
     return "%d idempotent matrices, %d generated, %d relations" % (
         checked, generated, rel_checked)
 

@@ -50,6 +50,14 @@ def freeze_labelled_square(obj, field, what, freeze=IntMatrix.of):
     object.__setattr__(obj, field, matrix)
 
 
+def label_index(labels, label):
+    """The position of label in labels; KeyError naming it if absent."""
+    try:
+        return labels.index(label)
+    except ValueError:
+        raise KeyError("no point labelled %r" % (label,)) from None
+
+
 @dataclass(frozen=True)
 class FinSpace:
     labels: tuple
@@ -63,10 +71,7 @@ class FinSpace:
         return len(self.labels)
 
     def index(self, label):
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise KeyError("no point labelled %r" % (label,)) from None
+        return label_index(self.labels, label)
 
     def d(self, x, y):
         return self.dist[self.index(x)][self.index(y)]

@@ -113,6 +113,8 @@ BAD_INPUT_CASES = [
      {"objects": [{"kind": "relation", "name": "R", "points": ["x"],
                    "rel": [["no"]]}]},
      ["relation", "witness", "R", "x", "x"]),
+    ("relation_witness_unknown_label", WORKSPACE,
+     ["relation", "witness", "R", "x", "nope"]),
     ("json_number_token", _space_doc(["a"], [[0]]), _VALIDATE_Z),
     ("plus_one_token", _space_doc(["a", "b"], [["0", "+1"], ["1", "0"]]),
      _VALIDATE_Z),

@@ -2,8 +2,11 @@
 
 Each planted fault makes its suite stop at the first check it breaks,
 so the criterion line names that suite's number, its name and the
-formatted counterexample, or the exception the suite raised.
+formatted counterexample, or the exception the suite raised.  The last
+test holds suite 10's pruned enumeration to the unpruned scan.
 """
+
+import itertools
 
 import pytest
 
@@ -40,3 +43,17 @@ def test_suite_that_raises_gives_fail_line(monkeypatch, capsys):
     assert captured.out == (
         "criterion  8 gamma-subset           FAIL  "
         "(KeyError: \"no point labelled 'zz'\")\n")
+
+
+def test_grid_idempotents_match_full_scan():
+    """The pruned search keeps exactly the idempotents of the unpruned
+    scan, in the same order: cost matrices over the grid up to 3 points,
+    {inf, 0} relations up to 4."""
+    for grid, top in ((selftest._INT_GRID, 3), ((selftest._INT_INF, 0), 4)):
+        for n in range(top + 1):
+            scan = []
+            for flat in itertools.product(grid, repeat=n * n):
+                rho = [list(flat[i * n:(i + 1) * n]) for i in range(n)]
+                if selftest._int_idempotent(rho, n):
+                    scan.append(rho)
+            assert list(selftest._grid_idempotents(grid, n)) == scan, (grid, n)

@@ -259,9 +259,6 @@ def cmd_relation_witness(ws, args):
         w = idempotents.relation_density_witness(rel, args.x, args.y)
     except ValueError as exc:
         return EXIT_FALSE, ["relation witness: %s" % exc], {"error": str(exc)}
-    if w is None:
-        return EXIT_FALSE, ["relation witness %s %s %s: none"
-                            % (args.name, args.x, args.y)], {"witness": None}
     return EXIT_OK, ["relation witness %s %s %s: %s"
                      % (args.name, args.x, args.y, w)], {"witness": w}
 
@@ -283,74 +280,75 @@ def build_parser():
     parser.add_argument("-w", "--workspace", help="workspace JSON document")
     parser.add_argument("--json", action="store_true", dest="as_json",
                         help="machine-readable output")
+    parser.set_defaults(needs_ws=True)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="check metric / submetric / map axioms")
     p.add_argument("kind", choices=("space", "submetric", "map"))
     p.add_argument("name")
-    p.set_defaults(handler=cmd_validate, needs_ws=True)
+    p.set_defaults(handler=cmd_validate)
 
     for name, handler, help_ in (("product", cmd_product, "binary product"),
                                  ("coproduct", cmd_coproduct, "binary coproduct")):
         p = sub.add_parser(name, help=help_)
         p.add_argument("left")
         p.add_argument("right")
-        p.set_defaults(handler=handler, needs_ws=True)
+        p.set_defaults(handler=handler)
 
     p = sub.add_parser("equalizer", help="equalizer of two parallel maps")
     p.add_argument("left")
     p.add_argument("right")
-    p.set_defaults(handler=cmd_equalizer, needs_ws=True)
+    p.set_defaults(handler=cmd_equalizer)
 
     p = sub.add_parser("pushout", help="pushout along an embedding")
     p.add_argument("--embedding", required=True)
     p.add_argument("--along", required=True)
     p.add_argument("--oracle", action="store_true",
                    help="also run the shortest-path oracle and compare")
-    p.set_defaults(handler=cmd_pushout, needs_ws=True)
+    p.set_defaults(handler=cmd_pushout)
 
     p = sub.add_parser("cokernel-pair", help="pushout of an embedding along itself")
     p.add_argument("embedding")
-    p.set_defaults(handler=cmd_cokernel_pair, needs_ws=True)
+    p.set_defaults(handler=cmd_cokernel_pair)
 
     p = sub.add_parser("factorize", help="(surjection, embedding) factorization")
     p.add_argument("map")
-    p.set_defaults(handler=cmd_factorize, needs_ws=True)
+    p.set_defaults(handler=cmd_factorize)
 
     p = sub.add_parser("kernel-metric", help="kernel metric of a morphism")
     p.add_argument("map")
-    p.set_defaults(handler=cmd_kernel_metric, needs_ws=True)
+    p.set_defaults(handler=cmd_kernel_metric)
 
     p = sub.add_parser("quotient", help="quotient by a submetric")
     p.add_argument("submetric")
-    p.set_defaults(handler=cmd_quotient, needs_ws=True)
+    p.set_defaults(handler=cmd_quotient)
 
     p = sub.add_parser("quotient-leq", help="compare two surjections out of X")
     p.add_argument("left")
     p.add_argument("right")
-    p.set_defaults(handler=cmd_quotient_leq, needs_ws=True)
+    p.set_defaults(handler=cmd_quotient_leq)
 
     p = sub.add_parser("corelation", help="corelation predicates")
     csub = p.add_subparsers(dest="corelation_command", required=True)
     c = csub.add_parser("check", help="reflexive/symmetric/transitive report")
     c.add_argument("name")
-    c.set_defaults(handler=cmd_corelation_check, needs_ws=True)
+    c.set_defaults(handler=cmd_corelation_check)
     c = csub.add_parser("effective", help="effectiveness of an equivalence")
     c.add_argument("name")
-    c.set_defaults(handler=cmd_corelation_effective, needs_ws=True)
+    c.set_defaults(handler=cmd_corelation_effective)
     c = csub.add_parser("from-subset", help="subset block metric")
     c.add_argument("space")
     c.add_argument("subset", help="comma-separated labels; '-' for empty")
-    c.set_defaults(handler=cmd_corelation_from_subset, needs_ws=True)
+    c.set_defaults(handler=cmd_corelation_from_subset)
 
     p = sub.add_parser("idempotent", help="min-plus idempotence operations")
     isub = p.add_subparsers(dest="idempotent_command", required=True)
     c = isub.add_parser("check", help="is the matrix its own min-plus square")
     c.add_argument("name")
-    c.set_defaults(handler=cmd_idempotent_check, needs_ws=True)
+    c.set_defaults(handler=cmd_idempotent_check)
     c = isub.add_parser("factor", help="witnesses through the zero diagonal")
     c.add_argument("name")
-    c.set_defaults(handler=cmd_idempotent_factor, needs_ws=True)
+    c.set_defaults(handler=cmd_idempotent_factor)
 
     p = sub.add_parser("relation", help="boolean relation operations")
     rsub = p.add_subparsers(dest="relation_command", required=True)
@@ -358,7 +356,7 @@ def build_parser():
     c.add_argument("name")
     c.add_argument("x")
     c.add_argument("y")
-    c.set_defaults(handler=cmd_relation_witness, needs_ws=True)
+    c.set_defaults(handler=cmd_relation_witness)
 
     p = sub.add_parser("selftest", help="run a named acceptance suite")
     p.add_argument("--suite", default="all")

@@ -3,15 +3,19 @@
 A cost matrix (no metric axioms, nonzero diagonal allowed) that equals
 its own min-plus square factors through its zero-diagonal points: every
 finite entry is attained by a path routed through a point with zero
-self-cost.  The boolean-relation corollary produces density witnesses
-for idempotent endorelations.
+self-cost.
+
+The relational corollary is the lemma on the two values {0, inf}.  A
+relation R is held as its cost matrix, 0 where x R y and INF elsewhere:
+R is idempotent exactly when that matrix is, and a density witness of
+x R y is the lemma's zero-diagonal witness of the pair (x, y).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .minplus import IntMatrix, freeze, minplus_matmul, scale
+from .minplus import IntMatrix, minplus_matmul, scale
 from .spaces import freeze_labelled_square, label_index
 
 
@@ -24,19 +28,8 @@ class CostMatrix:
         freeze_labelled_square(self, "rho", "cost matrix")
 
 
-@dataclass(frozen=True)
-class BoolRelation:
-    labels: tuple
-    rel: tuple
-
-    def __post_init__(self):
-        freeze_labelled_square(self, "rel", "relation matrix", freeze)
-
-
 def minplus_square(cm):
-    """T(rho)(x, y) = min_z rho(x, z) + rho(z, y); needs a nonempty base."""
-    if not cm.labels:
-        raise ValueError("min-plus square needs a nonempty base")
+    """T(rho)(x, y) = min_z rho(x, z) + rho(z, y)."""
     return CostMatrix(cm.labels, minplus_matmul(cm.rho, cm.rho))
 
 
@@ -88,39 +81,19 @@ def factor_through_zero_diagonal(cm):
                         failures=tuple(failures))
 
 
-def bool_compose(rel_a, rel_b):
-    """Existential composition of boolean square matrices.
-
-    Row i of the result is the union of the rows k of rel_b with
-    rel_a[i][k], each row held as a bitmask.
-    """
-    n = len(rel_a)
-    masks = [sum(1 << j for j, c in enumerate(row) if c) for row in rel_b]
-    out = []
-    for row in rel_a:
-        acc = 0
-        for c, mask in zip(row, masks):
-            if c:
-                acc |= mask
-        out.append(tuple([acc >> j & 1 == 1 for j in range(n)]))
-    return tuple(out)
-
-
-def is_bool_idempotent(relation):
-    return bool_compose(relation.rel, relation.rel) == relation.rel
-
-
 def relation_density_witness(relation, x, y):
-    """For an idempotent relation with x R y: a point a with
-    x R a, a R a, a R y; None if no such point exists (cannot happen on
-    valid finite input).  Least index wins."""
-    if not is_bool_idempotent(relation):
-        raise ValueError("relation is not idempotent")
+    """For an idempotent relation, a CostMatrix over {0, INF}, with x R y:
+    the point a of least index with x R a, a R a, a R y.
+
+    That is the zero-diagonal witness of (x, y), which the lemma
+    guarantees for every related pair.
+    """
+    try:
+        report = factor_through_zero_diagonal(relation)
+    except ValueError:
+        raise ValueError("relation is not idempotent") from None
     i = label_index(relation.labels, x)
     j = label_index(relation.labels, y)
-    if not relation.rel[i][j]:
+    if relation.rho.rows[i][j] != 0:
         raise ValueError("pair is not related")
-    for k in range(len(relation.labels)):
-        if relation.rel[i][k] and relation.rel[k][k] and relation.rel[k][j]:
-            return relation.labels[k]
-    return None
+    return report.witnesses[(x, y)]

@@ -27,10 +27,6 @@ from math import gcd, lcm
 from .extarith import INF, fin
 
 
-def freeze(rows):
-    return tuple(tuple(row) for row in rows)
-
-
 # Matrices built from one another share most of their entries, and
 # ExtValue is immutable, so they may share the converted values too.
 @lru_cache(maxsize=4096)

@@ -23,7 +23,7 @@ from .harness import (DEFAULT_GRID, GenConfig, brute_iso_check,
 from .limits import equalizer, is_pullback_square
 from .maps import (FinMap, compose, factorize, is_embedding, is_isomorphism,
                    is_surjective, subspace)
-from .minplus import minplus_closure
+from .minplus import IntMatrix, minplus_closure
 from .quotients import (counit_iso, kernel_metric, quotient_by_submetric,
                         quotient_leq)
 from .spaces import FinSpace, is_separated, validate_metric
@@ -399,17 +399,10 @@ def _grid_idempotents(grid, n):
 
 
 def _int_to_cost(rho, n):
-    conv = {0: ZERO, 1: fin(1), 2: fin(2), _INT_INF: INF}
     return idempotents.CostMatrix(
         tuple("p%d" % i for i in range(n)),
-        tuple(tuple(conv[rho[i][j]] for j in range(n)) for i in range(n)))
-
-
-def _int_to_relation(rho, n):
-    """The relation with p_i R p_j where rho[i][j] is 0."""
-    return idempotents.BoolRelation(
-        tuple("p%d" % i for i in range(n)),
-        tuple(tuple(v == 0 for v in row) for row in rho))
+        IntMatrix(1, [[None if v == _INT_INF else v for v in row]
+                      for row in rho]))
 
 
 def suite_idempotence(seed):
@@ -418,25 +411,33 @@ def suite_idempotence(seed):
     # does, since rho(x, z) is the least rho(x, y) + rho(y, z).  Each full
     # matrix it keeps is checked by _int_idempotent, a second, independent
     # product, and the survivors are re-confirmed through the
-    # exact-arithmetic route.
+    # exact-arithmetic route.  The grid {inf, 0} gives the idempotent
+    # relations (0 for related), and the lemma's witnesses on them are
+    # the relational corollary's density witnesses.
     generated = 200
-    checked = 0
-    for n in (1, 2, 3):
-        for rho in _grid_idempotents(_INT_GRID, n):
-            cm = _int_to_cost(rho, n)
-            _require(idempotents.is_idempotent(cm),
-                     "pre-filter disagrees with exact route")
-            _require(idempotents.factor_through_zero_diagonal(cm).ok,
-                     "witness missing for %r", rho)
-            checked += 1
-    # Pre-filter soundness spot check on random matrices.
-    rng = random.Random(_seed(seed, 10, 0))
-    for _ in range(2000):
-        n = rng.randint(1, 3)
-        rho = [[rng.choice(_INT_GRID) for _ in range(n)] for _ in range(n)]
-        _require(_int_idempotent(rho, n)
-                 == idempotents.is_idempotent(_int_to_cost(rho, n)),
-                 "pre-filter unsound on %r", rho)
+    checked = []
+    for grid, sizes in ((_INT_GRID, (1, 2, 3)), ((_INT_INF, 0), (1, 2, 3, 4))):
+        count = 0
+        for n in sizes:
+            for rho in _grid_idempotents(grid, n):
+                cm = _int_to_cost(rho, n)
+                _require(idempotents.is_idempotent(cm),
+                         "pre-filter disagrees with exact route")
+                _require(idempotents.factor_through_zero_diagonal(cm).ok,
+                         "witness missing for %r", rho)
+                count += 1
+        checked.append(count)
+    # Pre-filter soundness spot check on random matrices, about half of
+    # the relations not idempotent.
+    for grid, top, count, s in ((_INT_GRID, 3, 2000, _seed(seed, 10, 0)),
+                                ((_INT_INF, 0), 4, 1000, _seed(seed, 10, 1))):
+        rng = random.Random(s)
+        for _ in range(count):
+            n = rng.randint(1, top)
+            rho = [[rng.choice(grid) for _ in range(n)] for _ in range(n)]
+            _require(_int_idempotent(rho, n)
+                     == idempotents.is_idempotent(_int_to_cost(rho, n)),
+                     "pre-filter unsound on %r", rho)
     # Generated idempotents via the min-over-subset construction.
     for t in range(generated):
         rng = random.Random(_seed(seed, 10, 1000 + t))
@@ -449,33 +450,8 @@ def suite_idempotence(seed):
         report = idempotents.factor_through_zero_diagonal(cm)
         _require(report.ok and set(report.zero_diagonal) == set(subset),
                  "generated matrix factors wrongly, trial %d", t)
-    # Relational variant: all idempotent boolean relations on <= 4 points,
-    # as the {inf, 0} matrices (0 for related), whose product order is
-    # that of (False, True).  relation_density_witness re-confirms each
-    # one through bool_compose.
-    rel_checked = 0
-    for n in (1, 2, 3, 4):
-        for rho in _grid_idempotents((_INT_INF, 0), n):
-            relation = _int_to_relation(rho, n)
-            rel, labels = relation.rel, relation.labels
-            for i, j in itertools.product(range(n), repeat=2):
-                if rel[i][j]:
-                    w = idempotents.relation_density_witness(
-                        relation, labels[i], labels[j])
-                    _require(w is not None, "no density witness for %r", rel)
-            rel_checked += 1
-    # bool_compose against the int product on random relations, about
-    # half of them not idempotent.
-    rng = random.Random(_seed(seed, 10, 1))
-    for _ in range(1000):
-        n = rng.randint(1, 4)
-        rho = [[rng.choice((_INT_INF, 0)) for _ in range(n)] for _ in range(n)]
-        relation = _int_to_relation(rho, n)
-        _require(_int_idempotent(rho, n)
-                 == idempotents.is_bool_idempotent(relation),
-                 "bool_compose unsound on %r", relation.rel)
     return "%d idempotent matrices, %d generated, %d relations" % (
-        checked, generated, rel_checked)
+        checked[0], generated, checked[1])
 
 
 # -- suite 11: pinned fixtures ---------------------------------------------

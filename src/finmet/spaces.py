@@ -33,18 +33,17 @@ def raise_first_violation(what, violations):
         raise ValueError("%s: %s" % (what, violations[0]))
 
 
-def freeze_labelled_square(obj, field, what, freeze=IntMatrix.of):
-    """Freeze obj.labels to a tuple and the matrix obj.<field> with
-    freeze, in place, and check that the labels are unique and the
+def freeze_labelled_square(obj, field, what):
+    """Freeze obj.labels to a tuple and the matrix obj.<field> to an
+    IntMatrix, in place, and check that the labels are unique and the
     matrix is square over them.  Shared by every frozen
     labels-plus-square-matrix class."""
     labels = tuple(obj.labels)
-    matrix = freeze(getattr(obj, field))
+    matrix = IntMatrix.of(getattr(obj, field))
     n = len(labels)
     if len(set(labels)) != n:
         raise ValueError("duplicate point labels")
-    rows = matrix.rows if isinstance(matrix, IntMatrix) else matrix
-    if len(rows) != n or any(len(row) != n for row in rows):
+    if not matrix.is_square(n):
         raise ValueError("%s shape does not match label count" % what)
     object.__setattr__(obj, "labels", labels)
     object.__setattr__(obj, field, matrix)

@@ -4,8 +4,9 @@ every kind, each entry tagged with its kind.
 Every kind is a labelled matrix of some sort, so one table says how
 each is read and written, and what contract an object of the kind
 must meet.  Matrices are row-major lists of lists of value tokens
-("p/q", "p", or "inf"); serialization round-trips bit-exactly because
-tokens are canonical.
+("p/q", "p", or "inf"), except a relation's, whose cells are 1 where
+related and 0 elsewhere; it loads as its cost matrix over {0, inf}.
+Serialization round-trips bit-exactly because tokens are canonical.
 
 The loader checks only the shape of each entry; a contract is checked
 when its object is first asked for.  `Workspace.get` (so `ws.space`,
@@ -20,7 +21,7 @@ from functools import partialmethod
 
 from . import extarith
 from .corelations import BlockMetric, validate_blockmetric
-from .idempotents import BoolRelation, CostMatrix
+from .idempotents import CostMatrix
 from .maps import FinMap, check_nonexpansive
 from .minplus import IntMatrix
 from .quotients import Submetric, validate_submetric
@@ -51,10 +52,11 @@ def _matrix(entry, key):
 
 
 def _cells(entry, key):
+    """The 0/1 cells as an IntMatrix: 0 for a 1 cell, INF for a 0 cell."""
     rows = _list(entry, key, lambda row: isinstance(row, list) and all(
         type(c) is int and c in (0, 1) for c in row),
         "a list of lists of 0 and 1")
-    return tuple(tuple(bool(c) for c in row) for row in rows)
+    return IntMatrix(1, [[0 if c else None for c in row] for row in rows])
 
 
 def matrix_tokens(matrix):
@@ -101,9 +103,10 @@ TABLE = {
                                 "matrix": matrix_tokens(cm.rho)},
         lambda obj, spaces: []),
     "relation": (
-        lambda e, ws: BoolRelation(_strings(e, "points"), _cells(e, "rel")),
+        lambda e, ws: CostMatrix(_strings(e, "points"), _cells(e, "rel")),
         lambda r, space_name: {"points": list(r.labels),
-                               "rel": [[int(c) for c in row] for row in r.rel]},
+                               "rel": [[int(x == 0) for x in row]
+                                       for row in r.rho.rows]},
         lambda obj, spaces: []),
 }
 KINDS = tuple(TABLE)

@@ -115,6 +115,10 @@ BAD_INPUT_CASES = [
      ["relation", "witness", "R", "x", "x"]),
     ("relation_witness_unknown_label", WORKSPACE,
      ["relation", "witness", "R", "x", "nope"]),
+    ("relation_witness_empty_relation",
+     {"objects": [{"kind": "relation", "name": "R", "points": [],
+                   "rel": []}]},
+     ["relation", "witness", "R", "x", "x"]),
     ("json_number_token", _space_doc(["a"], [[0]]), _VALIDATE_Z),
     ("plus_one_token", _space_doc(["a", "b"], [["0", "+1"], ["1", "0"]]),
      _VALIDATE_Z),

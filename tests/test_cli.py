@@ -100,6 +100,20 @@ def test_selftest_subcommand_runs_without_workspace(capsys):
     assert "criterion  1" in out and "PASS" in out
 
 
+def test_empty_cost_matrix_is_idempotent(tmp_path, capsys):
+    """The 0x0 matrix is its own min-plus square, so both idempotent
+    commands answer true on it."""
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"objects": [
+        {"kind": "costmatrix", "name": "C", "points": [], "matrix": []}]}))
+    assert cli.main(["-w", str(path), "idempotent", "check", "C"]) == 0
+    assert cli.main(["-w", str(path), "idempotent", "factor", "C"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.splitlines() == [
+        "idempotent C: true", "idempotent factor C:", "  zero diagonal: -"]
+
+
 def test_workspace_round_trip():
     ws = load_workspace_file(WORKSPACE)
     doc = dump_workspace(ws)

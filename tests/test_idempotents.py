@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 from finmet.extarith import INF, ZERO, fin
-from finmet.idempotents import (BoolRelation, CostMatrix, bool_compose,
-                                factor_through_zero_diagonal, is_bool_idempotent,
+from finmet.idempotents import (CostMatrix, factor_through_zero_diagonal,
                                 is_idempotent, minplus_square,
                                 relation_density_witness)
 from finmet.idempotents import FactorReport
@@ -34,9 +33,13 @@ def test_square_pinned():
     assert sq.rho == ((fin(2), fin(3)), (fin(1), fin(2)))
 
 
-def test_square_needs_points():
-    with pytest.raises(ValueError):
-        minplus_square(CostMatrix((), ()))
+def test_empty_matrix_is_its_own_square():
+    cm = CostMatrix((), ())
+    assert minplus_square(cm).rho == cm.rho == ()
+    assert is_idempotent(cm)
+    report = factor_through_zero_diagonal(cm)
+    assert report == FactorReport(zero_diagonal=(), witnesses={}, failures=())
+    assert report.ok
 
 
 def test_closures_are_idempotent():
@@ -108,39 +111,96 @@ def test_exhaustive_small_idempotents_factor():
             assert factor_through_zero_diagonal(cm).ok, rho
 
 
-def test_bool_compose_pinned():
-    a = ((True, False), (False, True))
-    b = ((False, True), (True, False))
-    assert bool_compose(a, b) == b
+def reference_bool_compose(rel_a, rel_b):
+    n = len(rel_a)
+    return tuple(
+        tuple(any(rel_a[i][k] and rel_b[k][j] for k in range(n))
+              for j in range(n))
+        for i in range(n)
+    )
+
+
+def as_relation(rel):
+    """The {0, INF} cost matrix of a boolean relation on p0, p1, ..."""
+    return CostMatrix(tuple("p%d" % i for i in range(len(rel))),
+                      [[ZERO if c else INF for c in row] for row in rel])
 
 
 def test_relation_witness_exhaustive_small():
     for n in (1, 2, 3):
-        labels = tuple("p%d" % i for i in range(n))
         for bits in itertools.product((False, True), repeat=n * n):
             rel = tuple(tuple(bits[i * n + j] for j in range(n))
                         for i in range(n))
-            r = BoolRelation(labels, rel)
-            if not is_bool_idempotent(r):
+            r = as_relation(rel)
+            assert is_idempotent(r) == (reference_bool_compose(rel, rel)
+                                        == rel)
+            if not is_idempotent(r):
                 continue
+            labels = r.labels
             for i in range(n):
                 for j in range(n):
                     if not rel[i][j]:
                         continue
                     a = relation_density_witness(r, labels[i], labels[j])
-                    assert a is not None
                     k = labels.index(a)
                     assert rel[i][k] and rel[k][k] and rel[k][j]
 
 
 def test_relation_witness_errors():
-    r = BoolRelation(("x", "y"), ((True, False), (False, True)))
-    with pytest.raises(ValueError):
-        relation_density_witness(r, "x", "y")  # unrelated pair
-    bad = BoolRelation(("x", "y"), ((False, True), (True, False)))
-    assert not is_bool_idempotent(bad)
-    with pytest.raises(ValueError):
-        relation_density_witness(bad, "x", "y")
+    r = as_relation(((True, False), (False, True)))
+    with pytest.raises(ValueError, match="pair is not related"):
+        relation_density_witness(r, "p0", "p1")
+    with pytest.raises(KeyError):
+        relation_density_witness(r, "p0", "nope")
+    bad = as_relation(((False, True), (True, False)))
+    assert not is_idempotent(bad)
+    with pytest.raises(ValueError, match="relation is not idempotent"):
+        relation_density_witness(bad, "p0", "nope")  # checked before labels
+    with pytest.raises(KeyError):
+        relation_density_witness(as_relation(()), "p0", "p0")
+
+
+@st.composite
+def routed_relations(draw):
+    """x R y iff x X a and a X y for some a in T, where X is reflexive
+    and transitive: idempotent, the relational form of routed_costs.
+    Sometimes one cell is flipped afterwards, which may break that."""
+    n = draw(st.integers(1, 6))
+    x = [[i == j or draw(st.booleans()) for j in range(n)] for i in range(n)]
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                x[i][j] = x[i][j] or (x[i][k] and x[k][j])
+    t = draw(st.lists(st.integers(0, n - 1), unique=True))
+    rel = [[any(x[i][a] and x[a][j] for a in t) for j in range(n)]
+           for i in range(n)]
+    if draw(st.booleans()):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        rel[i][j] = not rel[i][j]
+    return rel
+
+
+relations = st.integers(1, 6).flatmap(lambda n: st.lists(
+    st.lists(st.booleans(), min_size=n, max_size=n), min_size=n, max_size=n))
+
+
+@settings(deadline=None)
+@given(relations | routed_relations(), st.integers(0, 5), st.integers(0, 5))
+def test_relation_witness_matches_any_loop(rel, i, j):
+    n = len(rel)
+    i, j = i % n, j % n
+    rel = tuple(map(tuple, rel))
+    r = as_relation(rel)
+    x, y = r.labels[i], r.labels[j]
+    if reference_bool_compose(rel, rel) != rel:
+        with pytest.raises(ValueError, match="relation is not idempotent"):
+            relation_density_witness(r, x, y)
+    elif not rel[i][j]:
+        with pytest.raises(ValueError, match="pair is not related"):
+            relation_density_witness(r, x, y)
+    else:
+        k = min(k for k in range(n) if rel[i][k] and rel[k][k] and rel[k][j])
+        assert relation_density_witness(r, x, y) == r.labels[k]
 
 
 # -- the integer idempotent checks against the ExtValue loops ---------------
@@ -201,24 +261,3 @@ def test_factor_matches_extvalue_loop(rho):
             factor_through_zero_diagonal(cm)
         return
     assert factor_through_zero_diagonal(cm) == reference_factor(labels, rho)
-
-
-def reference_bool_compose(rel_a, rel_b):
-    n = len(rel_a)
-    return tuple(
-        tuple(any(rel_a[i][k] and rel_b[k][j] for k in range(n))
-              for j in range(n))
-        for i in range(n)
-    )
-
-
-relations = st.integers(0, 6).flatmap(lambda n: st.lists(
-    st.lists(st.booleans(), min_size=n, max_size=n), min_size=n, max_size=n))
-
-
-@given(relations, relations)
-def test_bool_compose_matches_any_loop(rel_a, rel_b):
-    n = min(len(rel_a), len(rel_b))
-    rel_a = [row[:n] for row in rel_a[:n]]
-    rel_b = [row[:n] for row in rel_b[:n]]
-    assert bool_compose(rel_a, rel_b) == reference_bool_compose(rel_a, rel_b)

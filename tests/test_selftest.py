@@ -17,10 +17,11 @@ from finmet import cli, corelations, idempotents, selftest
     (selftest, "is_embedding", lambda f: False, "embedding-stability",
      "criterion  6 embedding-stability    FAIL  "
      "(pushed-out leg not embedding at trial 0)"),
-    (idempotents, "relation_density_witness", lambda rel, x, y: None,
+    (idempotents, "factor_through_zero_diagonal",
+     lambda cm: idempotents.FactorReport((), {}, (("p0", "p0"),)),
      "idempotence",
      "criterion 10 idempotence            FAIL  "
-     "(no density witness for ((True,),))"),
+     "(witness missing for [[0]])"),
     (corelations, "is_transitive", lambda bm: True, "pinned-fixtures",
      "criterion 11 pinned-fixtures        FAIL  "
      "(corrected fixture unexpectedly transitive)"),

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import NamedTuple
 
 from . import corelations, idempotents, pushouts, selftest
 from .limits import coproduct, equalizer, product
@@ -29,11 +30,8 @@ EXIT_BAD_INPUT = 2
 
 
 def _space_lines(title, space):
-    lines = ["%s:" % title,
-             "  points: %s" % (" ".join(space.labels) if space.labels else "-")]
-    lines.append("  dist:")
-    for row in space.dist:
-        lines.append("    " + " ".join(v.token() for v in row))
+    lines = _matrix_lines(title, space.labels, space.dist)
+    lines.insert(2, "  dist:")
     return lines
 
 
@@ -272,6 +270,60 @@ def cmd_selftest(_ws, args):
     return (EXIT_OK if ok else EXIT_FALSE), lines, payload
 
 
+class Command(NamedTuple):
+    """A leaf command; each argument is a name or a (name, options) pair
+    for add_argument.  Its handler is cmd_ followed by its words, read
+    from the module when the parser is built, so a wrapper bound over
+    that name is what runs."""
+
+    words: str
+    help: str
+    args: tuple
+    needs_ws: bool = True
+
+
+# The help of each group: the first word of a two-word command.
+GROUPS = {"corelation": "corelation predicates",
+          "idempotent": "min-plus idempotence operations",
+          "relation": "boolean relation operations"}
+
+COMMANDS = (
+    Command("validate", "check metric / submetric / map axioms",
+            (("kind", {"choices": ("space", "submetric", "map")}), "name")),
+    Command("product", "binary product", ("left", "right")),
+    Command("coproduct", "binary coproduct", ("left", "right")),
+    Command("equalizer", "equalizer of two parallel maps", ("left", "right")),
+    Command("pushout", "pushout along an embedding",
+            (("--embedding", {"required": True}),
+             ("--along", {"required": True}),
+             ("--oracle", {"action": "store_true", "help": "also run the "
+                           "shortest-path oracle and compare"}))),
+    Command("cokernel-pair", "pushout of an embedding along itself",
+            ("embedding",)),
+    Command("factorize", "(surjection, embedding) factorization", ("map",)),
+    Command("kernel-metric", "kernel metric of a morphism", ("map",)),
+    Command("quotient", "quotient by a submetric", ("submetric",)),
+    Command("quotient-leq", "compare two surjections out of X",
+            ("left", "right")),
+    Command("corelation check", "reflexive/symmetric/transitive report",
+            ("name",)),
+    Command("corelation effective", "effectiveness of an equivalence",
+            ("name",)),
+    Command("corelation from-subset", "subset block metric",
+            ("space", ("subset",
+                       {"help": "comma-separated labels; '-' for empty"}))),
+    Command("idempotent check", "is the matrix its own min-plus square",
+            ("name",)),
+    Command("idempotent factor", "witnesses through the zero diagonal",
+            ("name",)),
+    Command("relation witness", "density witness for a related pair",
+            ("name", "x", "y")),
+    Command("selftest", "run a named acceptance suite",
+            (("--suite", {"default": "all"}),
+             ("--seed", {"type": int, "default": 0})), needs_ws=False),
+)
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="finmet",
@@ -280,89 +332,19 @@ def build_parser():
     parser.add_argument("-w", "--workspace", help="workspace JSON document")
     parser.add_argument("--json", action="store_true", dest="as_json",
                         help="machine-readable output")
-    parser.set_defaults(needs_ws=True)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="check metric / submetric / map axioms")
-    p.add_argument("kind", choices=("space", "submetric", "map"))
-    p.add_argument("name")
-    p.set_defaults(handler=cmd_validate)
-
-    for name, handler, help_ in (("product", cmd_product, "binary product"),
-                                 ("coproduct", cmd_coproduct, "binary coproduct")):
-        p = sub.add_parser(name, help=help_)
-        p.add_argument("left")
-        p.add_argument("right")
-        p.set_defaults(handler=handler)
-
-    p = sub.add_parser("equalizer", help="equalizer of two parallel maps")
-    p.add_argument("left")
-    p.add_argument("right")
-    p.set_defaults(handler=cmd_equalizer)
-
-    p = sub.add_parser("pushout", help="pushout along an embedding")
-    p.add_argument("--embedding", required=True)
-    p.add_argument("--along", required=True)
-    p.add_argument("--oracle", action="store_true",
-                   help="also run the shortest-path oracle and compare")
-    p.set_defaults(handler=cmd_pushout)
-
-    p = sub.add_parser("cokernel-pair", help="pushout of an embedding along itself")
-    p.add_argument("embedding")
-    p.set_defaults(handler=cmd_cokernel_pair)
-
-    p = sub.add_parser("factorize", help="(surjection, embedding) factorization")
-    p.add_argument("map")
-    p.set_defaults(handler=cmd_factorize)
-
-    p = sub.add_parser("kernel-metric", help="kernel metric of a morphism")
-    p.add_argument("map")
-    p.set_defaults(handler=cmd_kernel_metric)
-
-    p = sub.add_parser("quotient", help="quotient by a submetric")
-    p.add_argument("submetric")
-    p.set_defaults(handler=cmd_quotient)
-
-    p = sub.add_parser("quotient-leq", help="compare two surjections out of X")
-    p.add_argument("left")
-    p.add_argument("right")
-    p.set_defaults(handler=cmd_quotient_leq)
-
-    p = sub.add_parser("corelation", help="corelation predicates")
-    csub = p.add_subparsers(dest="corelation_command", required=True)
-    c = csub.add_parser("check", help="reflexive/symmetric/transitive report")
-    c.add_argument("name")
-    c.set_defaults(handler=cmd_corelation_check)
-    c = csub.add_parser("effective", help="effectiveness of an equivalence")
-    c.add_argument("name")
-    c.set_defaults(handler=cmd_corelation_effective)
-    c = csub.add_parser("from-subset", help="subset block metric")
-    c.add_argument("space")
-    c.add_argument("subset", help="comma-separated labels; '-' for empty")
-    c.set_defaults(handler=cmd_corelation_from_subset)
-
-    p = sub.add_parser("idempotent", help="min-plus idempotence operations")
-    isub = p.add_subparsers(dest="idempotent_command", required=True)
-    c = isub.add_parser("check", help="is the matrix its own min-plus square")
-    c.add_argument("name")
-    c.set_defaults(handler=cmd_idempotent_check)
-    c = isub.add_parser("factor", help="witnesses through the zero diagonal")
-    c.add_argument("name")
-    c.set_defaults(handler=cmd_idempotent_factor)
-
-    p = sub.add_parser("relation", help="boolean relation operations")
-    rsub = p.add_subparsers(dest="relation_command", required=True)
-    c = rsub.add_parser("witness", help="density witness for a related pair")
-    c.add_argument("name")
-    c.add_argument("x")
-    c.add_argument("y")
-    c.set_defaults(handler=cmd_relation_witness)
-
-    p = sub.add_parser("selftest", help="run a named acceptance suite")
-    p.add_argument("--suite", default="all")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(handler=cmd_selftest, needs_ws=False)
-
+    subs = {"": parser.add_subparsers(dest="command", required=True)}
+    for cmd in COMMANDS:
+        group, _, name = cmd.words.rpartition(" ")
+        if group not in subs:
+            subs[group] = subs[""].add_parser(
+                group, help=GROUPS[group]).add_subparsers(
+                    dest=group + "_command", required=True)
+        p = subs[group].add_parser(name, help=cmd.help)
+        for arg in cmd.args:
+            arg, options = (arg, {}) if isinstance(arg, str) else arg
+            p.add_argument(arg, **options)
+        handler = "cmd_" + cmd.words.replace(" ", "_").replace("-", "_")
+        p.set_defaults(handler=globals()[handler], needs_ws=cmd.needs_ws)
     return parser
 
 

@@ -19,6 +19,8 @@ from .quotients import Submetric, quotient_by_submetric
 from .spaces import FinSpace, sep_reflection
 
 DEFAULT_GRID = (ZERO, fin(1, 2), fin(1), fin(2), INF)
+MAP_ATTEMPTS = 50  # random draws before the constant-map fallback
+ISO_CAP = 7        # brute_iso_check's largest space: 7! permutations
 
 
 @dataclass(frozen=True)
@@ -73,12 +75,12 @@ def gen_surjection(space, cfg):
     return quotient_by_submetric(gen_submetric(space, cfg))
 
 
-def gen_nonexpansive_map(source, target, rng, attempts=50):
+def gen_nonexpansive_map(source, target, rng):
     """A non-expansive map by rejection sampling; falls back to a constant
     map (always non-expansive) and returns None only if target is empty."""
     if target.n == 0:
         return FinMap(source, target, ()) if source.n == 0 else None
-    for _ in range(attempts):
+    for _ in range(MAP_ATTEMPTS):
         f = FinMap(source, target,
                    tuple(rng.choice(target.labels) for _ in source.labels))
         if is_nonexpansive(f):
@@ -118,9 +120,9 @@ def enumerate_mediators(source, target, precompose=(), postcompose=(),
     return out
 
 
-def brute_iso_check(m1, m2, cap=7):
+def brute_iso_check(m1, m2):
     """Label-independent equality: search for a distance-preserving bijection."""
-    if m1.n > cap or m2.n > cap:
+    if m1.n > ISO_CAP or m2.n > ISO_CAP:
         raise ValueError("space too large for brute-force isomorphism search")
     if m1.n != m2.n:
         return False

@@ -34,7 +34,7 @@ def minplus_square(cm):
 
 
 def is_idempotent(cm):
-    return minplus_square(cm).rho == cm.rho
+    return minplus_matmul(cm.rho, cm.rho) == cm.rho
 
 
 @dataclass(frozen=True)

@@ -96,7 +96,8 @@ def is_isomorphism(f):
 def subspace(space, labels):
     """The subspace on the given labels (target order) with restricted metric,
     together with its inclusion embedding."""
-    keep = [lab for lab in space.labels if lab in set(labels)]
+    wanted = set(labels)
+    keep = [lab for lab in space.labels if lab in wanted]
     idx = [space.index(lab) for lab in keep]
     sub = FinSpace(tuple(keep), space.dist.sub(idx, idx))
     return sub, FinMap(sub, space, tuple(keep))

@@ -22,10 +22,14 @@ from finmet import cli, corelations, idempotents, selftest
      "idempotence",
      "criterion 10 idempotence            FAIL  "
      "(witness missing for [[0]])"),
+    (selftest, "_int_idempotent", lambda rho, n: True, "idempotence",
+     "criterion 10 idempotence            FAIL  "
+     "(ValueError: input is not min-plus idempotent)"),
     (corelations, "is_transitive", lambda bm: True, "pinned-fixtures",
      "criterion 11 pinned-fixtures        FAIL  "
      "(corrected fixture unexpectedly transitive)"),
-], ids=["embedding_stability", "idempotence", "pinned_fixtures"])
+], ids=["embedding_stability", "idempotence", "idempotence_prefilter",
+        "pinned_fixtures"])
 def test_planted_fault_gives_fail_line(monkeypatch, module, attr, fake,
                                         suite, line):
     monkeypatch.setattr(module, attr, fake)

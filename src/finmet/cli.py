@@ -156,47 +156,28 @@ def cmd_quotient_leq(ws, args):
     return (EXIT_OK if verdict else EXIT_FALSE), lines, {"leq": verdict}
 
 
-def _refl_witness(bm, witness):
-    x, i, y, j = witness
-    return "d(%s,%s) = %s > %s = gamma((%s,%d),(%s,%d))" % (
-        x, y, bm.base.d(x, y), bm.value(x, i, y, j), x, i, y, j)
-
-
-def _symm_witness(bm, witness):
-    x, i, y, j = witness
-    return "gamma((%s,%d),(%s,%d)) = %s != %s = gamma((%s,%d),(%s,%d))" % (
-        x, i, y, j, bm.value(x, i, y, j), bm.value(x, 1 - i, y, 1 - j),
-        x, 1 - i, y, 1 - j)
-
-
 def cmd_corelation_check(ws, args):
     bad = ws.violations("blockmetric", args.name)
     if bad:
         return _report_violations("corelation %s" % args.name, bad)
     bm = ws.blockmetric(args.name)
     lines = ["corelation %s:" % args.name]
-    refl_witness = corelations.reflexive_witness(bm)
-    refl = refl_witness is None
-    lines.append("  reflexive: %s" % ("true" if refl else "false"))
-    if not refl:
-        lines.append("    witness: %s" % _refl_witness(bm, refl_witness))
-    symm_witness = corelations.symmetric_witness(bm)
-    symm = symm_witness is None
-    lines.append("  symmetric: %s" % ("true" if symm else "false"))
-    if not symm:
-        lines.append("    witness: %s" % _symm_witness(bm, symm_witness))
-    payload = {"reflexive": refl, "symmetric": symm}
-    if refl:
+    payload = {}
+    for law, witness in (("reflexive", corelations.reflexive_witness(bm)),
+                         ("symmetric", corelations.symmetric_witness(bm))):
+        payload[law] = witness is None
+        lines.append("  %s: %s" % (law, "false" if witness else "true"))
+        if witness:
+            lines.append("    witness: %s" % witness.detail)
+    if payload["reflexive"]:
         trans = corelations.is_transitive(bm)
         lines.append("  transitive: %s" % ("true" if trans else "false"))
-        payload["transitive"] = trans
-        equiv = refl and symm and trans
     else:
+        trans = None
         lines.append("  transitive: not defined (non-reflexive)")
-        payload["transitive"] = None
-        equiv = False
+    equiv = payload["reflexive"] and payload["symmetric"] and bool(trans)
     lines.append("  equivalence: %s" % ("true" if equiv else "false"))
-    payload["equivalence"] = equiv
+    payload.update(transitive=trans, equivalence=equiv)
     return (EXIT_OK if equiv else EXIT_FALSE), lines, payload
 
 

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .limits import coproduct, copair
+from .limits import coproduct, copair, summand_label
 from .maps import is_surjective
 from .minplus import IntMatrix, int_product, minplus_matmul, scale
 from .quotients import kernel_metric, validate_submetric
-from .spaces import FinSpace, is_separated
+from .spaces import FinSpace, Violation, is_separated
 
 
 @dataclass(frozen=True)
@@ -39,9 +39,6 @@ class BlockMetric:
     def block(self, i, j):
         return getattr(self, "g%d%d" % (i, j))
 
-    def value(self, x, i, y, j):
-        return self.block(i, j)[self.base.index(x)][self.base.index(y)]
-
     def as_matrix(self):
         """The full matrix on X + X (summand 0 first)."""
         common, big, (g00, g01, g10, g11) = scale(
@@ -50,19 +47,23 @@ class BlockMetric:
         rows += [r0 + r1 for r0, r1 in zip(g10, g11)]
         return IntMatrix.from_scaled(common, rows, big)
 
-
-def doubled_space(x_space):
-    space, _, _ = coproduct(x_space, x_space)
-    return space
+    @classmethod
+    def from_matrix(cls, base, full):
+        """The block metric of a matrix on X + X (summand 0 first); the
+        inverse of as_matrix."""
+        full = IntMatrix.of(full)
+        n = base.n
+        if not full.is_square(2 * n):
+            raise ValueError("matrix shape does not match X + X")
+        halves = range(n), range(n, 2 * n)
+        return cls(base, *(full.sub(rows, cols)
+                           for rows in halves for cols in halves))
 
 
 def validate_blockmetric(bm):
     """Violations of the submetric contract against the coproduct metric on X+X."""
-    return validate_submetric(doubled_space(bm.base), bm.as_matrix())
-
-
-def is_valid_blockmetric(bm):
-    return not validate_blockmetric(bm)
+    space, _, _ = coproduct(bm.base, bm.base)
+    return validate_submetric(space, bm.as_matrix())
 
 
 def corelation_from_cospan(q0, q1):
@@ -75,21 +76,19 @@ def corelation_from_cospan(q0, q1):
     folded = copair(q0, q1, xx)
     if not is_surjective(folded):
         raise ValueError("cospan is not jointly surjective, hence not a corelation")
-    full = kernel_metric(folded).gamma
-    n = x_space.n
-    first, second = range(n), range(n, 2 * n)
-    return BlockMetric(
-        base=x_space,
-        g00=full.sub(first, first),
-        g01=full.sub(first, second),
-        g10=full.sub(second, first),
-        g11=full.sub(second, second),
-    )
+    return BlockMetric.from_matrix(x_space, kernel_metric(folded).gamma)
+
+
+def _gamma(bm, x, i, y, j):
+    """The name and the value of gamma((x, i), (y, j)); x, y are indices."""
+    labels = bm.base.labels
+    return ("gamma((%s,%d),(%s,%d))" % (labels[x], i, labels[y], j),
+            bm.block(i, j)[x][y])
 
 
 def reflexive_witness(bm):
-    """The first (x, i, y, j) with d(x, y) > gamma((x, i), (y, j)), as
-    labels and summand indices; None when there is none."""
+    """The first d(x, y) > gamma((x, i), (y, j)), as a non-reflexive
+    Violation at (x, i) and (y, j); None when there is none."""
     labels = bm.base.labels
     _, _, (d, *blocks) = scale(bm.base.dist, bm.g00, bm.g01, bm.g10, bm.g11,
                                terms=1)
@@ -97,7 +96,13 @@ def reflexive_witness(bm):
         for x, (d_row, b_row) in enumerate(zip(d, block)):
             for y, d_xy in enumerate(d_row):
                 if d_xy > b_row[y]:
-                    return labels[x], i, labels[y], j
+                    name, value = _gamma(bm, x, i, y, j)
+                    return Violation("non-reflexive", (
+                        summand_label(i, labels[x]),
+                        summand_label(j, labels[y])),
+                        "d(%s,%s) = %s > %s = %s" % (
+                            labels[x], labels[y], bm.base.dist[x][y],
+                            value, name))
     return None
 
 
@@ -107,9 +112,9 @@ def is_reflexive(bm):
 
 
 def symmetric_witness(bm):
-    """The first (x, i, y, j) in blocks 00 then 01 with
-    gamma((x, i), (y, j)) != gamma((x, 1-i), (y, 1-j)), as labels and
-    summand indices; None when there is none."""
+    """The first gamma((x, i), (y, j)) != gamma((x, 1-i), (y, 1-j)) in
+    blocks 00 then 01, as a non-symmetric Violation at (x, i) and
+    (y, j); None when there is none."""
     labels = bm.base.labels
     _, _, (g00, g01, g10, g11) = scale(bm.g00, bm.g01, bm.g10, bm.g11,
                                        terms=1)
@@ -117,7 +122,12 @@ def symmetric_witness(bm):
         for x, (a_row, b_row) in enumerate(zip(a, b)):
             for y, a_xy in enumerate(a_row):
                 if a_xy != b_row[y]:
-                    return labels[x], i, labels[y], j
+                    (name, value), (name2, value2) = (
+                        _gamma(bm, x, i, y, j), _gamma(bm, x, 1 - i, y, 1 - j))
+                    return Violation("non-symmetric", (
+                        summand_label(i, labels[x]),
+                        summand_label(j, labels[y])),
+                        "%s = %s != %s = %s" % (name, value, value2, name2))
     return None
 
 

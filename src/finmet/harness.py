@@ -21,6 +21,7 @@ from .spaces import FinSpace, sep_reflection
 DEFAULT_GRID = (ZERO, fin(1, 2), fin(1), fin(2), INF)
 MAP_ATTEMPTS = 50  # random draws before the constant-map fallback
 ISO_CAP = 7        # brute_iso_check's largest space: 7! permutations
+MEDIATOR_CAP = 4096  # enumerate_mediators' largest raw search space
 
 
 @dataclass(frozen=True)
@@ -59,20 +60,19 @@ def sample_cost_below(space, rng):
     ]
 
 
-def gen_submetric(space, cfg):
+def gen_submetric(space, seed):
     """A valid submetric: sampled below d, then min-plus closed.
 
     The closure stays below d because d itself is closed.
     """
-    rng = random.Random(cfg.seed)
-    cost = sample_cost_below(space, rng)
+    cost = sample_cost_below(space, random.Random(seed))
     return Submetric(space, minplus_closure(cost))
 
 
-def gen_surjection(space, cfg):
+def gen_surjection(space, seed):
     """A surjection out of a separated space: the quotient of a sampled
     submetric.  Up to isomorphism every surjection arises this way."""
-    return quotient_by_submetric(gen_submetric(space, cfg))
+    return quotient_by_submetric(gen_submetric(space, seed))
 
 
 def gen_nonexpansive_map(source, target, rng):
@@ -94,16 +94,15 @@ def gen_subset(space, rng):
     return tuple(lab for lab in space.labels if rng.random() < 0.5)
 
 
-def enumerate_mediators(source, target, precompose=(), postcompose=(),
-                        cap=4096):
+def enumerate_mediators(source, target, precompose=(), postcompose=()):
     """All non-expansive maps source -> target satisfying the given
     commutation constraints.
 
     precompose: pairs (j, want) requiring h . j = want (j into source);
     postcompose: pairs (p, want) requiring p . h = want (p out of target).
-    Raises when the raw search space exceeds the cap.
+    Raises when the raw search space exceeds MEDIATOR_CAP.
     """
-    if source.n and target.n ** source.n > cap:
+    if source.n and target.n ** source.n > MEDIATOR_CAP:
         raise ValueError("mediator search space exceeds cap")
     out = []
     for assignment in itertools.product(target.labels, repeat=source.n):

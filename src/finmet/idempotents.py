@@ -28,11 +28,6 @@ class CostMatrix:
         freeze_labelled_square(self, "rho", "cost matrix")
 
 
-def minplus_square(cm):
-    """T(rho)(x, y) = min_z rho(x, z) + rho(z, y)."""
-    return CostMatrix(cm.labels, minplus_matmul(cm.rho, cm.rho))
-
-
 def is_idempotent(cm):
     return minplus_matmul(cm.rho, cm.rho) == cm.rho
 

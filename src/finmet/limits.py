@@ -96,10 +96,8 @@ def pullback(f, g):
     """
     if f.target != g.target:
         raise ValueError("pullback needs a common target")
-    prod, p1, p2 = product(f.source, g.source)
-    keep = [lab for lab in prod.labels
-            if f(p1(lab)) == g(p2(lab))]
-    _, incl = subspace(prod, keep)
+    _, p1, p2 = product(f.source, g.source)
+    incl = equalizer(compose(p1, f), compose(p2, g))
     return Square(left=compose(incl, p1), top=compose(incl, p2),
                   bottom=f, right=g)
 

@@ -102,7 +102,7 @@ def suite_factorization(seed):
     for t in range(squares):
         rng = random.Random(_seed(seed, 2, 100000 + t))
         a_space = _space(rng, 0, 3)
-        e = gen_surjection(a_space, GenConfig(seed=rng.getrandbits(63)))
+        e = gen_surjection(a_space, rng.getrandbits(63))
         d_space = _space(rng, 1, 3)
         keep = [lab for lab in d_space.labels if rng.random() < 0.7]
         if not keep:
@@ -125,10 +125,10 @@ def suite_duality(seed):
     for t in range(trials):
         rng = random.Random(_seed(seed, 3, t))
         base = _space(rng, 0, 5)
-        gamma = gen_submetric(base, GenConfig(seed=rng.getrandbits(63)))
+        gamma = gen_submetric(base, rng.getrandbits(63))
         _require(kernel_metric(quotient_by_submetric(gamma)).gamma
                  == gamma.gamma, "kernel round trip fails at trial %d", t)
-        f = gen_surjection(base, GenConfig(seed=rng.getrandbits(63)))
+        f = gen_surjection(base, rng.getrandbits(63))
         eps = counit_iso(f)
         _require(is_isomorphism(eps), "counit not iso at trial %d", t)
         p = quotient_by_submetric(kernel_metric(f))
@@ -137,8 +137,8 @@ def suite_duality(seed):
     for t in range(pairs):
         rng = random.Random(_seed(seed, 3, 100000 + t))
         base = _space(rng, 0, 4)
-        f = gen_surjection(base, GenConfig(seed=rng.getrandbits(63)))
-        g = gen_surjection(base, GenConfig(seed=rng.getrandbits(63)))
+        f = gen_surjection(base, rng.getrandbits(63))
+        g = gen_surjection(base, rng.getrandbits(63))
         by_matrix = quotient_leq(f, g)
         kf, kg = kernel_metric(f).gamma, kernel_metric(g).gamma
         pointwise = all(kg[i][j] <= kf[i][j]
@@ -330,7 +330,7 @@ def suite_effective_exhaustive(seed):
         cross = ((entries[0], entries[1]), (entries[2], entries[3]))
         bm = corelations.BlockMetric(base=x2, g00=x2.dist, g01=cross,
                                      g10=cross, g11=x2.dist)
-        if not corelations.is_valid_blockmetric(bm):
+        if corelations.validate_blockmetric(bm):
             continue
         if not corelations.is_equivalence(bm):
             continue
@@ -483,13 +483,7 @@ def twopoint_corrected_fixture():
         [INF, INF, ZERO, fin(1)],      # (a,1)
         [fin(1), INF, fin(1), ZERO],   # (b,1)
     ]
-    full = minplus_closure(cost)
-    return corelations.BlockMetric(
-        base=x2,
-        g00=tuple(row[:2] for row in full[:2]),
-        g01=tuple(row[2:] for row in full[:2]),
-        g10=tuple(row[:2] for row in full[2:]),
-        g11=tuple(row[2:] for row in full[2:]))
+    return corelations.BlockMetric.from_matrix(x2, minplus_closure(cost))
 
 
 def suite_pinned_fixtures(seed):

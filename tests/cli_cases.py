@@ -33,6 +33,8 @@ CASES = [
     ("corelation_check_corrected", ["corelation", "check", "corrected"]),
     ("corelation_check_literal", ["corelation", "check", "literal"]),
     ("corelation_check_equiva", ["corelation", "check", "equivA"]),
+    ("corelation_check_flat", ["corelation", "check", "flat"]),
+    ("corelation_check_flat_json", ["--json", "corelation", "check", "flat"]),
     ("corelation_effective_equiva", ["corelation", "effective", "equivA"]),
     ("corelation_from_subset_a", ["corelation", "from-subset", "X2", "a"]),
     ("corelation_from_subset_empty", ["corelation", "from-subset", "X2", "-"]),

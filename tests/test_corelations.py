@@ -10,17 +10,16 @@ from hypothesis import strategies as st
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 from finmet.corelations import (BlockMetric, corelation_from_cospan,
-                                doubled_space, gamma_from_subset,
-                                is_effective, is_equivalence, is_reflexive,
-                                is_symmetric, is_transitive,
-                                is_valid_blockmetric, reflexive_witness,
+                                gamma_from_subset, is_effective,
+                                is_equivalence, is_reflexive, is_symmetric,
+                                is_transitive, reflexive_witness,
                                 symmetric_witness, validate_blockmetric,
                                 zero_locus)
 from finmet.extarith import INF, ZERO, fin
 from finmet.harness import GenConfig, gen_metric, gen_subset
 from finmet.maps import FinMap
 from finmet.pushouts import cokernel_pair
-from finmet.spaces import FinSpace
+from finmet.spaces import FinSpace, Violation
 from test_minplus import matrices, reference_product, separated_metric
 
 
@@ -31,11 +30,13 @@ def two_point(v=fin(1)):
 def test_block_layout():
     x2 = two_point()
     bm = gamma_from_subset(x2, ("a",))
-    assert bm.value("a", 0, "b", 1) == fin(1)
-    assert bm.value("b", 0, "b", 1) == fin(2)
+    assert bm.block(0, 1)[0][1] == fin(1)  # (a,0) to (b,1)
+    assert bm.block(0, 1)[1][1] == fin(2)  # (b,0) to (b,1)
     full = bm.as_matrix()
     assert full[0][3] == fin(1)  # (a,0) to (b,1)
-    assert doubled_space(x2).labels == ("0:a", "0:b", "1:a", "1:b")
+    assert BlockMetric.from_matrix(x2, full) == bm
+    with pytest.raises(ValueError):
+        BlockMetric.from_matrix(x2, x2.dist)
 
 
 def test_gamma_subset_pinned_values():
@@ -57,7 +58,7 @@ def test_gamma_subset_always_equivalence_and_effective():
         sp = gen_metric(GenConfig(seed=rng.getrandbits(40), max_points=5))
         subset = gen_subset(sp, rng)
         bm = gamma_from_subset(sp, subset)
-        assert is_valid_blockmetric(bm)
+        assert not validate_blockmetric(bm)
         assert is_equivalence(bm)
         assert zero_locus(bm) == subset
         assert is_effective(bm)
@@ -86,14 +87,18 @@ def test_reflexive_symmetric_predicates():
                        g10=((ZERO, fin(1)), (fin(1), fin(2))),
                        g11=two_point().dist)
     assert not is_symmetric(skew)
-    assert symmetric_witness(skew) == ("b", 0, "b", 1)
+    assert symmetric_witness(skew) == Violation(
+        "non-symmetric", ("0:b", "1:b"),
+        "gamma((b,0),(b,1)) = inf != 2 = gamma((b,1),(b,0))")
 
 
 def test_transitive_requires_reflexive():
     x2 = two_point()
     zero = tuple(tuple(ZERO for _ in range(2)) for _ in range(2))
     flat = BlockMetric(base=x2, g00=zero, g01=zero, g10=zero, g11=zero)
-    assert reflexive_witness(flat) == ("a", 0, "b", 0)
+    assert reflexive_witness(flat) == Violation(
+        "non-reflexive", ("0:a", "0:b"),
+        "d(a,b) = 1 > 0 = gamma((a,0),(b,0))")
     with pytest.raises(ValueError):
         is_transitive(flat)
 
@@ -127,7 +132,7 @@ def test_equivalences_on_two_points_exhaustive():
         cross = ((entries[0], entries[1]), (entries[2], entries[3]))
         bm = BlockMetric(base=x2, g00=x2.dist, g01=cross, g10=cross,
                          g11=x2.dist)
-        if not (is_valid_blockmetric(bm) and is_equivalence(bm)):
+        if validate_blockmetric(bm) or not is_equivalence(bm):
             continue
         found += 1
         assert is_effective(bm)
@@ -144,6 +149,10 @@ def test_cospan_needs_joint_surjectivity():
 
 # -- the integer block checks against the ExtValue loops --------------------
 
+def points(violation):
+    return None if violation is None else violation.points
+
+
 def reference_reflexive_witness(bm):
     d, n = bm.base.dist, bm.base.n
     for i in (0, 1):
@@ -152,7 +161,8 @@ def reference_reflexive_witness(bm):
             for x in range(n):
                 for y in range(n):
                     if not d[x][y] <= block[x][y]:
-                        return bm.base.labels[x], i, bm.base.labels[y], j
+                        return ("%d:%s" % (i, bm.base.labels[x]),
+                                "%d:%s" % (j, bm.base.labels[y]))
     return None
 
 
@@ -163,7 +173,8 @@ def reference_symmetric_witness(bm):
         for x in range(n):
             for y in range(n):
                 if a[x][y] != b[x][y]:
-                    return bm.base.labels[x], i, bm.base.labels[y], j
+                    return ("%d:%s" % (i, bm.base.labels[x]),
+                            "%d:%s" % (j, bm.base.labels[y]))
     return None
 
 
@@ -185,10 +196,11 @@ def block_metrics(draw):
 @settings(deadline=None)
 @given(block_metrics())
 def test_block_checks_match_extvalue_loops(bm):
-    assert reflexive_witness(bm) == reference_reflexive_witness(bm)
-    assert symmetric_witness(bm) == reference_symmetric_witness(bm)
+    assert points(reflexive_witness(bm)) == reference_reflexive_witness(bm)
+    assert points(symmetric_witness(bm)) == reference_symmetric_witness(bm)
     assert bm.as_matrix() == tuple(r0 + r1 for r0, r1 in zip(bm.g00, bm.g01)) \
         + tuple(r0 + r1 for r0, r1 in zip(bm.g10, bm.g11))
+    assert BlockMetric.from_matrix(bm.base, bm.as_matrix()) == bm
 
 
 @settings(deadline=None)

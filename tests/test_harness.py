@@ -3,8 +3,8 @@ import random
 import pytest
 
 from finmet.extarith import ZERO, fin
-from finmet.harness import (DEFAULT_GRID, GenConfig, brute_iso_check,
-                            enumerate_mediators, gen_metric,
+from finmet.harness import (DEFAULT_GRID, MEDIATOR_CAP, GenConfig,
+                            brute_iso_check, enumerate_mediators, gen_metric,
                             gen_nonexpansive_map, gen_submetric,
                             gen_surjection, sample_cost_below)
 from finmet.maps import is_nonexpansive, is_surjective
@@ -46,14 +46,14 @@ def test_sample_cost_below_stays_below():
 def test_gen_submetric_valid():
     for seed in range(100):
         sp = gen_metric(GenConfig(seed=seed, max_points=5))
-        sm = gen_submetric(sp, GenConfig(seed=seed + 1000))
+        sm = gen_submetric(sp, seed + 1000)
         assert not validate_submetric(sm.base, sm.gamma)
 
 
 def test_gen_surjection_surjective_nonexpansive():
     for seed in range(100):
         sp = gen_metric(GenConfig(seed=seed, max_points=5))
-        q = gen_surjection(sp, GenConfig(seed=seed + 2000))
+        q = gen_surjection(sp, seed + 2000)
         assert is_surjective(q) and is_nonexpansive(q)
         assert is_separated(q.target)
 
@@ -71,9 +71,12 @@ def test_gen_nonexpansive_map_total_on_nonempty_target():
 
 
 def test_enumerate_mediators_cap():
-    big = gen_metric(GenConfig(seed=0, max_points=7))
-    with pytest.raises(ValueError):
-        enumerate_mediators(big, big, cap=10)
+    assert 6 ** 6 > MEDIATOR_CAP
+    labels = tuple("p%d" % i for i in range(6))
+    big = FinSpace(labels, [[ZERO if i == j else fin(1) for j in range(6)]
+                            for i in range(6)])
+    with pytest.raises(ValueError, match="exceeds cap"):
+        enumerate_mediators(big, big)
 
 
 def test_brute_iso_check_relabelling():

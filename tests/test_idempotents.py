@@ -11,10 +11,9 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 from finmet.extarith import INF, ZERO, fin
 from finmet.idempotents import (CostMatrix, factor_through_zero_diagonal,
-                                is_idempotent, minplus_square,
-                                relation_density_witness)
+                                is_idempotent, relation_density_witness)
 from finmet.idempotents import FactorReport
-from finmet.minplus import minplus_closure
+from finmet.minplus import minplus_closure, minplus_matmul
 from test_minplus import (SMALL, TINY, reference_closure, reference_product,
                           values)
 
@@ -28,14 +27,14 @@ def closed_matrix(rng, n, grid=None):
 
 def test_square_pinned():
     cm = CostMatrix(("x", "y"), ((fin(1), fin(2)), (ZERO, INF)))
-    sq = minplus_square(cm)
+    sq = minplus_matmul(cm.rho, cm.rho)
     # (x,x): min(1+1, 2+0) = 2; (y,y): min(0+2, inf+inf) = 2
-    assert sq.rho == ((fin(2), fin(3)), (fin(1), fin(2)))
+    assert sq == ((fin(2), fin(3)), (fin(1), fin(2)))
 
 
 def test_empty_matrix_is_its_own_square():
     cm = CostMatrix((), ())
-    assert minplus_square(cm).rho == cm.rho == ()
+    assert minplus_matmul(cm.rho, cm.rho) == cm.rho == ()
     assert is_idempotent(cm)
     report = factor_through_zero_diagonal(cm)
     assert report == FactorReport(zero_diagonal=(), witnesses={}, failures=())

@@ -71,3 +71,15 @@ def test_workloads_read_matrix_entries(monkeypatch):
     workloads = importlib.import_module("workloads")
     assert workloads.q(IntMatrix(2, [[0, 1], [None, 4]])) == [
         [Fraction(0), Fraction(1, 2)], [None, Fraction(2)]]
+
+
+def test_large_n_round_meets_its_contract(monkeypatch, tmp_path):
+    """One large-n round reads the blocks of a BlockMetric, the pushout's
+    gamma, apex and legs, the factor report and a cost matrix's rho; a
+    renamed attribute fails its check here, not only in the benchmark."""
+    monkeypatch.syspath_prepend(_PERFBENCH)
+    workloads = importlib.import_module("workloads")
+    large = workloads.LargeN(0, tmp_path)
+    large.load()
+    for op in large.round(0):
+        assert op.check(op.run()) is None

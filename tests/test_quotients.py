@@ -53,7 +53,7 @@ def test_kernel_metric_below_d_random():
     rng = random.Random(51)
     for t in range(100):
         sp = gen_metric(GenConfig(seed=rng.getrandbits(40), max_points=4))
-        q = gen_surjection(sp, GenConfig(seed=rng.getrandbits(40)))
+        q = gen_surjection(sp, rng.getrandbits(40))
         km = kernel_metric(q)
         assert not validate_submetric(km.base, km.gamma)
 
@@ -76,7 +76,7 @@ def test_quotient_random_properties():
     rng = random.Random(53)
     for t in range(150):
         sp = gen_metric(GenConfig(seed=rng.getrandbits(40), max_points=4))
-        sm = gen_submetric(sp, GenConfig(seed=rng.getrandbits(40)))
+        sm = gen_submetric(sp, rng.getrandbits(40))
         p = quotient_by_submetric(sm)
         assert is_surjective(p) and is_nonexpansive(p)
         assert is_separated(p.target)
@@ -89,7 +89,7 @@ def test_counit_iso_random():
     rng = random.Random(57)
     for t in range(150):
         sp = gen_metric(GenConfig(seed=rng.getrandbits(40), max_points=4))
-        f = gen_surjection(sp, GenConfig(seed=rng.getrandbits(40)))
+        f = gen_surjection(sp, rng.getrandbits(40))
         eps = counit_iso(f)
         assert is_isomorphism(eps)
         p = quotient_by_submetric(kernel_metric(f))
@@ -100,8 +100,8 @@ def test_quotient_leq_matches_mediator_search():
     rng = random.Random(59)
     for t in range(100):
         sp = gen_metric(GenConfig(seed=rng.getrandbits(40), max_points=3))
-        f = gen_surjection(sp, GenConfig(seed=rng.getrandbits(40)))
-        g = gen_surjection(sp, GenConfig(seed=rng.getrandbits(40)))
+        f = gen_surjection(sp, rng.getrandbits(40))
+        g = gen_surjection(sp, rng.getrandbits(40))
         claim = quotient_leq(f, g)
         meds = enumerate_mediators(f.target, g.target, precompose=((f, g),))
         assert claim == bool(meds)

@@ -17,7 +17,7 @@ import json
 import sys
 from typing import NamedTuple
 
-from . import corelations, idempotents, pushouts, selftest
+from . import corelations, idempotents, pushouts
 from .limits import coproduct, equalizer, product
 from .maps import factorize
 from .quotients import kernel_metric, quotient_by_submetric, quotient_leq
@@ -62,6 +62,12 @@ def _report_violations(title, violations):
         payload.append({"kind": v.kind, "points": list(v.points),
                         "detail": v.detail})
     return EXIT_FALSE, lines, {"ok": False, "violations": payload}
+
+
+def _refused(title, exc):
+    """The exit-1 report of a property the library refused to decide:
+    one line, title and the error, and the error as the payload."""
+    return EXIT_FALSE, ["%s: %s" % (title, exc)], {"error": str(exc)}
 
 
 def cmd_validate(ws, args):
@@ -184,11 +190,10 @@ def cmd_corelation_check(ws, args):
 def cmd_corelation_effective(ws, args):
     bm = ws.blockmetric(args.name)
     try:
-        verdict = corelations.is_effective(bm)
+        locus = corelations.zero_locus(bm)
+        verdict = corelations.is_effective(bm, locus)
     except ValueError as exc:
-        return EXIT_FALSE, ["corelation effective %s: %s" % (args.name, exc)], \
-            {"error": str(exc)}
-    locus = corelations.zero_locus(bm)
+        return _refused("corelation effective %s" % args.name, exc)
     lines = ["corelation effective %s: %s"
              % (args.name, "true" if verdict else "false"),
              "  zero locus: %s" % (" ".join(locus) if locus else "-")]
@@ -218,8 +223,7 @@ def cmd_idempotent_factor(ws, args):
     try:
         report = idempotents.factor_through_zero_diagonal(cm)
     except ValueError as exc:
-        return EXIT_FALSE, ["idempotent factor %s: %s" % (args.name, exc)], \
-            {"error": str(exc)}
+        return _refused("idempotent factor %s" % args.name, exc)
     lines = ["idempotent factor %s:" % args.name,
              "  zero diagonal: %s" % (" ".join(report.zero_diagonal)
                                       if report.zero_diagonal else "-")]
@@ -237,12 +241,16 @@ def cmd_relation_witness(ws, args):
     try:
         w = idempotents.relation_density_witness(rel, args.x, args.y)
     except ValueError as exc:
-        return EXIT_FALSE, ["relation witness: %s" % exc], {"error": str(exc)}
+        return _refused("relation witness", exc)
     return EXIT_OK, ["relation witness %s %s %s: %s"
                      % (args.name, args.x, args.y, w)], {"witness": w}
 
 
 def cmd_selftest(_ws, args):
+    # Only this command needs the suites and their generators, so the
+    # other commands do not pay for importing them.
+    from . import selftest
+
     results = selftest.run_suite(args.suite, seed=args.seed)
     lines = [r.line() for r in results]
     ok = all(r.ok for r in results)

@@ -9,32 +9,27 @@ cokernel-pair corelation of its zero locus.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .limits import coproduct, copair, summand_label
 from .maps import is_surjective
 from .minplus import IntMatrix, int_product, minplus_matmul, scale
 from .quotients import kernel_metric, validate_submetric
-from .spaces import FinSpace, Violation, is_separated
+from .spaces import Frozen, Violation, is_separated
 
 
-@dataclass(frozen=True)
-class BlockMetric:
+class BlockMetric(Frozen):
     """blocks[i][j][x][y] encodes the distance from (x, i) to (y, j)."""
 
-    base: FinSpace
-    g00: IntMatrix
-    g01: IntMatrix
-    g10: IntMatrix
-    g11: IntMatrix
+    __slots__ = ("base", "g00", "g01", "g10", "g11")
 
-    def __post_init__(self):
-        n = self.base.n
-        for name in ("g00", "g01", "g10", "g11"):
-            block = IntMatrix.of(getattr(self, name))
-            object.__setattr__(self, name, block)
+    def __init__(self, base, g00, g01, g10, g11):
+        set_ = object.__setattr__
+        set_(self, "base", base)
+        n = base.n
+        for name, block in zip(self.__slots__[1:], (g00, g01, g10, g11)):
+            block = IntMatrix.of(block)
             if not block.is_square(n):
                 raise ValueError("block %s shape does not match base" % name)
+            set_(self, name, block)
 
     def block(self, i, j):
         return getattr(self, "g%d%d" % (i, j))
@@ -177,11 +172,14 @@ def zero_locus(bm):
                  if rows[a][a] == 0)
 
 
-def is_effective(bm):
+def is_effective(bm, locus=None):
     """Exact equality with the subset block metric of the zero locus.
 
     Every valid equivalence is effective; the predicate exists so that
-    theorem can be asserted exhaustively.
+    theorem can be asserted exhaustively.  A caller that already holds
+    zero_locus(bm) passes it as locus, so the equivalence is not
+    checked again.
     """
-    locus = zero_locus(bm)  # raises on non-equivalence input
+    if locus is None:
+        locus = zero_locus(bm)  # raises on non-equivalence input
     return bm == gamma_from_subset(bm.base, locus)

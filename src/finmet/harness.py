@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 
 from .extarith import INF, ZERO, fin
 from .maps import FinMap, compose, is_nonexpansive
 from .minplus import minplus_closure
 from .quotients import Submetric, quotient_by_submetric
-from .spaces import FinSpace, sep_reflection
+from .spaces import FinSpace, Frozen, sep_reflection
 
 DEFAULT_GRID = (ZERO, fin(1, 2), fin(1), fin(2), INF)
 MAP_ATTEMPTS = 50  # random draws before the constant-map fallback
@@ -24,14 +23,15 @@ ISO_CAP = 7        # brute_iso_check's largest space: 7! permutations
 MEDIATOR_CAP = 4096  # enumerate_mediators' largest raw search space
 
 
-@dataclass(frozen=True)
-class GenConfig:
-    seed: int = 0
-    max_points: int = 4
+class GenConfig(Frozen):
+    __slots__ = ("seed", "max_points")
 
-    def __post_init__(self):
-        if self.max_points < 0:
+    def __init__(self, seed=0, max_points=4):
+        if max_points < 0:
             raise ValueError("max_points must be >= 0")
+        set_ = object.__setattr__
+        set_(self, "seed", seed)
+        set_(self, "max_points", max_points)
 
 
 def gen_metric(cfg):

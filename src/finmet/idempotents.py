@@ -13,33 +13,34 @@ x R y is the lemma's zero-diagonal witness of the pair (x, y).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .minplus import IntMatrix, minplus_matmul, scale
-from .spaces import freeze_labelled_square, label_index
+from .minplus import minplus_matmul, scale
+from .spaces import Frozen, freeze_labelled_square, label_index
 
 
-@dataclass(frozen=True)
-class CostMatrix:
-    labels: tuple
-    rho: IntMatrix
+class CostMatrix(Frozen):
+    __slots__ = ("labels", "rho")
 
-    def __post_init__(self):
-        freeze_labelled_square(self, "rho", "cost matrix")
+    def __init__(self, labels, rho):
+        freeze_labelled_square(self, labels, "rho", rho, "cost matrix")
 
 
 def is_idempotent(cm):
     return minplus_matmul(cm.rho, cm.rho) == cm.rho
 
 
-@dataclass(frozen=True)
-class FactorReport:
+class FactorReport(Frozen):
     """Witness table for routing an idempotent matrix through its
-    zero-diagonal points."""
+    zero-diagonal points: zero_diagonal holds the labels with
+    rho(a, a) = 0, witnesses maps (x, y) to a label or None, and
+    failures lists the finite pairs with no witness."""
 
-    zero_diagonal: tuple                 # labels with rho(a, a) = 0
-    witnesses: dict = field(default_factory=dict)  # (x, y) -> label or None
-    failures: tuple = ()                 # finite pairs with no witness
+    __slots__ = ("zero_diagonal", "witnesses", "failures")
+
+    def __init__(self, zero_diagonal, witnesses=None, failures=()):
+        set_ = object.__setattr__
+        set_(self, "zero_diagonal", zero_diagonal)
+        set_(self, "witnesses", {} if witnesses is None else witnesses)
+        set_(self, "failures", failures)
 
     @property
     def ok(self):

@@ -3,30 +3,29 @@ coproducts with cross-distance infinity, equalizers, and pullbacks."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .maps import FinMap, compose, is_isomorphism, subspace
 from .minplus import IntMatrix, scale
-from .spaces import FinSpace
+from .spaces import FinSpace, Frozen
 
 
-@dataclass(frozen=True)
-class Square:
+class Square(Frozen):
     """A commuting square: bottom . left = right . top (apex = left.source)."""
 
-    left: FinMap    # W -> U
-    top: FinMap     # W -> V
-    bottom: FinMap  # U -> T
-    right: FinMap   # V -> T
+    # left: W -> U, top: W -> V, bottom: U -> T, right: V -> T.
+    __slots__ = ("left", "top", "bottom", "right")
 
-    def __post_init__(self):
-        if self.left.source != self.top.source:
+    def __init__(self, left, top, bottom, right):
+        if left.source != top.source:
             raise ValueError("square legs do not share an apex")
-        if self.bottom.target != self.right.target:
+        if bottom.target != right.target:
             raise ValueError("square sides do not share a codomain")
-        if (self.left.target != self.bottom.source
-                or self.top.target != self.right.source):
+        if left.target != bottom.source or top.target != right.source:
             raise ValueError("square sides do not match legs")
+        set_ = object.__setattr__
+        set_(self, "left", left)
+        set_(self, "top", top)
+        set_(self, "bottom", bottom)
+        set_(self, "right", right)
 
     def commutes(self):
         a = compose(self.left, self.bottom)

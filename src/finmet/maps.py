@@ -6,25 +6,27 @@ and the (surjection, embedding) factorization through the image.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .minplus import scale
-from .spaces import FinSpace, Violation, is_separated, raise_first_violation
+from .spaces import (FinSpace, Frozen, Violation, is_separated,
+                     raise_first_violation)
 
 
-@dataclass(frozen=True)
-class FinMap:
-    source: FinSpace
-    target: FinSpace
-    assignment: tuple  # target labels, in source label order
+class FinMap(Frozen):
+    # assignment holds target labels, in source label order.
+    __slots__ = ("source", "target", "assignment")
 
-    def __post_init__(self):
-        object.__setattr__(self, "assignment", tuple(self.assignment))
-        if len(self.assignment) != self.source.n:
+    def __init__(self, source, target, assignment):
+        assignment = tuple(assignment)
+        if len(assignment) != source.n:
             raise ValueError("assignment length does not match source size")
-        for lab in self.assignment:
-            if lab not in self.target.labels:
+        labels = target.labels
+        for lab in assignment:
+            if lab not in labels:
                 raise ValueError("assignment hits unknown target point %r" % (lab,))
+        set_ = object.__setattr__
+        set_(self, "source", source)
+        set_(self, "target", target)
+        set_(self, "assignment", assignment)
 
     def __call__(self, label):
         return self.assignment[self.source.index(label)]

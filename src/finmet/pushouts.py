@@ -11,20 +11,25 @@ raw gluing costs so the two routes can be compared exactly.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .limits import Square, coproduct
 from .maps import (FinMap, compose, is_embedding, is_nonexpansive,
                    require_nonexpansive)
 from .minplus import IntMatrix, int_product, minplus_closure, scale
 from .quotients import Submetric, quotient_by_submetric
-from .spaces import is_separated
+from .spaces import Frozen, is_separated
 
 
-@dataclass(frozen=True)
-class PushoutResult:
-    square: Square       # left: A -> B, top: A -> X, bottom/right: legs into P
-    gamma: Submetric     # the submetric on B + X the apex was built from
+class PushoutResult(Frozen):
+    # square has left: A -> B, top: A -> X, and bottom, right: the legs
+    # into the apex P; gamma is the submetric on B + X the apex was
+    # built from.
+    __slots__ = ("square", "gamma")
+
+    def __init__(self, square, gamma):
+        set_ = object.__setattr__
+        set_(self, "square", square)
+        set_(self, "gamma", gamma)
 
     @property
     def apex(self):

@@ -4,25 +4,24 @@ between surjections out of X and submetrics on X."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .maps import FinMap, is_surjective, require_nonexpansive
 from .minplus import IntMatrix, scale
-from .spaces import (FinSpace, Violation, is_separated, metric_violations,
+from .spaces import (Frozen, Violation, is_separated, metric_violations,
                      quotient_by_zero_classes)
 
 
-@dataclass(frozen=True)
-class Submetric:
+class Submetric(Frozen):
     """A (possibly non-separated) metric on base's points, pointwise below d."""
 
-    base: FinSpace
-    gamma: IntMatrix
+    __slots__ = ("base", "gamma")
 
-    def __post_init__(self):
-        object.__setattr__(self, "gamma", IntMatrix.of(self.gamma))
-        if not self.gamma.is_square(self.base.n):
+    def __init__(self, base, gamma):
+        gamma = IntMatrix.of(gamma)
+        if not gamma.is_square(base.n):
             raise ValueError("submetric matrix shape does not match base")
+        set_ = object.__setattr__
+        set_(self, "base", base)
+        set_(self, "gamma", gamma)
 
     def value(self, x, y):
         return self.gamma[self.base.index(x)][self.base.index(y)]

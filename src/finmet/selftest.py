@@ -13,28 +13,30 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, replace
 
 from . import corelations, idempotents, pushouts
 from .extarith import INF, ZERO, fin
 from .harness import (DEFAULT_GRID, GenConfig, brute_iso_check,
                       enumerate_mediators, gen_metric, gen_nonexpansive_map,
                       gen_submetric, gen_subset, gen_surjection)
-from .limits import equalizer, is_pullback_square
+from .limits import Square, equalizer, is_pullback_square
 from .maps import (FinMap, compose, factorize, is_embedding, is_isomorphism,
                    is_surjective, subspace)
 from .minplus import IntMatrix, minplus_closure
 from .quotients import (counit_iso, kernel_metric, quotient_by_submetric,
                         quotient_leq)
-from .spaces import FinSpace, is_separated, validate_metric
+from .spaces import FinSpace, Frozen, is_separated, validate_metric
 
 
-@dataclass(frozen=True)
-class CriterionResult:
-    number: int
-    name: str
-    ok: bool
-    detail: str = ""
+class CriterionResult(Frozen):
+    __slots__ = ("number", "name", "ok", "detail")
+
+    def __init__(self, number, name, ok, detail=""):
+        set_ = object.__setattr__
+        set_(self, "number", number)
+        set_(self, "name", name)
+        set_(self, "ok", ok)
+        set_(self, "detail", detail)
 
     def line(self):
         status = "PASS" if self.ok else "FAIL"
@@ -200,8 +202,8 @@ def _redirect(result, apex, relabel):
         return FinMap(m.source, apex, tuple(map(relabel, m.assignment)))
 
     sq = result.square
-    return replace(result, square=replace(sq, bottom=leg(sq.bottom),
-                                          right=leg(sq.right)))
+    return pushouts.PushoutResult(
+        Square(sq.left, sq.top, leg(sq.bottom), leg(sq.right)), result.gamma)
 
 
 def _corrupt_lower(result):

@@ -10,18 +10,61 @@ not assumed.  The checks here run on the matrix's ints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import attrgetter
 
 from .minplus import IntMatrix, scale
 
 
-@dataclass(frozen=True)
-class Violation:
+class Frozen:
+    """An immutable record whose fields are its class's __slots__.
+
+    A subclass's __init__ sets each field once through
+    object.__setattr__.  == holds between instances of one class with
+    equal fields, the hash is that of the fields' tuple, and repr reads
+    Name(field=value, ...), as for a frozen dataclass.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._values = attrgetter(*cls.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    def __delattr__(self, name):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        values = self._values
+        return values(self) == values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __reduce__(self):
+        # copy rebuilds through __init__, as it cannot set an immutable slot.
+        return type(self), self._values(self)
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(
+            "%s=%r" % (name, getattr(self, name)) for name in self.__slots__))
+
+
+class Violation(Frozen):
     """One violated axiom instance, with the points that witness it."""
 
-    kind: str
-    points: tuple
-    detail: str
+    __slots__ = ("kind", "points", "detail")
+
+    def __init__(self, kind, points, detail):
+        set_ = object.__setattr__
+        set_(self, "kind", kind)
+        set_(self, "points", points)
+        set_(self, "detail", detail)
 
     def __str__(self):
         return "%s at (%s): %s" % (self.kind, ", ".join(self.points), self.detail)
@@ -33,13 +76,13 @@ def raise_first_violation(what, violations):
         raise ValueError("%s: %s" % (what, violations[0]))
 
 
-def freeze_labelled_square(obj, field, what):
-    """Freeze obj.labels to a tuple and the matrix obj.<field> to an
-    IntMatrix, in place, and check that the labels are unique and the
-    matrix is square over them.  Shared by every frozen
-    labels-plus-square-matrix class."""
-    labels = tuple(obj.labels)
-    matrix = IntMatrix.of(getattr(obj, field))
+def freeze_labelled_square(obj, labels, field, matrix, what):
+    """Set obj.labels to labels as a tuple and obj.<field> to matrix as
+    an IntMatrix, once the labels are unique and the matrix is square
+    over them.  Shared by every frozen labels-plus-square-matrix
+    class."""
+    labels = tuple(labels)
+    matrix = IntMatrix.of(matrix)
     n = len(labels)
     if len(set(labels)) != n:
         raise ValueError("duplicate point labels")
@@ -57,13 +100,12 @@ def label_index(labels, label):
         raise KeyError("no point labelled %r" % (label,)) from None
 
 
-@dataclass(frozen=True)
-class FinSpace:
-    labels: tuple
-    dist: IntMatrix  # row-major, dist[i][j] = d(labels[i], labels[j])
+class FinSpace(Frozen):
+    # dist is row-major: dist[i][j] = d(labels[i], labels[j]).
+    __slots__ = ("labels", "dist")
 
-    def __post_init__(self):
-        freeze_labelled_square(self, "dist", "distance matrix")
+    def __init__(self, labels, dist):
+        freeze_labelled_square(self, labels, "dist", dist, "distance matrix")
 
     @property
     def n(self):

@@ -16,7 +16,6 @@ when its object is first asked for.  `Workspace.get` (so `ws.space`,
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from functools import partialmethod
 
 from . import extarith
@@ -112,13 +111,13 @@ TABLE = {
 KINDS = tuple(TABLE)
 
 
-@dataclass
 class Workspace:
     """Named objects of every kind: objects[kind][name], and the
     violations of each object's contract once they have been asked for."""
 
-    objects: dict = field(default_factory=lambda: {k: {} for k in KINDS})
-    _checked: dict = field(default_factory=dict, init=False, repr=False)
+    def __init__(self):
+        self.objects = {k: {} for k in KINDS}
+        self._checked = {}
 
     def lookup(self, kind, name):
         """The named object, whether or not it meets its contract."""

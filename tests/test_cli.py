@@ -1,5 +1,6 @@
 import json
 import os
+import subprocess
 import sys
 
 import pytest
@@ -7,7 +8,7 @@ import pytest
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 from cli_cases import BAD_INPUT_CASES, CASES, TRIANGLE_X, WORKSPACE, run_case
-from finmet import cli
+from finmet import cli, corelations
 from finmet.workspace import dump_workspace, load_workspace, load_workspace_file
 
 
@@ -160,3 +161,79 @@ def test_pushout_oracle_flag_reports_agreement():
                           "--oracle"])
     assert code == 0
     assert "formula vs oracle: AGREE" in out
+
+
+_NOT_IDEMPOTENT = {"objects": [
+    {"kind": "costmatrix", "name": "C", "points": ["x", "y"],
+     "matrix": [["1", "1"], ["inf", "0"]]}]}
+
+
+@pytest.mark.parametrize("doc,argv,line", [
+    (WORKSPACE, ["corelation", "effective", "single"],
+     "corelation effective single: zero locus is only defined for "
+     "equivalences"),
+    (_NOT_IDEMPOTENT, ["idempotent", "factor", "C"],
+     "idempotent factor C: input is not min-plus idempotent"),
+    (WORKSPACE, ["relation", "witness", "R", "x", "z"],
+     "relation witness: pair is not related"),
+], ids=["corelation_effective", "idempotent_factor", "relation_witness"])
+def test_library_refusal_is_an_exit_1_report(doc, argv, line, tmp_path,
+                                              capsys):
+    """A property the library refuses to decide exits 1 with one line,
+    the command's title and the error, and the error as JSON payload."""
+    if isinstance(doc, dict):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        doc = str(path)
+    assert cli.main(["-w", doc] + argv) == 1
+    assert cli.main(["-w", doc, "--json"] + argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    error = line.split(": ", 1)[1]
+    assert captured.out == line + "\n" + json.dumps(
+        {"error": error, "ok": False}, indent=2, sort_keys=True) + "\n"
+
+
+def test_corelation_effective_checks_the_equivalence_once(monkeypatch):
+    calls = []
+    real = corelations.is_equivalence
+    monkeypatch.setattr(corelations, "is_equivalence",
+                        lambda bm: calls.append(bm) or real(bm))
+    code, out = run_case(["corelation", "effective", "equivA"])
+    assert code == 0 and out.startswith("corelation effective equivA: true")
+    assert len(calls) == 1
+
+
+# Run with -S, so that no .pth file imports anything first, and with src
+# put on sys.path by hand in place of PYTHONPATH.
+_FOOTPRINT = """
+import sys
+sys.path.insert(0, %r)
+import finmet.%s
+print(" ".join(m for m in ("dataclasses", "finmet.selftest", "finmet.harness")
+               if m in sys.modules))
+"""
+_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "src")
+
+
+@pytest.mark.parametrize("module", ["cli", "workspace"])
+def test_import_leaves_out_dataclasses_and_the_suites(module):
+    out = subprocess.run([sys.executable, "-S", "-c",
+                          _FOOTPRINT % (_SRC, module)],
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == ""
+
+
+def test_selftest_command_imports_the_suites_when_it_runs():
+    code = _FOOTPRINT % (_SRC, "cli") + (
+        "code = finmet.cli.main(['selftest', '--suite', 'pinned-fixtures'])\n"
+        "assert 'finmet.selftest' in sys.modules\n"
+        "sys.exit(code)\n")
+    proc = subprocess.run([sys.executable, "-S", "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == ""
+    assert lines[1].startswith("criterion 11 pinned-fixtures") \
+        and "PASS" in lines[1]

@@ -1,0 +1,172 @@
+"""Every record class is a `spaces.Frozen` subclass: immutable, equal and
+hashed by its fields within one class, and refusing bad fields in its
+constructor with the same ValueError text as before."""
+
+import copy
+
+import pytest
+
+from finmet.corelations import BlockMetric
+from finmet.extarith import ZERO, fin
+from finmet.harness import GenConfig
+from finmet.idempotents import CostMatrix, FactorReport
+from finmet.limits import Square
+from finmet.maps import FinMap, identity
+from finmet.minplus import IntMatrix
+from finmet.pushouts import PushoutResult
+from finmet.quotients import Submetric
+from finmet.selftest import CriterionResult
+from finmet.spaces import FinSpace, Frozen, Violation
+
+LABELS = ("a", "b")
+MATRIX = IntMatrix(1, [[0, 1], [1, 0]])
+ONE = FinSpace(("c",), ((ZERO,),))
+
+
+def _space():
+    return FinSpace(LABELS, MATRIX)
+
+
+def _square():
+    ident = identity(_space())
+    return Square(ident, ident, ident, ident)
+
+
+# Each factory builds a new instance with the same fields on every call.
+FACTORIES = {
+    "Violation": lambda: Violation("triangle", ("a", "b", "c"), "2 > 1 + 0"),
+    "FinSpace": _space,
+    "FinMap": lambda: FinMap(_space(), ONE, ("c", "c")),
+    "Submetric": lambda: Submetric(_space(), MATRIX),
+    "Square": _square,
+    "PushoutResult": lambda: PushoutResult(_square(),
+                                           Submetric(_space(), MATRIX)),
+    "BlockMetric": lambda: BlockMetric(_space(), MATRIX, MATRIX, MATRIX,
+                                       MATRIX),
+    "CostMatrix": lambda: CostMatrix(LABELS, MATRIX),
+    "FactorReport": lambda: FactorReport(("a",), {("a", "a"): "a"}, ()),
+    "GenConfig": lambda: GenConfig(seed=3, max_points=5),
+    "CriterionResult": lambda: CriterionResult(1, "metric-laws", True, "ok"),
+}
+# A dict field makes a record unhashable, as it made the frozen dataclass.
+UNHASHABLE = {"FactorReport"}
+
+
+def test_every_record_class_is_covered():
+    assert {cls.__name__ for cls in Frozen.__subclasses__()} == set(FACTORIES)
+
+
+@pytest.mark.parametrize("name", sorted(FACTORIES))
+def test_record_is_immutable(name):
+    obj = FACTORIES[name]()
+    field = type(obj).__slots__[0]
+    before = getattr(obj, field)
+    with pytest.raises(AttributeError):
+        setattr(obj, field, None)
+    with pytest.raises(AttributeError):
+        delattr(obj, field)
+    with pytest.raises(AttributeError):
+        obj.extra = 1
+    assert getattr(obj, field) is before
+
+
+@pytest.mark.parametrize("name", sorted(FACTORIES))
+def test_equal_fields_give_equal_records(name):
+    a, b = FACTORIES[name](), FACTORIES[name]()
+    assert a is not b
+    assert a == b and not a != b
+    if name in UNHASHABLE:
+        with pytest.raises(TypeError):
+            hash(a)
+    else:
+        assert hash(a) == hash(b)
+        assert hash(a) == hash(tuple(getattr(a, f)
+                                     for f in type(a).__slots__))
+
+
+@pytest.mark.parametrize("name", sorted(FACTORIES))
+def test_copy_rebuilds_an_equal_record(name):
+    obj = FACTORIES[name]()
+    clone = copy.copy(obj)
+    assert type(clone) is type(obj) and clone == obj
+
+
+def test_records_of_different_classes_differ():
+    assert CostMatrix(LABELS, MATRIX) != FinSpace(LABELS, MATRIX)
+    assert FinSpace(LABELS, MATRIX) != CostMatrix(LABELS, MATRIX)
+    assert Submetric(_space(), MATRIX) != (_space(), MATRIX)
+
+
+def test_fields_differ_records_differ():
+    assert GenConfig(seed=1) != GenConfig(seed=2)
+    assert FinSpace(LABELS, MATRIX) != FinSpace(("a", "z"), MATRIX)
+
+
+def test_factor_report_defaults_are_fresh():
+    first, second = FactorReport(("a",)), FactorReport(("a",))
+    assert first.witnesses == {} and first.failures == ()
+    assert first.witnesses is not second.witnesses
+    first.witnesses[("a", "a")] = "a"
+    assert second.witnesses == {}
+
+
+def test_repr_names_the_fields():
+    assert repr(GenConfig(3, 5)) == "GenConfig(seed=3, max_points=5)"
+    assert repr(Violation("k", ("a",), "d")) == (
+        "Violation(kind='k', points=('a',), detail='d')")
+    assert repr(CriterionResult(2, "x", False)) == (
+        "CriterionResult(number=2, name='x', ok=False, detail='')")
+
+
+def test_constructors_normalise_their_fields():
+    space = FinSpace(["a", "b"], ((ZERO, fin(1)), (fin(1), ZERO)))
+    assert space.labels == LABELS and space.dist == MATRIX
+    assert isinstance(space.dist, IntMatrix)
+    f = FinMap(space, space, ["b", "a"])
+    assert f.assignment == ("b", "a")
+    assert isinstance(CostMatrix(["a", "b"], MATRIX).labels, tuple)
+    bm = BlockMetric(base=space, g00=space.dist, g01=MATRIX, g10=MATRIX,
+                     g11=((ZERO, fin(1)), (fin(1), ZERO)))
+    assert bm.g11 == MATRIX and isinstance(bm.g11, IntMatrix)
+
+
+# P is the two-point space and ONE the one-point space.
+P = _space()
+ID_P, TO_Q, ID_Q = identity(P), FinMap(P, ONE, ("c", "c")), identity(ONE)
+WRONG = IntMatrix(1, [[0]])
+REFUSALS = {
+    "space_duplicate_labels": (lambda: FinSpace(("a", "a"), MATRIX),
+                               "duplicate point labels"),
+    "cost_duplicate_labels": (lambda: CostMatrix(("a", "a"), MATRIX),
+                              "duplicate point labels"),
+    "space_shape": (lambda: FinSpace(LABELS, WRONG),
+                    "distance matrix shape does not match label count"),
+    "cost_shape": (lambda: CostMatrix(LABELS, WRONG),
+                   "cost matrix shape does not match label count"),
+    "submetric_shape": (lambda: Submetric(P, WRONG),
+                        "submetric matrix shape does not match base"),
+    "block_shape_g01": (lambda: BlockMetric(P, MATRIX, WRONG, MATRIX, MATRIX),
+                        "block g01 shape does not match base"),
+    "block_shape_g11": (lambda: BlockMetric(P, MATRIX, MATRIX, MATRIX, WRONG),
+                        "block g11 shape does not match base"),
+    "assignment_length": (lambda: FinMap(P, P, ("a",)),
+                          "assignment length does not match source size"),
+    "unknown_target_point": (lambda: FinMap(P, P, ("a", "zzz")),
+                             "assignment hits unknown target point 'zzz'"),
+    "square_apex": (lambda: Square(ID_P, ID_Q, ID_P, ID_P),
+                    "square legs do not share an apex"),
+    "square_codomain": (lambda: Square(ID_P, ID_P, ID_P, TO_Q),
+                        "square sides do not share a codomain"),
+    "square_legs": (lambda: Square(ID_P, ID_P, ID_Q, TO_Q),
+                    "square sides do not match legs"),
+    "negative_max_points": (lambda: GenConfig(max_points=-1),
+                            "max_points must be >= 0"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSALS))
+def test_constructor_refusals_keep_their_text(name):
+    build, text = REFUSALS[name]
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value) == text

@@ -139,12 +139,18 @@ def is_transitive(bm):
     """
     if not is_reflexive(bm):
         raise ValueError("transitivity is only defined for reflexive inputs")
+    return _cross_blocks_idempotent(bm)
+
+
+def _cross_blocks_idempotent(bm):
     return (bm.g01 == minplus_matmul(bm.g01, bm.g01)
             and bm.g10 == minplus_matmul(bm.g10, bm.g10))
 
 
 def is_equivalence(bm):
-    return is_reflexive(bm) and is_symmetric(bm) and is_transitive(bm)
+    # Reflexivity is checked once, not again as transitivity's precondition.
+    return (is_reflexive(bm) and is_symmetric(bm)
+            and _cross_blocks_idempotent(bm))
 
 
 def gamma_from_subset(x_space, subset):

@@ -3,6 +3,9 @@
 Values are exact rationals (via fractions.Fraction) or the single
 infinity element.  (min, +) makes this a commutative semiring with
 additive identity INF and multiplicative identity 0; + saturates at INF.
+
+Frozen, the immutable base of every finmet value and record, lives here
+at the bottom of the import graph.
 """
 
 from __future__ import annotations
@@ -10,10 +13,59 @@ from __future__ import annotations
 import functools
 import re
 from fractions import Fraction
+from operator import attrgetter
+
+
+class Frozen:
+    """An immutable object whose fields are its class's __slots__, unless
+    the class declares them: class C(Frozen, fields=("a", "b")).
+
+    A subclass's __init__ sets each slot once through
+    object.__setattr__.  == holds between instances of one class with
+    equal fields, the hash is that of the fields' tuple, copy and pickle
+    rebuild through __init__, and repr reads Name(field=value, ...), as
+    for a frozen dataclass.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, fields=None):
+        cls._fields = fields = fields or cls.__slots__
+        get = attrgetter(*fields)
+        # attrgetter of one name gives the bare value, not a 1-tuple.
+        cls._values = (get if len(fields) > 1
+                       else staticmethod(lambda obj: (get(obj),)))
+        # A class that widens == keeps the hash of its fields.
+        if cls.__dict__.get("__hash__", Frozen.__hash__) is None:
+            del cls.__hash__
+
+    def __setattr__(self, name, value):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    def __delattr__(self, name):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        values = self._values
+        return values(self) == values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __reduce__(self):
+        return type(self), self._values(self)
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(
+            "%s=%r" % (name, getattr(self, name)) for name in self._fields))
 
 
 @functools.total_ordering
-class ExtValue:
+class ExtValue(Frozen):
     """A point of [0, inf]: a non-negative rational in lowest terms, or INF."""
 
     __slots__ = ("_frac",)
@@ -30,9 +82,6 @@ class ExtValue:
                 raise ValueError("negative value: %s" % frac)
         object.__setattr__(self, "_frac", frac)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("ExtValue is immutable")
-
     @property
     def is_inf(self):
         return self._frac is None
@@ -44,11 +93,6 @@ class ExtValue:
             raise ValueError("infinite value has no finite part")
         return self._frac
 
-    def __eq__(self, other):
-        if not isinstance(other, ExtValue):
-            return NotImplemented
-        return self._frac == other._frac
-
     def __lt__(self, other):
         if not isinstance(other, ExtValue):
             return NotImplemented
@@ -57,9 +101,6 @@ class ExtValue:
         if other._frac is None:
             return True
         return self._frac < other._frac
-
-    def __hash__(self):
-        return hash(("ExtValue", self._frac))
 
     def __add__(self, other):
         if not isinstance(other, ExtValue):

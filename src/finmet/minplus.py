@@ -20,21 +20,13 @@ on plain ints, and the result is again an IntMatrix.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import chain
 from math import gcd, lcm
 
-from .extarith import INF, fin
+from .extarith import INF, Frozen, fin
 
 
-# Matrices built from one another share most of their entries, and
-# ExtValue is immutable, so they may share the converted values too.
-@lru_cache(maxsize=4096)
-def _ext_value(x, den):
-    return fin(x, den)
-
-
-class IntMatrix:
+class IntMatrix(Frozen, fields=("den", "rows")):
     """A frozen matrix over [0, inf]: entry (i, j) is rows[i][j] / den, or
     INF where rows[i][j] is None.
 
@@ -61,9 +53,6 @@ class IntMatrix:
         # The largest finite numerator, which bounds every finite entry.
         set_(self, "top", max(finite, default=0) // g)
         set_(self, "_ext", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IntMatrix is immutable")
 
     @classmethod
     def of(cls, matrix):
@@ -109,7 +98,7 @@ class IntMatrix:
         ext = self._ext
         if ext is None:
             den = self.den
-            value = {x: INF if x is None else _ext_value(x, den)
+            value = {x: INF if x is None else fin(x, den)
                      for x in set(chain.from_iterable(self.rows))}.__getitem__
             ext = tuple(tuple(map(value, row)) for row in self.rows)
             object.__setattr__(self, "_ext", ext)
@@ -125,17 +114,12 @@ class IntMatrix:
         return iter(self.ext())
 
     def __eq__(self, other):
-        if self is other:
-            return True
         if not isinstance(other, IntMatrix):
             try:
                 other = IntMatrix.of(other)
             except TypeError:
                 return NotImplemented
-        return self.den == other.den and self.rows == other.rows
-
-    def __hash__(self):
-        return hash((self.den, self.rows))
+        return Frozen.__eq__(self, other)
 
     def __repr__(self):
         return "IntMatrix(%r)" % ([[v.token() for v in row]

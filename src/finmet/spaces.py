@@ -10,49 +10,8 @@ not assumed.  The checks here run on the matrix's ints.
 
 from __future__ import annotations
 
-from operator import attrgetter
-
+from .extarith import Frozen
 from .minplus import IntMatrix, scale
-
-
-class Frozen:
-    """An immutable record whose fields are its class's __slots__.
-
-    A subclass's __init__ sets each field once through
-    object.__setattr__.  == holds between instances of one class with
-    equal fields, the hash is that of the fields' tuple, and repr reads
-    Name(field=value, ...), as for a frozen dataclass.
-    """
-
-    __slots__ = ()
-
-    def __init_subclass__(cls):
-        cls._values = attrgetter(*cls.__slots__)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("%s is immutable" % type(self).__name__)
-
-    def __delattr__(self, name):
-        raise AttributeError("%s is immutable" % type(self).__name__)
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        values = self._values
-        return values(self) == values(other)
-
-    def __hash__(self):
-        return hash(self._values(self))
-
-    def __reduce__(self):
-        # copy rebuilds through __init__, as it cannot set an immutable slot.
-        return type(self), self._values(self)
-
-    def __repr__(self):
-        return "%s(%s)" % (type(self).__qualname__, ", ".join(
-            "%s=%r" % (name, getattr(self, name)) for name in self.__slots__))
 
 
 class Violation(Frozen):

@@ -183,7 +183,7 @@ def load_workspace_file(path):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ValueError("workspace is not valid JSON: %s" % exc) from exc
     return load_workspace(doc)
 

@@ -32,6 +32,18 @@ def test_malformed_json_is_bad_input(tmp_path, capsys):
     assert cli.main(["-w", str(p), "validate", "space", "X2"]) == 2
 
 
+def test_deeply_nested_json_is_bad_input(tmp_path, capsys):
+    # json.dumps cannot build a document nested this deep, so write it raw.
+    p = tmp_path / "deep.json"
+    p.write_text("[" * 200000)
+    assert cli.main(["-w", str(p), "validate", "space", "X"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(
+        "error: workspace is not valid JSON:")
+
+
 def test_wrong_document_shape(tmp_path):
     p = tmp_path / "ws.json"
     p.write_text(json.dumps({"objects": {"kind": "space"}}))

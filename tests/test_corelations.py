@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
+from finmet import corelations
 from finmet.corelations import (BlockMetric, corelation_from_cospan,
                                 gamma_from_subset, is_effective,
                                 is_equivalence, is_reflexive, is_symmetric,
@@ -112,6 +113,16 @@ def test_transitivity_counterexample():
     assert is_reflexive(bm)
     assert not is_transitive(bm)
     assert not is_equivalence(bm)
+
+
+def test_equivalence_checks_reflexivity_once(monkeypatch):
+    calls = []
+    real = corelations.reflexive_witness
+    monkeypatch.setattr(corelations, "reflexive_witness",
+                        lambda bm: calls.append(bm) or real(bm))
+    x2 = two_point()
+    assert is_equivalence(gamma_from_subset(x2, ("a",)))
+    assert len(calls) == 1
 
 
 def test_validate_blockmetric_catches_above_coproduct():

@@ -1,13 +1,16 @@
-"""Every record class is a `spaces.Frozen` subclass: immutable, equal and
-hashed by its fields within one class, and refusing bad fields in its
-constructor with the same ValueError text as before."""
+"""Every value and record class is a `Frozen` subclass: immutable, equal
+and hashed by its fields within one class, rebuilt equal by copy and
+pickle, and refusing bad fields in its constructor with the same
+ValueError text as before."""
 
 import copy
+import pickle
 
 import pytest
 
+from finmet import extarith
 from finmet.corelations import BlockMetric
-from finmet.extarith import ZERO, fin
+from finmet.extarith import ExtValue, ZERO, fin
 from finmet.harness import GenConfig
 from finmet.idempotents import CostMatrix, FactorReport
 from finmet.limits import Square
@@ -34,6 +37,8 @@ def _square():
 
 # Each factory builds a new instance with the same fields on every call.
 FACTORIES = {
+    "ExtValue": lambda: fin(1, 2),
+    "IntMatrix": lambda: IntMatrix(2, [[0, 1], [None, 0]]),
     "Violation": lambda: Violation("triangle", ("a", "b", "c"), "2 > 1 + 0"),
     "FinSpace": _space,
     "FinMap": lambda: FinMap(_space(), ONE, ("c", "c")),
@@ -81,7 +86,7 @@ def test_equal_fields_give_equal_records(name):
     else:
         assert hash(a) == hash(b)
         assert hash(a) == hash(tuple(getattr(a, f)
-                                     for f in type(a).__slots__))
+                                     for f in type(a)._fields))
 
 
 @pytest.mark.parametrize("name", sorted(FACTORIES))
@@ -89,6 +94,22 @@ def test_copy_rebuilds_an_equal_record(name):
     obj = FACTORIES[name]()
     clone = copy.copy(obj)
     assert type(clone) is type(obj) and clone == obj
+
+
+@pytest.mark.parametrize("name", sorted(FACTORIES))
+def test_deepcopy_and_pickle_round_trip(name):
+    obj = FACTORIES[name]()
+    for clone in (copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
+        assert type(clone) is type(obj) and clone == obj
+        if name not in UNHASHABLE:
+            assert hash(clone) == hash(obj)
+
+
+def test_parsed_value_cannot_be_deleted():
+    value = extarith.parse("1")
+    with pytest.raises(AttributeError):
+        del value._frac
+    assert extarith.parse("1") == ExtValue(1)
 
 
 def test_records_of_different_classes_differ():

@@ -50,6 +50,18 @@ def test_suite_that_raises_gives_fail_line(monkeypatch, capsys):
         "(KeyError: \"no point labelled 'zz'\")\n")
 
 
+def test_gamma_subset_checks_each_equivalence_twice(monkeypatch):
+    """Suite 8 checks each trial's equivalence once on its own and once
+    inside zero_locus, whose locus it then reuses."""
+    calls = []
+    real = corelations.is_equivalence
+    monkeypatch.setattr(corelations, "is_equivalence",
+                        lambda bm: calls.append(bm) or real(bm))
+    (result,) = selftest.run_suite("gamma-subset", seed=0)
+    assert result.ok
+    assert len(calls) == 600
+
+
 def test_grid_idempotents_match_full_scan():
     """The pruned search keeps exactly the idempotents of the unpruned
     scan, in the same order: cost matrices over the grid up to 3 points,

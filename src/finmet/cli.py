@@ -348,7 +348,9 @@ def main(argv=None):
             ws = load_workspace_file(args.workspace)
         code, lines, payload = args.handler(ws, args)
     except (ValueError, KeyError, OSError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
+        # str() of a KeyError quotes its message; print the message.
+        msg = exc.args[0] if isinstance(exc, KeyError) else exc
+        print("error: %s" % msg, file=sys.stderr)
         return EXIT_BAD_INPUT
     if args.as_json:
         payload = dict(payload)

@@ -216,6 +216,15 @@ def test_corelation_effective_checks_the_equivalence_once(monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("argv", [["relation", "witness", "R", "x", "nope"],
+                                  ["corelation", "from-subset", "X2", "nope"]])
+def test_unknown_label_error_line_is_unquoted(argv, capsys):
+    assert cli.main(["-w", WORKSPACE] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: no point labelled 'nope'\n"
+
+
 # Run with -S, so that no .pth file imports anything first, and with src
 # put on sys.path by hand in place of PYTHONPATH.
 _FOOTPRINT = """

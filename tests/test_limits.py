@@ -82,6 +82,24 @@ def test_copair_universal_property_brute():
         assert [m.assignment for m in meds] == [h.assignment]
 
 
+def test_map_out_of_coproduct_is_nonexpansive_iff_both_restrictions_are():
+    # B + X is infinitely far across its summands, so only a pair inside
+    # one summand can be stretched.
+    rng = random.Random(5)
+    outcomes = []
+    for t in range(300):
+        b, x, tgt = (gen_metric(GenConfig(seed=rng.getrandbits(40),
+                                          max_points=3)) for _ in range(3))
+        cop, j1, j2 = coproduct(b, x)
+        h = FinMap(cop, tgt,
+                   tuple(rng.choice(tgt.labels) for _ in cop.labels))
+        ok = is_nonexpansive(h)
+        assert ok == (is_nonexpansive(compose(j1, h))
+                      and is_nonexpansive(compose(j2, h)))
+        outcomes.append(ok)
+    assert True in outcomes and False in outcomes
+
+
 def test_equalizer_pinned():
     x2 = two_point()
     swap = FinMap(x2, x2, ("b", "a"))

@@ -99,6 +99,19 @@ def test_universal_property_sampled():
                                         seed=rng.getrandbits(40))
 
 
+def test_universal_check_builds_the_coproduct_once(monkeypatch):
+    from finmet import pushouts
+    result = pushout_along_embedding(*worked_instance())
+    calls = {"coproduct": 0, "compose": 0}
+    for name in calls:
+        def counted(*args, _real=getattr(pushouts, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(pushouts, name, counted)
+    assert verify_pushout_universal(result, trials=100, seed=0)
+    assert calls == {"coproduct": 1, "compose": 0}
+
+
 def test_requires_embedding():
     x2 = FinSpace(("a", "b"), ((ZERO, fin(1)), (fin(1), ZERO)))
     one = FinSpace(("*",), ((ZERO,),))

@@ -9,9 +9,11 @@ cokernel-pair corelation of its zero locus.
 
 from __future__ import annotations
 
+from operator import gt, ne
+
 from .limits import coproduct, copair, summand_label
 from .maps import is_surjective
-from .minplus import IntMatrix, int_product, minplus_matmul, scale
+from .minplus import IntMatrix, int_product, minplus_matmul, pointwise, scale
 from .quotients import kernel_metric, validate_submetric
 from .spaces import Frozen, Violation, is_separated
 
@@ -84,20 +86,14 @@ def _gamma(bm, x, i, y, j):
 def reflexive_witness(bm):
     """The first d(x, y) > gamma((x, i), (y, j)), as a non-reflexive
     Violation at (x, i) and (y, j); None when there is none."""
-    labels = bm.base.labels
-    _, _, (d, *blocks) = scale(bm.base.dist, bm.g00, bm.g01, bm.g10, bm.g11,
-                               terms=1)
-    for (i, j), block in zip(((0, 0), (0, 1), (1, 0), (1, 1)), blocks):
-        for x, (d_row, b_row) in enumerate(zip(d, block)):
-            for y, d_xy in enumerate(d_row):
-                if d_xy > b_row[y]:
-                    name, value = _gamma(bm, x, i, y, j)
-                    return Violation("non-reflexive", (
-                        summand_label(i, labels[x]),
-                        summand_label(j, labels[y])),
-                        "d(%s,%s) = %s > %s = %s" % (
-                            labels[x], labels[y], bm.base.dist[x][y],
-                            value, name))
+    labels, dist = bm.base.labels, bm.base.dist
+    for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        for x, y in pointwise(dist, bm.block(i, j), gt):
+            name, value = _gamma(bm, x, i, y, j)
+            return Violation("non-reflexive", (
+                summand_label(i, labels[x]), summand_label(j, labels[y])),
+                "d(%s,%s) = %s > %s = %s" % (
+                    labels[x], labels[y], dist[x][y], value, name))
     return None
 
 
@@ -111,18 +107,13 @@ def symmetric_witness(bm):
     blocks 00 then 01, as a non-symmetric Violation at (x, i) and
     (y, j); None when there is none."""
     labels = bm.base.labels
-    _, _, (g00, g01, g10, g11) = scale(bm.g00, bm.g01, bm.g10, bm.g11,
-                                       terms=1)
-    for (i, j), a, b in (((0, 0), g00, g11), ((0, 1), g01, g10)):
-        for x, (a_row, b_row) in enumerate(zip(a, b)):
-            for y, a_xy in enumerate(a_row):
-                if a_xy != b_row[y]:
-                    (name, value), (name2, value2) = (
-                        _gamma(bm, x, i, y, j), _gamma(bm, x, 1 - i, y, 1 - j))
-                    return Violation("non-symmetric", (
-                        summand_label(i, labels[x]),
-                        summand_label(j, labels[y])),
-                        "%s = %s != %s = %s" % (name, value, value2, name2))
+    for i, j in ((0, 0), (0, 1)):
+        for x, y in pointwise(bm.block(i, j), bm.block(1 - i, 1 - j), ne):
+            (name, value), (name2, value2) = (
+                _gamma(bm, x, i, y, j), _gamma(bm, x, 1 - i, y, 1 - j))
+            return Violation("non-symmetric", (
+                summand_label(i, labels[x]), summand_label(j, labels[y])),
+                "%s = %s != %s = %s" % (name, value, value2, name2))
     return None
 
 

@@ -125,9 +125,5 @@ def brute_iso_check(m1, m2):
         raise ValueError("space too large for brute-force isomorphism search")
     if m1.n != m2.n:
         return False
-    n = m1.n
-    for perm in itertools.permutations(range(n)):
-        if all(m1.dist[i][j] == m2.dist[perm[i]][perm[j]]
-               for i in range(n) for j in range(n)):
-            return True
-    return False
+    return any(m2.dist.sub(p, p) == m1.dist
+               for p in itertools.permutations(range(m1.n)))

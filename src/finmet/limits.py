@@ -34,7 +34,33 @@ class Square(Frozen):
 
 
 def pair_label(x, y):
-    return "(%s,%s)" % (x, y)
+    """The label "(x,y)" of a point of a product, with each part as
+    _pair_part writes it, so distinct pairs have distinct labels."""
+    return "(%s,%s)" % (_pair_part(x), _pair_part(y))
+
+
+def _pair_part(label):
+    """label itself when its parentheses balance, no comma lies outside
+    them and it holds no quote or backslash; otherwise label in double
+    quotes, with its quotes and backslashes escaped by a backslash.
+
+    Either way the part ends at a comma outside parentheses and quotes,
+    so the first part of a pair label can be read back from it.
+    """
+    depth = 0
+    for ch in label:
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+            if depth < 0:
+                break
+        elif ch in '"\\' or (ch == "," and depth == 0):
+            break
+    else:
+        if depth == 0:
+            return label
+    return '"%s"' % label.replace("\\", "\\\\").replace('"', '\\"')
 
 
 def product(m1, m2):

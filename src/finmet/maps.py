@@ -6,7 +6,9 @@ and the (surjection, embedding) factorization through the image.
 
 from __future__ import annotations
 
-from .minplus import scale
+from operator import gt
+
+from .minplus import pointwise
 from .spaces import (FinSpace, Frozen, Violation, is_separated,
                      raise_first_violation)
 
@@ -41,24 +43,24 @@ def identity(space):
     return FinMap(space, space, space.labels)
 
 
+def pulled_metric(f):
+    """The target metric read along f: entry (i, j) is
+    d_target(f(x_i), f(x_j)) for source points x_i, x_j."""
+    idx = [f.target.index(lab) for lab in f.assignment]
+    return f.target.dist.sub(idx, idx)
+
+
 def check_nonexpansive(f):
     """All pairs with d_target(f(x), f(y)) > d_source(x, y); empty means valid."""
-    out = []
-    src, tgt = f.source, f.target
-    idx = [tgt.index(lab) for lab in f.assignment]
-    _, _, (s, t) = scale(src.dist, tgt.dist, terms=1)
-    for i, s_row in enumerate(s):
-        t_row = t[idx[i]]
-        for j, s_ij in enumerate(s_row):
-            if t_row[idx[j]] > s_ij:
-                out.append(Violation(
-                    "expansive", (src.labels[i], src.labels[j]),
-                    "%s > %s" % (tgt.dist[idx[i]][idx[j]], src.dist[i][j])))
-    return out
+    labels, dist = f.source.labels, f.source.dist
+    pulled = pulled_metric(f)
+    return [Violation("expansive", (labels[i], labels[j]),
+                      "%s > %s" % (pulled[i][j], dist[i][j]))
+            for i, j in pointwise(pulled, dist, gt)]
 
 
 def is_nonexpansive(f):
-    return not check_nonexpansive(f)
+    return not any(pointwise(pulled_metric(f), f.source.dist, gt))
 
 
 def require_nonexpansive(f):
@@ -79,12 +81,7 @@ def is_injective(f):
 
 def is_embedding(f):
     """Injective with the source metric the exact restriction of the target's."""
-    if not is_injective(f):
-        return False
-    src, tgt = f.source, f.target
-    idx = [tgt.index(lab) for lab in f.assignment]
-    _, _, (s, t) = scale(src.dist, tgt.dist, terms=1)
-    return all(s_row == [t[i][j] for j in idx] for s_row, i in zip(s, idx))
+    return is_injective(f) and pulled_metric(f) == f.source.dist
 
 
 def is_surjective(f):

@@ -11,16 +11,18 @@ pushout formula builds its mixed blocks from it.  The closure here is
 the all-pairs shortest-path saturation: the least matrix below the given
 costs that satisfies the triangle inequality.  It doubles as the
 independent oracle for the explicit pushout formula and as the repair
-step of the random-space generator.
+step of the random-space generator.  The entrywise comparison serves
+every order check of two matrices: non-expansive maps, submetrics below
+d, the order of quotients and the corelation laws.
 
 Every kernel is exact integer arithmetic: its operands are put over one
 common denominator (a no-op when they already share it), the loops run
-on plain ints, and the result is again an IntMatrix.
+on plain ints, and a matrix result is again an IntMatrix.
 """
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, compress, count
 from math import gcd, lcm
 
 from .extarith import INF, Frozen, fin
@@ -157,6 +159,20 @@ def int_product(rows, other, ncols, big):
         else:
             out.append(shifted[0] if shifted else [big] * ncols)
     return out
+
+
+def pointwise(a, b, op):
+    """Yield, in row-major order, each (i, j) at which op(a[i][j], b[i][j])
+    holds, for two matrices of one shape.
+
+    op, such as operator.gt, compares ints over one common denominator,
+    INF above every finite value.  The scan is lazy: a caller that takes
+    the first item stops at the first entry where op holds.
+    """
+    _, _, (a, b) = scale(a, b, terms=1)
+    for i, (a_row, b_row) in enumerate(zip(a, b)):
+        for j in compress(count(), map(op, a_row, b_row)):
+            yield i, j
 
 
 def minplus_matmul(a, b):

@@ -4,8 +4,10 @@ between surjections out of X and submetrics on X."""
 
 from __future__ import annotations
 
-from .maps import FinMap, is_surjective, require_nonexpansive
-from .minplus import IntMatrix, scale
+from operator import gt
+
+from .maps import FinMap, is_surjective, pulled_metric, require_nonexpansive
+from .minplus import IntMatrix, pointwise
 from .spaces import (Frozen, Violation, is_separated, metric_violations,
                      quotient_by_zero_classes)
 
@@ -32,22 +34,17 @@ def validate_submetric(base, gamma):
     gamma = IntMatrix.of(gamma)
     if not gamma.is_square(base.n):
         raise ValueError("submetric matrix shape does not match base")
-    out = metric_violations(base.labels, gamma)
-    _, _, (g, d) = scale(gamma, base.dist, terms=1)
-    for i, (g_row, d_row) in enumerate(zip(g, d)):
-        for j, d_ij in enumerate(d_row):
-            if g_row[j] > d_ij:
-                out.append(Violation(
-                    "above-ambient", (base.labels[i], base.labels[j]),
-                    "%s > %s" % (gamma[i][j], base.dist[i][j])))
-    return out
+    labels = base.labels
+    return metric_violations(labels, gamma) + [
+        Violation("above-ambient", (labels[i], labels[j]),
+                  "%s > %s" % (gamma[i][j], base.dist[i][j]))
+        for i, j in pointwise(gamma, base.dist, gt)]
 
 
 def kernel_metric(f):
     """kappa_f(x, y) = d_target(f(x), f(y)); below d_source by non-expansiveness."""
     require_nonexpansive(f)
-    idx = [f.target.index(lab) for lab in f.assignment]
-    return Submetric(f.source, f.target.dist.sub(idx, idx))
+    return Submetric(f.source, pulled_metric(f))
 
 
 def quotient_by_submetric(sm):
@@ -73,10 +70,8 @@ def quotient_leq(f, g):
         raise ValueError("quotients must share a source")
     if not (is_surjective(f) and is_surjective(g)):
         raise ValueError("quotient comparison needs surjective morphisms")
-    _, _, (kg, kf) = scale(kernel_metric(g).gamma, kernel_metric(f).gamma,
-                           terms=1)
-    return all(u <= v for g_row, f_row in zip(kg, kf)
-               for u, v in zip(g_row, f_row))
+    return not any(pointwise(kernel_metric(g).gamma, kernel_metric(f).gamma,
+                             gt))
 
 
 def counit_iso(f):

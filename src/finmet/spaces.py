@@ -106,13 +106,10 @@ def metric_violations(labels, dist):
 
 
 def is_separated(space):
-    """No distinct pair at distance 0 in both directions."""
-    rows = space.dist.rows
-    for i, row in enumerate(rows):
-        for j in range(i + 1, len(rows)):
-            if row[j] == 0 and rows[j][i] == 0:
-                return False
-    return True
+    """No distinct pair at distance 0 in both directions: one zero class
+    per point."""
+    classes, _ = zero_classes(space.labels, space.dist)
+    return len(classes) == space.n
 
 
 def zero_classes(labels, mat):
@@ -132,7 +129,7 @@ def zero_classes(labels, mat):
         assigned[i] = len(classes)
         row = rows[i]
         for j in range(i + 1, n):
-            if assigned[j] is None and row[j] == 0 and rows[j][i] == 0:
+            if row[j] == 0 and rows[j][i] == 0 and assigned[j] is None:
                 members.append(j)
                 assigned[j] = len(classes)
         classes.append(tuple(members))

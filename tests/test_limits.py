@@ -5,6 +5,7 @@ import sys
 
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
@@ -12,7 +13,7 @@ from finmet.extarith import INF, ZERO, fin
 from finmet.harness import (GenConfig, enumerate_mediators, gen_metric,
                             gen_nonexpansive_map)
 from finmet.limits import (Square, coproduct, copair, equalizer,
-                           is_pullback_square, product, pullback)
+                           is_pullback_square, pair_label, product, pullback)
 from finmet.maps import FinMap, compose, identity, is_embedding, is_nonexpansive
 from finmet.spaces import FinSpace, is_separated, validate_metric
 from test_minplus import SMALL, TINY, square
@@ -167,6 +168,53 @@ def test_is_pullback_raises_on_noncommuting():
                 bottom=identity(x2), right=identity(x2))
     with pytest.raises(ValueError):
         is_pullback_square(sq)
+
+
+# -- product labels ---------------------------------------------------------
+
+def test_product_labels_with_commas_stay_distinct():
+    x = FinSpace(("a,b", "a"), ((ZERO, fin(1)), (fin(1), ZERO)))
+    y = FinSpace(("c", "b,c"), ((ZERO, fin(2)), (fin(2), ZERO)))
+    prod, p1, p2 = product(x, y)
+    assert prod.labels == ('("a,b",c)', '("a,b","b,c")', "(a,c)",
+                           '(a,"b,c")')
+    assert [(p1(lab), p2(lab)) for lab in prod.labels] == [
+        ("a,b", "c"), ("a,b", "b,c"), ("a", "c"), ("a", "b,c")]
+    # Balanced labels, nested pair labels among them, keep their names.
+    assert pair_label("(a,b)", "c") == "((a,b),c)"
+    assert pair_label("((a,b),c)", "f(x)") == "(((a,b),c),f(x))"
+
+
+def test_pullback_square_over_labels_with_commas():
+    x = FinSpace(("a,b", "a", 'q"'), ((ZERO, fin(1), fin(2)),
+                                      (fin(1), ZERO, fin(1)),
+                                      (fin(2), fin(1), ZERO)))
+    y = FinSpace(("c", "b,c"), ((ZERO, fin(2)), (fin(2), ZERO)))
+    t = FinSpace((")",), ((ZERO,),))
+    f = FinMap(x, t, (")",) * 3)
+    g = FinMap(y, t, (")",) * 2)
+    sq = pullback(f, g)
+    assert sq.left.source.n == 6
+    assert is_pullback_square(sq)
+    # The same apex under other labels is still recognized.
+    apex = sq.left.source
+    renamed = FinSpace(tuple("w%d" % k for k in range(apex.n)), apex.dist)
+    other = Square(left=FinMap(renamed, x, sq.left.assignment),
+                   top=FinMap(renamed, y, sq.top.assignment),
+                   bottom=f, right=g)
+    assert is_pullback_square(other)
+
+
+# Labels over the characters that delimit parts of a pair label.
+delimiter_labels = st.text(alphabet='a,()"\\', max_size=5)
+
+
+@settings(deadline=None)
+@given(st.sets(st.tuples(delimiter_labels, delimiter_labels), max_size=40))
+@example({("a,b", "c"), ("a", "b,c")})
+@example({('"', ""), ("", '"'), ('\\', ""), ('"\\"', "")})
+def test_pair_label_is_injective(pairs):
+    assert len({pair_label(x, y) for x, y in pairs}) == len(pairs)
 
 
 # -- the integer sup and block assembly against the ExtValue loops ----------

@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
+from finmet import maps as maps_module
 from finmet.extarith import INF, ZERO, fin
 from finmet.harness import GenConfig, gen_metric, gen_nonexpansive_map
 from finmet.maps import (FinMap, check_nonexpansive, compose, factorize,
                          identity, is_embedding, is_injective, is_isomorphism,
                          is_nonexpansive, is_surjective, subspace)
+from finmet.quotients import quotient_leq
 from finmet.spaces import FinSpace, Violation
 from test_minplus import matrices
 
@@ -103,6 +105,23 @@ def test_factorize_random_round_trip():
         assert set(i.assignment) == set(f.assignment)
 
 
+def test_predicates_build_no_violations(monkeypatch):
+    # A yes/no question stops at the first failing entry and reports
+    # nothing, so it never builds a Violation.
+    def no_violations(*args):
+        raise AssertionError("a predicate built a Violation")
+
+    monkeypatch.setattr(maps_module, "Violation", no_violations)
+    assert not is_nonexpansive(FinMap(two_point(fin(1)), two_point(fin(2)),
+                                      ("a", "b")))
+    # f glues u with v and g glues v with w: neither factors through
+    # the other.
+    sp, x2 = three_chain(), two_point()
+    f = FinMap(sp, x2, ("a", "a", "b"))
+    g = FinMap(sp, x2, ("a", "b", "b"))
+    assert not quotient_leq(f, g) and not quotient_leq(g, f)
+
+
 def test_factorize_requires_separation():
     glued = FinSpace(("a", "b"), ((ZERO, ZERO), (ZERO, ZERO)))
     f = FinMap(glued, two_point(INF), ("a", "a"))
@@ -154,6 +173,7 @@ def maps(draw):
 @given(maps())
 def test_map_checks_match_extvalue_loops(f):
     assert check_nonexpansive(f) == reference_check_nonexpansive(f)
+    assert is_nonexpansive(f) == (not reference_check_nonexpansive(f))
     assert is_embedding(f) == reference_is_embedding(f)
     keep = set(f.assignment)
     sub, incl = subspace(f.target, keep)

@@ -1,5 +1,6 @@
 import random
 from math import gcd
+from operator import gt, ne
 
 import pytest
 from hypothesis import example, given, settings
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from finmet.extarith import INF, ZERO, ExtValue, fin
 from finmet.minplus import (IntMatrix, int_product, minplus_closure,
-                            minplus_matmul, scale)
+                            minplus_matmul, pointwise, scale)
 
 
 def rand_cost(rng, n, zero_diag=False):
@@ -177,6 +178,28 @@ def test_product_matches_extvalue_loop(pair):
     assert out == reference_product(rows, cols)
     assert len(out) == len(rows)
     assert all(len(row) == len(cols) for row in out)
+
+
+# Two matrices of one shape, either dimension possibly 0.
+same_shape = st.tuples(st.integers(0, 4), st.integers(0, 4)).flatmap(
+    lambda s: st.tuples(matrices(*s), matrices(*s)))
+
+
+@settings(deadline=None)
+@given(same_shape, st.sampled_from((gt, ne)))
+@example(([], []), gt)
+@example(([[INF, INF, fin(1)]], [[INF, fin(1), INF]]), gt)
+@example(([[INF, INF, fin(1)]], [[INF, fin(1), INF]]), ne)
+@example(([[TINY, SMALL], [fin(1, 3), INF]],
+          [[SMALL, TINY], [fin(2, 6), fin(2 ** 70)]]), gt)
+@example(([[TINY, SMALL], [fin(1, 3), INF]],
+          [[SMALL, TINY], [fin(2, 6), fin(2 ** 70)]]), ne)
+def test_pointwise_matches_extvalue_loop(pair, op):
+    a, b = pair
+    want = [(i, j) for i, row in enumerate(a) for j, u in enumerate(row)
+            if op(u, b[i][j])]
+    assert list(pointwise(a, b, op)) == want
+    assert list(pointwise(IntMatrix.of(a), IntMatrix.of(b), op)) == want
 
 
 def test_empty_inner_dimension_is_inf():

@@ -17,7 +17,10 @@ d, the order of quotients and the corelation laws.
 
 Every kernel is exact integer arithmetic: its operands are put over one
 common denominator (a no-op when they already share it), the loops run
-on plain ints, and a matrix result is again an IntMatrix.
+on plain ints, and a matrix result is again an IntMatrix.  The closure,
+the product and the triangle check (spaces.metric_violations) loop only
+over finite terms, the columns that finite_columns lists: a sum with an
+INF term is INF, so it can neither lower a minimum nor break a triangle.
 """
 
 from __future__ import annotations
@@ -143,21 +146,31 @@ def scale(*matrices, terms):
     return common, big, [m.scaled(f, big) for m, f in zip(ms, factors)]
 
 
+def finite_columns(row, big):
+    """The columns at which row is below big, in order: the only terms
+    through this row of a min-plus sum that can be finite."""
+    return [j for j, x in enumerate(row) if x < big]
+
+
 def int_product(rows, other, ncols, big):
     """out[i][j] = min_k rows[i][k] + other[k][j] on scaled ints, with
-    ncols columns; an empty minimum is big.
+    ncols columns; an empty minimum, and every INF one, is big.
 
-    Row i is the elementwise minimum of the rows of other, each shifted
-    by rows[i][k]; a shift by INF is skipped, as every sum it gives is.
+    Only finite terms are visited: each finite rows[i][k] is added to
+    the finite entries of other[k], and the sums are kept in row i's
+    running minima.
     """
+    finite = [finite_columns(o_row, big) for o_row in other]
     out = []
     for row in rows:
-        shifted = [[w + v for v in o_row]
-                   for w, o_row in zip(row, other) if w < big]
-        if len(shifted) > 1:
-            out.append(list(map(min, *shifted)))
-        else:
-            out.append(shifted[0] if shifted else [big] * ncols)
+        acc = [big] * ncols
+        for w, o_row, cols in zip(row, other, finite):
+            if w < big:
+                for j in cols:
+                    s = w + o_row[j]
+                    if s < acc[j]:
+                        acc[j] = s
+        out.append(acc)
     return out
 
 
@@ -192,13 +205,15 @@ def minplus_closure(cost):
     # Every relaxed value is a shortest path or cycle of at most n arcs.
     common, big, (dist,) = scale(cost, terms=max(n, 2))
     for k in range(n):
+        # Row k stays fixed while k is the pivot, as d(k, k) >= 0; its
+        # INF entries relax nothing.
         row_k = dist[k]
-        for i in range(n):
-            row_i = dist[i]
+        cols = finite_columns(row_k, big)
+        for row_i in dist:
             dik = row_i[k]
             if dik >= big:
                 continue
-            for j in range(n):
+            for j in cols:
                 cand = dik + row_k[j]
                 if cand < row_i[j]:
                     row_i[j] = cand

@@ -43,8 +43,10 @@ def validate_submetric(base, gamma):
 
 def kernel_metric(f):
     """kappa_f(x, y) = d_target(f(x), f(y)); below d_source by non-expansiveness."""
-    require_nonexpansive(f)
-    return Submetric(f.source, pulled_metric(f))
+    pulled = pulled_metric(f)
+    if any(pointwise(pulled, f.source.dist, gt)):
+        require_nonexpansive(f)
+    return Submetric(f.source, pulled)
 
 
 def quotient_by_submetric(sm):

@@ -11,7 +11,7 @@ not assumed.  The checks here run on the matrix's ints.
 from __future__ import annotations
 
 from .extarith import Frozen
-from .minplus import IntMatrix, scale
+from .minplus import IntMatrix, finite_columns, scale
 
 
 class Violation(Frozen):
@@ -87,17 +87,19 @@ def metric_violations(labels, dist):
     out = []
     n = len(labels)
     dist = IntMatrix.of(dist)
-    _, _, (ints,) = scale(dist, terms=2)
+    _, big, (ints,) = scale(dist, terms=2)
     for i in range(n):
         if ints[i][i] != 0:
             out.append(Violation("nonzero-diagonal", (labels[i],),
                                  "d(x,x) = %s" % dist[i][i]))
-    for i in range(n):
-        row_i = ints[i]
-        for j in range(n):
+    # An INF d(i, j) or d(j, k) cannot break d(i, k) <= d(i, j) + d(j, k),
+    # so only finite ones are visited; an INF d(i, k) is still compared.
+    finite = [finite_columns(row, big) for row in ints]
+    for i, row_i in enumerate(ints):
+        for j in finite[i]:
             dij = row_i[j]
             row_j = ints[j]
-            for k in range(n):
+            for k in finite[j]:
                 if row_i[k] > dij + row_j[k]:
                     out.append(Violation(
                         "triangle", (labels[i], labels[j], labels[k]),

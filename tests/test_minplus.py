@@ -164,6 +164,14 @@ def separated_metric(n):
 # The diagonal closes as a cycle through all n points, n arcs of the
 # largest finite value.
 @example([[INF, fin(1), INF], [INF, INF, fin(1)], [fin(1), INF, INF]])
+# A positive diagonal and a pivot row that is INF off it, or INF
+# throughout; neither relaxes anything.
+@example([[fin(1), fin(2), INF], [INF, TINY, INF], [SMALL, INF, fin(3)]])
+@example([[fin(1), fin(2), INF], [INF, INF, INF], [SMALL, INF, fin(3)]])
+# Pivot 0 makes d(1, 2) finite, and pivot 1 must then route d(3, 2)
+# through it: row 1's finite entries are read when 1 is the pivot.
+@example([[ZERO, INF, fin(1), INF], [fin(1), ZERO, INF, INF],
+          [INF, INF, ZERO, INF], [INF, TINY, INF, ZERO]])
 def test_closure_matches_extvalue_loop(cost):
     assert minplus_closure(cost) == reference_closure(cost)
 
@@ -172,6 +180,10 @@ def test_closure_matches_extvalue_loop(cost):
 @given(operands)
 @example(([[], []], [[], [], []]))
 @example(([[INF, INF], [fin(1), TINY]], [[SMALL, fin(2)], [INF, INF]]))
+# The second operand, given by its columns, has an all-INF row (index 1
+# of every column) and an all-INF column (the last).
+@example(([[fin(1), ZERO, TINY], [INF, fin(2), SMALL]],
+          [[ZERO, INF, fin(3)], [TINY, INF, INF], [INF, INF, INF]]))
 def test_product_matches_extvalue_loop(pair):
     rows, cols = pair
     out = int_route_product(rows, cols)
@@ -200,6 +212,34 @@ def test_pointwise_matches_extvalue_loop(pair, op):
             if op(u, b[i][j])]
     assert list(pointwise(a, b, op)) == want
     assert list(pointwise(IntMatrix.of(a), IntMatrix.of(b), op)) == want
+
+
+def benchmark_sized_cost(seed, n=24):
+    """A seeded n-point cost matrix shaped like the benchmark's: zero
+    diagonal, arcs from the second half back to the first INF, a quarter
+    of the other arcs INF and the rest positive, with denominators
+    cycling through 1, 2, 3, 4, 5 and 7."""
+    rng = random.Random(seed)
+    half = n // 2
+    cells = [(i, j) for i in range(n) for j in range(n)
+             if i != j and not i >= half > j]
+    rng.shuffle(cells)
+    n_inf = len(cells) // 4
+    cost = [[ZERO if i == j else INF for j in range(n)] for i in range(n)]
+    for k, (i, j) in enumerate(cells[n_inf:]):
+        den = (1, 2, 3, 4, 5, 7)[k % 6]
+        cost[i][j] = fin(rng.randint(1, 4 * den), den)
+    return cost
+
+
+def test_kernels_match_extvalue_loops_at_benchmark_size():
+    cost = benchmark_sized_cost(17)
+    closed = minplus_closure(cost)
+    assert closed == reference_closure(cost)
+    assert sum(v.is_inf for row in closed for v in row) >= 24 * 24 // 4
+    assert minplus_matmul(cost, closed) == reference_product(
+        cost, list(zip(*closed)))
+    assert minplus_matmul(closed, closed) == closed
 
 
 def test_empty_inner_dimension_is_inf():

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
+from finmet import maps as maps_module
+from finmet import quotients as quotients_module
 from finmet.extarith import INF, ZERO, fin
 from finmet.harness import (GenConfig, enumerate_mediators, gen_metric,
                             gen_submetric, gen_surjection)
@@ -47,6 +49,31 @@ def test_kernel_metric_pinned():
     assert km.value("u", "v") == ZERO
     assert km.value("u", "w") == fin(1)
     assert not validate_submetric(km.base, km.gamma)
+
+
+def test_kernel_metric_pulls_the_metric_once(monkeypatch):
+    # kernel_metric reads the target metric along f once, both to check
+    # non-expansiveness and as the submetric; an expansive map still
+    # gets require_nonexpansive's error text.
+    calls = []
+    pulled_metric = maps_module.pulled_metric
+
+    def counted(f):
+        calls.append(f)
+        return pulled_metric(f)
+
+    monkeypatch.setattr(maps_module, "pulled_metric", counted)
+    monkeypatch.setattr(quotients_module, "pulled_metric", counted)
+    sp = three_chain()
+    x2 = FinSpace(("a", "b"), ((ZERO, fin(1)), (fin(1), ZERO)))
+    kernel_metric(FinMap(sp, x2, ("a", "a", "b")))
+    assert len(calls) == 1
+    far = FinSpace(("a", "b"), ((ZERO, fin(3)), (fin(3), ZERO)))
+    stretch = FinMap(sp, far, ("a", "b", "b"))
+    with pytest.raises(ValueError) as raised:
+        kernel_metric(stretch)
+    assert str(raised.value) == (
+        "map is not non-expansive: expansive at (u, v): 3 > 1")
 
 
 def test_kernel_metric_below_d_random():

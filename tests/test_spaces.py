@@ -13,7 +13,8 @@ from finmet.harness import GenConfig, gen_metric
 from finmet.spaces import (FinSpace, Violation, is_separated,
                            metric_violations, quotient_by_zero_classes,
                            sep_reflection, validate_metric, zero_classes)
-from test_minplus import SMALL, TINY, reference_closure, square, values
+from test_minplus import (SMALL, TINY, benchmark_sized_cost, reference_closure,
+                          square, values)
 
 
 def two_point(v=fin(1)):
@@ -121,12 +122,24 @@ def reference_violations(labels, dist):
 @example([[fin(1)]], False)
 @example([[INF, INF], [INF, INF]], False)
 @example([[ZERO, TINY, fin(1)], [INF, ZERO, SMALL], [INF, INF, ZERO]], False)
+# d(0, 2) is INF while d(0, 1) + d(1, 2) is finite.
+@example([[ZERO, TINY, INF], [INF, ZERO, SMALL], [INF, INF, ZERO]], False)
 def test_violations_match_extvalue_loop(dist, closed):
     if closed:
         dist = reference_closure(dist)
     labels = tuple("p%d" % i for i in range(len(dist)))
     assert metric_violations(labels, dist) == reference_violations(labels,
                                                                    dist)
+
+
+def test_violations_match_extvalue_loop_at_benchmark_size():
+    cost = benchmark_sized_cost(17)
+    labels = tuple("p%d" % i for i in range(len(cost)))
+    raw = metric_violations(labels, cost)
+    assert raw and raw == reference_violations(labels, cost)
+    closed = reference_closure(cost)
+    assert metric_violations(labels, closed) == []
+    assert reference_violations(labels, closed) == []
 
 
 # -- zero classes on ints against the ExtValue loops ------------------------

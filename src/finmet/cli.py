@@ -18,7 +18,7 @@ import sys
 from typing import NamedTuple
 
 from . import corelations, idempotents, pushouts
-from .limits import coproduct, equalizer, product
+from .limits import coproduct, equalizer, product, split_labels
 from .maps import factorize
 from .quotients import kernel_metric, quotient_by_submetric, quotient_leq
 from .workspace import (blockmetric_entry, load_workspace_file,
@@ -203,7 +203,8 @@ def cmd_corelation_effective(ws, args):
 
 def cmd_corelation_from_subset(ws, args):
     space = ws.space(args.space)
-    subset = () if args.subset in ("", "-") else tuple(args.subset.split(","))
+    subset = () if args.subset in ("", "-") else tuple(
+        split_labels(args.subset))
     bm = corelations.gamma_from_subset(space, subset)
     lines = []
     for name in ("g00", "g01", "g10", "g11"):

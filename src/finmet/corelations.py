@@ -38,11 +38,11 @@ class BlockMetric(Frozen):
 
     def as_matrix(self):
         """The full matrix on X + X (summand 0 first)."""
-        common, big, (g00, g01, g10, g11) = scale(
-            self.g00, self.g01, self.g10, self.g11, terms=1)
+        common, (g00, g01, g10, g11) = scale(
+            self.g00, self.g01, self.g10, self.g11)
         rows = [r0 + r1 for r0, r1 in zip(g00, g01)]
         rows += [r0 + r1 for r0, r1 in zip(g10, g11)]
-        return IntMatrix.from_scaled(common, rows, big)
+        return IntMatrix(common, rows)
 
     @classmethod
     def from_matrix(cls, base, full):
@@ -152,10 +152,10 @@ def gamma_from_subset(x_space, subset):
     idx = sorted(x_space.index(lab) for lab in subset)
     if len(set(idx)) != len(list(subset)):
         raise ValueError("duplicate labels in subset")
-    common, big, (d,) = scale(x_space.dist, terms=2)
-    cross = IntMatrix.from_scaled(common, int_product(
+    common, (d,) = scale(x_space.dist)
+    cross = IntMatrix(common, int_product(
         [[row[a] for a in idx] for row in d], [d[a] for a in idx],
-        x_space.n, big), big)
+        x_space.n))
     return BlockMetric(base=x_space, g00=x_space.dist, g01=cross, g10=cross,
                        g11=x_space.dist)
 

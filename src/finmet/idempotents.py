@@ -13,7 +13,9 @@ x R y is the lemma's zero-diagonal witness of the pair (x, y).
 
 from __future__ import annotations
 
-from .minplus import minplus_matmul, scale
+from math import inf
+
+from .minplus import minplus_matmul
 from .spaces import Frozen, freeze_labelled_square, label_index
 
 
@@ -56,18 +58,19 @@ def factor_through_zero_diagonal(cm):
     if not is_idempotent(cm):
         raise ValueError("input is not min-plus idempotent")
     labels = cm.labels
-    _, big, (rho,) = scale(cm.rho, terms=2)
+    rho = cm.rho.rows
     a_idx = [i for i, row in enumerate(rho) if row[i] == 0]
     witnesses = {}
     failures = []
     for x, row in enumerate(rho):
         for y, target in enumerate(row):
             pair = (labels[x], labels[y])
-            if target >= big:
+            if target == inf:
                 witnesses[pair] = None
                 continue
             for a in a_idx:
-                if row[a] + rho[a][y] == target:
+                # row[a] + rho[a][y] == target, with no sum taken of inf.
+                if row[a] <= target and rho[a][y] == target - row[a]:
                     witnesses[pair] = labels[a]
                     break
             else:

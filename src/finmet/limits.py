@@ -3,6 +3,8 @@ coproducts with cross-distance infinity, equalizers, and pullbacks."""
 
 from __future__ import annotations
 
+from math import inf
+
 from .maps import FinMap, compose, is_isomorphism, subspace
 from .minplus import IntMatrix, scale
 from .spaces import FinSpace, Frozen
@@ -63,15 +65,38 @@ def _pair_part(label):
     return '"%s"' % label.replace("\\", "\\\\").replace('"', '\\"')
 
 
+def split_labels(text):
+    """The labels of a comma-separated list, split only at commas outside
+    parentheses, so that a pair_label stays whole; within parentheses a
+    quoted part, with its backslash escapes, is skipped as pair_label
+    writes it."""
+    labels, start, depth, quoted = [], 0, 0, False
+    chars = enumerate(text)
+    for pos, ch in chars:
+        if quoted:
+            if ch == "\\":
+                next(chars, None)
+            quoted = ch != '"'
+        elif ch in "()":
+            depth += 1 if ch == "(" else -1
+        elif depth > 0:
+            quoted = ch == '"'
+        elif ch == ",":
+            labels.append(text[start:pos])
+            start = pos + 1
+    labels.append(text[start:])
+    return labels
+
+
 def product(m1, m2):
     """All pairs with the sup-metric; returns (space, p1, p2)."""
     labels = tuple(pair_label(x, y) for x in m1.labels for y in m2.labels)
     # Pair (x, y) has index x * n2 + y, so row (x, y) of the sup metric
-    # runs over x' then y'.  INF is big, above every finite entry.
-    common, big, (a, b) = scale(m1.dist, m2.dist, terms=1)
+    # runs over x' then y'.
+    common, (a, b) = scale(m1.dist, m2.dist)
     rows = [[u if u >= v else v for u in a_row for v in b_row]
             for a_row in a for b_row in b]
-    space = FinSpace(labels, IntMatrix.from_scaled(common, rows, big))
+    space = FinSpace(labels, IntMatrix(common, rows))
     p1 = FinMap(space, m1, tuple(x for x in m1.labels for _ in m2.labels))
     p2 = FinMap(space, m2, tuple(y for _ in m1.labels for y in m2.labels))
     return space, p1, p2
@@ -88,10 +113,10 @@ def coproduct(m1, m2):
         + [summand_label(1, y) for y in m2.labels]
     )
     n1 = m1.n
-    common, big, (a, b) = scale(m1.dist, m2.dist, terms=1)
-    rows = ([row + [big] * m2.n for row in a]
-            + [[big] * n1 + row for row in b])
-    space = FinSpace(labels, IntMatrix.from_scaled(common, rows, big))
+    common, (a, b) = scale(m1.dist, m2.dist)
+    rows = ([row + [inf] * m2.n for row in a]
+            + [[inf] * n1 + row for row in b])
+    space = FinSpace(labels, IntMatrix(common, rows))
     j1 = FinMap(m1, space, tuple(labels[:n1]))
     j2 = FinMap(m2, space, tuple(labels[n1:]))
     return space, j1, j2

@@ -1,9 +1,9 @@
 """Exact matrices over [0, inf] and the min-plus (tropical) kernels on them.
 
 An IntMatrix holds its entries as plain ints over one common
-denominator, with None for INF; it is how every space, submetric, block
-and cost matrix stores its distances.  Reading a row or an entry gives
-ExtValue, so callers that index, iterate or take len() see nested
+denominator, with math.inf for INF; it is how every space, submetric,
+block and cost matrix stores its distances.  Reading a row or an entry
+gives ExtValue, so callers that index, iterate or take len() see nested
 ExtValue sequences, and the kernels accept either form.
 
 One product kernel serves square and rectangular operands alike; the
@@ -17,23 +17,26 @@ d, the order of quotients and the corelation laws.
 
 Every kernel is exact integer arithmetic: its operands are put over one
 common denominator (a no-op when they already share it), the loops run
-on plain ints, and a matrix result is again an IntMatrix.  The closure,
-the product and the triangle check (spaces.metric_violations) loop only
-over finite terms, the columns that finite_columns lists: a sum with an
-INF term is INF, so it can neither lower a minimum nor break a triangle.
+on plain ints, and a matrix result is again an IntMatrix.  math.inf is
+the one float.  It is compared with ints, which Python does exactly for
+ints of any size, and it is never an operand of +, * or //, which could
+overflow or give nan on ints beyond float range.  The closure, the
+product and the triangle check (spaces.metric_violations) loop only over
+finite terms, the columns that finite_columns lists: a sum with an INF
+term is INF, so it can neither lower a minimum nor break a triangle.
 """
 
 from __future__ import annotations
 
 from itertools import chain, compress, count
-from math import gcd, lcm
+from math import gcd, inf, lcm
 
 from .extarith import INF, Frozen, fin
 
 
 class IntMatrix(Frozen, fields=("den", "rows")):
     """A frozen matrix over [0, inf]: entry (i, j) is rows[i][j] / den, or
-    INF where rows[i][j] is None.
+    INF where rows[i][j] is math.inf.
 
     den is reduced by the gcd of the finite entries, so two matrices with
     the same entries have the same (den, rows), and == and hash compare
@@ -42,21 +45,18 @@ class IntMatrix(Frozen, fields=("den", "rows")):
     for literals; such a sequence does not hash like its IntMatrix.
     """
 
-    __slots__ = ("den", "rows", "top", "_ext")
+    __slots__ = ("den", "rows", "_ext")
 
     def __init__(self, den, rows):
         rows = tuple(map(tuple, rows))
-        finite = [x for row in rows for x in row if x is not None]
-        g = gcd(den, *finite)
+        g = gcd(den, *[x for row in rows for x in row if x != inf])
         if g > 1:
             den //= g
-            rows = tuple(tuple(None if x is None else x // g for x in row)
+            rows = tuple(tuple(x if x == inf else x // g for x in row)
                          for row in rows)
         set_ = object.__setattr__
         set_(self, "den", den)
         set_(self, "rows", rows)
-        # The largest finite numerator, which bounds every finite entry.
-        set_(self, "top", max(finite, default=0) // g)
         set_(self, "_ext", None)
 
     @classmethod
@@ -72,21 +72,15 @@ class IntMatrix(Frozen, fields=("den", "rows")):
             raise TypeError("matrix entries must be ExtValue") from None
         den = lcm(*{f.denominator for row in fracs for f in row
                     if f is not None})
-        return cls(den, [[None if f is None
+        return cls(den, [[inf if f is None
                           else f.numerator * (den // f.denominator)
                           for f in row] for row in fracs])
 
-    @classmethod
-    def from_scaled(cls, den, rows, big):
-        """The matrix of ints over den in which values >= big are INF."""
-        return cls(den, [[None if x >= big else x for x in row]
-                         for row in rows])
-
-    def scaled(self, factor, big):
-        """The rows as lists of ints times factor, INF as big."""
+    def scaled(self, factor):
+        """The rows as lists, each finite entry times factor."""
         if factor == 1:
-            return [[big if x is None else x for x in row] for row in self.rows]
-        return [[big if x is None else x * factor for x in row]
+            return [list(row) for row in self.rows]
+        return [[x if x == inf else x * factor for x in row]
                 for row in self.rows]
 
     def sub(self, row_idx, col_idx):
@@ -103,7 +97,7 @@ class IntMatrix(Frozen, fields=("den", "rows")):
         ext = self._ext
         if ext is None:
             den = self.den
-            value = {x: INF if x is None else fin(x, den)
+            value = {x: INF if x == inf else fin(x, den)
                      for x in set(chain.from_iterable(self.rows))}.__getitem__
             ext = tuple(tuple(map(value, row)) for row in self.rows)
             object.__setattr__(self, "_ext", ext)
@@ -131,41 +125,37 @@ class IntMatrix(Frozen, fields=("den", "rows")):
                                    for row in self.ext()],)
 
 
-def scale(*matrices, terms):
-    """(L, big, scaled): the matrices' ints over one common denominator L.
+def scale(*matrices):
+    """(L, rows): the matrices' rows over one common denominator L.
 
     Each matrix may be an IntMatrix or a nested ExtValue sequence.  A
-    finite entry p/q becomes the int p * (L // q) and INF becomes big,
-    which exceeds every sum of at most `terms` finite entries, so such a
-    sum is finite exactly when it is below big.
+    finite entry p/q becomes the int p * (L // q), and INF stays inf.
     """
     ms = [IntMatrix.of(m) for m in matrices]
     common = lcm(*[m.den for m in ms])
-    factors = [common // m.den for m in ms]
-    big = terms * max([m.top * f for m, f in zip(ms, factors)], default=0) + 1
-    return common, big, [m.scaled(f, big) for m, f in zip(ms, factors)]
+    return common, [m.scaled(common // m.den) for m in ms]
 
 
-def finite_columns(row, big):
-    """The columns at which row is below big, in order: the only terms
+def finite_columns(row):
+    """The columns at which row is finite, in order: the only terms
     through this row of a min-plus sum that can be finite."""
-    return [j for j, x in enumerate(row) if x < big]
+    return [j for j, x in enumerate(row) if x != inf]
 
 
-def int_product(rows, other, ncols, big):
+def int_product(rows, other, ncols):
     """out[i][j] = min_k rows[i][k] + other[k][j] on scaled ints, with
-    ncols columns; an empty minimum, and every INF one, is big.
+    ncols columns; an empty minimum, and every INF one, is inf.
 
     Only finite terms are visited: each finite rows[i][k] is added to
     the finite entries of other[k], and the sums are kept in row i's
     running minima.
     """
-    finite = [finite_columns(o_row, big) for o_row in other]
+    finite = [finite_columns(o_row) for o_row in other]
     out = []
     for row in rows:
-        acc = [big] * ncols
+        acc = [inf] * ncols
         for w, o_row, cols in zip(row, other, finite):
-            if w < big:
+            if w != inf:
                 for j in cols:
                     s = w + o_row[j]
                     if s < acc[j]:
@@ -182,7 +172,7 @@ def pointwise(a, b, op):
     INF above every finite value.  The scan is lazy: a caller that takes
     the first item stops at the first entry where op holds.
     """
-    _, _, (a, b) = scale(a, b, terms=1)
+    _, (a, b) = scale(a, b)
     for i, (a_row, b_row) in enumerate(zip(a, b)):
         for j in compress(count(), map(op, a_row, b_row)):
             yield i, j
@@ -190,8 +180,8 @@ def pointwise(a, b, op):
 
 def minplus_matmul(a, b):
     """Tropical product of square matrices: out[i][j] = min_k a[i][k] + b[k][j]."""
-    common, big, (a, b) = scale(a, b, terms=2)
-    return IntMatrix.from_scaled(common, int_product(a, b, len(b), big), big)
+    common, (a, b) = scale(a, b)
+    return IntMatrix(common, int_product(a, b, len(b)))
 
 
 def minplus_closure(cost):
@@ -201,20 +191,18 @@ def minplus_closure(cost):
     below the given costs.  Iteration order is fixed by point index, so
     the result is deterministic.
     """
-    n = len(cost)
-    # Every relaxed value is a shortest path or cycle of at most n arcs.
-    common, big, (dist,) = scale(cost, terms=max(n, 2))
-    for k in range(n):
+    common, (dist,) = scale(cost)
+    for k in range(len(dist)):
         # Row k stays fixed while k is the pivot, as d(k, k) >= 0; its
         # INF entries relax nothing.
         row_k = dist[k]
-        cols = finite_columns(row_k, big)
+        cols = finite_columns(row_k)
         for row_i in dist:
             dik = row_i[k]
-            if dik >= big:
+            if dik == inf:
                 continue
             for j in cols:
                 cand = dik + row_k[j]
                 if cand < row_i[j]:
                     row_i[j] = cand
-    return IntMatrix.from_scaled(common, dist, big)
+    return IntMatrix(common, dist)

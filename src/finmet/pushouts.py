@@ -69,23 +69,21 @@ def pushout_along_embedding(i, f):
     a_space, x_space, b_space = i.source, i.target, f.target
     ia = [x_space.index(i(a)) for a in a_space.labels]
     fa = [b_space.index(f(a)) for a in a_space.labels]
-    # A detour sums at most three finite entries, so big marks INF
-    # through both products.
-    common, big, (d_b, d_x) = scale(b_space.dist, x_space.dist, terms=3)
+    common, (d_b, d_x) = scale(b_space.dist, x_space.dist)
 
     x_glue = [d_x[s] for s in ia]
     b_to_x = int_product([[row[t] for t in fa] for row in d_b], x_glue,
-                         x_space.n, big)
+                         x_space.n)
     x_to_b = int_product([[row[s] for s in ia] for row in d_x],
-                         [d_b[t] for t in fa], b_space.n, big)
+                         [d_b[t] for t in fa], b_space.n)
     detour = int_product([[row[t] for t in fa] for row in x_to_b], x_glue,
-                         x_space.n, big)
+                         x_space.n)
     x_to_x = [list(map(min, direct, via)) for direct, via in zip(d_x, detour)]
 
     bx, iota_b, iota_x = coproduct(b_space, x_space)
     rows = [d + m for d, m in zip(d_b, b_to_x)]
     rows += [m + d for m, d in zip(x_to_b, x_to_x)]
-    gamma = Submetric(bx, IntMatrix.from_scaled(common, rows, big))
+    gamma = Submetric(bx, IntMatrix(common, rows))
     proj = quotient_by_submetric(gamma)
     square = Square(left=f, top=i,
                     bottom=compose(iota_b, proj), right=compose(iota_x, proj))
@@ -96,14 +94,13 @@ def _glue_and_close(i, f, costs):
     """Closure of a cost matrix on B + X after adding zero-cost arcs
     between f(a) and i(a), both ways, for every glue point a."""
     nb = f.target.n
-    costs = IntMatrix.of(costs)
-    cost = [list(row) for row in costs.rows]
+    den, (cost,) = scale(costs)
     for a in f.source.labels:
         p = f.target.index(f(a))
         q = nb + i.target.index(i(a))
         cost[p][q] = 0
         cost[q][p] = 0
-    return minplus_closure(IntMatrix(costs.den, cost))
+    return minplus_closure(IntMatrix(den, cost))
 
 
 def pushout_closure_oracle(i, f):

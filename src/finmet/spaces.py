@@ -5,13 +5,14 @@ exact IntMatrix whose entries read as ExtValue, required to satisfy
 only d(x,x) = 0 and the triangle inequality; neither symmetry nor
 finiteness of distances is assumed.  Separation (d(x,y) = 0 = d(y,x)
 implies x = y) is the metric analogue of antisymmetry and is checked,
-not assumed.  The checks here run on the matrix's ints.
+not assumed.  The checks here run on the matrix's ints, where an
+infinite distance is math.inf, which they compare but never add.
 """
 
 from __future__ import annotations
 
 from .extarith import Frozen
-from .minplus import IntMatrix, finite_columns, scale
+from .minplus import IntMatrix, finite_columns
 
 
 class Violation(Frozen):
@@ -87,14 +88,14 @@ def metric_violations(labels, dist):
     out = []
     n = len(labels)
     dist = IntMatrix.of(dist)
-    _, big, (ints,) = scale(dist, terms=2)
+    ints = dist.rows
     for i in range(n):
         if ints[i][i] != 0:
             out.append(Violation("nonzero-diagonal", (labels[i],),
                                  "d(x,x) = %s" % dist[i][i]))
     # An INF d(i, j) or d(j, k) cannot break d(i, k) <= d(i, j) + d(j, k),
     # so only finite ones are visited; an INF d(i, k) is still compared.
-    finite = [finite_columns(row, big) for row in ints]
+    finite = [finite_columns(row) for row in ints]
     for i, row_i in enumerate(ints):
         for j in finite[i]:
             dij = row_i[j]

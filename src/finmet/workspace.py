@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 from functools import partialmethod
+from math import inf
 
 from . import extarith
 from .corelations import BlockMetric, validate_blockmetric
@@ -55,7 +56,7 @@ def _cells(entry, key):
     rows = _list(entry, key, lambda row: isinstance(row, list) and all(
         type(c) is int and c in (0, 1) for c in row),
         "a list of lists of 0 and 1")
-    return IntMatrix(1, [[0 if c else None for c in row] for row in rows])
+    return IntMatrix(1, [[0 if c else inf for c in row] for row in rows])
 
 
 def matrix_tokens(matrix):

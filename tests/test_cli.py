@@ -9,6 +9,7 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 from cli_cases import BAD_INPUT_CASES, CASES, TRIANGLE_X, WORKSPACE, run_case
 from finmet import cli, corelations
+from finmet.extarith import fin
 from finmet.workspace import dump_workspace, load_workspace, load_workspace_file
 
 
@@ -175,6 +176,111 @@ def test_pushout_oracle_flag_reports_agreement():
     assert "formula vs oracle: AGREE" in out
 
 
+# Values whose ints lie beyond float range: numerators and denominators
+# near 10**320.  X and B have different denominators, so a construction
+# on both puts each over a common one by a factor near 10**320, and the
+# factoring of R meets an INF beside BIG.
+_HUGE = {"H1": fin(3 ** 671, 2 ** 1063), "H2": fin(7 ** 379, 5 ** 458),
+         "BIG": fin(10 ** 320 + 1), "SMALL": fin(1, 10 ** 320 + 3)}
+_HUGE["H12"] = _HUGE["H1"] + _HUGE["H2"]
+_HUGE_TOKENS = {name: v.token() for name, v in _HUGE.items()}
+_HUGE_DOC = {"objects": [
+    {"kind": "space", "name": "A", "points": ["s"], "dist": [["0"]]},
+    {"kind": "space", "name": "X", "points": ["p", "x"],
+     "dist": [["0", _HUGE_TOKENS["H1"]], ["inf", "0"]]},
+    {"kind": "space", "name": "B", "points": ["q", "b"],
+     "dist": [["0", "inf"], [_HUGE_TOKENS["H2"], "0"]]},
+    {"kind": "map", "name": "i", "source": "A", "target": "X",
+     "assignment": ["p"]},
+    {"kind": "map", "name": "f", "source": "A", "target": "B",
+     "assignment": ["q"]},
+    {"kind": "costmatrix", "name": "R", "points": ["x", "y", "z"],
+     "matrix": [["0", "inf", _HUGE_TOKENS["BIG"]],
+                ["inf", "0", _HUGE_TOKENS["SMALL"]],
+                ["inf", "inf", "0"]]}]}
+_HUGE_GAMMA = """\
+  points: 0:q 0:b 1:p 1:x
+    0 inf 0 {H1}
+    {H2} 0 {H2} {H12}
+    0 inf 0 {H1}
+    inf inf inf 0
+"""
+
+
+@pytest.mark.parametrize("argv,want", [
+    (["product", "X", "B"], """\
+product X x B:
+  points: (p,q) (p,b) (x,q) (x,b)
+  dist:
+    0 inf {H1} inf
+    {H2} 0 {H2} {H1}
+    inf inf 0 inf
+    inf inf {H2} 0
+projection 1:
+  (p,q) -> p
+  (p,b) -> p
+  (x,q) -> x
+  (x,b) -> x
+projection 2:
+  (p,q) -> q
+  (p,b) -> b
+  (x,q) -> q
+  (x,b) -> b
+"""),
+    (["coproduct", "X", "B"], """\
+coproduct X + B:
+  points: 0:p 0:x 1:q 1:b
+  dist:
+    0 {H1} inf inf
+    inf 0 inf inf
+    inf inf 0 inf
+    inf inf {H2} 0
+injection 1:
+  p -> 0:p
+  x -> 0:x
+injection 2:
+  q -> 1:q
+  b -> 1:b
+"""),
+    (["pushout", "--embedding", "i", "--along", "f", "--oracle"],
+     "pushout gamma:\n" + _HUGE_GAMMA + """\
+apex:
+  points: [0:q] [0:b] [1:x]
+  dist:
+    0 inf {H1}
+    {H2} 0 {H12}
+    inf inf 0
+leg from f:
+  q -> [0:q]
+  b -> [0:b]
+leg from i:
+  p -> [0:q]
+  x -> [1:x]
+oracle gamma:
+""" + _HUGE_GAMMA + "formula vs oracle: AGREE\n"),
+    (["idempotent", "factor", "R"], """\
+idempotent factor R:
+  zero diagonal: x y z
+  (x,x): x
+  (x,y): vacuous
+  (x,z): x
+  (y,x): vacuous
+  (y,y): y
+  (y,z): y
+  (z,x): vacuous
+  (z,y): vacuous
+  (z,z): z
+"""),
+], ids=["product", "coproduct", "pushout_oracle", "idempotent_factor"])
+def test_values_beyond_float_range_are_exact(argv, want, tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(_HUGE_DOC))
+    assert cli.main(["-w", str(path)] + argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out == want.format(**_HUGE_TOKENS)
+
+
 _NOT_IDEMPOTENT = {"objects": [
     {"kind": "costmatrix", "name": "C", "points": ["x", "y"],
      "matrix": [["1", "1"], ["inf", "0"]]}]}
@@ -214,6 +320,25 @@ def test_corelation_effective_checks_the_equivalence_once(monkeypatch):
     code, out = run_case(["corelation", "effective", "equivA"])
     assert code == 0 and out.startswith("corelation effective equivA: true")
     assert len(calls) == 1
+
+
+def test_from_subset_names_product_points(tmp_path, capsys):
+    """Labels in the subset split at commas outside parentheses, so the
+    label of a product point names that point."""
+    path = tmp_path / "pairs.json"
+    path.write_text(json.dumps({"objects": [
+        {"kind": "space", "name": "P", "points": ["(a,b)", "(a,c)", "d"],
+         "dist": [["0", "1", "2"], ["1", "0", "1"], ["2", "1", "0"]]}]}))
+    ws = load_workspace_file(str(path))
+    for subset, want in [("(a,b)", ("(a,b)",)), ("(a,c),d", ("(a,c)", "d")),
+                         ("d,(a,b)", ("d", "(a,b)"))]:
+        assert cli.main(["-w", str(path), "--json", "corelation",
+                         "from-subset", "P", subset]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        bm = corelations.gamma_from_subset(ws.space("P"), want)
+        assert json.loads(captured.out)["g01"] == [
+            [v.token() for v in row] for row in bm.g01]
 
 
 @pytest.mark.parametrize("argv", [["relation", "witness", "R", "x", "nope"],

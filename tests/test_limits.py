@@ -13,7 +13,8 @@ from finmet.extarith import INF, ZERO, fin
 from finmet.harness import (GenConfig, enumerate_mediators, gen_metric,
                             gen_nonexpansive_map)
 from finmet.limits import (Square, coproduct, copair, equalizer,
-                           is_pullback_square, pair_label, product, pullback)
+                           is_pullback_square, pair_label, product, pullback,
+                           split_labels)
 from finmet.maps import FinMap, compose, identity, is_embedding, is_nonexpansive
 from finmet.spaces import FinSpace, is_separated, validate_metric
 from test_minplus import SMALL, TINY, square
@@ -215,6 +216,18 @@ delimiter_labels = st.text(alphabet='a,()"\\', max_size=5)
 @example({('"', ""), ("", '"'), ('\\', ""), ('"\\"', "")})
 def test_pair_label_is_injective(pairs):
     assert len({pair_label(x, y) for x, y in pairs}) == len(pairs)
+
+
+@settings(deadline=None)
+@given(st.lists(st.tuples(delimiter_labels, delimiter_labels,
+                          st.booleans()), max_size=6))
+@example([("a)", "b", False), ('"', "(", True)])
+def test_split_labels_reads_back_pair_labels(parts):
+    """A comma-joined list of pair labels, some of them nested, splits
+    back into its labels."""
+    labels = [pair_label(pair_label(x, y), x) if nest else pair_label(x, y)
+              for x, y, nest in parts]
+    assert split_labels(",".join(labels)) == (labels or [""])
 
 
 # -- the integer sup and block assembly against the ExtValue loops ----------

@@ -1,5 +1,5 @@
 import random
-from math import gcd
+from math import gcd, inf
 from operator import gt, ne
 
 import pytest
@@ -112,9 +112,8 @@ def int_route_product(rows, cols):
     """min_k rows[i][k] + cols[j][k] through scale and int_product, the
     second operand given by its columns so that an inner dimension of
     zero still fixes the output shape."""
-    common, big, (rows, cols) = scale(rows, cols, terms=2)
-    return IntMatrix.from_scaled(
-        common, int_product(rows, list(zip(*cols)), len(cols), big), big)
+    common, (rows, cols) = scale(rows, cols)
+    return IntMatrix(common, int_product(rows, list(zip(*cols)), len(cols)))
 
 
 def reference_product(rows, cols):
@@ -254,6 +253,31 @@ def test_large_common_denominator_is_exact():
     assert cycle[1][1].frac.denominator > 2 ** 64
 
 
+# Values whose ints lie beyond float range: numerators and denominators
+# near 10**320.  The two grids have different denominators, so putting a
+# matrix of each over one multiplies both by a factor near 10**320; a
+# float inf met by such an int in +, * or // would overflow.
+HUGE_A = (fin(3 ** 671, 2 ** 1063), fin(10 ** 320 + 1))
+HUGE_B = (fin(7 ** 379, 5 ** 458), fin(1, 10 ** 320 + 3))
+
+
+def huge_cost(rng, n, grid):
+    """An n x n cost matrix over ZERO, INF and grid."""
+    return [[rng.choice((ZERO, INF) + grid) for _ in range(n)]
+            for _ in range(n)]
+
+
+def test_kernels_are_exact_beyond_float_range():
+    rng = random.Random(18)
+    for _ in range(25):
+        n = rng.randint(1, 4)
+        a, b = huge_cost(rng, n, HUGE_A), huge_cost(rng, n, HUGE_B)
+        for cost in (a, b):
+            assert minplus_closure(cost) == reference_closure(cost)
+        assert minplus_matmul(a, b) == reference_product(a, list(zip(*b)))
+        assert minplus_matmul(b, a) == reference_product(b, list(zip(*a)))
+
+
 # -- the IntMatrix protocol -------------------------------------------------
 
 def test_int_matrix_protocol():
@@ -262,7 +286,7 @@ def test_int_matrix_protocol():
     literal = ((fin(1), INF), (fin(2), fin(1)))
     # The fractional operands give an all-integer product, which is held
     # over the denominator 1, exactly as its integer literal is.
-    assert (product.den, product.rows) == (1, ((1, None), (2, 1)))
+    assert (product.den, product.rows) == (1, ((1, inf), (2, 1)))
     assert product == IntMatrix.of(literal)
     assert hash(product) == hash(IntMatrix.of(literal))
     assert product == literal and literal == product
@@ -289,6 +313,6 @@ def test_int_matrix_rejects_non_values():
 def test_int_matrix_round_trip_is_reduced(matrix):
     m = IntMatrix.of(matrix)
     assert m.ext() == tuple(tuple(row) for row in matrix)
-    assert gcd(m.den, *[x for row in m.rows for x in row if x is not None]) == 1
-    assert IntMatrix(m.den * 6, [[None if x is None else 6 * x for x in row]
+    assert gcd(m.den, *[x for row in m.rows for x in row if x != inf]) == 1
+    assert IntMatrix(m.den * 6, [[inf if x == inf else 6 * x for x in row]
                                  for row in m.rows]) == m

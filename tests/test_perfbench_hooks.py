@@ -8,6 +8,7 @@ import importlib
 import importlib.util
 import os
 from fractions import Fraction
+from math import inf
 
 from finmet import cli, maps
 from finmet.harness import GenConfig, gen_metric
@@ -69,7 +70,7 @@ def test_workloads_read_matrix_entries(monkeypatch):
     frac off every entry of an iterated IntMatrix."""
     monkeypatch.syspath_prepend(_PERFBENCH)
     workloads = importlib.import_module("workloads")
-    assert workloads.q(IntMatrix(2, [[0, 1], [None, 4]])) == [
+    assert workloads.q(IntMatrix(2, [[0, 1], [inf, 4]])) == [
         [Fraction(0), Fraction(1, 2)], [None, Fraction(2)]]
 
 

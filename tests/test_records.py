@@ -5,6 +5,7 @@ ValueError text as before."""
 
 import copy
 import pickle
+from math import inf
 
 import pytest
 
@@ -38,7 +39,7 @@ def _square():
 # Each factory builds a new instance with the same fields on every call.
 FACTORIES = {
     "ExtValue": lambda: fin(1, 2),
-    "IntMatrix": lambda: IntMatrix(2, [[0, 1], [None, 0]]),
+    "IntMatrix": lambda: IntMatrix(2, [[0, 1], [inf, 0]]),
     "Violation": lambda: Violation("triangle", ("a", "b", "c"), "2 > 1 + 0"),
     "FinSpace": _space,
     "FinMap": lambda: FinMap(_space(), ONE, ("c", "c")),

@@ -13,8 +13,8 @@ from finmet.harness import GenConfig, gen_metric
 from finmet.spaces import (FinSpace, Violation, is_separated,
                            metric_violations, quotient_by_zero_classes,
                            sep_reflection, validate_metric, zero_classes)
-from test_minplus import (SMALL, TINY, benchmark_sized_cost, reference_closure,
-                          square, values)
+from test_minplus import (HUGE_A, HUGE_B, SMALL, TINY, benchmark_sized_cost,
+                          huge_cost, reference_closure, square, values)
 
 
 def two_point(v=fin(1)):
@@ -140,6 +140,17 @@ def test_violations_match_extvalue_loop_at_benchmark_size():
     closed = reference_closure(cost)
     assert metric_violations(labels, closed) == []
     assert reference_violations(labels, closed) == []
+
+
+def test_violations_match_extvalue_loop_beyond_float_range():
+    rng = random.Random(18)
+    for _ in range(25):
+        n = rng.randint(1, 4)
+        cost = huge_cost(rng, n, HUGE_A + HUGE_B)
+        labels = tuple("p%d" % i for i in range(n))
+        for dist in (cost, reference_closure(cost)):
+            assert metric_violations(labels, dist) == reference_violations(
+                labels, dist)
 
 
 # -- zero classes on ints against the ExtValue loops ------------------------

@@ -78,6 +78,8 @@ def main(argv=None):
     args = ap.parse_args(argv)
     if not len(args.workload) == len(args.pairs) == len(args.first_seed):
         ap.error("give --pairs and --first-seed once per --workload")
+    if min(args.pairs) < 2:
+        ap.error("--pairs must be at least 2, as the quartiles need two runs")
 
     # The tree of src/ names the code measured, whether or not rev
     # outlives the run (a `git stash create` of uncommitted work).

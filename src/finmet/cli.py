@@ -3,7 +3,7 @@
 Loads a workspace document, runs one construction or predicate, and
 prints a byte-stable report.  Exit codes: 0 success / property true,
 1 property false or validation failed (with witnesses), 2 malformed
-input.
+input or an output closed before the report was written.
 
 A command reads objects through the workspace getters, which refuse
 (exit 2) one that breaks its kind's contract; `validate` and
@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import NamedTuple
 
@@ -205,6 +206,9 @@ def cmd_corelation_from_subset(ws, args):
     space = ws.space(args.space)
     subset = () if args.subset in ("", "-") else tuple(
         split_labels(args.subset))
+    if len(subset) > 1 and args.subset in space.labels:
+        raise ValueError("subset %r is both a point label and a list of "
+                         "%d labels" % (args.subset, len(subset)))
     bm = corelations.gamma_from_subset(space, subset)
     lines = []
     for name in ("g00", "g01", "g10", "g11"):
@@ -353,13 +357,24 @@ def main(argv=None):
         msg = exc.args[0] if isinstance(exc, KeyError) else exc
         print("error: %s" % msg, file=sys.stderr)
         return EXIT_BAD_INPUT
-    if args.as_json:
-        payload = dict(payload)
-        payload["ok"] = code == EXIT_OK
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        for line in lines:
-            print(line)
+    try:
+        if args.as_json:
+            payload = dict(payload)
+            payload["ok"] = code == EXIT_OK
+            print(json.dumps(payload, indent=2, sort_keys=True))
+        else:
+            for line in lines:
+                print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout before the report was written.  Point
+        # stdout at the null device, so the flush at exit stays quiet.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: output closed before the report was written",
+              file=sys.stderr)
+        return EXIT_BAD_INPUT
     return code
 
 

@@ -40,8 +40,8 @@ class BlockMetric(Frozen):
         """The full matrix on X + X (summand 0 first)."""
         common, (g00, g01, g10, g11) = scale(
             self.g00, self.g01, self.g10, self.g11)
-        rows = [r0 + r1 for r0, r1 in zip(g00, g01)]
-        rows += [r0 + r1 for r0, r1 in zip(g10, g11)]
+        rows = [[*r0, *r1] for r0, r1 in zip(g00, g01)]
+        rows += [[*r0, *r1] for r0, r1 in zip(g10, g11)]
         return IntMatrix(common, rows)
 
     @classmethod

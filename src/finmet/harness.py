@@ -13,11 +13,14 @@ import random
 
 from .extarith import INF, ZERO, fin
 from .maps import FinMap, compose, is_nonexpansive
-from .minplus import minplus_closure
+from .minplus import IntMatrix, minplus_closure, scale
 from .quotients import Submetric, quotient_by_submetric
 from .spaces import FinSpace, Frozen, sep_reflection
 
 DEFAULT_GRID = (ZERO, fin(1, 2), fin(1), fin(2), INF)
+# The grid as one row of ints; a draw from it picks the same index as a
+# draw from DEFAULT_GRID.
+_GRID = IntMatrix.of([DEFAULT_GRID])
 MAP_ATTEMPTS = 50  # random draws before the constant-map fallback
 ISO_CAP = 7        # brute_iso_check's largest space: 7! permutations
 MEDIATOR_CAP = 4096  # enumerate_mediators' largest raw search space
@@ -42,22 +45,24 @@ def gen_metric(cfg):
     """
     rng = random.Random(cfg.seed)
     n = cfg.max_points
-    cost = [[ZERO if i == j else rng.choice(DEFAULT_GRID) for j in range(n)]
+    grid = _GRID.rows[0]
+    cost = [[0 if i == j else rng.choice(grid) for j in range(n)]
             for i in range(n)]
-    raw = FinSpace(tuple("p%d" % i for i in range(n)), minplus_closure(cost))
+    raw = FinSpace(tuple("p%d" % i for i in range(n)),
+                   minplus_closure(IntMatrix(_GRID.den, cost)))
     reflected, _ = sep_reflection(raw)
     return FinSpace(tuple("p%d" % i for i in range(reflected.n)),
                     reflected.dist)
 
 
 def sample_cost_below(space, rng):
-    """A zero-diagonal grid matrix capped pointwise by the space's metric."""
+    """A zero-diagonal grid IntMatrix capped pointwise by the space's
+    metric."""
     n = space.n
-    return [
-        [ZERO if i == j else min(rng.choice(DEFAULT_GRID), space.dist[i][j])
-         for j in range(n)]
-        for i in range(n)
-    ]
+    common, ((grid,), dist) = scale(_GRID, space.dist)
+    return IntMatrix(common, [
+        [0 if i == j else min(rng.choice(grid), dist[i][j]) for j in range(n)]
+        for i in range(n)])
 
 
 def gen_submetric(space, seed):

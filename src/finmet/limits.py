@@ -114,8 +114,8 @@ def coproduct(m1, m2):
     )
     n1 = m1.n
     common, (a, b) = scale(m1.dist, m2.dist)
-    rows = ([row + [inf] * m2.n for row in a]
-            + [[inf] * n1 + row for row in b])
+    pad1, pad2 = (inf,) * n1, (inf,) * m2.n
+    rows = [[*row, *pad2] for row in a] + [[*pad1, *row] for row in b]
     space = FinSpace(labels, IntMatrix(common, rows))
     j1 = FinMap(m1, space, tuple(labels[:n1]))
     j2 = FinMap(m2, space, tuple(labels[n1:]))

@@ -49,7 +49,12 @@ class IntMatrix(Frozen, fields=("den", "rows")):
 
     def __init__(self, den, rows):
         rows = tuple(map(tuple, rows))
-        g = gcd(den, *[x for row in rows for x in row if x != inf])
+        # Fold the gcd row by row; once it is 1 it stays 1.
+        g = den
+        for row in rows:
+            if g == 1:
+                break
+            g = gcd(g, *[x for x in row if x != inf])
         if g > 1:
             den //= g
             rows = tuple(tuple(x if x == inf else x // g for x in row)
@@ -77,11 +82,12 @@ class IntMatrix(Frozen, fields=("den", "rows")):
                           for f in row] for row in fracs])
 
     def scaled(self, factor):
-        """The rows as lists, each finite entry times factor."""
+        """The rows as read-only tuples, each finite entry times factor;
+        the matrix's own rows when factor is 1."""
         if factor == 1:
-            return [list(row) for row in self.rows]
-        return [[x if x == inf else x * factor for x in row]
-                for row in self.rows]
+            return self.rows
+        return tuple(tuple([x if x == inf else x * factor for x in row])
+                     for row in self.rows)
 
     def sub(self, row_idx, col_idx):
         """The matrix of entries (i, j) for i in row_idx, j in col_idx."""
@@ -130,6 +136,8 @@ def scale(*matrices):
 
     Each matrix may be an IntMatrix or a nested ExtValue sequence.  A
     finite entry p/q becomes the int p * (L // q), and INF stays inf.
+    The rows are read-only tuples, an IntMatrix's own rows where its
+    denominator is already L; a caller that writes makes its own copy.
     """
     ms = [IntMatrix.of(m) for m in matrices]
     common = lcm(*[m.den for m in ms])
@@ -192,6 +200,7 @@ def minplus_closure(cost):
     the result is deterministic.
     """
     common, (dist,) = scale(cost)
+    dist = [list(row) for row in dist]
     for k in range(len(dist)):
         # Row k stays fixed while k is the pivot, as d(k, k) >= 0; its
         # INF entries relax nothing.

@@ -81,8 +81,8 @@ def pushout_along_embedding(i, f):
     x_to_x = [list(map(min, direct, via)) for direct, via in zip(d_x, detour)]
 
     bx, iota_b, iota_x = coproduct(b_space, x_space)
-    rows = [d + m for d, m in zip(d_b, b_to_x)]
-    rows += [m + d for m, d in zip(x_to_b, x_to_x)]
+    rows = [[*d, *m] for d, m in zip(d_b, b_to_x)]
+    rows += [[*m, *d] for m, d in zip(x_to_b, x_to_x)]
     gamma = Submetric(bx, IntMatrix(common, rows))
     proj = quotient_by_submetric(gamma)
     square = Square(left=f, top=i,
@@ -95,6 +95,7 @@ def _glue_and_close(i, f, costs):
     between f(a) and i(a), both ways, for every glue point a."""
     nb = f.target.n
     den, (cost,) = scale(costs)
+    cost = [list(row) for row in cost]
     for a in f.source.labels:
         p = f.target.index(f(a))
         q = nb + i.target.index(i(a))

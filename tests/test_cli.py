@@ -341,6 +341,52 @@ def test_from_subset_names_product_points(tmp_path, capsys):
             [v.token() for v in row] for row in bm.g01]
 
 
+def test_from_subset_refuses_a_label_that_is_also_a_list(tmp_path, capsys):
+    """"a,b" names the point a,b and the subset {a, b} alike, so it is
+    refused; the point's own label, a list of the others and a plain
+    label still answer."""
+    path = tmp_path / "comma.json"
+    path.write_text(json.dumps({"objects": [
+        {"kind": "space", "name": "Z", "points": ["a", "b", "a,b"],
+         "dist": [["0", "1", "1"], ["1", "0", "1"], ["1", "1", "0"]]}]}))
+    assert cli.main(["-w", str(path), "corelation", "from-subset", "Z",
+                     "a,b"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: subset 'a,b' is both a point label and "
+                            "a list of 2 labels\n")
+    for subset in ("a", "b,a", "-"):
+        assert cli.main(["-w", str(path), "corelation", "from-subset", "Z",
+                         subset]) == 0
+        assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("as_json", [[], ["--json"]])
+def test_closed_stdout_exits_2_with_one_error_line(as_json, tmp_path):
+    """A reader that closes the pipe after one line gets no traceback:
+    the CLI exits 2 with one error line, not 1, which means false."""
+    n = 20
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"objects": [
+        {"kind": "space", "name": "Z", "points": ["z%d" % i for i in range(n)],
+         "dist": [[str(abs(i - j)) for j in range(n)] for i in range(n)]}]}))
+    env = dict(os.environ, PYTHONPATH=_SRC)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "finmet.cli", "-w", str(path)] + as_json
+        + ["product", "Z", "Z"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    try:
+        proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=120)
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert (code, err) == (
+        2, b"error: output closed before the report was written\n")
+
+
 @pytest.mark.parametrize("argv", [["relation", "witness", "R", "x", "nope"],
                                   ["corelation", "from-subset", "X2", "nope"]])
 def test_unknown_label_error_line_is_unquoted(argv, capsys):

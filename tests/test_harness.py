@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -95,3 +96,39 @@ def test_brute_iso_check_relabelling():
 
 def test_grid_contains_anchor_values():
     assert ZERO in DEFAULT_GRID and fin(1) in DEFAULT_GRID
+
+
+# _draws_digest() as the generators gave it when they drew ExtValue
+# grids; drawing the same indices on ints must keep every instance.
+PINNED_DRAWS = (
+    "48fa88dc50ff78af057c9b0a511ece286fa2719b03097bbdcebf959b615bd57a")
+
+
+def _draws_digest():
+    """sha256 over the tokens and labels that gen_metric,
+    sample_cost_below and gen_surjection give on fixed seeds."""
+    h = hashlib.sha256()
+
+    def put(*parts):
+        h.update(("|".join(parts) + "\n").encode())
+
+    def put_matrix(matrix):
+        for row in matrix:
+            put(*(v.token() for v in row))
+
+    for seed in range(120):
+        sp = gen_metric(GenConfig(seed=seed, max_points=seed % 8))
+        put(*sp.labels)
+        put_matrix(sp.dist)
+        put_matrix(sample_cost_below(sp, random.Random(seed + 7000)))
+        q = gen_surjection(sp, seed + 9000)
+        put(*q.assignment)
+        put(*q.target.labels)
+        put_matrix(q.target.dist)
+    return h.hexdigest()
+
+
+def test_generator_draws_are_pinned():
+    """The generators draw the same instances from the same seeds; a
+    change of representation must not change any of them."""
+    assert _draws_digest() == PINNED_DRAWS

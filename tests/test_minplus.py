@@ -1,14 +1,20 @@
 import random
-from math import gcd, inf
+from fractions import Fraction
+from math import gcd, inf, lcm
 from operator import gt, ne
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from finmet.corelations import BlockMetric
 from finmet.extarith import INF, ZERO, ExtValue, fin
+from finmet.limits import coproduct
+from finmet.maps import FinMap
 from finmet.minplus import (IntMatrix, int_product, minplus_closure,
                             minplus_matmul, pointwise, scale)
+from finmet.pushouts import _glue_and_close, pushout_along_embedding
+from finmet.spaces import FinSpace
 
 
 def rand_cost(rng, n, zero_diag=False):
@@ -316,3 +322,95 @@ def test_int_matrix_round_trip_is_reduced(matrix):
     assert gcd(m.den, *[x for row in m.rows for x in row if x != inf]) == 1
     assert IntMatrix(m.den * 6, [[inf if x == inf else 6 * x for x in row]
                                  for row in m.rows]) == m
+
+
+# -- the reduced form and read-only rows ------------------------------------
+
+def reference_reduced(den, rows):
+    """(L, rows) of the entries x / den as Fractions: L the least common
+    denominator of the finite ones, each finite entry times L."""
+    fracs = [[None if x == inf else Fraction(x, den) for x in row]
+             for row in rows]
+    common = lcm(*[f.denominator for row in fracs for f in row
+                   if f is not None])
+    return common, tuple(tuple(inf if f is None else int(f * common)
+                               for f in row) for row in fracs)
+
+
+raw_entries = st.one_of(st.just(inf), st.integers(0, 60),
+                        st.integers(10 ** 320 - 10 ** 6, 10 ** 320 + 10 ** 6))
+
+
+@st.composite
+def raw_int_matrices(draw):
+    """(den, rows) with every row but the last times a shared factor k,
+    so the gcd of den and the entries often stays above 1 until the
+    last row."""
+    n_rows, n_cols = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    rows = draw(st.lists(st.lists(raw_entries, min_size=n_cols,
+                                  max_size=n_cols),
+                         min_size=n_rows, max_size=n_rows))
+    k = draw(st.sampled_from((1, 2, 6, 10 ** 300)))
+    den = k * draw(st.integers(1, 12) | st.just(10 ** 320))
+    rows = [[x if x == inf else k * x for x in row]
+            for row in rows[:-1]] + rows[-1:]
+    return den, rows
+
+
+@settings(deadline=None)
+@given(raw_int_matrices())
+# The gcd stays 6 through the first two rows and drops to 3 at the last.
+@example((12, [[6, 24], [18, inf], [9, 3]]))
+# It stays 6 until the last row, where it reaches 1.
+@example((12, [[6, 24], [18, inf], [5, 6]]))
+@example((4, [[inf, inf], [inf, inf]]))
+@example((4, [[inf, inf], [2, inf]]))
+@example((7, []))
+@example((7, [[], []]))
+@example((10 ** 320, [[10 ** 320 + 10 ** 300, inf], [5 * 10 ** 319, 0]]))
+def test_int_matrix_reduces_like_fractions(raw):
+    den, rows = raw
+    m = IntMatrix(den, rows)
+    assert (m.den, m.rows) == reference_reduced(den, rows)
+    again = IntMatrix(3 * den, [[x if x == inf else 3 * x for x in row]
+                                for row in rows])
+    assert again == m and hash(again) == hash(m)
+
+
+def test_scale_shares_the_rows_it_does_not_rescale():
+    m = IntMatrix.of([[ZERO, fin(1, 2)], [fin(1, 2), INF]])
+    assert scale(m)[1][0] is m.rows
+    half = IntMatrix.of([[fin(3, 2)]])
+    whole = IntMatrix.of([[fin(5)]])
+    common, (h, w) = scale(half, whole)
+    assert common == 2 and h is half.rows
+    assert w == ((10,),) and isinstance(w[0], tuple)
+
+
+def test_kernels_and_constructions_leave_operands_unchanged():
+    """Rows from scale are shared with their matrix, so a kernel that
+    writes must copy them; every operand reads the same afterwards."""
+    a = FinSpace(("s",), ((ZERO,),))
+    x = FinSpace(("p", "x"), ((ZERO, fin(1, 2)), (fin(1, 2), ZERO)))
+    b = FinSpace(("q", "b"), ((ZERO, fin(2)), (fin(2), ZERO)))
+    i, f = FinMap(a, x, ("p",)), FinMap(a, b, ("q",))
+    bx, _, _ = coproduct(b, x)
+    cost = [[ZERO, INF, fin(3), INF], [INF, ZERO, INF, fin(1)],
+            [fin(1, 3), INF, ZERO, INF], [INF, INF, INF, ZERO]]
+    blocks = (x.dist, IntMatrix.of([[fin(1), fin(1)], [fin(1), fin(1)]]),
+              IntMatrix.of([[fin(1, 3), INF], [INF, fin(1, 3)]]), x.dist)
+    operands = (a.dist, x.dist, b.dist, bx.dist) + blocks
+    before = [(m.den, m.rows) for m in operands]
+    cost_before = [list(row) for row in cost]
+
+    minplus_closure(x.dist)
+    minplus_closure(bx.dist)
+    minplus_closure(cost)
+    _glue_and_close(i, f, bx.dist)
+    _glue_and_close(i, f, cost)
+    coproduct(x, b)
+    pushout_along_embedding(i, f)
+    BlockMetric(x, *blocks).as_matrix()
+
+    assert [(m.den, m.rows) for m in operands] == before
+    assert cost == cost_before

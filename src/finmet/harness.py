@@ -15,7 +15,7 @@ from .extarith import INF, ZERO, fin
 from .maps import FinMap, compose, is_nonexpansive
 from .minplus import IntMatrix, minplus_closure, scale
 from .quotients import Submetric, quotient_by_submetric
-from .spaces import FinSpace, Frozen, sep_reflection
+from .spaces import FinSpace, Frozen, zero_classes
 
 DEFAULT_GRID = (ZERO, fin(1, 2), fin(1), fin(2), INF)
 # The grid as one row of ints; a draw from it picks the same index as a
@@ -40,19 +40,23 @@ class GenConfig(Frozen):
 def gen_metric(cfg):
     """A valid separated space on up to cfg.max_points points.
 
-    Sample a grid matrix, zero the diagonal, repair with the min-plus
-    closure, then separate; the result is relabelled p0, p1, ...
+    Sample a grid matrix, zero the diagonal and repair it with the
+    min-plus closure.  The space is the closure restricted to the first
+    point of each zero class, which separates it; its points are
+    labelled p0, p1, ...
     """
     rng = random.Random(cfg.seed)
     n = cfg.max_points
     grid = _GRID.rows[0]
     cost = [[0 if i == j else rng.choice(grid) for j in range(n)]
             for i in range(n)]
-    raw = FinSpace(tuple("p%d" % i for i in range(n)),
-                   minplus_closure(IntMatrix(_GRID.den, cost)))
-    reflected, _ = sep_reflection(raw)
-    return FinSpace(tuple("p%d" % i for i in range(reflected.n)),
-                    reflected.dist)
+    closed = minplus_closure(IntMatrix(_GRID.den, cost))
+    labels = tuple("p%d" % i for i in range(n))
+    classes, _ = zero_classes(labels, closed)
+    if len(classes) < n:
+        reps = [members[0] for members in classes]
+        closed = closed.sub(reps, reps)
+    return FinSpace(labels[:len(classes)], closed)
 
 
 def sample_cost_below(space, rng):

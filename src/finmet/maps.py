@@ -1,12 +1,15 @@
 """Morphisms of finite metric spaces: non-expansive point assignments.
 
 Includes the morphism predicates (embedding, surjective, isomorphism)
-and the (surjection, embedding) factorization through the image.
+and the (surjection, embedding) factorization through the image.  The
+predicates read the target metric along a map through its index map
+(target_indices) and build no pulled matrix; pulled_metric builds it
+for kernel_metric, whose result it is.
 """
 
 from __future__ import annotations
 
-from operator import gt
+from operator import gt, ne
 
 from .minplus import pointwise
 from .spaces import (FinSpace, Frozen, Violation, is_separated,
@@ -43,24 +46,32 @@ def identity(space):
     return FinMap(space, space, space.labels)
 
 
+def target_indices(f):
+    """The target index of each source point's image, in source order:
+    the index map through which f reads its target's metric."""
+    position = {lab: k for k, lab in enumerate(f.target.labels)}
+    return [position[lab] for lab in f.assignment]
+
+
 def pulled_metric(f):
     """The target metric read along f: entry (i, j) is
     d_target(f(x_i), f(x_j)) for source points x_i, x_j."""
-    idx = [f.target.index(lab) for lab in f.assignment]
+    idx = target_indices(f)
     return f.target.dist.sub(idx, idx)
 
 
 def check_nonexpansive(f):
     """All pairs with d_target(f(x), f(y)) > d_source(x, y); empty means valid."""
     labels, dist = f.source.labels, f.source.dist
-    pulled = pulled_metric(f)
+    target, idx = f.target.dist, target_indices(f)
     return [Violation("expansive", (labels[i], labels[j]),
-                      "%s > %s" % (pulled[i][j], dist[i][j]))
-            for i, j in pointwise(pulled, dist, gt)]
+                      "%s > %s" % (target[idx[i]][idx[j]], dist[i][j]))
+            for i, j in pointwise(target, dist, gt, idx)]
 
 
 def is_nonexpansive(f):
-    return not any(pointwise(pulled_metric(f), f.source.dist, gt))
+    return not any(pointwise(f.target.dist, f.source.dist, gt,
+                             target_indices(f)))
 
 
 def require_nonexpansive(f):
@@ -81,7 +92,8 @@ def is_injective(f):
 
 def is_embedding(f):
     """Injective with the source metric the exact restriction of the target's."""
-    return is_injective(f) and pulled_metric(f) == f.source.dist
+    return is_injective(f) and not any(
+        pointwise(f.target.dist, f.source.dist, ne, target_indices(f)))
 
 
 def is_surjective(f):

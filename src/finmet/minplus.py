@@ -12,8 +12,9 @@ the all-pairs shortest-path saturation: the least matrix below the given
 costs that satisfies the triangle inequality.  It doubles as the
 independent oracle for the explicit pushout formula and as the repair
 step of the random-space generator.  The entrywise comparison serves
-every order check of two matrices: non-expansive maps, submetrics below
-d, the order of quotients and the corelation laws.
+every order check of two matrices: non-expansive maps and embeddings
+(reading the target through the map's index map), submetrics below d,
+the order of quotients and the corelation laws.
 
 Every kernel is exact integer arithmetic: its operands are put over one
 common denominator (a no-op when they already share it), the loops run
@@ -172,15 +173,21 @@ def int_product(rows, other, ncols):
     return out
 
 
-def pointwise(a, b, op):
+def pointwise(a, b, op, idx=None):
     """Yield, in row-major order, each (i, j) at which op(a[i][j], b[i][j])
     holds, for two matrices of one shape.
 
-    op, such as operator.gt, compares ints over one common denominator,
-    INF above every finite value.  The scan is lazy: a caller that takes
-    the first item stops at the first entry where op holds.
+    With idx, a is read through it: a[idx[i]][idx[j]] stands for
+    a[i][j], so a matrix read along a map (idx[i] the image of point i)
+    is compared without building it; b then has len(idx) rows and
+    columns.  op, such as operator.gt, compares ints over one common
+    denominator, INF above every finite value.  The scan is lazy: a
+    caller that takes the first item stops at the first entry where op
+    holds.
     """
     _, (a, b) = scale(a, b)
+    if idx is not None:
+        a = [map(a[k].__getitem__, idx) for k in idx]
     for i, (a_row, b_row) in enumerate(zip(a, b)):
         for j in compress(count(), map(op, a_row, b_row)):
             yield i, j

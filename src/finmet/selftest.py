@@ -17,7 +17,7 @@ import random
 
 from . import corelations, idempotents, pushouts
 from .extarith import INF, ZERO, fin
-from .harness import (DEFAULT_GRID, GenConfig, brute_iso_check,
+from .harness import (_GRID, DEFAULT_GRID, GenConfig, brute_iso_check,
                       enumerate_mediators, gen_metric, gen_nonexpansive_map,
                       gen_submetric, gen_subset, gen_surjection)
 from .limits import Square, equalizer, is_pullback_square
@@ -71,6 +71,7 @@ def _space(rng, lo, hi):
 
 def suite_metric_laws(seed):
     trials = 500
+    grid = _GRID.rows[0]
     for t in range(trials):
         s = _seed(seed, 1, t)
         space = gen_metric(GenConfig(seed=s, max_points=t % 7))
@@ -80,9 +81,9 @@ def suite_metric_laws(seed):
                  "generated space not separated at trial %d", t)
         rng = random.Random(s ^ 0x5A5A)
         n = t % 7
-        cost = [[ZERO if i == j else rng.choice(DEFAULT_GRID)
-                 for j in range(n)] for i in range(n)]
-        once = minplus_closure(cost)
+        cost = [[0 if i == j else rng.choice(grid) for j in range(n)]
+                for i in range(n)]
+        once = minplus_closure(IntMatrix(_GRID.den, cost))
         _require(minplus_closure(once) == once,
                  "closure not idempotent at trial %d", t)
     return "%d spaces" % trials

@@ -110,9 +110,14 @@ def metric_violations(labels, dist):
 
 def is_separated(space):
     """No distinct pair at distance 0 in both directions: one zero class
-    per point."""
-    classes, _ = zero_classes(space.labels, space.dist)
-    return len(classes) == space.n
+    per point.  Stops at the first such pair."""
+    rows = space.dist.rows
+    n = len(rows)
+    for i, row in enumerate(rows):
+        for j in range(i + 1, n):
+            if row[j] == 0 and rows[j][i] == 0:
+                return False
+    return True
 
 
 def zero_classes(labels, mat):

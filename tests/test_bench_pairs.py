@@ -1,7 +1,9 @@
 """tools/bench_pairs.py refuses arguments it cannot summarise before it
-checks out or runs anything."""
+checks out or runs anything, keeps going past a failed run, flags wrong
+runs and applies the claim rule per metric."""
 
 import importlib.util
+import json
 import os
 
 import pytest
@@ -32,3 +34,110 @@ def test_fewer_than_two_pairs_exit_2_up_front(pairs, monkeypatch, capsys):
     assert exc.value.code == 2
     assert calls == []
     assert "--pairs must be at least 2" in capsys.readouterr().err
+
+
+def _result(ops_per_s, correct=True, failed=0, exit=0):
+    """A run as tools/bench_pairs.py records it, every end-to-end metric
+    at the value ops_per_s."""
+    names = ("setup_s", "ops_per_s", "op_p50_ms", "op_tail_ms", "peak_rss_mb")
+    return {"exit": exit, "correct": correct, "attempted": 10,
+            "failed": failed,
+            "metrics": {n: {"value": ops_per_s, "unit": "u"} for n in names}}
+
+
+BETTER = {"ops_per_s": "higher", "op_p50_ms": "lower", "setup_s": "lower",
+          "op_tail_ms": "lower", "peak_rss_mb": "lower"}
+
+
+def _pairs(parent, change):
+    return [{"seed": s, "first": "parent", "parent": _result(p),
+             "change": _result(c)}
+            for s, (p, c) in enumerate(zip(parent, change))]
+
+
+def test_claim_rule_needs_nine_wins_in_ten_and_a_gap_above_the_iqr():
+    tool = _load()
+    parent = [10, 11, 10, 12, 11, 10, 11, 12, 10, 11]
+    # Nine wins by 3, one loss: the median gap of 2.5 is above the
+    # parent's IQR of 1.25 (quartiles 10 and 11.25).
+    change = [p + 3 for p in parent[:9]] + [parent[9] - 1]
+    summ = tool.summary(_pairs(parent, change), BETTER)
+    ops, p50 = summ["metrics"]["ops_per_s"], summ["metrics"]["op_p50_ms"]
+    assert ops["change_wins"] == "9/10"
+    assert ops["claim"]["wins_needed"] == "9/10"
+    assert ops["claim"]["median_gap"] == 2.5
+    assert ops["claim"]["parent_iqr"] == 1.25
+    assert ops["claim"]["holds"]
+    # The same numbers, lower better: the change loses nine pairs.
+    assert p50["change_wins"] == "1/10" and not p50["claim"]["holds"]
+    # Eight wins do not make a claim, however large the gap.
+    change = [p + 3 for p in parent[:8]] + [p - 1 for p in parent[8:]]
+    ops = tool.summary(_pairs(parent, change), BETTER)["metrics"]["ops_per_s"]
+    assert ops["change_wins"] == "8/10" and not ops["claim"]["holds"]
+    # Ten wins by less than the IQR do not either.
+    change = [p + 0.5 for p in parent]
+    ops = tool.summary(_pairs(parent, change), BETTER)["metrics"]["ops_per_s"]
+    assert ops["change_wins"] == "10/10" and not ops["claim"]["holds"]
+    lines = tool.report_lines("w", tool.summary(_pairs(parent, change),
+                                                 BETTER))
+    assert ("w ops_per_s (higher better): change wins 10/10, needs 9/10; "
+            "median gap +0.5 against parent IQR 1.25: claim fails") in lines
+
+
+def test_summary_flags_wrong_and_failed_runs():
+    tool = _load()
+    runs = _pairs([10, 11, 12], [11, 12, 13])
+    runs[0]["change"]["correct"] = False
+    runs[2]["parent"]["failed"] = 2
+    summ = tool.summary(runs, BETTER)
+    assert summ["flagged"] == [
+        {"seed": 0, "side": "change", "exit": 0, "correct": False,
+         "failed": 0},
+        {"seed": 2, "side": "parent", "exit": 0, "correct": True,
+         "failed": 2}]
+    # Both runs are still measured, but neither passes silently.
+    assert summ["pairs_measured"] == "3/3"
+    assert summ["metrics"]["ops_per_s"]["change_wins"] == "3/3"
+    assert tool.report_lines("w", summ)[:2] == [
+        "w seed 0 change: FLAGGED exit=0 correct=False failed=0",
+        "w seed 2 parent: FLAGGED exit=0 correct=True failed=2"]
+
+
+def test_run_records_a_nonzero_exit(monkeypatch, tmp_path):
+    tool = _load()
+    done = lambda *args, **kwargs: tool.subprocess.CompletedProcess(
+        args, 3, stdout="inputs: {}\nTraceback ...\n")
+    monkeypatch.setattr(tool.subprocess, "run", done)
+    assert tool.run(str(tmp_path), "selftest", 1, 1) == {"exit": 3}
+
+
+def test_a_failed_run_keeps_the_other_pairs(monkeypatch, tmp_path):
+    # One run exits non-zero: every pair is still in the report, that
+    # pair is left out of the quartiles and is no win, and the exit
+    # status is 1.
+    tool = _load()
+    rev = lambda *args, **kwargs: tool.subprocess.CompletedProcess(
+        args, 0, stdout="tree\n")
+    monkeypatch.setattr(tool.subprocess, "run", rev)
+    monkeypatch.setattr(tool, "checkout", lambda rev, into: into)
+
+    def fake_run(root, workload, seed, seconds, trace=0):
+        if seed == 2 and root.endswith("change"):
+            return {"exit": 1}
+        return _result(seed + (1 if root.endswith("change") else 0))
+
+    monkeypatch.setattr(tool, "run", fake_run)
+    monkeypatch.chdir(os.path.dirname(os.path.dirname(_PATH)))
+    out = tmp_path / "bench.json"
+    status = tool.main(["--parent", "P", "--change", "C", "--out", str(out),
+                        "--workload", "w", "--pairs", "4",
+                        "--first-seed", "1"])
+    assert status == 1
+    report = json.loads(out.read_text())["workloads"]["w"]
+    assert [r["seed"] for r in report["runs"]] == [1, 2, 3, 4]
+    assert report["runs"][1]["change"] == {"exit": 1}
+    summ = report["summary"]
+    assert summ["pairs_measured"] == "3/4"
+    assert summ["flagged"] == [{"seed": 2, "side": "change", "exit": 1,
+                                "correct": None, "failed": None}]
+    assert summ["metrics"]["ops_per_s"]["change_wins"] == "3/4"

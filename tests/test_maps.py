@@ -14,6 +14,7 @@ from finmet.harness import GenConfig, gen_metric, gen_nonexpansive_map
 from finmet.maps import (FinMap, check_nonexpansive, compose, factorize,
                          identity, is_embedding, is_injective, is_isomorphism,
                          is_nonexpansive, is_surjective, subspace)
+from finmet.minplus import IntMatrix
 from finmet.quotients import quotient_leq
 from finmet.spaces import FinSpace, Violation
 from test_minplus import matrices
@@ -120,6 +121,32 @@ def test_predicates_build_no_violations(monkeypatch):
     f = FinMap(sp, x2, ("a", "a", "b"))
     g = FinMap(sp, x2, ("a", "b", "b"))
     assert not quotient_leq(f, g) and not quotient_leq(g, f)
+
+
+def test_map_predicates_build_no_pulled_matrix(monkeypatch):
+    # The predicates read the target metric through the map's index map:
+    # neither pulled_metric nor IntMatrix.sub runs.
+    calls = []
+
+    def counted(name, real):
+        def wrapper(*args):
+            calls.append(name)
+            return real(*args)
+        return wrapper
+
+    monkeypatch.setattr(maps_module, "pulled_metric",
+                        counted("pulled_metric", maps_module.pulled_metric))
+    monkeypatch.setattr(IntMatrix, "sub", counted("sub", IntMatrix.sub))
+    sp, x2 = three_chain(), two_point()
+    stretch = FinMap(two_point(fin(1)), two_point(fin(2)), ("a", "b"))
+    for f in (FinMap(sp, x2, ("a", "a", "b")), stretch, identity(sp)):
+        check_nonexpansive(f)
+        is_nonexpansive(f)
+        is_embedding(f)
+    assert calls == []
+    assert [str(v) for v in check_nonexpansive(stretch)] == [
+        "expansive at (a, b): 2 > 1", "expansive at (b, a): 2 > 1"]
+    assert is_embedding(identity(sp)) and not is_nonexpansive(stretch)
 
 
 def test_factorize_requires_separation():

@@ -219,6 +219,30 @@ def test_pointwise_matches_extvalue_loop(pair, op):
     assert list(pointwise(IntMatrix.of(a), IntMatrix.of(b), op)) == want
 
 
+@st.composite
+def read_through(draw):
+    """A square matrix a, an index map into it (repeats allowed, possibly
+    empty) and a matrix b of the index map's size."""
+    m = draw(st.integers(0, 4))
+    idx = draw(st.lists(st.integers(0, m - 1), max_size=5)) if m else []
+    return draw(matrices(m, m)), idx, draw(matrices(len(idx), len(idx)))
+
+
+@settings(deadline=None)
+@given(read_through(), st.sampled_from((gt, ne)))
+@example(([[ZERO, fin(1, 3)], [INF, fin(2)]], [1, 1, 0],
+          [[fin(2), fin(2), INF], [fin(2), ZERO, INF],
+           [fin(1, 3), fin(1, 3), ZERO]]), gt)
+@example(([[ZERO]], [], []), ne)
+@example(([], [], []), gt)
+def test_pointwise_through_idx_matches_the_pulled_matrix(case, op):
+    a, idx, b = case
+    a = IntMatrix.of(a)
+    want = list(pointwise(a.sub(idx, idx), b, op))
+    assert list(pointwise(a, b, op, idx)) == want
+    assert list(pointwise(a, IntMatrix.of(b), op, tuple(idx))) == want
+
+
 def benchmark_sized_cost(seed, n=24):
     """A seeded n-point cost matrix shaped like the benchmark's: zero
     diagonal, arcs from the second half back to the first INF, a quarter

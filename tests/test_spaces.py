@@ -14,7 +14,8 @@ from finmet.spaces import (FinSpace, Violation, is_separated,
                            metric_violations, quotient_by_zero_classes,
                            sep_reflection, validate_metric, zero_classes)
 from test_minplus import (HUGE_A, HUGE_B, SMALL, TINY, benchmark_sized_cost,
-                          huge_cost, reference_closure, square, values)
+                          huge_cost, positive, reference_closure, square,
+                          values)
 
 
 def two_point(v=fin(1)):
@@ -196,3 +197,52 @@ def test_zero_classes_match_extvalue_loop(mat):
     assert proj.target.dist == tuple(tuple(mat[ci[0]][cj[0]] for cj in classes)
                                      for ci in classes)
     assert proj.assignment == tuple(proj.target.labels[c] for c in assigned)
+
+
+# -- separation and zero classes against all pairs ---------------------------
+
+@st.composite
+def zero_arcs(draw):
+    """A square matrix of positive values with zero arcs put in, some one
+    way and some both ways, the diagonal included; most are not
+    metrics."""
+    n = draw(st.integers(0, 6))
+    mat = draw(st.lists(st.lists(positive, min_size=n, max_size=n),
+                        min_size=n, max_size=n))
+    if n:
+        point = st.integers(0, n - 1)
+        for i, j, both in draw(st.lists(st.tuples(point, point,
+                                                  st.booleans()))):
+            mat[i][j] = ZERO
+            if both:
+                mat[j][i] = ZERO
+    return mat
+
+
+def brute_zero_pairs(mat):
+    """Every ordered pair of distinct points at 0 both ways."""
+    n = len(mat)
+    return {(i, j) for i in range(n) for j in range(n)
+            if i != j and mat[i][j] == ZERO and mat[j][i] == ZERO}
+
+
+@settings(deadline=None)
+@given(zero_arcs())
+@example([[fin(1), ZERO, INF], [fin(2), ZERO, ZERO], [fin(1), ZERO, fin(3)]])
+@example([[ZERO, ZERO, fin(1)], [ZERO, ZERO, ZERO], [fin(1), ZERO, ZERO]])
+def test_separation_and_zero_classes_match_all_pairs(mat):
+    n = len(mat)
+    labels = tuple("p%d" % i for i in range(n))
+    pairs = brute_zero_pairs(mat)
+    assert is_separated(FinSpace(labels, mat)) == (not pairs)
+    # Each class is the first unassigned point and every later unassigned
+    # point at 0 both ways from it.
+    classes, assigned = [], [None] * n
+    for i in range(n):
+        if assigned[i] is None:
+            members = (i,) + tuple(j for j in range(i + 1, n)
+                                   if assigned[j] is None and (i, j) in pairs)
+            for j in members:
+                assigned[j] = len(classes)
+            classes.append(members)
+    assert zero_classes(labels, mat) == (classes, assigned)

@@ -10,10 +10,18 @@ Each side is a fresh `git archive` of its revision in a temporary
 directory, run with PYTHONDONTWRITEBYTECODE=1, so neither side holds a
 bytecode cache.  Pair p of a workload runs `perfbench/run.py` with seed
 first-seed + p on both sides, the parent first on even p and the change
-first on odd p.  The output keeps the final JSON line of every run and,
-per side and end-to-end metric, the median and quartiles
-(statistics.quantiles(values, n=4)) and the pairs the change won.
-`--traced W` adds one traced run of workload W, seed 1, per side.
+first on odd p.  The output keeps the final JSON line and the exit code
+of every run and, per side and end-to-end metric, the median and
+quartiles (statistics.quantiles(values, n=4)) and the pairs the change
+won.  A run that exits non-zero is recorded with its exit code and no
+metrics, its pair is left out of the quartiles and counts as no win,
+and the remaining runs go on.  The summary flags every run that exited
+non-zero, reported "correct": false or failed any operation.  Per
+metric it also applies the claim rule, printed to stderr: the change
+wins at least nine tenths of the pairs run, and its median beats the
+parent's by more than the parent's interquartile range.  `--traced W`
+adds one traced run of workload W, seed 1, per side.  The exit status
+is 1 if any run was flagged.
 """
 
 import argparse
@@ -35,7 +43,8 @@ def checkout(rev, into):
 
 
 def run(root, workload, seed, seconds, trace=0):
-    """The parsed final JSON line of one benchmark run in root."""
+    """The exit code of one benchmark run in root, under "exit", and,
+    if it exited 0, the fields of its final JSON line."""
     for dirpath, dirnames, _ in os.walk(root):
         if "__pycache__" in dirnames:
             sys.exit("error: bytecode cache in %s" % dirpath)
@@ -44,25 +53,79 @@ def run(root, workload, seed, seconds, trace=0):
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds),
          "--trace", str(trace)],
-        cwd=root, env=env, check=True, stdout=subprocess.PIPE, text=True)
-    return json.loads(out.stdout.strip().splitlines()[-1])
+        cwd=root, env=env, stdout=subprocess.PIPE, text=True)
+    result = {"exit": out.returncode}
+    if out.returncode == 0:
+        result.update(json.loads(out.stdout.strip().splitlines()[-1]))
+    return result
+
+
+def flagged(runs):
+    """Each run that exited non-zero, reported "correct": false or
+    failed an operation."""
+    return [{"seed": r["seed"], "side": side, "exit": r[side]["exit"],
+             "correct": r[side].get("correct"),
+             "failed": r[side].get("failed")}
+            for r in runs for side in ("parent", "change")
+            if r[side]["exit"] != 0 or r[side]["correct"] is not True
+            or r[side]["failed"] > 0]
+
+
+def claim(wins, pairs, parent, change, lower):
+    """The claim rule: the change wins at least nine tenths of the pairs
+    run, and its median beats the parent's by more than the parent's
+    interquartile range (IQR)."""
+    gap = (parent["median"] - change["median"] if lower
+           else change["median"] - parent["median"])
+    iqr = parent["q3"] - parent["q1"]
+    return {"wins_needed": "%d/%d" % (-(-9 * pairs // 10), pairs),
+            "median_gap": gap, "parent_iqr": iqr,
+            "holds": 10 * wins >= 9 * pairs and gap > iqr}
 
 
 def summary(runs, better):
-    """Per metric: each side's median and quartiles, and the change's wins."""
-    out = {}
-    for name in runs[0]["parent"]["metrics"]:
-        values = {side: [r[side]["metrics"][name]["value"] for r in runs]
+    """The flagged runs and, per metric, each side's median and quartiles
+    over the pairs where both runs exited 0, and the change's wins and
+    the claim rule over all pairs run: a tie or a failed pair is no
+    win."""
+    measured = [r for r in runs
+                if r["parent"]["exit"] == 0 and r["change"]["exit"] == 0]
+    out = {"flagged": flagged(runs),
+           "pairs_measured": "%d/%d" % (len(measured), len(runs)),
+           "metrics": {}}
+    if len(measured) < 2:
+        return out
+    for name in measured[0]["parent"]["metrics"]:
+        values = {side: [r[side]["metrics"][name]["value"] for r in measured]
                   for side in ("parent", "change")}
         lower = better[name] == "lower"
         wins = sum((c < p) if lower else (c > p)
                    for p, c in zip(values["parent"], values["change"]))
-        out[name] = {"better": better[name],
-                     "change_wins": "%d/%d" % (wins, len(runs))}
+        entry = {"better": better[name],
+                 "change_wins": "%d/%d" % (wins, len(runs))}
         for side, vals in values.items():
             q1, median, q3 = statistics.quantiles(vals, n=4)
-            out[name][side] = {"median": median, "q1": q1, "q3": q3}
+            entry[side] = {"median": median, "q1": q1, "q3": q3}
+        entry["claim"] = claim(wins, len(runs), entry["parent"],
+                               entry["change"], lower)
+        out["metrics"][name] = entry
     return out
+
+
+def report_lines(workload, summ):
+    """One stderr line per flagged run and per metric's claim rule."""
+    lines = ["%s seed %d %s: FLAGGED exit=%d correct=%s failed=%s"
+             % (workload, f["seed"], f["side"], f["exit"], f["correct"],
+                f["failed"]) for f in summ["flagged"]]
+    for name, m in summ["metrics"].items():
+        c = m["claim"]
+        lines.append(
+            "%s %s (%s better): change wins %s, needs %s; median gap %+.6g "
+            "against parent IQR %.6g: claim %s"
+            % (workload, name, m["better"], m["change_wins"], c["wins_needed"],
+               c["median_gap"], c["parent_iqr"],
+               "holds" if c["holds"] else "fails"))
+    return lines
 
 
 def main(argv=None):
@@ -93,6 +156,7 @@ def main(argv=None):
               "cpus": os.cpu_count(), "workloads": {}, "traced": {}}
     with open("BENCHMARK.json") as fh:
         better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+    status = 0
     with tempfile.TemporaryDirectory() as tmp:
         roots = {side: checkout(rev, os.path.join(tmp, side))
                  for side, rev in (("parent", args.parent),
@@ -106,13 +170,18 @@ def main(argv=None):
                     "change", "parent")
                 pair = {"seed": seed, "first": order[0]}
                 for side in order:
-                    pair[side] = run(roots[side], workload, seed, args.seconds)
-                    print(workload, seed, side,
-                          json.dumps(pair[side]["metrics"]["ops_per_s"]),
-                          file=sys.stderr, flush=True)
+                    pair[side] = res = run(roots[side], workload, seed,
+                                           args.seconds)
+                    print(workload, seed, side, json.dumps(
+                        res["metrics"]["ops_per_s"] if res["exit"] == 0
+                        else res), file=sys.stderr, flush=True)
                 runs.append(pair)
-            report["workloads"][workload] = {
-                "runs": runs, "summary": summary(runs, better)}
+            summ = summary(runs, better)
+            if summ["flagged"]:
+                status = 1
+            for line in report_lines(workload, summ):
+                print(line, file=sys.stderr, flush=True)
+            report["workloads"][workload] = {"runs": runs, "summary": summ}
         for workload in args.traced:
             report["traced"][workload] = {
                 side: run(roots[side], workload, 1, args.seconds, trace=1)
@@ -120,7 +189,7 @@ def main(argv=None):
     with open(args.out, "w") as fh:
         json.dump(report, fh, indent=1, sort_keys=True)
         fh.write("\n")
-    return 0
+    return status
 
 
 if __name__ == "__main__":

@@ -6,16 +6,23 @@ gamma whose mixed blocks are min-plus products over the glue points.
 Every pushout goes through this one formula, cokernel pairs included.
 An independent shortest-path closure oracle recomputes gamma from the
 raw gluing costs so the two routes can be compared exactly.
+
+Sampled cocones check the universal property by their kernel metrics k
+on B + X: a mediator out of the apex exists iff k <= K, the apex metric
+read along the legs with 0 where two legs meet.  This is exact when the
+legs are jointly surjective and every cocone target is separated.
 """
 
 from __future__ import annotations
 
 import random
+from operator import gt, lt
 
 from .limits import Square, coproduct
-from .maps import (FinMap, compose, is_embedding, is_nonexpansive,
-                   require_nonexpansive)
-from .minplus import IntMatrix, int_product, minplus_closure, scale
+from .maps import (compose, is_embedding, require_nonexpansive,
+                   target_indices)
+from .minplus import (IntMatrix, int_product, minplus_closure, pointwise,
+                      scale)
 from .quotients import Submetric, quotient_by_submetric
 from .spaces import Frozen, is_separated
 
@@ -122,29 +129,46 @@ def cokernel_pair(i):
     return result.leg_b, result.leg_x, result.apex
 
 
-def _mediator_exists(result, h):
-    """Mediator out of the apex for the cocone h out of B + X.
+def _cocone_kernels(i, f, trials, seed):
+    """The kernel metrics on B + X of the sampled cocones, in order: the
+    closure-oracle pushout's, then up to trials - 1 drawn glued costs and
+    raw index maps that merge each glue pair and do not expand."""
+    from .harness import GenConfig, gen_metric, sample_cost_below
 
-    The legs into the apex are meant to be jointly surjective, so any
-    mediator is forced pointwise; this checks it is well-defined and
-    non-expansive.  The triangles commute by construction.
-    """
-    legs = result.leg_b.assignment + result.leg_x.assignment
-    mediator = {}
-    for apex_lab, want in zip(legs, h.assignment):
-        if mediator.setdefault(apex_lab, want) != want:
-            return False  # cocone separates points the apex merged
-    apex = result.apex
-    u = FinMap(apex, h.target, tuple(mediator[lab] for lab in apex.labels))
-    return is_nonexpansive(u)
+    # Built from the span, not from result.gamma, so the check does not
+    # trust the result it checks.
+    bx, _, _ = coproduct(f.target, i.target)
+    glue = [(f.target.index(f(a)), f.target.n + i.target.index(i(a)))
+            for a in f.source.labels]
+    rng = random.Random(seed)
+    yield _glue_and_close(i, f, bx.dist)
+    checked, attempts = 1, 0
+    while checked < trials and attempts < trials * 200:
+        attempts += 1
+        if rng.random() < 0.5:
+            kernel = _glue_and_close(i, f, sample_cost_below(bx, rng))
+        else:
+            t_space = gen_metric(GenConfig(seed=rng.getrandbits(63),
+                                           max_points=rng.randint(1, 4)))
+            h = [rng.choice(range(t_space.n)) for _ in bx.labels]
+            if any(h[p] != h[q] for p, q in glue) or any(
+                    pointwise(t_space.dist, bx.dist, gt, h)):
+                continue
+            kernel = t_space.dist.sub(h, h)
+        checked += 1
+        yield kernel
 
 
-def _glued_quotient(i, f, bx, costs):
-    """Projection of bx = B + X onto its quotient by costs closed with
-    f(a) glued to i(a): the general glue, close and quotient route, which
-    needs no embedding.  On bx.dist it is the pushout's projection; on
-    any costs below bx.dist it is a cocone by construction."""
-    return quotient_by_submetric(Submetric(bx, _glue_and_close(i, f, costs)))
+def _refusals(result, trials, seed):
+    """Whether each sampled cocone has no mediator, in order and lazily:
+    whether its kernel metric fails to lie below K."""
+    sq, apex = result.square, result.apex
+    legs = target_indices(sq.bottom) + target_indices(sq.right)
+    d = apex.dist.rows
+    bound = IntMatrix(apex.dist.den, [[0 if p == q else d[p][q] for q in legs]
+                                      for p in legs])
+    for kernel in _cocone_kernels(sq.top, sq.left, trials, seed):
+        yield any(pointwise(bound, kernel, lt))
 
 
 def verify_pushout_universal(result, trials=100, seed=0):
@@ -156,42 +180,16 @@ def verify_pushout_universal(result, trials=100, seed=0):
     corrupted apex is refuted deterministically), quotients of B + X
     along random glued cost grids, and rejection-sampled raw
     assignments into small random targets.
+
+    Each cocone counts only as its kernel metric k_h(p, q) = d_T(h(p),
+    h(q)).  A mediator u with u . leg = h exists iff k_h <= K pointwise,
+    K(p, q) = d_apex(leg p, leg q) or 0 where leg p = leg q.  That is
+    exact as the legs are jointly surjective (checked first), so u is
+    forced and non-expansive iff k_h <= K, and as every cocone target is
+    separated, so the 0s of K make u well defined.
     """
-    from .harness import GenConfig, gen_metric, sample_cost_below
-
     sq = result.square
-    f, i = sq.left, sq.top
-    hit = set(sq.bottom.assignment) | set(sq.right.assignment)
-    if hit != set(result.apex.labels):
+    if set(sq.bottom.assignment + sq.right.assignment) != set(
+            result.apex.labels):
         return False  # an unreachable apex point breaks uniqueness
-
-    rng = random.Random(seed)
-    # Built from the span, not from result.gamma, so the check does not
-    # trust the result it checks.
-    bx, _, _ = coproduct(f.target, i.target)
-    glue = [(f.target.index(f(a)), f.target.n + i.target.index(i(a)))
-            for a in f.source.labels]
-
-    # Trial 0: the oracle pushout as a competing cocone.
-    if not _mediator_exists(result, _glued_quotient(i, f, bx, bx.dist)):
-        return False
-
-    checked = 1
-    attempts = 0
-    max_attempts = trials * 200
-    while checked < trials and attempts < max_attempts:
-        attempts += 1
-        if rng.random() < 0.5:
-            h = _glued_quotient(i, f, bx, sample_cost_below(bx, rng))
-        else:
-            t_space = gen_metric(GenConfig(seed=rng.getrandbits(63),
-                                           max_points=rng.randint(1, 4)))
-            h = FinMap(bx, t_space,
-                       tuple(rng.choice(t_space.labels) for _ in bx.labels))
-            if not is_nonexpansive(h) or any(
-                    h.assignment[p] != h.assignment[q] for p, q in glue):
-                continue
-        checked += 1
-        if not _mediator_exists(result, h):
-            return False
-    return True
+    return not any(_refusals(result, trials, seed))

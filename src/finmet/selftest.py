@@ -211,11 +211,13 @@ def _redirect(result, apex, relabel):
 def _corrupt_lower(result):
     """Lower one positive apex distance to zero; None if all are zero."""
     apex = result.apex
-    for p in range(apex.n):
-        for q in range(apex.n):
-            if p != q and apex.dist[p][q] > ZERO:
-                dist = [list(row) for row in apex.dist]
-                dist[p][q] = ZERO
+    rows = apex.dist.rows
+    for p, row in enumerate(rows):
+        for q, x in enumerate(row):
+            if p != q and x > 0:
+                lowered = [list(r) for r in rows]
+                lowered[p][q] = 0
+                dist = IntMatrix(apex.dist.den, lowered)
                 return _redirect(result, FinSpace(apex.labels, dist),
                                  lambda lab: lab)
     return None

@@ -1,6 +1,7 @@
 """tools/bench_pairs.py refuses arguments it cannot summarise before it
 checks out or runs anything, keeps going past a failed run, flags wrong
-runs and applies the claim rule per metric."""
+runs, applies the claim rule per metric and checks each metric's
+regression bound."""
 
 import importlib.util
 import json
@@ -61,7 +62,7 @@ def test_claim_rule_needs_nine_wins_in_ten_and_a_gap_above_the_iqr():
     # Nine wins by 3, one loss: the median gap of 2.5 is above the
     # parent's IQR of 1.25 (quartiles 10 and 11.25).
     change = [p + 3 for p in parent[:9]] + [parent[9] - 1]
-    summ = tool.summary(_pairs(parent, change), BETTER)
+    summ = tool.summary(_pairs(parent, change), BETTER, {})
     ops, p50 = summ["metrics"]["ops_per_s"], summ["metrics"]["op_p50_ms"]
     assert ops["change_wins"] == "9/10"
     assert ops["claim"]["wins_needed"] == "9/10"
@@ -72,14 +73,16 @@ def test_claim_rule_needs_nine_wins_in_ten_and_a_gap_above_the_iqr():
     assert p50["change_wins"] == "1/10" and not p50["claim"]["holds"]
     # Eight wins do not make a claim, however large the gap.
     change = [p + 3 for p in parent[:8]] + [p - 1 for p in parent[8:]]
-    ops = tool.summary(_pairs(parent, change), BETTER)["metrics"]["ops_per_s"]
+    ops = tool.summary(_pairs(parent, change), BETTER,
+                       {})["metrics"]["ops_per_s"]
     assert ops["change_wins"] == "8/10" and not ops["claim"]["holds"]
     # Ten wins by less than the IQR do not either.
     change = [p + 0.5 for p in parent]
-    ops = tool.summary(_pairs(parent, change), BETTER)["metrics"]["ops_per_s"]
+    ops = tool.summary(_pairs(parent, change), BETTER,
+                       {})["metrics"]["ops_per_s"]
     assert ops["change_wins"] == "10/10" and not ops["claim"]["holds"]
     lines = tool.report_lines("w", tool.summary(_pairs(parent, change),
-                                                 BETTER))
+                                                 BETTER, {}))
     assert ("w ops_per_s (higher better): change wins 10/10, needs 9/10; "
             "median gap +0.5 against parent IQR 1.25: claim fails") in lines
 
@@ -89,7 +92,7 @@ def test_summary_flags_wrong_and_failed_runs():
     runs = _pairs([10, 11, 12], [11, 12, 13])
     runs[0]["change"]["correct"] = False
     runs[2]["parent"]["failed"] = 2
-    summ = tool.summary(runs, BETTER)
+    summ = tool.summary(runs, BETTER, {})
     assert summ["flagged"] == [
         {"seed": 0, "side": "change", "exit": 0, "correct": False,
          "failed": 0},
@@ -141,3 +144,41 @@ def test_a_failed_run_keeps_the_other_pairs(monkeypatch, tmp_path):
     assert summ["flagged"] == [{"seed": 2, "side": "change", "exit": 1,
                                 "correct": None, "failed": None}]
     assert summ["metrics"]["ops_per_s"]["change_wins"] == "3/4"
+
+
+def test_regression_bound_is_checked_per_metric(monkeypatch, tmp_path):
+    tool = _load()
+    bounds = {"ops_per_s": 0.2, "op_p50_ms": 0.2, "op_tail_ms": 0.25}
+    # Every metric at 12.5 on the change side, 25 % above the parent.
+    summ = tool.summary(_pairs([10] * 4, [12.5] * 4), BETTER, bounds)
+    metrics = summ["metrics"]
+    assert metrics["op_p50_ms"]["regression"] == {
+        "bound": 0.2, "worse_by": 0.25, "exceeds": True}
+    # 25 % worse is not above a bound of 25 %; higher ops_per_s is better.
+    assert not metrics["op_tail_ms"]["regression"]["exceeds"]
+    assert metrics["ops_per_s"]["regression"]["worse_by"] == -0.25
+    assert "regression" not in metrics["setup_s"]
+    assert summ["regressions"] == ["op_p50_ms"]
+    assert summ["flagged"] == []
+    assert ("w op_p50_ms: REGRESSION, change median 12.5 is worse than "
+            "parent median 10 by 25.0%, above the bound of 20.0%"
+            ) in tool.report_lines("w", summ)
+
+    # main reads the bounds from BENCHMARK.json and exits 1 on a
+    # regression even when every run is correct.
+    rev = lambda *args, **kwargs: tool.subprocess.CompletedProcess(
+        args, 0, stdout="tree\n")
+    monkeypatch.setattr(tool.subprocess, "run", rev)
+    monkeypatch.setattr(tool, "checkout", lambda rev, into: into)
+    monkeypatch.setattr(tool, "run", lambda root, workload, seed, seconds,
+                        trace=0: _result(13 if root.endswith("change")
+                                         else 10))
+    monkeypatch.chdir(os.path.dirname(os.path.dirname(_PATH)))
+    out = tmp_path / "bench.json"
+    assert tool.main(["--parent", "P", "--change", "C", "--out", str(out),
+                      "--workload", "w", "--pairs", "2",
+                      "--first-seed", "1"]) == 1
+    summ = json.loads(out.read_text())["workloads"]["w"]["summary"]
+    assert summ["flagged"] == []
+    assert summ["regressions"] == ["setup_s", "op_p50_ms", "op_tail_ms",
+                                   "peak_rss_mb"]

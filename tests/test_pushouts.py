@@ -1,3 +1,4 @@
+import math
 import os
 import random
 import sys
@@ -8,12 +9,18 @@ from hypothesis import strategies as st
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
+from finmet import pushouts
 from finmet.extarith import INF, ZERO, fin
-from finmet.harness import GenConfig, gen_metric
-from finmet.maps import FinMap, compose, is_embedding, subspace
+from finmet.harness import GenConfig, gen_metric, sample_cost_below
+from finmet.limits import coproduct, is_pullback_square
+from finmet.maps import (FinMap, compose, is_embedding, is_nonexpansive,
+                         subspace)
+from finmet.minplus import IntMatrix
 from finmet.pushouts import (cokernel_pair, pushout_along_embedding,
                              pushout_closure_oracle, verify_pushout_universal)
-from finmet.limits import is_pullback_square
+from finmet.quotients import Submetric, quotient_by_submetric
+from finmet.selftest import (_corrupt_lower, _corrupt_merge,
+                             _pushout_instance, _redirect)
 from finmet.spaces import FinSpace, is_separated, validate_metric
 from test_minplus import positive, reference_closure, separated_metric
 
@@ -36,7 +43,6 @@ def rand_instance(rng, max_points=5):
         return None
     f = FinMap(i.source, b,
                tuple(rng.choice(b.labels) for _ in i.source.labels))
-    from finmet.maps import is_nonexpansive
     if not is_nonexpansive(f):
         return None
     return i, f
@@ -97,6 +103,81 @@ def test_universal_property_sampled():
         result = pushout_along_embedding(i, f)
         assert verify_pushout_universal(result, trials=40,
                                         seed=rng.getrandbits(40))
+
+
+def _reference_mediator_exists(result, h):
+    """The mediator out of the apex for the cocone h, built point by
+    point and then checked well defined and non-expansive."""
+    legs = result.leg_b.assignment + result.leg_x.assignment
+    mediator = {}
+    for apex_lab, want in zip(legs, h.assignment):
+        if mediator.setdefault(apex_lab, want) != want:
+            return False
+    apex = result.apex
+    u = FinMap(apex, h.target, tuple(mediator[lab] for lab in apex.labels))
+    return is_nonexpansive(u)
+
+
+def _reference_refusals(result, trials, seed):
+    """(kind, refused) for each cocone of the sampler, drawn as
+    verify_pushout_universal draws them, with each glued cocone built as
+    a quotient map and each raw one as a FinMap."""
+    f, i = result.square.left, result.square.top
+    bx, _, _ = coproduct(f.target, i.target)
+    glue = [(f.target.index(f(a)), f.target.n + i.target.index(i(a)))
+            for a in f.source.labels]
+
+    def glued(costs):
+        closed = pushouts._glue_and_close(i, f, costs)
+        return quotient_by_submetric(Submetric(bx, closed))
+
+    rng = random.Random(seed)
+    yield "glued", not _reference_mediator_exists(result, glued(bx.dist))
+    checked, attempts = 1, 0
+    while checked < trials and attempts < trials * 200:
+        attempts += 1
+        if rng.random() < 0.5:
+            kind, h = "glued", glued(sample_cost_below(bx, rng))
+        else:
+            t_space = gen_metric(GenConfig(seed=rng.getrandbits(63),
+                                           max_points=rng.randint(1, 4)))
+            kind, h = "raw", FinMap(bx, t_space, tuple(
+                rng.choice(t_space.labels) for _ in bx.labels))
+            if not is_nonexpansive(h) or any(
+                    h.assignment[p] != h.assignment[q] for p, q in glue):
+                continue
+        checked += 1
+        yield kind, not _reference_mediator_exists(result, h)
+
+
+def _raise_diagonal(result):
+    """result with the first apex point at distance inf from itself."""
+    apex = result.apex
+    rows = [list(row) for row in apex.dist.rows]
+    rows[0][0] = math.inf
+    return _redirect(result, FinSpace(apex.labels,
+                                      IntMatrix(apex.dist.den, rows)),
+                     lambda lab: lab)
+
+
+def test_kernel_criterion_matches_the_mediator_route():
+    """Cocone by cocone, the kernel-metric verdict is the verdict of
+    building each cocone and its mediator, on genuine pushouts, on
+    corrupted ones and on apexes with a nonzero diagonal entry."""
+    refused = {"glued": 0, "raw": 0}
+    for seed in range(40):
+        result = pushout_along_embedding(*_pushout_instance(seed, 3))
+        variants = [r for r in (result, _corrupt_lower(result),
+                                _corrupt_merge(result)) if r is not None]
+        for r in variants + [_raise_diagonal(r) for r in variants]:
+            want = list(_reference_refusals(r, 20, seed))
+            assert list(pushouts._refusals(r, 20, seed)) == [
+                no for _, no in want]
+            assert verify_pushout_universal(r, 20, seed) == (
+                not any(no for _, no in want))
+            for kind, no in want:
+                refused[kind] += no
+    assert refused["glued"] > 0 and refused["raw"] > 0
 
 
 def test_universal_check_builds_the_coproduct_once(monkeypatch):

@@ -7,13 +7,23 @@ test holds suite 10's pruned enumeration to the unpruned scan.
 """
 
 import itertools
+import operator
 
 import pytest
 
-from finmet import cli, corelations, idempotents, selftest
+from finmet import cli, corelations, idempotents, pushouts, selftest
 
 
 @pytest.mark.parametrize("module,attr,fake,suite,line", [
+    # With <= in place of <, a cocone whose kernel metric only meets K is
+    # refused, and the genuine pushout's own cocone meets it.
+    (pushouts, "lt", operator.le, "pushout-universal",
+     "criterion  5 pushout-universal      FAIL  "
+     "(genuine pushout refuted at square 0)"),
+    # The kernel criterion refuses nothing, so a corruption passes.
+    (pushouts, "lt", lambda a, b: False, "pushout-universal",
+     "criterion  5 pushout-universal      FAIL  "
+     "(corrupted pushout accepted (attempt 1))"),
     (selftest, "is_embedding", lambda f: False, "embedding-stability",
      "criterion  6 embedding-stability    FAIL  "
      "(pushed-out leg not embedding at trial 0)"),
@@ -28,7 +38,8 @@ from finmet import cli, corelations, idempotents, selftest
     (corelations, "is_transitive", lambda bm: True, "pinned-fixtures",
      "criterion 11 pinned-fixtures        FAIL  "
      "(corrected fixture unexpectedly transitive)"),
-], ids=["embedding_stability", "idempotence", "idempotence_prefilter",
+], ids=["pushout_genuine_refuted", "pushout_corruption_accepted",
+        "embedding_stability", "idempotence", "idempotence_prefilter",
         "pinned_fixtures"])
 def test_planted_fault_gives_fail_line(monkeypatch, module, attr, fake,
                                         suite, line):

@@ -19,13 +19,17 @@ and the remaining runs go on.  The summary flags every run that exited
 non-zero, reported "correct": false or failed any operation.  Per
 metric it also applies the claim rule, printed to stderr: the change
 wins at least nine tenths of the pairs run, and its median beats the
-parent's by more than the parent's interquartile range.  `--traced W`
-adds one traced run of workload W, seed 1, per side.  The exit status
-is 1 if any run was flagged.
+parent's by more than the parent's interquartile range.  It also
+checks the metric's regression bound from BENCHMARK.json: the change's
+median may be worse than the parent's by at most that share of the
+parent's median.  `--traced W` adds one traced run of workload W, seed
+1, per side.  The exit status is 1 if any run was flagged or any metric
+broke its bound.
 """
 
 import argparse
 import json
+import math
 import os
 import statistics
 import subprocess
@@ -83,16 +87,28 @@ def claim(wins, pairs, parent, change, lower):
             "holds": 10 * wins >= 9 * pairs and gap > iqr}
 
 
-def summary(runs, better):
+def regression(parent, change, lower, bound):
+    """How much worse the change's median is than the parent's, as a
+    share of the parent's median, and whether that exceeds bound."""
+    gap = (change["median"] - parent["median"] if lower
+           else parent["median"] - change["median"])
+    base = abs(parent["median"])
+    worse_by = gap / base if base else (math.inf if gap > 0 else 0.0)
+    return {"bound": bound, "worse_by": worse_by, "exceeds": worse_by > bound}
+
+
+def summary(runs, better, bounds):
     """The flagged runs and, per metric, each side's median and quartiles
     over the pairs where both runs exited 0, and the change's wins and
     the claim rule over all pairs run: a tie or a failed pair is no
-    win."""
+    win.  A metric with an entry in bounds also gets its regression
+    check, and the metrics that break it are listed under
+    "regressions"."""
     measured = [r for r in runs
                 if r["parent"]["exit"] == 0 and r["change"]["exit"] == 0]
     out = {"flagged": flagged(runs),
            "pairs_measured": "%d/%d" % (len(measured), len(runs)),
-           "metrics": {}}
+           "metrics": {}, "regressions": []}
     if len(measured) < 2:
         return out
     for name in measured[0]["parent"]["metrics"]:
@@ -108,12 +124,18 @@ def summary(runs, better):
             entry[side] = {"median": median, "q1": q1, "q3": q3}
         entry["claim"] = claim(wins, len(runs), entry["parent"],
                                entry["change"], lower)
+        if name in bounds:
+            entry["regression"] = regression(entry["parent"], entry["change"],
+                                             lower, bounds[name])
+            if entry["regression"]["exceeds"]:
+                out["regressions"].append(name)
         out["metrics"][name] = entry
     return out
 
 
 def report_lines(workload, summ):
-    """One stderr line per flagged run and per metric's claim rule."""
+    """One stderr line per flagged run, per metric's claim rule and per
+    metric that broke its regression bound."""
     lines = ["%s seed %d %s: FLAGGED exit=%d correct=%s failed=%s"
              % (workload, f["seed"], f["side"], f["exit"], f["correct"],
                 f["failed"]) for f in summ["flagged"]]
@@ -125,6 +147,14 @@ def report_lines(workload, summ):
             % (workload, name, m["better"], m["change_wins"], c["wins_needed"],
                c["median_gap"], c["parent_iqr"],
                "holds" if c["holds"] else "fails"))
+    for name in summ["regressions"]:
+        m = summ["metrics"][name]
+        lines.append(
+            "%s %s: REGRESSION, change median %.6g is worse than parent "
+            "median %.6g by %.1f%%, above the bound of %.1f%%"
+            % (workload, name, m["change"]["median"], m["parent"]["median"],
+               100 * m["regression"]["worse_by"],
+               100 * m["regression"]["bound"]))
     return lines
 
 
@@ -155,7 +185,9 @@ def main(argv=None):
               "seconds": args.seconds, "python": sys.version.split()[0],
               "cpus": os.cpu_count(), "workloads": {}, "traced": {}}
     with open("BENCHMARK.json") as fh:
-        better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+        end_to_end = json.load(fh)["end_to_end"]
+    better = {m["name"]: m["better"] for m in end_to_end}
+    bounds = {m["name"]: m["bound"] for m in end_to_end if "bound" in m}
     status = 0
     with tempfile.TemporaryDirectory() as tmp:
         roots = {side: checkout(rev, os.path.join(tmp, side))
@@ -176,8 +208,8 @@ def main(argv=None):
                         res["metrics"]["ops_per_s"] if res["exit"] == 0
                         else res), file=sys.stderr, flush=True)
                 runs.append(pair)
-            summ = summary(runs, better)
-            if summ["flagged"]:
+            summ = summary(runs, better, bounds)
+            if summ["flagged"] or summ["regressions"]:
                 status = 1
             for line in report_lines(workload, summ):
                 print(line, file=sys.stderr, flush=True)

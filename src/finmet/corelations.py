@@ -149,8 +149,9 @@ def gamma_from_subset(x_space, subset):
     zero crossing cost; the cokernel-pair corelation of the inclusion."""
     if not is_separated(x_space):
         raise ValueError("base must be separated")
+    subset = tuple(subset)
     idx = sorted(x_space.index(lab) for lab in subset)
-    if len(set(idx)) != len(list(subset)):
+    if len(set(idx)) != len(subset):
         raise ValueError("duplicate labels in subset")
     common, (d,) = scale(x_space.dist)
     cross = IntMatrix(common, int_product(

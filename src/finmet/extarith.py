@@ -35,9 +35,6 @@ class Frozen:
         # attrgetter of one name gives the bare value, not a 1-tuple.
         cls._values = (get if len(fields) > 1
                        else staticmethod(lambda obj: (get(obj),)))
-        # A class that widens == keeps the hash of its fields.
-        if cls.__dict__.get("__hash__", Frozen.__hash__) is None:
-            del cls.__hash__
 
     def __setattr__(self, name, value):
         raise AttributeError("%s is immutable" % type(self).__name__)

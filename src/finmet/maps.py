@@ -106,12 +106,12 @@ def is_isomorphism(f):
 
 def subspace(space, labels):
     """The subspace on the given labels (target order) with restricted metric,
-    together with its inclusion embedding."""
-    wanted = set(labels)
-    keep = [lab for lab in space.labels if lab in wanted]
-    idx = [space.index(lab) for lab in keep]
-    sub = FinSpace(tuple(keep), space.dist.sub(idx, idx))
-    return sub, FinMap(sub, space, tuple(keep))
+    together with its inclusion embedding; KeyError for a label that is
+    not a point, while a repeated label is kept once."""
+    idx = sorted({space.index(lab) for lab in labels})
+    keep = tuple(space.labels[i] for i in idx)
+    sub = FinSpace(keep, space.dist.sub(idx, idx))
+    return sub, FinMap(sub, space, keep)
 
 
 def factorize(f):

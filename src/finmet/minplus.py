@@ -4,7 +4,9 @@ An IntMatrix holds its entries as plain ints over one common
 denominator, with math.inf for INF; it is how every space, submetric,
 block and cost matrix stores its distances.  Reading a row or an entry
 gives ExtValue, so callers that index, iterate or take len() see nested
-ExtValue sequences, and the kernels accept either form.
+ExtValue sequences.  Nested ExtValue literals become an IntMatrix only
+through the classmethod of, which the record constructors and the
+workspace loader call; the kernels take IntMatrix operands.
 
 One product kernel serves square and rectangular operands alike; the
 pushout formula builds its mixed blocks from it.  The closure here is
@@ -41,9 +43,8 @@ class IntMatrix(Frozen, fields=("den", "rows")):
 
     den is reduced by the gcd of the finite entries, so two matrices with
     the same entries have the same (den, rows), and == and hash compare
-    exactly that.  len(), indexing and iteration read the ExtValue form,
-    converted once and kept.  == also accepts a nested ExtValue sequence,
-    for literals; such a sequence does not hash like its IntMatrix.
+    exactly that: an IntMatrix equals only an IntMatrix.  len(), indexing
+    and iteration read the ExtValue form, converted once and kept.
     """
 
     __slots__ = ("den", "rows", "_ext")
@@ -119,14 +120,6 @@ class IntMatrix(Frozen, fields=("den", "rows")):
     def __iter__(self):
         return iter(self.ext())
 
-    def __eq__(self, other):
-        if not isinstance(other, IntMatrix):
-            try:
-                other = IntMatrix.of(other)
-            except TypeError:
-                return NotImplemented
-        return Frozen.__eq__(self, other)
-
     def __repr__(self):
         return "IntMatrix(%r)" % ([[v.token() for v in row]
                                    for row in self.ext()],)
@@ -135,14 +128,13 @@ class IntMatrix(Frozen, fields=("den", "rows")):
 def scale(*matrices):
     """(L, rows): the matrices' rows over one common denominator L.
 
-    Each matrix may be an IntMatrix or a nested ExtValue sequence.  A
-    finite entry p/q becomes the int p * (L // q), and INF stays inf.
-    The rows are read-only tuples, an IntMatrix's own rows where its
-    denominator is already L; a caller that writes makes its own copy.
+    Each matrix is an IntMatrix.  A finite entry p/den becomes the int
+    p * (L // den), and inf stays inf.  The rows are read-only tuples, a
+    matrix's own rows where its denominator is already L; a caller that
+    writes makes its own copy.
     """
-    ms = [IntMatrix.of(m) for m in matrices]
-    common = lcm(*[m.den for m in ms])
-    return common, [m.scaled(common // m.den) for m in ms]
+    common = lcm(*[m.den for m in matrices])
+    return common, [m.scaled(common // m.den) for m in matrices]
 
 
 def finite_columns(row):
@@ -175,7 +167,7 @@ def int_product(rows, other, ncols):
 
 def pointwise(a, b, op, idx=None):
     """Yield, in row-major order, each (i, j) at which op(a[i][j], b[i][j])
-    holds, for two matrices of one shape.
+    holds, for two IntMatrix operands of one shape.
 
     With idx, a is read through it: a[idx[i]][idx[j]] stands for
     a[i][j], so a matrix read along a map (idx[i] the image of point i)

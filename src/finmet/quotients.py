@@ -30,8 +30,7 @@ class Submetric(Frozen):
 
 
 def validate_submetric(base, gamma):
-    """Metric-axiom violations of gamma plus below-d violations against base."""
-    gamma = IntMatrix.of(gamma)
+    """Metric-axiom and below-d violations of the IntMatrix gamma on base."""
     if not gamma.is_square(base.n):
         raise ValueError("submetric matrix shape does not match base")
     labels = base.labels

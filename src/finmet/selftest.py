@@ -483,12 +483,12 @@ def twopoint_corrected_fixture():
     """Min-plus closure of the same generating arcs over in-summand
     distances equal to d; reflexive, non-symmetric, non-transitive."""
     x2 = two_point_space()
-    cost = [
+    cost = IntMatrix.of([
         [ZERO, fin(1), INF, fin(1)],   # (a,0)
         [fin(1), ZERO, INF, INF],      # (b,0)
         [INF, INF, ZERO, fin(1)],      # (a,1)
         [fin(1), INF, fin(1), ZERO],   # (b,1)
-    ]
+    ])
     return corelations.BlockMetric.from_matrix(x2, minplus_closure(cost))
 
 

@@ -84,10 +84,9 @@ def validate_metric(space):
 
 
 def metric_violations(labels, dist):
-    """Axiom check on a raw labelled matrix (shared with submetric validation)."""
+    """Axiom check on a labelled IntMatrix (shared with submetric validation)."""
     out = []
     n = len(labels)
-    dist = IntMatrix.of(dist)
     ints = dist.rows
     for i in range(n):
         if ints[i][i] != 0:
@@ -121,12 +120,12 @@ def is_separated(space):
 
 
 def zero_classes(labels, mat):
-    """Partition by x ~ y iff mat(x,y) = mat(y,x) = 0.
+    """Partition by x ~ y iff mat(x,y) = mat(y,x) = 0, for an IntMatrix mat.
 
     Classes are ordered by first occurrence; members keep label order.
     Well-defined for any matrix satisfying the metric axioms.
     """
-    rows = IntMatrix.of(mat).rows
+    rows = mat.rows
     n = len(labels)
     assigned = [None] * n
     classes = []
@@ -154,7 +153,6 @@ def quotient_by_zero_classes(space, mat):
     """
     from .maps import FinMap
 
-    mat = IntMatrix.of(mat)
     classes, assigned = zero_classes(space.labels, mat)
     qlabels = tuple("[%s]" % min(space.labels[i] for i in members)
                     for members in classes)

@@ -19,6 +19,7 @@ from finmet.corelations import (BlockMetric, corelation_from_cospan,
 from finmet.extarith import INF, ZERO, fin
 from finmet.harness import GenConfig, gen_metric, gen_subset
 from finmet.maps import FinMap
+from finmet.minplus import IntMatrix
 from finmet.pushouts import cokernel_pair
 from finmet.spaces import FinSpace, Violation
 from test_minplus import matrices, reference_product, separated_metric
@@ -44,13 +45,20 @@ def test_gamma_subset_pinned_values():
     x2 = two_point()
     # through {a}: cross(b,b) = d(b,a) + d(a,b) = 2
     bm_a = gamma_from_subset(x2, ("a",))
-    assert bm_a.g01 == ((ZERO, fin(1)), (fin(1), fin(2)))
+    assert bm_a.g01 == IntMatrix.of(((ZERO, fin(1)), (fin(1), fin(2))))
     # through both points the cross block is d itself
     bm_ab = gamma_from_subset(x2, ("a", "b"))
     assert bm_ab.g01 == x2.dist
     # empty subset: summands stay infinitely far apart
     bm_none = gamma_from_subset(x2, ())
-    assert bm_none.g01 == ((INF, INF), (INF, INF))
+    assert bm_none.g01 == IntMatrix.of(((INF, INF), (INF, INF)))
+
+
+def test_gamma_from_subset_reads_its_subset_once():
+    x2 = two_point()
+    assert gamma_from_subset(x2, iter(["a"])) == gamma_from_subset(x2, ("a",))
+    with pytest.raises(ValueError, match="duplicate labels in subset"):
+        gamma_from_subset(x2, iter(["a", "a"]))
 
 
 def test_gamma_subset_always_equivalence_and_effective():
@@ -209,8 +217,9 @@ def block_metrics(draw):
 def test_block_checks_match_extvalue_loops(bm):
     assert points(reflexive_witness(bm)) == reference_reflexive_witness(bm)
     assert points(symmetric_witness(bm)) == reference_symmetric_witness(bm)
-    assert bm.as_matrix() == tuple(r0 + r1 for r0, r1 in zip(bm.g00, bm.g01)) \
-        + tuple(r0 + r1 for r0, r1 in zip(bm.g10, bm.g11))
+    assert bm.as_matrix() == IntMatrix.of(
+        tuple(r0 + r1 for r0, r1 in zip(bm.g00, bm.g01))
+        + tuple(r0 + r1 for r0, r1 in zip(bm.g10, bm.g11)))
     assert BlockMetric.from_matrix(bm.base, bm.as_matrix()) == bm
 
 
@@ -222,8 +231,8 @@ def test_gamma_from_subset_matches_extvalue_product(case):
     x = FinSpace(tuple("x%d" % k for k in range(len(dist))), dist)
     idx = sorted(subset)
     bm = gamma_from_subset(x, [x.labels[a] for a in idx])
-    assert bm.g01 == reference_product(
+    assert bm.g01 == IntMatrix.of(reference_product(
         [[row[a] for a in idx] for row in dist],
-        [[dist[a][y] for a in idx] for y in range(x.n)])
+        [[dist[a][y] for a in idx] for y in range(x.n)]))
     assert bm.g00 == x.dist and bm.g10 == bm.g01
     assert zero_locus(bm) == tuple(x.labels[a] for a in idx)

@@ -13,7 +13,7 @@ from finmet.extarith import INF, ZERO, fin
 from finmet.idempotents import (CostMatrix, factor_through_zero_diagonal,
                                 is_idempotent, relation_density_witness)
 from finmet.idempotents import FactorReport
-from finmet.minplus import minplus_closure, minplus_matmul
+from finmet.minplus import IntMatrix, minplus_closure, minplus_matmul
 from test_minplus import (SMALL, TINY, reference_closure, reference_product,
                           values)
 
@@ -22,19 +22,20 @@ def closed_matrix(rng, n, grid=None):
     grid = grid or [ZERO, fin(1, 2), fin(1), fin(2), INF]
     cost = [[ZERO if i == j else rng.choice(grid) for j in range(n)]
             for i in range(n)]
-    return CostMatrix(tuple("p%d" % i for i in range(n)), minplus_closure(cost))
+    return CostMatrix(tuple("p%d" % i for i in range(n)),
+                      minplus_closure(IntMatrix.of(cost)))
 
 
 def test_square_pinned():
     cm = CostMatrix(("x", "y"), ((fin(1), fin(2)), (ZERO, INF)))
     sq = minplus_matmul(cm.rho, cm.rho)
     # (x,x): min(1+1, 2+0) = 2; (y,y): min(0+2, inf+inf) = 2
-    assert sq == ((fin(2), fin(3)), (fin(1), fin(2)))
+    assert sq == IntMatrix.of(((fin(2), fin(3)), (fin(1), fin(2))))
 
 
 def test_empty_matrix_is_its_own_square():
     cm = CostMatrix((), ())
-    assert minplus_matmul(cm.rho, cm.rho) == cm.rho == ()
+    assert minplus_matmul(cm.rho, cm.rho) == cm.rho == IntMatrix.of(())
     assert is_idempotent(cm)
     report = factor_through_zero_diagonal(cm)
     assert report == FactorReport(zero_diagonal=(), witnesses={}, failures=())

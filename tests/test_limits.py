@@ -16,6 +16,7 @@ from finmet.limits import (Square, coproduct, copair, equalizer,
                            is_pullback_square, pair_label, product, pullback,
                            split_labels)
 from finmet.maps import FinMap, compose, identity, is_embedding, is_nonexpansive
+from finmet.minplus import IntMatrix
 from finmet.spaces import FinSpace, is_separated, validate_metric
 from test_minplus import SMALL, TINY, square
 
@@ -267,10 +268,10 @@ def reference_coproduct_dist(m1, m2):
 def test_product_and_coproduct_match_extvalue_loops(d1, d2):
     m1, m2 = labelled(d1, "x"), labelled(d2, "y")
     prod, p1, p2 = product(m1, m2)
-    assert prod.dist == reference_product_dist(m1, m2)
+    assert prod.dist == IntMatrix.of(reference_product_dist(m1, m2))
     assert prod.labels == tuple("(%s,%s)" % (x, y) for x in m1.labels
                                 for y in m2.labels)
     assert [(p1(lab), p2(lab)) for lab in prod.labels] == [
         (x, y) for x in m1.labels for y in m2.labels]
     coprod, _, _ = coproduct(m1, m2)
-    assert coprod.dist == reference_coproduct_dist(m1, m2)
+    assert coprod.dist == IntMatrix.of(reference_coproduct_dist(m1, m2))

@@ -81,6 +81,15 @@ def test_subspace_keeps_target_order():
     assert is_embedding(incl)
 
 
+def test_subspace_refuses_a_label_that_is_not_a_point():
+    sp = three_chain()
+    with pytest.raises(KeyError, match="no point labelled 'zz'"):
+        subspace(sp, ["u", "zz"])
+    # A repeated label is kept once.
+    sub, incl = subspace(sp, ["w", "u", "w"])
+    assert sub.labels == ("u", "w") and incl.assignment == ("u", "w")
+
+
 def test_factorize_surjection_then_embedding():
     sp = three_chain()
     x2 = two_point()
@@ -205,6 +214,6 @@ def test_map_checks_match_extvalue_loops(f):
     keep = set(f.assignment)
     sub, incl = subspace(f.target, keep)
     idx = [k for k, lab in enumerate(f.target.labels) if lab in keep]
-    assert sub.dist == tuple(tuple(f.target.dist[i][j] for j in idx)
-                             for i in idx)
+    assert sub.dist == IntMatrix.of(
+        tuple(tuple(f.target.dist[i][j] for j in idx) for i in idx))
     assert is_embedding(incl)

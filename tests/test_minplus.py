@@ -19,19 +19,19 @@ from finmet.spaces import FinSpace
 
 def rand_cost(rng, n, zero_diag=False):
     grid = [ZERO, fin(1, 2), fin(1), fin(2), fin(3), INF]
-    return [
+    return IntMatrix.of([
         [ZERO if (zero_diag and i == j) else rng.choice(grid)
          for j in range(n)]
         for i in range(n)
-    ]
+    ])
 
 
 def test_matmul_small_pinned():
-    a = ((fin(1), INF), (ZERO, fin(2)))
-    b = ((fin(3), fin(1)), (INF, ZERO))
+    a = IntMatrix.of(((fin(1), INF), (ZERO, fin(2))))
+    b = IntMatrix.of(((fin(3), fin(1)), (INF, ZERO)))
     # entry (0,0): min(1+3, inf+inf) = 4; (1,1): min(0+1, 2+0) = 1
     out = minplus_matmul(a, b)
-    assert out == ((fin(4), fin(2)), (fin(3), fin(1)))
+    assert out == IntMatrix.of(((fin(4), fin(2)), (fin(3), fin(1))))
 
 
 def test_closure_is_idempotent():
@@ -39,7 +39,7 @@ def test_closure_is_idempotent():
     for _ in range(200):
         n = rng.randint(1, 6)
         c = minplus_closure(rand_cost(rng, n, zero_diag=True))
-        assert minplus_closure([list(r) for r in c]) == c
+        assert minplus_closure(IntMatrix.of([list(r) for r in c])) == c
         assert minplus_matmul(c, c) == c
 
 
@@ -80,8 +80,8 @@ def test_closure_vs_path_enumeration():
 
 
 def test_closure_disconnected_stays_inf():
-    cost = [[ZERO, INF], [INF, ZERO]]
-    assert minplus_closure(cost) == ((ZERO, INF), (INF, ZERO))
+    cost = IntMatrix.of([[ZERO, INF], [INF, ZERO]])
+    assert minplus_closure(cost) == IntMatrix.of(((ZERO, INF), (INF, ZERO)))
 
 
 # -- the integer kernel against the ExtValue loops it replaced -------------
@@ -118,7 +118,7 @@ def int_route_product(rows, cols):
     """min_k rows[i][k] + cols[j][k] through scale and int_product, the
     second operand given by its columns so that an inner dimension of
     zero still fixes the output shape."""
-    common, (rows, cols) = scale(rows, cols)
+    common, (rows, cols) = scale(IntMatrix.of(rows), IntMatrix.of(cols))
     return IntMatrix(common, int_product(rows, list(zip(*cols)), len(cols)))
 
 
@@ -178,7 +178,8 @@ def separated_metric(n):
 @example([[ZERO, INF, fin(1), INF], [fin(1), ZERO, INF, INF],
           [INF, INF, ZERO, INF], [INF, TINY, INF, ZERO]])
 def test_closure_matches_extvalue_loop(cost):
-    assert minplus_closure(cost) == reference_closure(cost)
+    assert minplus_closure(IntMatrix.of(cost)) == IntMatrix.of(
+        reference_closure(cost))
 
 
 @settings(deadline=None)
@@ -192,7 +193,7 @@ def test_closure_matches_extvalue_loop(cost):
 def test_product_matches_extvalue_loop(pair):
     rows, cols = pair
     out = int_route_product(rows, cols)
-    assert out == reference_product(rows, cols)
+    assert out == IntMatrix.of(reference_product(rows, cols))
     assert len(out) == len(rows)
     assert all(len(row) == len(cols) for row in out)
 
@@ -215,7 +216,6 @@ def test_pointwise_matches_extvalue_loop(pair, op):
     a, b = pair
     want = [(i, j) for i, row in enumerate(a) for j, u in enumerate(row)
             if op(u, b[i][j])]
-    assert list(pointwise(a, b, op)) == want
     assert list(pointwise(IntMatrix.of(a), IntMatrix.of(b), op)) == want
 
 
@@ -237,10 +237,10 @@ def read_through(draw):
 @example(([], [], []), gt)
 def test_pointwise_through_idx_matches_the_pulled_matrix(case, op):
     a, idx, b = case
-    a = IntMatrix.of(a)
+    a, b = IntMatrix.of(a), IntMatrix.of(b)
     want = list(pointwise(a.sub(idx, idx), b, op))
     assert list(pointwise(a, b, op, idx)) == want
-    assert list(pointwise(a, IntMatrix.of(b), op, tuple(idx))) == want
+    assert list(pointwise(a, b, op, tuple(idx))) == want
 
 
 def benchmark_sized_cost(seed, n=24):
@@ -262,23 +262,24 @@ def benchmark_sized_cost(seed, n=24):
 
 
 def test_kernels_match_extvalue_loops_at_benchmark_size():
-    cost = benchmark_sized_cost(17)
+    cost = IntMatrix.of(benchmark_sized_cost(17))
     closed = minplus_closure(cost)
-    assert closed == reference_closure(cost)
+    assert closed == IntMatrix.of(reference_closure(cost))
     assert sum(v.is_inf for row in closed for v in row) >= 24 * 24 // 4
-    assert minplus_matmul(cost, closed) == reference_product(
-        cost, list(zip(*closed)))
+    assert minplus_matmul(cost, closed) == IntMatrix.of(reference_product(
+        cost, list(zip(*closed))))
     assert minplus_matmul(closed, closed) == closed
 
 
 def test_empty_inner_dimension_is_inf():
-    assert int_route_product([[], []], [[]]) == ((INF,), (INF,))
+    assert int_route_product([[], []], [[]]) == IntMatrix.of(((INF,), (INF,)))
 
 
 def test_large_common_denominator_is_exact():
-    cost = [[ZERO, TINY], [SMALL, ZERO]]
-    assert minplus_matmul(cost, cost) == ((ZERO, TINY), (SMALL, ZERO))
-    cycle = minplus_closure([[TINY, TINY], [SMALL, INF]])
+    cost = IntMatrix.of([[ZERO, TINY], [SMALL, ZERO]])
+    assert minplus_matmul(cost, cost) == IntMatrix.of(
+        ((ZERO, TINY), (SMALL, ZERO)))
+    cycle = minplus_closure(IntMatrix.of([[TINY, TINY], [SMALL, INF]]))
     assert cycle[1][1] == TINY + SMALL
     assert cycle[1][1].frac.denominator > 2 ** 64
 
@@ -301,17 +302,21 @@ def test_kernels_are_exact_beyond_float_range():
     rng = random.Random(18)
     for _ in range(25):
         n = rng.randint(1, 4)
-        a, b = huge_cost(rng, n, HUGE_A), huge_cost(rng, n, HUGE_B)
+        a = IntMatrix.of(huge_cost(rng, n, HUGE_A))
+        b = IntMatrix.of(huge_cost(rng, n, HUGE_B))
         for cost in (a, b):
-            assert minplus_closure(cost) == reference_closure(cost)
-        assert minplus_matmul(a, b) == reference_product(a, list(zip(*b)))
-        assert minplus_matmul(b, a) == reference_product(b, list(zip(*a)))
+            assert minplus_closure(cost) == IntMatrix.of(
+                reference_closure(cost))
+        assert minplus_matmul(a, b) == IntMatrix.of(
+            reference_product(a, list(zip(*b))))
+        assert minplus_matmul(b, a) == IntMatrix.of(
+            reference_product(b, list(zip(*a))))
 
 
 # -- the IntMatrix protocol -------------------------------------------------
 
 def test_int_matrix_protocol():
-    a = ((fin(1, 2), INF), (fin(3, 2), fin(1, 2)))
+    a = IntMatrix.of(((fin(1, 2), INF), (fin(3, 2), fin(1, 2))))
     product = minplus_matmul(a, a)
     literal = ((fin(1), INF), (fin(2), fin(1)))
     # The fractional operands give an all-integer product, which is held
@@ -319,8 +324,9 @@ def test_int_matrix_protocol():
     assert (product.den, product.rows) == (1, ((1, inf), (2, 1)))
     assert product == IntMatrix.of(literal)
     assert hash(product) == hash(IntMatrix.of(literal))
-    assert product == literal and literal == product
-    assert product != ((fin(1), INF), (fin(2), fin(2)))
+    # An IntMatrix equals only an IntMatrix, never its literal.
+    assert product != literal and literal != product
+    assert product != IntMatrix.of(((fin(1), INF), (fin(2), fin(2))))
     assert product != 5 and product != [[1, 2]]
     assert len(product) == 2
     rows = list(product)
@@ -401,6 +407,19 @@ def test_int_matrix_reduces_like_fractions(raw):
     assert again == m and hash(again) == hash(m)
 
 
+@settings(deadline=None)
+@given(raw_int_matrices())
+@example((12, [[6, 24], [18, inf], [9, 3]]))
+@example((7, []))
+def test_int_matrix_equals_only_int_matrices(raw):
+    """The Frozen contract with no exception: equal matrices hash alike,
+    and a matrix never equals its nested ExtValue form."""
+    m = IntMatrix(*raw)
+    again = IntMatrix.of(m.ext())
+    assert again == m and hash(again) == hash(m)
+    assert m != m.ext() and m.ext() != m
+
+
 def test_scale_shares_the_rows_it_does_not_rescale():
     m = IntMatrix.of([[ZERO, fin(1, 2)], [fin(1, 2), INF]])
     assert scale(m)[1][0] is m.rows
@@ -419,13 +438,13 @@ def test_kernels_and_constructions_leave_operands_unchanged():
     b = FinSpace(("q", "b"), ((ZERO, fin(2)), (fin(2), ZERO)))
     i, f = FinMap(a, x, ("p",)), FinMap(a, b, ("q",))
     bx, _, _ = coproduct(b, x)
-    cost = [[ZERO, INF, fin(3), INF], [INF, ZERO, INF, fin(1)],
-            [fin(1, 3), INF, ZERO, INF], [INF, INF, INF, ZERO]]
+    cost = IntMatrix.of([[ZERO, INF, fin(3), INF], [INF, ZERO, INF, fin(1)],
+                         [fin(1, 3), INF, ZERO, INF], [INF, INF, INF, ZERO]])
     blocks = (x.dist, IntMatrix.of([[fin(1), fin(1)], [fin(1), fin(1)]]),
               IntMatrix.of([[fin(1, 3), INF], [INF, fin(1, 3)]]), x.dist)
     operands = (a.dist, x.dist, b.dist, bx.dist) + blocks
     before = [(m.den, m.rows) for m in operands]
-    cost_before = [list(row) for row in cost]
+    cost_before = IntMatrix.of([list(row) for row in cost])
 
     minplus_closure(x.dist)
     minplus_closure(bx.dist)

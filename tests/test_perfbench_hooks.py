@@ -6,6 +6,7 @@ tests read the tracer's lists and call its hooks without installing it."""
 
 import importlib
 import importlib.util
+import inspect
 import os
 from fractions import Fraction
 from math import inf
@@ -34,6 +35,23 @@ def test_traced_functions_exist():
                if not callable(getattr(importlib.import_module(
                    "finmet." + mod), fname, None))]
     assert not missing
+
+
+def test_traced_functions_are_not_generators():
+    """A traced span times the call; a generator function's call only
+    creates the generator, so its layer would read about 0."""
+    tracing = _tracing()
+    lazy = [(mod, fname) for mod, fname, _ in tracing.TARGETS
+            if inspect.isgeneratorfunction(getattr(importlib.import_module(
+                "finmet." + mod), fname))]
+    assert not lazy
+
+
+def test_cube_reads_the_size_of_an_int_matrix():
+    """The kernel step counts take len() of the first argument, an
+    IntMatrix."""
+    m = IntMatrix(1, [[0, 1], [inf, 0]])
+    assert _tracing()._cube((m,)) == 8
 
 
 def test_traced_cli_names_exist():

@@ -14,6 +14,7 @@ from finmet.extarith import INF, ZERO, fin
 from finmet.harness import (GenConfig, enumerate_mediators, gen_metric,
                             gen_submetric, gen_surjection)
 from finmet.maps import FinMap, compose, is_isomorphism, is_nonexpansive, is_surjective
+from finmet.minplus import IntMatrix
 from finmet.quotients import (Submetric, counit_iso, kernel_metric,
                               quotient_by_submetric, quotient_leq,
                               validate_submetric)
@@ -36,7 +37,7 @@ def test_submetric_validation():
     assert not validate_submetric(ok.base, ok.gamma)
     above = [[v for v in row] for row in sp.dist]
     above[0][1] = fin(7)
-    bad = validate_submetric(sp, above)
+    bad = validate_submetric(sp, IntMatrix.of(above))
     assert any(v.kind == "above-ambient" and v.points == ("u", "v")
                for v in bad)
 
@@ -178,8 +179,8 @@ def reference_validate_submetric(base, gamma):
 def test_validate_submetric_matches_extvalue_loop(pair):
     dist, gamma = pair
     base = FinSpace(tuple("p%d" % i for i in range(len(dist))), dist)
-    assert validate_submetric(base, gamma) == reference_validate_submetric(
-        base, gamma)
+    assert validate_submetric(base, IntMatrix.of(gamma)) == (
+        reference_validate_submetric(base, gamma))
 
 
 @settings(deadline=None)
@@ -191,4 +192,5 @@ def test_kernel_metric_matches_extvalue_loop(f):
         return
     idx = [f.target.index(lab) for lab in f.assignment]
     kappa = kernel_metric(f).gamma
-    assert kappa == tuple(tuple(f.target.dist[i][j] for j in idx) for i in idx)
+    assert kappa == IntMatrix.of(
+        tuple(tuple(f.target.dist[i][j] for j in idx) for i in idx))

@@ -10,6 +10,7 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 from finmet.extarith import INF, ZERO, fin
 from finmet.harness import GenConfig, gen_metric
+from finmet.minplus import IntMatrix
 from finmet.spaces import (FinSpace, Violation, is_separated,
                            metric_violations, quotient_by_zero_classes,
                            sep_reflection, validate_metric, zero_classes)
@@ -89,14 +90,15 @@ def test_sep_reflection_identity_on_separated():
 
 
 def test_zero_classes_first_occurrence_order():
-    mat = ((ZERO, INF, ZERO), (INF, ZERO, INF), (ZERO, INF, ZERO))
+    mat = IntMatrix.of(((ZERO, INF, ZERO), (INF, ZERO, INF), (ZERO, INF, ZERO)))
     classes, assigned = zero_classes(("x", "y", "z"), mat)
     assert classes == [(0, 2), (1,)]
     assert assigned == [0, 1, 0]
 
 
 def test_metric_violations_on_raw_matrix():
-    bad = metric_violations(("p", "q"), ((ZERO, ZERO), (fin(1), fin(2))))
+    bad = metric_violations(("p", "q"),
+                            IntMatrix.of(((ZERO, ZERO), (fin(1), fin(2)))))
     assert any(v.kind == "nonzero-diagonal" and v.points == ("q",) for v in bad)
 
 
@@ -129,17 +131,17 @@ def test_violations_match_extvalue_loop(dist, closed):
     if closed:
         dist = reference_closure(dist)
     labels = tuple("p%d" % i for i in range(len(dist)))
-    assert metric_violations(labels, dist) == reference_violations(labels,
-                                                                   dist)
+    assert metric_violations(labels, IntMatrix.of(dist)) == (
+        reference_violations(labels, dist))
 
 
 def test_violations_match_extvalue_loop_at_benchmark_size():
     cost = benchmark_sized_cost(17)
     labels = tuple("p%d" % i for i in range(len(cost)))
-    raw = metric_violations(labels, cost)
+    raw = metric_violations(labels, IntMatrix.of(cost))
     assert raw and raw == reference_violations(labels, cost)
     closed = reference_closure(cost)
-    assert metric_violations(labels, closed) == []
+    assert metric_violations(labels, IntMatrix.of(closed)) == []
     assert reference_violations(labels, closed) == []
 
 
@@ -150,8 +152,8 @@ def test_violations_match_extvalue_loop_beyond_float_range():
         cost = huge_cost(rng, n, HUGE_A + HUGE_B)
         labels = tuple("p%d" % i for i in range(n))
         for dist in (cost, reference_closure(cost)):
-            assert metric_violations(labels, dist) == reference_violations(
-                labels, dist)
+            assert metric_violations(labels, IntMatrix.of(dist)) == (
+                reference_violations(labels, dist))
 
 
 # -- zero classes on ints against the ExtValue loops ------------------------
@@ -190,12 +192,12 @@ def test_zero_classes_match_extvalue_loop(mat):
     n = len(mat)
     labels = tuple("p%d" % i for i in range(n))
     classes, assigned = reference_zero_classes(n, mat)
-    assert zero_classes(labels, mat) == (classes, assigned)
+    assert zero_classes(labels, IntMatrix.of(mat)) == (classes, assigned)
     space = FinSpace(labels, mat)
     assert is_separated(space) == reference_is_separated(n, mat)
-    proj = quotient_by_zero_classes(space, mat)
-    assert proj.target.dist == tuple(tuple(mat[ci[0]][cj[0]] for cj in classes)
-                                     for ci in classes)
+    proj = quotient_by_zero_classes(space, IntMatrix.of(mat))
+    assert proj.target.dist == IntMatrix.of(
+        tuple(tuple(mat[ci[0]][cj[0]] for cj in classes) for ci in classes))
     assert proj.assignment == tuple(proj.target.labels[c] for c in assigned)
 
 
@@ -245,4 +247,4 @@ def test_separation_and_zero_classes_match_all_pairs(mat):
             for j in members:
                 assigned[j] = len(classes)
             classes.append(members)
-    assert zero_classes(labels, mat) == (classes, assigned)
+    assert zero_classes(labels, IntMatrix.of(mat)) == (classes, assigned)

@@ -19,7 +19,7 @@ import sys
 from typing import NamedTuple
 
 from . import corelations, idempotents, pushouts
-from .limits import coproduct, equalizer, product, split_labels
+from .limits import coproduct, equalizer, pair_label, product, split_labels
 from .maps import factorize
 from .quotients import kernel_metric, quotient_by_submetric, quotient_leq
 from .workspace import (blockmetric_entry, load_workspace_file,
@@ -234,9 +234,13 @@ def cmd_idempotent_factor(ws, args):
                                       if report.zero_diagonal else "-")]
     for (x, y) in sorted(report.witnesses):
         w = report.witnesses[(x, y)]
-        lines.append("  (%s,%s): %s" % (x, y, w if w is not None else "vacuous"))
+        lines.append("  %s: %s" % (pair_label(x, y),
+                                   w if w is not None else "vacuous"))
+    # A key is the pair label without its parentheses, so labels that
+    # hold commas still give one key per pair.
     payload = {"zero_diagonal": list(report.zero_diagonal),
-               "witnesses": {"%s,%s" % k: v for k, v in report.witnesses.items()},
+               "witnesses": {pair_label(*k)[1:-1]: v
+                             for k, v in report.witnesses.items()},
                "ok": report.ok}
     return (EXIT_OK if report.ok else EXIT_FALSE), lines, payload
 

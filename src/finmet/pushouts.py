@@ -7,16 +7,17 @@ Every pushout goes through this one formula, cokernel pairs included.
 An independent shortest-path closure oracle recomputes gamma from the
 raw gluing costs so the two routes can be compared exactly.
 
-Sampled cocones check the universal property by their kernel metrics k
-on B + X: a mediator out of the apex exists iff k <= K, the apex metric
-read along the legs with 0 where two legs meet.  This is exact when the
-legs are jointly surjective and every cocone target is separated.
+The universal property is decided exactly, with no sampling: each
+cocone counts as its kernel metric k on B + X, a mediator out of the
+apex exists iff k <= K (the apex metric read along the legs, 0 where
+two legs meet), and every k lies below the kernel of the greatest
+cocone, the glued closure of B + X, so checking that one cocone decides
+them all.
 """
 
 from __future__ import annotations
 
-import random
-from operator import gt, lt
+from operator import lt
 
 from .limits import Square, coproduct
 from .maps import (compose, is_embedding, require_nonexpansive,
@@ -73,9 +74,8 @@ def pushout_along_embedding(i, f):
     separation quotient.
     """
     _check_pushout_inputs(i, f)
-    a_space, x_space, b_space = i.source, i.target, f.target
-    ia = [x_space.index(i(a)) for a in a_space.labels]
-    fa = [b_space.index(f(a)) for a in a_space.labels]
+    x_space, b_space = i.target, f.target
+    ia, fa = target_indices(i), target_indices(f)
     common, (d_b, d_x) = scale(b_space.dist, x_space.dist)
 
     x_glue = [d_x[s] for s in ia]
@@ -103,11 +103,8 @@ def _glue_and_close(i, f, costs):
     nb = f.target.n
     den, (cost,) = scale(costs)
     cost = [list(row) for row in cost]
-    for a in f.source.labels:
-        p = f.target.index(f(a))
-        q = nb + i.target.index(i(a))
-        cost[p][q] = 0
-        cost[q][p] = 0
+    for p, q in zip(target_indices(f), target_indices(i)):
+        cost[p][nb + q] = cost[nb + q][p] = 0
     return minplus_closure(IntMatrix(den, cost))
 
 
@@ -129,67 +126,33 @@ def cokernel_pair(i):
     return result.leg_b, result.leg_x, result.apex
 
 
-def _cocone_kernels(i, f, trials, seed):
-    """The kernel metrics on B + X of the sampled cocones, in order: the
-    closure-oracle pushout's, then up to trials - 1 drawn glued costs and
-    raw index maps that merge each glue pair and do not expand."""
-    from .harness import GenConfig, gen_metric, sample_cost_below
+def verify_pushout_universal(result):
+    """Decide the universal property of a pushout square exactly.
 
-    # Built from the span, not from result.gamma, so the check does not
-    # trust the result it checks.
-    bx, _, _ = coproduct(f.target, i.target)
-    glue = [(f.target.index(f(a)), f.target.n + i.target.index(i(a)))
-            for a in f.source.labels]
-    rng = random.Random(seed)
-    yield _glue_and_close(i, f, bx.dist)
-    checked, attempts = 1, 0
-    while checked < trials and attempts < trials * 200:
-        attempts += 1
-        if rng.random() < 0.5:
-            kernel = _glue_and_close(i, f, sample_cost_below(bx, rng))
-        else:
-            t_space = gen_metric(GenConfig(seed=rng.getrandbits(63),
-                                           max_points=rng.randint(1, 4)))
-            h = [rng.choice(range(t_space.n)) for _ in bx.labels]
-            if any(h[p] != h[q] for p, q in glue) or any(
-                    pointwise(t_space.dist, bx.dist, gt, h)):
-                continue
-            kernel = t_space.dist.sub(h, h)
-        checked += 1
-        yield kernel
+    A cocone under B <- A -> X is one non-expansive map h out of B + X
+    with h(f(a)) = h(i(a)) for every glue point a.  Each cocone counts
+    only as its kernel metric k_h(p, q) = d_T(h(p), h(q)).  A mediator u
+    with u . leg = h exists iff k_h <= K pointwise, K(p, q) = d_apex(leg
+    p, leg q) or 0 where leg p = leg q.  That is exact as the legs are
+    jointly surjective (checked first), so u is forced and non-expansive
+    iff k_h <= K, and as every cocone target is separated, so the 0s of
+    K make u well defined.
 
-
-def _refusals(result, trials, seed):
-    """Whether each sampled cocone has no mediator, in order and lazily:
-    whether its kernel metric fails to lie below K."""
+    Every k_h is a metric below d_{B+X} that vanishes both ways at each
+    glue pair, so it lies below the min-plus closure of d_{B+X} with
+    those entries set to 0.  That closure is itself the kernel of a
+    cocone, the projection onto its quotient, so every cocone has a
+    mediator iff this greatest one does, and one comparison decides.
+    """
     sq, apex = result.square, result.apex
+    if set(sq.bottom.assignment + sq.right.assignment) != set(apex.labels):
+        return False  # an unreachable apex point breaks uniqueness
     legs = target_indices(sq.bottom) + target_indices(sq.right)
     d = apex.dist.rows
     bound = IntMatrix(apex.dist.den, [[0 if p == q else d[p][q] for q in legs]
                                       for p in legs])
-    for kernel in _cocone_kernels(sq.top, sq.left, trials, seed):
-        yield any(pointwise(bound, kernel, lt))
-
-
-def verify_pushout_universal(result, trials=100, seed=0):
-    """Sample cocones and check the mediating-morphism property.
-
-    A cocone under B <- A -> X is one non-expansive map h out of B + X
-    with h(f(a)) = h(i(a)) for every glue point a.  Cocones come from
-    three sources: the closure-oracle pushout itself (always first, so a
-    corrupted apex is refuted deterministically), quotients of B + X
-    along random glued cost grids, and rejection-sampled raw
-    assignments into small random targets.
-
-    Each cocone counts only as its kernel metric k_h(p, q) = d_T(h(p),
-    h(q)).  A mediator u with u . leg = h exists iff k_h <= K pointwise,
-    K(p, q) = d_apex(leg p, leg q) or 0 where leg p = leg q.  That is
-    exact as the legs are jointly surjective (checked first), so u is
-    forced and non-expansive iff k_h <= K, and as every cocone target is
-    separated, so the 0s of K make u well defined.
-    """
-    sq = result.square
-    if set(sq.bottom.assignment + sq.right.assignment) != set(
-            result.apex.labels):
-        return False  # an unreachable apex point breaks uniqueness
-    return not any(_refusals(result, trials, seed))
+    # Built from the span, not from result.gamma, so the check does not
+    # trust the result it checks.
+    i, f = sq.top, sq.left
+    bx, _, _ = coproduct(f.target, i.target)
+    return not any(pointwise(bound, _glue_and_close(i, f, bx.dist), lt))

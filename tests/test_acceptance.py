@@ -31,7 +31,7 @@ LINES = {
     "pushout-formula": "criterion  4 pushout-formula        PASS  "
                        "(300 instances + worked fixture)",
     "pushout-universal": "criterion  5 pushout-universal      PASS  "
-                         "(50 squares x 100 cocones, 20 corruptions)",
+                         "(50 squares, 20 corruptions)",
     "embedding-stability": "criterion  6 embedding-stability    PASS  "
                            "(300 instances)",
     "pullback": "criterion  7 pullback               PASS  "

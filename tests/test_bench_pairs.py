@@ -182,3 +182,32 @@ def test_regression_bound_is_checked_per_metric(monkeypatch, tmp_path):
     assert summ["flagged"] == []
     assert summ["regressions"] == ["setup_s", "op_p50_ms", "op_tail_ms",
                                    "peak_rss_mb"]
+
+
+def test_a_failed_traced_run_is_flagged(monkeypatch, tmp_path, capsys):
+    # Every timed pair is clean, but the change's traced run exits
+    # non-zero: it is kept in the report, flagged on stderr, and the
+    # exit status is 1.
+    tool = _load()
+    rev = lambda *args, **kwargs: tool.subprocess.CompletedProcess(
+        args, 0, stdout="tree\n")
+    monkeypatch.setattr(tool.subprocess, "run", rev)
+    monkeypatch.setattr(tool, "checkout", lambda rev, into: into)
+
+    def fake_run(root, workload, seed, seconds, trace=0):
+        if trace and root.endswith("change"):
+            return {"exit": 1}
+        return _result(10)
+
+    monkeypatch.setattr(tool, "run", fake_run)
+    monkeypatch.chdir(os.path.dirname(os.path.dirname(_PATH)))
+    out = tmp_path / "bench.json"
+    status = tool.main(["--parent", "P", "--change", "C", "--out", str(out),
+                        "--workload", "w", "--pairs", "2",
+                        "--first-seed", "1", "--traced", "w"])
+    assert status == 1
+    report = json.loads(out.read_text())
+    assert report["workloads"]["w"]["summary"]["flagged"] == []
+    assert report["traced"]["w"]["change"] == {"exit": 1}
+    assert ("traced w seed 1 change: FLAGGED exit=1 correct=None "
+            "failed=None") in capsys.readouterr().err.splitlines()

@@ -117,6 +117,25 @@ def test_empty_cost_matrix_is_idempotent(tmp_path, capsys):
         "idempotent C: true", "idempotent factor C:", "  zero diagonal: -"]
 
 
+def test_idempotent_factor_keys_every_pair_once(tmp_path, capsys):
+    """Labels that hold commas still give one JSON witness key and one
+    text line per pair, each written as a product's pair label."""
+    labels = ["a,b", "a", "c", "b,c"]
+    path = tmp_path / "commas.json"
+    path.write_text(json.dumps({"objects": [
+        {"kind": "costmatrix", "name": "C", "points": labels,
+         "matrix": [["0"] * 4] * 4}]}))
+    assert cli.main(["-w", str(path), "--json", "idempotent", "factor",
+                     "C"]) == 0
+    witnesses = json.loads(capsys.readouterr().out)["witnesses"]
+    assert len(witnesses) == 16
+    assert witnesses['"a,b",c'] == witnesses['a,"b,c"'] == "a,b"
+    assert cli.main(["-w", str(path), "idempotent", "factor", "C"]) == 0
+    lines = capsys.readouterr().out.splitlines()[2:]
+    assert len(lines) == len(set(lines)) == 16
+    assert '  ("a,b",c): a,b' in lines and '  (a,"b,c"): a,b' in lines
+
+
 def test_workspace_round_trip():
     ws = load_workspace_file(WORKSPACE)
     doc = dump_workspace(ws)

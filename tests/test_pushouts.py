@@ -2,6 +2,7 @@ import math
 import os
 import random
 import sys
+from operator import gt
 
 import pytest
 from hypothesis import given, settings
@@ -15,10 +16,10 @@ from finmet.harness import GenConfig, gen_metric, sample_cost_below
 from finmet.limits import coproduct, is_pullback_square
 from finmet.maps import (FinMap, compose, is_embedding, is_nonexpansive,
                          subspace)
-from finmet.minplus import IntMatrix
+from finmet.minplus import IntMatrix, pointwise
 from finmet.pushouts import (cokernel_pair, pushout_along_embedding,
                              pushout_closure_oracle, verify_pushout_universal)
-from finmet.quotients import Submetric, quotient_by_submetric
+from finmet.quotients import Submetric, kernel_metric, quotient_by_submetric
 from finmet.selftest import (_corrupt_lower, _corrupt_merge,
                              _pushout_instance, _redirect)
 from finmet.spaces import FinSpace, is_separated, validate_metric
@@ -101,8 +102,7 @@ def test_universal_property_sampled():
         done += 1
         i, f = inst
         result = pushout_along_embedding(i, f)
-        assert verify_pushout_universal(result, trials=40,
-                                        seed=rng.getrandbits(40))
+        assert verify_pushout_universal(result)
 
 
 def _reference_mediator_exists(result, h):
@@ -118,10 +118,12 @@ def _reference_mediator_exists(result, h):
     return is_nonexpansive(u)
 
 
-def _reference_refusals(result, trials, seed):
-    """(kind, refused) for each cocone of the sampler, drawn as
-    verify_pushout_universal draws them, with each glued cocone built as
-    a quotient map and each raw one as a FinMap."""
+def _reference_cocones(result, trials, seed):
+    """(kind, h) for each of trials sampled cocones, in order, with each
+    glued cocone built as a quotient map and each raw one as a FinMap.
+    The first is the projection onto the glued closure of B + X; the
+    rest are glued random costs below d_{B+X} and rejection-sampled raw
+    assignments into small random targets."""
     f, i = result.square.left, result.square.top
     bx, _, _ = coproduct(f.target, i.target)
     glue = [(f.target.index(f(a)), f.target.n + i.target.index(i(a)))
@@ -132,7 +134,7 @@ def _reference_refusals(result, trials, seed):
         return quotient_by_submetric(Submetric(bx, closed))
 
     rng = random.Random(seed)
-    yield "glued", not _reference_mediator_exists(result, glued(bx.dist))
+    yield "glued", glued(bx.dist)
     checked, attempts = 1, 0
     while checked < trials and attempts < trials * 200:
         attempts += 1
@@ -147,7 +149,7 @@ def _reference_refusals(result, trials, seed):
                     h.assignment[p] != h.assignment[q] for p, q in glue):
                 continue
         checked += 1
-        yield kind, not _reference_mediator_exists(result, h)
+        yield kind, h
 
 
 def _raise_diagonal(result):
@@ -161,22 +163,23 @@ def _raise_diagonal(result):
 
 
 def test_kernel_criterion_matches_the_mediator_route():
-    """Cocone by cocone, the kernel-metric verdict is the verdict of
-    building each cocone and its mediator, on genuine pushouts, on
-    corrupted ones and on apexes with a nonzero diagonal entry."""
+    """The exact verdict is the verdict of building sampled cocones and
+    their mediators, on genuine pushouts, on corrupted ones and on
+    apexes with a nonzero diagonal entry, and every sampled cocone's
+    kernel metric lies below the glued closure's."""
     refused = {"glued": 0, "raw": 0}
     for seed in range(40):
         result = pushout_along_embedding(*_pushout_instance(seed, 3))
         variants = [r for r in (result, _corrupt_lower(result),
                                 _corrupt_merge(result)) if r is not None]
         for r in variants + [_raise_diagonal(r) for r in variants]:
-            want = list(_reference_refusals(r, 20, seed))
-            assert list(pushouts._refusals(r, 20, seed)) == [
-                no for _, no in want]
-            assert verify_pushout_universal(r, 20, seed) == (
-                not any(no for _, no in want))
-            for kind, no in want:
-                refused[kind] += no
+            cocones = list(_reference_cocones(r, 20, seed))
+            no = [not _reference_mediator_exists(r, h) for _, h in cocones]
+            assert verify_pushout_universal(r) == (not any(no))
+            top = kernel_metric(cocones[0][1]).gamma
+            for (kind, h), refusal in zip(cocones, no):
+                assert not any(pointwise(kernel_metric(h).gamma, top, gt))
+                refused[kind] += refusal
     assert refused["glued"] > 0 and refused["raw"] > 0
 
 
@@ -189,8 +192,23 @@ def test_universal_check_builds_the_coproduct_once(monkeypatch):
             calls[_name] += 1
             return _real(*args)
         monkeypatch.setattr(pushouts, name, counted)
-    assert verify_pushout_universal(result, trials=100, seed=0)
+    assert verify_pushout_universal(result)
     assert calls == {"coproduct": 1, "compose": 0}
+
+
+def test_universal_check_draws_nothing(monkeypatch):
+    """The check compares the greatest cocone only, so it draws no
+    random cost or target space."""
+    from finmet import harness
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify_pushout_universal drew a cocone")
+
+    monkeypatch.setattr(harness, "gen_metric", refuse)
+    monkeypatch.setattr(harness, "sample_cost_below", refuse)
+    result = pushout_along_embedding(*worked_instance())
+    assert verify_pushout_universal(result)
+    assert not verify_pushout_universal(_corrupt_lower(result))
 
 
 def test_requires_embedding():

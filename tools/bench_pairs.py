@@ -23,8 +23,8 @@ parent's by more than the parent's interquartile range.  It also
 checks the metric's regression bound from BENCHMARK.json: the change's
 median may be worse than the parent's by at most that share of the
 parent's median.  `--traced W` adds one traced run of workload W, seed
-1, per side.  The exit status is 1 if any run was flagged or any metric
-broke its bound.
+1, per side, flagged by the same rule.  The exit status is 1 if any
+run, traced or not, was flagged or any metric broke its bound.
 """
 
 import argparse
@@ -133,12 +133,17 @@ def summary(runs, better, bounds):
     return out
 
 
+def flag_lines(workload, flags):
+    """One stderr line per flagged run."""
+    return ["%s seed %d %s: FLAGGED exit=%d correct=%s failed=%s"
+            % (workload, f["seed"], f["side"], f["exit"], f["correct"],
+               f["failed"]) for f in flags]
+
+
 def report_lines(workload, summ):
     """One stderr line per flagged run, per metric's claim rule and per
     metric that broke its regression bound."""
-    lines = ["%s seed %d %s: FLAGGED exit=%d correct=%s failed=%s"
-             % (workload, f["seed"], f["side"], f["exit"], f["correct"],
-                f["failed"]) for f in summ["flagged"]]
+    lines = flag_lines(workload, summ["flagged"])
     for name, m in summ["metrics"].items():
         c = m["claim"]
         lines.append(
@@ -215,9 +220,14 @@ def main(argv=None):
                 print(line, file=sys.stderr, flush=True)
             report["workloads"][workload] = {"runs": runs, "summary": summ}
         for workload in args.traced:
-            report["traced"][workload] = {
+            traced = report["traced"][workload] = {
                 side: run(roots[side], workload, 1, args.seconds, trace=1)
                 for side in ("parent", "change")}
+            flags = flagged([dict(traced, seed=1)])
+            if flags:
+                status = 1
+            for line in flag_lines("traced " + workload, flags):
+                print(line, file=sys.stderr, flush=True)
     with open(args.out, "w") as fh:
         json.dump(report, fh, indent=1, sort_keys=True)
         fh.write("\n")

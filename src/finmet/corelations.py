@@ -13,9 +13,10 @@ from operator import gt, ne
 
 from .limits import coproduct, copair, summand_label
 from .maps import is_surjective
-from .minplus import IntMatrix, int_product, minplus_matmul, pointwise, scale
+from .minplus import (IntMatrix, equals_own_square, int_product, pointwise,
+                      scale)
 from .quotients import kernel_metric, validate_submetric
-from .spaces import Frozen, Violation, is_separated
+from .spaces import Frozen, Violation, is_metric, is_separated
 
 
 class BlockMetric(Frozen):
@@ -61,6 +62,19 @@ def validate_blockmetric(bm):
     """Violations of the submetric contract against the coproduct metric on X+X."""
     space, _, _ = coproduct(bm.base, bm.base)
     return validate_submetric(space, bm.as_matrix())
+
+
+def is_valid_blockmetric(bm):
+    """Whether validate_blockmetric(bm) is empty.  Stops at the first
+    violation and formats none.
+
+    The coproduct metric on X + X is d within a summand and INF across,
+    so only the diagonal blocks can lie above it.
+    """
+    d = bm.base.dist
+    return (not any(pointwise(bm.g00, d, gt))
+            and not any(pointwise(bm.g11, d, gt))
+            and is_metric(bm.as_matrix()))
 
 
 def corelation_from_cospan(q0, q1):
@@ -134,8 +148,7 @@ def is_transitive(bm):
 
 
 def _cross_blocks_idempotent(bm):
-    return (bm.g01 == minplus_matmul(bm.g01, bm.g01)
-            and bm.g10 == minplus_matmul(bm.g10, bm.g10))
+    return equals_own_square(bm.g01) and equals_own_square(bm.g10)
 
 
 def is_equivalence(bm):

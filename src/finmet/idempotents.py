@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from math import inf
 
-from .minplus import minplus_matmul
+from .minplus import equals_own_square
 from .spaces import Frozen, freeze_labelled_square, label_index
 
 
@@ -27,7 +27,13 @@ class CostMatrix(Frozen):
 
 
 def is_idempotent(cm):
-    return minplus_matmul(cm.rho, cm.rho) == cm.rho
+    """Whether rho equals its min-plus square.
+
+    The square is taken on rho's own ints over its denominator, which
+    is the square's denominator too, so equal ints mean equal entries
+    (minplus.equals_own_square).
+    """
+    return equals_own_square(cm.rho)
 
 
 class FactorReport(Frozen):

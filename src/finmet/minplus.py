@@ -9,7 +9,9 @@ through the classmethod of, which the record constructors and the
 workspace loader call; the kernels take IntMatrix operands.
 
 One product kernel serves square and rectangular operands alike; the
-pushout formula builds its mixed blocks from it.  The closure here is
+pushout formula builds its mixed blocks from it, and the idempotence
+test of a cost matrix or a cross block squares the matrix on its own
+ints (equals_own_square).  The closure here is
 the all-pairs shortest-path saturation: the least matrix below the given
 costs that satisfies the triangle inequality.  It doubles as the
 independent oracle for the explicit pushout formula and as the repair
@@ -24,9 +26,10 @@ on plain ints, and a matrix result is again an IntMatrix.  math.inf is
 the one float.  It is compared with ints, which Python does exactly for
 ints of any size, and it is never an operand of +, * or //, which could
 overflow or give nan on ints beyond float range.  The closure, the
-product and the triangle check (spaces.metric_violations) loop only over
-finite terms, the columns that finite_columns lists: a sum with an INF
-term is INF, so it can neither lower a minimum nor break a triangle.
+product and the triangle check (under spaces.metric_violations and
+spaces.is_metric) loop only over finite terms, the columns that
+finite_columns lists: a sum with an INF term is INF, so it can neither
+lower a minimum nor break a triangle.
 """
 
 from __future__ import annotations
@@ -183,6 +186,19 @@ def pointwise(a, b, op, idx=None):
     for i, (a_row, b_row) in enumerate(zip(a, b)):
         for j in compress(count(), map(op, a_row, b_row)):
             yield i, j
+
+
+def equals_own_square(m):
+    """Whether the square IntMatrix m equals its min-plus square.
+
+    The square of a matrix over denominator den is again over den: a
+    finite entry of it is a sum p/den + q/den, or a minimum of such
+    sums.  So the product is taken on m's own ints, with no rescaling,
+    and two matrices over one denominator are equal exactly when their
+    ints are.
+    """
+    rows = m.rows
+    return tuple(map(tuple, int_product(rows, rows, len(rows)))) == rows
 
 
 def minplus_matmul(a, b):

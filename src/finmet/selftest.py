@@ -334,7 +334,7 @@ def suite_effective_exhaustive(seed):
         cross = ((entries[0], entries[1]), (entries[2], entries[3]))
         bm = corelations.BlockMetric(base=x2, g00=x2.dist, g01=cross,
                                      g10=cross, g11=x2.dist)
-        if corelations.validate_blockmetric(bm):
+        if not corelations.is_valid_blockmetric(bm):
             continue
         if not corelations.is_equivalence(bm):
             continue
@@ -371,12 +371,22 @@ def _grid_idempotents(grid, n):
     its min-plus square, as a list of rows, in itertools.product order.
 
     Cells are filled row by row, each with the grid's values in order,
-    and a partial matrix is dropped as soon as an assigned triple breaks
-    rho(x, z) <= rho(x, y) + rho(y, z).  No idempotent breaks one, as
-    rho(x, z) = (rho * rho)(x, z) <= rho(x, y) + rho(y, z), so the prune
-    loses none; every full matrix it keeps goes through _int_idempotent.
+    and a partial matrix is dropped on either of two prunes, neither of
+    which drops an idempotent, since rho(x, z) = (rho * rho)(x, z) is
+    the least rho(x, y) + rho(y, z):
+    - an assigned triple breaks rho(x, z) <= rho(x, y) + rho(y, z);
+    - row x and column z are both assigned, and no y attains rho(x, z),
+      that is, rho(x, y) + rho(y, z) > rho(x, z) for every y.
+    The second prune stops short of the last cell, so every full matrix
+    the search keeps goes through _int_idempotent, the independent
+    product, and that product alone decides it.
     """
     cells = n * n
+    if not cells:
+        if _int_idempotent([], 0):
+            yield []
+        return
+    last = cells - 1
     # closing[c]: the triples (xz, xy, yz), as flat cells, whose last
     # cell is c.  A triple with y = x or y = z always holds.
     closing = [[] for _ in range(cells)]
@@ -384,33 +394,67 @@ def _grid_idempotents(grid, n):
         if y != x and y != z:
             xz, xy, yz = x * n + z, x * n + y, y * n + z
             closing[max(xz, xy, yz)].append((xz, xy, yz))
+    # attaining[c]: for each pair (x, z) whose row x and column z are
+    # complete at cell c < last, the cell xz and its routes (xy, yz).
+    attaining = [[] for _ in range(cells)]
+    for x, z in itertools.product(range(n), repeat=2):
+        c = max(x * n + n - 1, (n - 1) * n + z)
+        if c < last:
+            attaining[c].append((x * n + z, [(x * n + y, y * n + z)
+                                             for y in range(n)]))
+    checks = list(zip(closing, attaining))
     flat = [0] * cells
-
-    def fill(c):
-        if c == cells:
-            rho = [flat[i * n:(i + 1) * n] for i in range(n)]
-            if _int_idempotent(rho, n):
-                yield rho
-            return
-        for v in grid:
-            flat[c] = v
-            for xz, xy, yz in closing[c]:
-                if flat[xz] > flat[xy] + flat[yz]:
+    # Depth-first over the cells: tried[c] counts the grid values cell c
+    # has taken since its predecessor last changed.
+    tried = [0] * cells
+    size = len(grid)
+    c = 0
+    while c >= 0:
+        i = tried[c]
+        if i == size:
+            tried[c] = 0
+            c -= 1
+            continue
+        tried[c] = i + 1
+        flat[c] = grid[i]
+        triangles, routes = checks[c]
+        kept = True
+        for xz, xy, yz in triangles:
+            if flat[xz] > flat[xy] + flat[yz]:
+                kept = False
+                break
+        if kept:
+            for xz, pairs in routes:
+                target = flat[xz]
+                for xy, yz in pairs:
+                    if flat[xy] + flat[yz] <= target:
+                        break
+                else:
+                    kept = False
                     break
-            else:
-                yield from fill(c + 1)
+        if not kept:
+            continue
+        if c < last:
+            c += 1
+            continue
+        rho = [flat[r * n:(r + 1) * n] for r in range(n)]
+        if _int_idempotent(rho, n):
+            yield rho
 
-    return fill(0)
+
+# The labels p0, p1, ... of an n-point cost matrix, built once per size
+# up to the 4 points of suite 10's largest matrices.
+_LABELS = tuple(tuple("p%d" % i for i in range(n)) for n in range(5))
 
 
 def _int_to_cost(rho, n):
-    return idempotents.CostMatrix(tuple("p%d" % i for i in range(n)),
-                                  IntMatrix(1, rho))
+    return idempotents.CostMatrix(_LABELS[n], IntMatrix(1, rho))
 
 
 def suite_idempotence(seed):
     # Exhaustive over the integer grid, pruned: _grid_idempotents drops a
-    # partial matrix only when it breaks a triangle, which no idempotent
+    # partial matrix only when it breaks a triangle or has a complete row
+    # x and column z with no y attaining rho(x, z), which no idempotent
     # does, since rho(x, z) is the least rho(x, y) + rho(y, z).  Each full
     # matrix it keeps is checked by _int_idempotent, a second, independent
     # product, and factor_through_zero_diagonal, which raises on a matrix

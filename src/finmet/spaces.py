@@ -86,12 +86,29 @@ def validate_metric(space):
 def metric_violations(labels, dist):
     """Axiom check on a labelled IntMatrix (shared with submetric validation)."""
     out = []
-    n = len(labels)
-    ints = dist.rows
-    for i in range(n):
-        if ints[i][i] != 0:
-            out.append(Violation("nonzero-diagonal", (labels[i],),
-                                 "d(x,x) = %s" % dist[i][i]))
+    for kind, idx in _broken_axioms(dist.rows):
+        points = tuple(labels[i] for i in idx)
+        if kind == "triangle":
+            i, j, k = idx
+            detail = "%s > %s + %s" % (dist[i][k], dist[i][j], dist[j][k])
+        else:
+            detail = "d(x,x) = %s" % dist[idx[0]][idx[0]]
+        out.append(Violation(kind, points, detail))
+    return out
+
+
+def is_metric(dist):
+    """Whether metric_violations finds nothing in the IntMatrix dist.
+    Stops at the first violation and formats none."""
+    return next(_broken_axioms(dist.rows), None) is None
+
+
+def _broken_axioms(ints):
+    """Yield, lazily and in metric_violations' order, each violated axiom
+    instance of a square int matrix as (kind, point indices)."""
+    for i, row in enumerate(ints):
+        if row[i] != 0:
+            yield "nonzero-diagonal", (i,)
     # An INF d(i, j) or d(j, k) cannot break d(i, k) <= d(i, j) + d(j, k),
     # so only finite ones are visited; an INF d(i, k) is still compared.
     finite = [finite_columns(row) for row in ints]
@@ -101,10 +118,7 @@ def metric_violations(labels, dist):
             row_j = ints[j]
             for k in finite[j]:
                 if row_i[k] > dij + row_j[k]:
-                    out.append(Violation(
-                        "triangle", (labels[i], labels[j], labels[k]),
-                        "%s > %s + %s" % (dist[i][k], dist[i][j], dist[j][k])))
-    return out
+                    yield "triangle", (i, j, k)
 
 
 def is_separated(space):

@@ -14,8 +14,8 @@ from finmet.idempotents import (CostMatrix, factor_through_zero_diagonal,
                                 is_idempotent, relation_density_witness)
 from finmet.idempotents import FactorReport
 from finmet.minplus import IntMatrix, minplus_closure, minplus_matmul
-from test_minplus import (SMALL, TINY, reference_closure, reference_product,
-                          values)
+from test_minplus import (HUGE_A, HUGE_B, SMALL, TINY, reference_closure,
+                          reference_product, values)
 
 
 def closed_matrix(rng, n, grid=None):
@@ -261,3 +261,38 @@ def test_factor_matches_extvalue_loop(rho):
             factor_through_zero_diagonal(cm)
         return
     assert factor_through_zero_diagonal(cm) == reference_factor(labels, rho)
+
+
+# -- is_idempotent on the matrix's own ints against the product route -------
+
+@st.composite
+def cost_matrices(draw):
+    """A square cost matrix, up to 4 points, over values, ZERO and
+    entries whose ints over a common denominator are beyond float range.
+    Half the time it is closed with a zero diagonal, which makes it
+    idempotent."""
+    n = draw(st.integers(0, 4))
+    entry = values | st.just(ZERO) | st.sampled_from(HUGE_A + HUGE_B)
+    rho = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                        min_size=n, max_size=n))
+    if draw(st.booleans()):
+        rho = reference_closure([[ZERO if i == j else v
+                                  for j, v in enumerate(row)]
+                                 for i, row in enumerate(rho)])
+    return rho
+
+
+@settings(deadline=None)
+@given(cost_matrices())
+@example([])
+@example([[INF]])
+@example([[ZERO, INF], [fin(1, 3), ZERO]])
+@example([[ZERO, HUGE_A[1]], [INF, ZERO]])
+@example([[ZERO, HUGE_A[0]], [HUGE_B[0], ZERO]])
+# The square differs from the matrix in its last row only: (1, 1) is
+# min(1/3 + 1/3, 1/3 + 1/3) = 2/3.
+@example([[ZERO, fin(1, 3)], [fin(1, 3), fin(1, 3)]])
+def test_is_idempotent_matches_the_product(rho):
+    m = IntMatrix.of(rho)
+    cm = CostMatrix(tuple("p%d" % i for i in range(len(rho))), m)
+    assert is_idempotent(cm) == (minplus_matmul(m, m) == m)

@@ -18,7 +18,7 @@ import os
 import sys
 from typing import NamedTuple
 
-from . import corelations, idempotents, pushouts
+from . import corelations, idempotents
 from .limits import coproduct, equalizer, pair_label, product, split_labels
 from .maps import factorize
 from .quotients import kernel_metric, quotient_by_submetric, quotient_leq
@@ -48,8 +48,8 @@ def _map_lines(title, fmap):
 def _matrix_lines(title, labels, matrix):
     lines = ["%s:" % title,
              "  points: %s" % (" ".join(labels) if labels else "-")]
-    for row in matrix:
-        lines.append("    " + " ".join(v.token() for v in row))
+    for row in matrix_tokens(matrix):
+        lines.append("    " + " ".join(row))
     return lines
 
 
@@ -100,6 +100,10 @@ def cmd_equalizer(ws, args):
 
 
 def cmd_pushout(ws, args):
+    # Only this command and cokernel-pair build pushouts, so the other
+    # commands do not pay for compiling and importing them.
+    from . import pushouts
+
     i = ws.map(args.embedding)
     f = ws.map(args.along)
     result = pushouts.pushout_along_embedding(i, f)
@@ -124,6 +128,8 @@ def cmd_pushout(ws, args):
 
 
 def cmd_cokernel_pair(ws, args):
+    from . import pushouts
+
     q0, q1, apex = pushouts.cokernel_pair(ws.map(args.embedding))
     lines = _space_lines("cokernel pair of %s" % args.embedding, apex)
     lines += _map_lines("q0", q0) + _map_lines("q1", q1)

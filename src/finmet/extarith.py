@@ -4,6 +4,10 @@ Values are exact rationals (via fractions.Fraction) or the single
 infinity element.  (min, +) makes this a commutative semiring with
 additive identity INF and multiplicative identity 0; + saturates at INF.
 
+One token grammar reads and writes a value in a document: ratio reads a
+token to (numerator, denominator) and token writes x / den back, and
+parse and ExtValue.token are thin wrappers over the two.
+
 Frozen, the immutable base of every finmet value and record, lives here
 at the bottom of the import graph.
 """
@@ -13,6 +17,7 @@ from __future__ import annotations
 import functools
 import re
 from fractions import Fraction
+from math import gcd, inf
 from operator import attrgetter
 
 
@@ -111,11 +116,8 @@ class ExtValue(Frozen):
 
     def token(self):
         """Serialize: "p/q", "p" for integers, "inf" for infinity."""
-        if self._frac is None:
-            return "inf"
-        if self._frac.denominator == 1:
-            return str(self._frac.numerator)
-        return "%d/%d" % (self._frac.numerator, self._frac.denominator)
+        f = self._frac
+        return "inf" if f is None else token(f.numerator, f.denominator)
 
     __str__ = token
 
@@ -132,32 +134,48 @@ def fin(numerator, denominator=1):
 _TOKEN = re.compile(r"(0|[1-9][0-9]*)(?:/([1-9][0-9]*))?")
 
 
-def parse(token):
-    """Inverse of ExtValue.token(); raises ValueError on any other input.
+def ratio(tok):
+    """(p, q) with q >= 1 for the canonical token "p/q" or "p", None for
+    "inf"; a ValueError for any other input.
 
-    Only canonical tokens parse: "inf", "0", an integer without sign or
-    leading zeros, or "p/q" in lowest terms with q >= 2, so that
-    parse(t).token() == t for every accepted t.
+    Only canonical tokens are read: "inf", "0", an integer without sign
+    or leading zeros, or "p/q" in lowest terms with q >= 2, so that
+    token(p, q) == tok for every accepted tok.
     """
-    if not isinstance(token, str):
-        raise ValueError("malformed value token %r" % (token,))
-    return _parse(token)
+    if not isinstance(tok, str):
+        raise ValueError("malformed value token %r" % (tok,))
+    return _ratio(tok)
 
 
-# A document repeats few distinct tokens many times, and ExtValue is
-# immutable, so equal tokens may share one parsed value.
+# A document repeats few distinct tokens many times, across matrices
+# too, so equal tokens share one read.
 @functools.lru_cache(maxsize=4096)
-def _parse(token):
-    if token == "inf":
-        return INF
-    match = _TOKEN.fullmatch(token)
+def _ratio(tok):
+    if tok == "inf":
+        return None
+    match = _TOKEN.fullmatch(tok)
     if match is None:
-        raise ValueError("malformed value token %r" % (token,))
+        raise ValueError("malformed value token %r" % (tok,))
     p, q = match.groups()
     if q is None:
-        return ExtValue(Fraction(int(p)))
-    denominator = int(q)
-    frac = Fraction(int(p), denominator)
-    if frac.denominator != denominator or denominator == 1:
-        raise ValueError("value token %r is not in lowest terms" % (token,))
-    return ExtValue(frac)
+        return int(p), 1
+    p, q = int(p), int(q)
+    if q == 1 or gcd(p, q) != 1:
+        raise ValueError("value token %r is not in lowest terms" % (tok,))
+    return p, q
+
+
+def token(x, den):
+    """The canonical token of x / den for an int x >= 0, "inf" for
+    math.inf."""
+    if x == inf:
+        return "inf"
+    g = gcd(x, den)
+    return str(x // g) if g == den else "%d/%d" % (x // g, den // g)
+
+
+def parse(tok):
+    """The ExtValue of a canonical token, the inverse of ExtValue.token();
+    a ValueError on any other input (see ratio)."""
+    r = ratio(tok)
+    return INF if r is None else ExtValue(Fraction(*r))

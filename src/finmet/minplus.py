@@ -5,8 +5,9 @@ denominator, with math.inf for INF; it is how every space, submetric,
 block and cost matrix stores its distances.  Reading a row or an entry
 gives ExtValue, so callers that index, iterate or take len() see nested
 ExtValue sequences.  Nested ExtValue literals become an IntMatrix only
-through the classmethod of, which the record constructors and the
-workspace loader call; the kernels take IntMatrix operands.
+through the classmethod of, which the record constructors,
+harness._GRID and one selftest fixture call; the workspace loader reads
+tokens straight to ints.  The kernels take IntMatrix operands.
 
 One product kernel serves square and rectangular operands alike; the
 pushout formula builds its mixed blocks from it, and the idempotence

@@ -7,6 +7,9 @@ must meet.  Matrices are row-major lists of lists of value tokens
 ("p/q", "p", or "inf"), except a relation's, whose cells are 1 where
 related and 0 elsewhere; it loads as its cost matrix over {0, inf}.
 Serialization round-trips bit-exactly because tokens are canonical.
+Tokens are read straight to an IntMatrix's ints over one common
+denominator and written back from them (extarith.ratio and token), with
+no ExtValue between.
 
 The loader checks only the shape of each entry; a contract is checked
 when its object is first asked for.  `Workspace.get` (so `ws.space`,
@@ -17,7 +20,8 @@ from __future__ import annotations
 
 import json
 from functools import partialmethod
-from math import inf
+from itertools import chain
+from math import inf, lcm
 
 from . import extarith
 from .corelations import BlockMetric, validate_blockmetric
@@ -46,9 +50,23 @@ def _strings(entry, key):
 
 
 def _matrix(entry, key):
+    """The tokens as an IntMatrix over the lcm of their denominators.
+
+    Each distinct token is read once, in the order of first occurrence,
+    so an error names the first bad token in row-major order."""
     rows = _list(entry, key, lambda row: isinstance(row, list),
                  "a list of lists")
-    return IntMatrix.of([[extarith.parse(tok) for tok in row] for row in rows])
+    tokens = list(chain.from_iterable(rows))
+    if not set(map(type, tokens)) <= {str}:
+        # A list or object cannot key a dict; reading in order stops at
+        # the first bad token, at the latest at the first non-string.
+        for tok in tokens:
+            extarith.ratio(tok)
+    ratios = {tok: extarith.ratio(tok) for tok in dict.fromkeys(tokens)}
+    den = lcm(*[r[1] for r in ratios.values() if r is not None])
+    ints = {tok: inf if r is None else r[0] * (den // r[1])
+            for tok, r in ratios.items()}.__getitem__
+    return IntMatrix(den, [tuple(map(ints, row)) for row in rows])
 
 
 def _cells(entry, key):
@@ -60,7 +78,11 @@ def _cells(entry, key):
 
 
 def matrix_tokens(matrix):
-    return [[v.token() for v in row] for row in matrix]
+    """The IntMatrix as rows of tokens, each distinct int written once."""
+    den = matrix.den
+    tok = {x: extarith.token(x, den)
+           for x in set(chain.from_iterable(matrix.rows))}.__getitem__
+    return [list(map(tok, row)) for row in matrix.rows]
 
 
 # kind -> (load(entry, ws), dump(obj, space_name), check(obj, spaces)).

@@ -1,7 +1,7 @@
 """tools/bench_pairs.py refuses arguments it cannot summarise before it
 checks out or runs anything, keeps going past a failed run, flags wrong
-runs, applies the claim rule per metric and checks each metric's
-regression bound."""
+runs, applies the claim rule per metric, checks each metric's
+regression bound and alternates its traced pairs."""
 
 import importlib.util
 import json
@@ -208,6 +208,46 @@ def test_a_failed_traced_run_is_flagged(monkeypatch, tmp_path, capsys):
     assert status == 1
     report = json.loads(out.read_text())
     assert report["workloads"]["w"]["summary"]["flagged"] == []
-    assert report["traced"]["w"]["change"] == {"exit": 1}
+    traced = report["traced"]["w"]
+    assert [r["change"] for r in traced["runs"]] == [{"exit": 1}] * 3
+    assert traced["medians"]["change"] == {}
     assert ("traced w seed 1 change: FLAGGED exit=1 correct=None "
             "failed=None") in capsys.readouterr().err.splitlines()
+
+
+def test_traced_pairs_alternate_and_keep_each_sides_medians(monkeypatch,
+                                                            tmp_path):
+    # --traced runs three pairs, seeds 1-3, the parent first on the
+    # first and third, and keeps each layer's median per side over the
+    # runs that exited 0.
+    tool = _load()
+    rev = lambda *args, **kwargs: tool.subprocess.CompletedProcess(
+        args, 0, stdout="tree\n")
+    monkeypatch.setattr(tool.subprocess, "run", rev)
+    monkeypatch.setattr(tool, "checkout", lambda rev, into: into)
+    calls = []
+
+    def fake_run(root, workload, seed, seconds, trace=0):
+        side = "change" if root.endswith("change") else "parent"
+        if trace:
+            calls.append((seed, side))
+            if (seed, side) == (2, "parent"):
+                return {"exit": 1}
+            layer = {"value": seed + (10 if side == "change" else 0)}
+            return dict(_result(10), metrics={"layer_s": layer})
+        return _result(10)
+
+    monkeypatch.setattr(tool, "run", fake_run)
+    monkeypatch.chdir(os.path.dirname(os.path.dirname(_PATH)))
+    out = tmp_path / "bench.json"
+    assert tool.main(["--parent", "P", "--change", "C", "--out", str(out),
+                      "--workload", "w", "--pairs", "2", "--first-seed", "5",
+                      "--traced", "w"]) == 1
+    assert calls == [(1, "parent"), (1, "change"), (2, "change"),
+                     (2, "parent"), (3, "parent"), (3, "change")]
+    traced = json.loads(out.read_text())["traced"]["w"]
+    assert [(r["seed"], r["first"]) for r in traced["runs"]] == [
+        (1, "parent"), (2, "change"), (3, "parent")]
+    # The parent's median is over seeds 1 and 3 only.
+    assert traced["medians"] == {"parent": {"layer_s": 2},
+                                 "change": {"layer_s": 12}}

@@ -22,9 +22,10 @@ wins at least nine tenths of the pairs run, and its median beats the
 parent's by more than the parent's interquartile range.  It also
 checks the metric's regression bound from BENCHMARK.json: the change's
 median may be worse than the parent's by at most that share of the
-parent's median.  `--traced W` adds one traced run of workload W, seed
-1, per side, flagged by the same rule.  The exit status is 1 if any
-run, traced or not, was flagged or any metric broke its bound.
+parent's median.  `--traced W` adds three traced pairs of workload W,
+seeds 1-3, alternating as above and flagged by the same rule, and keeps
+each traced layer's median per side.  The exit status is 1 if any run,
+traced or not, was flagged or any metric broke its bound.
 """
 
 import argparse
@@ -62,6 +63,34 @@ def run(root, workload, seed, seconds, trace=0):
     if out.returncode == 0:
         result.update(json.loads(out.stdout.strip().splitlines()[-1]))
     return result
+
+
+def run_pairs(roots, workload, first, count, seconds, trace=0):
+    """count pairs of runs, seeds first to first + count - 1, the parent
+    first in the first, third, ... pair and the change first in the
+    others."""
+    runs = []
+    for p in range(count):
+        seed = first + p
+        order = ("parent", "change") if p % 2 == 0 else ("change", "parent")
+        pair = {"seed": seed, "first": order[0]}
+        for side in order:
+            pair[side] = res = run(roots[side], workload, seed, seconds, trace)
+            print(workload, seed, side, json.dumps(
+                res["metrics"].get("ops_per_s") if res["exit"] == 0
+                else res), file=sys.stderr, flush=True)
+        runs.append(pair)
+    return runs
+
+
+def medians(runs):
+    """Per side, each metric's median over the runs that exited 0."""
+    out = {}
+    for side in ("parent", "change"):
+        ok = [r[side]["metrics"] for r in runs if r[side]["exit"] == 0]
+        out[side] = {name: statistics.median(m[name]["value"] for m in ok)
+                     for name in (ok[0] if ok else ())}
+    return out
 
 
 def flagged(runs):
@@ -198,21 +227,9 @@ def main(argv=None):
         roots = {side: checkout(rev, os.path.join(tmp, side))
                  for side, rev in (("parent", args.parent),
                                    ("change", args.change))}
-        for workload, pairs, first in zip(args.workload, args.pairs,
+        for workload, count, first in zip(args.workload, args.pairs,
                                           args.first_seed):
-            runs = []
-            for p in range(pairs):
-                seed = first + p
-                order = ("parent", "change") if p % 2 == 0 else (
-                    "change", "parent")
-                pair = {"seed": seed, "first": order[0]}
-                for side in order:
-                    pair[side] = res = run(roots[side], workload, seed,
-                                           args.seconds)
-                    print(workload, seed, side, json.dumps(
-                        res["metrics"]["ops_per_s"] if res["exit"] == 0
-                        else res), file=sys.stderr, flush=True)
-                runs.append(pair)
+            runs = run_pairs(roots, workload, first, count, args.seconds)
             summ = summary(runs, better, bounds)
             if summ["flagged"] or summ["regressions"]:
                 status = 1
@@ -220,10 +237,10 @@ def main(argv=None):
                 print(line, file=sys.stderr, flush=True)
             report["workloads"][workload] = {"runs": runs, "summary": summ}
         for workload in args.traced:
-            traced = report["traced"][workload] = {
-                side: run(roots[side], workload, 1, args.seconds, trace=1)
-                for side in ("parent", "change")}
-            flags = flagged([dict(traced, seed=1)])
+            runs = run_pairs(roots, workload, 1, 3, args.seconds, trace=1)
+            report["traced"][workload] = {"runs": runs,
+                                          "medians": medians(runs)}
+            flags = flagged(runs)
             if flags:
                 status = 1
             for line in flag_lines("traced " + workload, flags):

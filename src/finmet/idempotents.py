@@ -29,9 +29,11 @@ class CostMatrix(Frozen):
 def is_idempotent(cm):
     """Whether rho equals its min-plus square.
 
-    The square is taken on rho's own ints over its denominator, which
-    is the square's denominator too, so equal ints mean equal entries
-    (minplus.equals_own_square).
+    Decided through the zero-diagonal points Z, as the lemma allows
+    (minplus.equals_own_square): rho must equal rho[:, Z] * rho[Z, :],
+    and no point outside Z may route two points of Z below their entry.
+    Both run on rho's own ints over its denominator, which is the
+    square's denominator too, so equal ints mean equal entries.
     """
     return equals_own_square(cm.rho)
 

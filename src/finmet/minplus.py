@@ -11,12 +11,14 @@ tokens straight to ints.  The kernels take IntMatrix operands.
 
 One product kernel serves square and rectangular operands alike; the
 pushout formula builds its mixed blocks from it, and the idempotence
-test of a cost matrix or a cross block squares the matrix on its own
-ints (equals_own_square).  The closure here is
+test of a cost matrix or a cross block (equals_own_square) routes the
+matrix through its zero-diagonal points on its own ints, which is the
+full square only when the whole diagonal is zero.  The closure here is
 the all-pairs shortest-path saturation: the least matrix below the given
 costs that satisfies the triangle inequality.  It doubles as the
-independent oracle for the explicit pushout formula and as the repair
-step of the random-space generator.  The entrywise comparison serves
+independent oracle for the explicit pushout formula, which relaxes
+through the glue points only, and as the repair step of the
+random-space generator.  The entrywise comparison serves
 every order check of two matrices: non-expansive maps and embeddings
 (reading the target through the map's index map), submetrics below d,
 the order of quotients and the corelation laws.
@@ -192,14 +194,45 @@ def pointwise(a, b, op, idx=None):
 def equals_own_square(m):
     """Whether the square IntMatrix m equals its min-plus square.
 
-    The square of a matrix over denominator den is again over den: a
-    finite entry of it is a sum p/den + q/den, or a minimum of such
-    sums.  So the product is taken on m's own ints, with no rescaling,
-    and two matrices over one denominator are equal exactly when their
-    ints are.
+    Let Z be the points with m[z][z] = 0.  m equals its square exactly
+    when
+    - m = m[:, Z] * m[Z, :], and
+    - m[a][b] <= m[a][k] + m[k][b] for a, b in Z and k outside Z.
+    If m = m * m, the idempotence lemma attains each finite entry
+    through some z in Z, and m * m <= m[:, Z] * m[Z, :] always, so the
+    first clause holds; the second is m[a][b] <= (m * m)[a][b].
+    Conversely, write P = m[:, Z], Q = m[Z, :] and M = m[Z, Z].  The
+    first clause on the Z columns is P = P * M, and on the Z rows and
+    columns with the second clause it gives Q * P = M, since the terms
+    of (Q * P)[a][b] through k in Z have M[a][b] as their least and
+    those through k outside Z lie above it.  So m * m = P (Q P) Q =
+    P M Q = P Q = m.
+
+    That takes n^2 |Z| + |Z|^2 (n - |Z|) steps, never more than the n^3
+    of the full square, and n^3 when every diagonal entry is 0.  A
+    product of matrices over one denominator is over it too, so both
+    clauses run on m's own ints, and equal ints mean equal entries.
     """
     rows = m.rows
-    return tuple(map(tuple, int_product(rows, rows, len(rows)))) == rows
+    n = len(rows)
+    zero = [z for z in range(n) if rows[z][z] == 0]
+    routed = int_product([[row[z] for z in zero] for row in rows],
+                         [rows[z] for z in zero], n)
+    if tuple(map(tuple, routed)) != rows:
+        return False
+    for k, row_k in enumerate(rows):
+        if row_k[k] == 0:
+            continue
+        # The Z columns at which row k is finite; INF terms break nothing.
+        back = [b for b in zero if row_k[b] != inf]
+        for a in zero:
+            row_a = rows[a]
+            w = row_a[k]
+            if w != inf:
+                for b in back:
+                    if w + row_k[b] < row_a[b]:
+                        return False
+    return True
 
 
 def minplus_matmul(a, b):
@@ -208,16 +241,23 @@ def minplus_matmul(a, b):
     return IntMatrix(common, int_product(a, b, len(b)))
 
 
-def minplus_closure(cost):
+def minplus_closure(cost, pivots=None):
     """All-pairs relaxation of a square cost matrix (Floyd-Warshall).
 
     For a matrix with zero diagonal the result is the least valid metric
     below the given costs.  Iteration order is fixed by point index, so
     the result is deterministic.
+
+    With pivots, only those points are relaxed through, in the order
+    given.  That is the full closure when cost is a closed matrix with
+    some entries between two pivots lowered (the arcs): with the arcs
+    removed, the matrix is closed.  A shortest path then is a chain of
+    single closed entries joined by arcs, so every point inside it is a
+    pivot.  On any other matrix the result may lie above the closure.
     """
     common, (dist,) = scale(cost)
     dist = [list(row) for row in dist]
-    for k in range(len(dist)):
+    for k in range(len(dist)) if pivots is None else pivots:
         # Row k stays fixed while k is the pivot, as d(k, k) >= 0; its
         # INF entries relax nothing.
         row_k = dist[k]

@@ -97,22 +97,29 @@ def pushout_along_embedding(i, f):
     return PushoutResult(square=square, gamma=gamma)
 
 
-def _glue_and_close(i, f, costs):
-    """Closure of a cost matrix on B + X after adding zero-cost arcs
-    between f(a) and i(a), both ways, for every glue point a."""
+def _glue_and_close(i, f, closed):
+    """Closure of a closed matrix on B + X after adding zero-cost arcs
+    between f(a) and i(a), both ways, for every glue point a.
+
+    As the matrix is closed, only the arcs' endpoints, at most 2|A|
+    points, are relaxed through (minplus_closure's pivots).
+    """
     nb = f.target.n
-    den, (cost,) = scale(costs)
+    den, (cost,) = scale(closed)
     cost = [list(row) for row in cost]
+    ends = set()
     for p, q in zip(target_indices(f), target_indices(i)):
         cost[p][nb + q] = cost[nb + q][p] = 0
-    return minplus_closure(IntMatrix(den, cost))
+        ends.update((p, nb + q))
+    return minplus_closure(IntMatrix(den, cost), sorted(ends))
 
 
 def pushout_closure_oracle(i, f):
     """Independent recomputation of the pushout submetric.
 
     Start from the coproduct metric on B + X, glue f(a) to i(a) at zero
-    cost and saturate with the all-pairs min-plus closure.  Must agree
+    cost and saturate with the min-plus closure, relaxed through the
+    glue points only, since the coproduct metric is closed.  Must agree
     exactly with the formula route, which it never calls.
     """
     _check_pushout_inputs(i, f)

@@ -2,6 +2,8 @@ import itertools
 import os
 import random
 import sys
+from math import inf
+from operator import add
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,7 +15,8 @@ from finmet.extarith import INF, ZERO, fin
 from finmet.idempotents import (CostMatrix, factor_through_zero_diagonal,
                                 is_idempotent, relation_density_witness)
 from finmet.idempotents import FactorReport
-from finmet.minplus import IntMatrix, minplus_closure, minplus_matmul
+from finmet.minplus import (IntMatrix, equals_own_square, minplus_closure,
+                            minplus_matmul)
 from test_minplus import (HUGE_A, HUGE_B, SMALL, TINY, reference_closure,
                           reference_product, values)
 
@@ -296,3 +299,96 @@ def test_is_idempotent_matches_the_product(rho):
     m = IntMatrix.of(rho)
     cm = CostMatrix(tuple("p%d" % i for i in range(len(rho))), m)
     assert is_idempotent(cm) == (minplus_matmul(m, m) == m)
+
+
+# -- equals_own_square through the zero diagonal against the full square ----
+
+@st.composite
+def partial_zero_diagonals(draw):
+    """A square matrix, up to 5 points, over values, ZERO and entries
+    beyond float range, whose diagonal is often zero in part only: either
+    min over a in T of X(x, a) + X(a, y) for a closed zero-diagonal X,
+    zero on T and mostly positive elsewhere, or a random matrix squared
+    until it is stable, at most six times.  Half the time one entry is
+    then redrawn, which usually breaks idempotence."""
+    n = draw(st.integers(1, 5))
+    entry = values | st.just(ZERO) | st.sampled_from(HUGE_A + HUGE_B)
+    cost = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                         min_size=n, max_size=n))
+    if draw(st.booleans()):
+        x = reference_closure([[ZERO if i == j else v
+                                for j, v in enumerate(row)]
+                               for i, row in enumerate(cost)])
+        t = draw(st.lists(st.integers(0, n - 1), unique=True))
+        rho = reference_product([[row[a] for a in t] for row in x],
+                                [[x[a][y] for a in t] for y in range(n)])
+    else:
+        rho = tuple(map(tuple, cost))
+        for _ in range(6):
+            square = reference_product(rho, tuple(zip(*rho)))
+            if square == rho:
+                break
+            rho = square
+    rho = [list(row) for row in rho]
+    if draw(st.booleans()):
+        # Half of these land between two zero-diagonal points, where only
+        # a route outside them can show that the entry is too high.
+        zero = [z for z in range(n) if rho[z][z] == ZERO]
+        ends = st.integers(0, n - 1)
+        if zero and draw(st.booleans()):
+            ends = st.sampled_from(zero)
+        i, j = draw(ends), draw(ends)
+        rho[i][j] = draw(entry)
+    return rho
+
+
+@settings(deadline=None, max_examples=300)
+@given(partial_zero_diagonals())
+# Z = {0}: every entry routes through point 0, and point 1's own loop
+# costs 1 + 1 = 2 by way of 0 and itself.
+@example([[ZERO, fin(1)], [fin(1), fin(2)]])
+@example([[ZERO, HUGE_A[0], INF], [HUGE_B[1], HUGE_A[0] + HUGE_B[1], INF],
+          [INF, INF, INF]])
+@example([[INF, INF], [INF, INF]])
+# Z = {0, 2}: the square is 2v at (2, 0), routed through point 1 only.
+@example([[ZERO, ZERO, ZERO], [fin(1), fin(1), ZERO], [INF, fin(1), ZERO]])
+@example([[ZERO, ZERO, ZERO], [HUGE_A[1], HUGE_A[1], ZERO],
+          [INF, HUGE_A[1], ZERO]])
+def test_equals_own_square_matches_the_full_square(rho):
+    square = reference_product(rho, tuple(zip(*rho)))
+    assert equals_own_square(IntMatrix.of(rho)) == (
+        square == tuple(map(tuple, rho)))
+
+
+def test_the_triangle_clause_outside_the_zero_diagonal_is_needed():
+    """Z = {0, 2} and m = m[:, Z] * m[Z, :], yet m is not idempotent:
+    its square is 2 at (2, 0), through point 1, outside Z, where m is
+    INF.  So the first clause alone does not decide."""
+    rho = ((ZERO, ZERO, ZERO), (fin(1), fin(1), ZERO), (INF, fin(1), ZERO))
+    zero = [z for z in range(3) if rho[z][z] == ZERO]
+    assert zero == [0, 2]
+    assert reference_product([[row[z] for z in zero] for row in rho],
+                             [[rho[z][j] for z in zero]
+                              for j in range(3)]) == rho
+    assert reference_product(rho, tuple(zip(*rho)))[2][0] == fin(2)
+    assert not equals_own_square(IntMatrix.of(rho))
+
+
+def test_equals_own_square_on_every_matrix_over_a_small_grid():
+    """All 4**9 matrices of 3 x 3 over {0, 1, 2, inf}, and the smaller
+    ones, against their square's entries taken one by one.  The entries
+    are small ints or inf, so a float sum is exact.  The idempotents
+    number 3224 over sizes 1 to 3, the count of selftest's suite 10."""
+    grid = (0, 1, 2, inf)
+    idempotent = []
+    for n in range(4):
+        count = 0
+        for cells in itertools.product(grid, repeat=n * n):
+            rows = tuple(cells[i * n:(i + 1) * n] for i in range(n))
+            cols = tuple(zip(*rows))
+            verdict = all(min(map(add, row, col)) == x
+                          for row in rows for col, x in zip(cols, row))
+            assert equals_own_square(IntMatrix(1, rows)) == verdict, rows
+            count += verdict
+        idempotent.append(count)
+    assert idempotent == [1, 2, 41, 3181]

@@ -313,6 +313,53 @@ def test_kernels_are_exact_beyond_float_range():
             reference_product(b, list(zip(*a))))
 
 
+# -- the closure through given pivots ---------------------------------------
+
+@st.composite
+def closed_with_arcs(draw):
+    """(cost, pivots): a closed metric on up to 6 points, over values,
+    ZERO, INF and entries beyond float range, with some entries between
+    two pivots lowered to 0 or to a drawn value."""
+    n = draw(st.integers(1, 6))
+    entry = values | st.just(ZERO) | st.sampled_from(HUGE_A + HUGE_B)
+    cost = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                         min_size=n, max_size=n))
+    rows = [list(row) for row in reference_closure(
+        [[ZERO if i == j else v for j, v in enumerate(row)]
+         for i, row in enumerate(cost)])]
+    pivots = draw(st.lists(st.integers(0, n - 1), unique=True))
+    if pivots:
+        ends = st.sampled_from(pivots)
+        for p, q, v in draw(st.lists(st.tuples(ends, ends, st.just(ZERO)
+                                               | entry), max_size=6)):
+            rows[p][q] = min(rows[p][q], v)
+    return rows, pivots
+
+
+@settings(deadline=None)
+@given(closed_with_arcs())
+# d(i, j) = |i - j| with arcs 0 -> 1 and 1 -> 2 at 0: (0, 3) routes
+# through both arcs and then d(2, 3), and point 3 is no pivot.
+@example(([[ZERO, ZERO, fin(2), fin(3)], [fin(1), ZERO, ZERO, fin(2)],
+           [fin(2), fin(1), ZERO, fin(1)], [fin(3), fin(2), fin(1), ZERO]],
+          [0, 1, 2]))
+@example(([[ZERO, HUGE_A[1], INF], [HUGE_A[1], ZERO, HUGE_B[0]],
+           [INF, HUGE_B[0], ZERO]], [1, 2]))
+def test_closure_through_the_arcs_ends_is_the_full_closure(case):
+    rows, pivots = case
+    assert minplus_closure(IntMatrix.of(rows), pivots) == IntMatrix.of(
+        reference_closure(rows))
+
+
+def test_pivots_need_a_closed_matrix():
+    """0 -> 1 -> 2 is not closed, and pivot 0 alone cannot route it:
+    (0, 2) stays INF where the full closure gives 2."""
+    cost = IntMatrix.of([[ZERO, fin(1), INF], [INF, ZERO, fin(1)],
+                         [INF, INF, ZERO]])
+    assert minplus_closure(cost, (0,)) == cost
+    assert minplus_closure(cost)[0][2] == fin(2)
+
+
 # -- the IntMatrix protocol -------------------------------------------------
 
 def test_int_matrix_protocol():
@@ -450,7 +497,7 @@ def test_kernels_and_constructions_leave_operands_unchanged():
     minplus_closure(bx.dist)
     minplus_closure(cost)
     _glue_and_close(i, f, bx.dist)
-    _glue_and_close(i, f, cost)
+    minplus_closure(cost, (0, 2))
     coproduct(x, b)
     pushout_along_embedding(i, f)
     BlockMetric(x, *blocks).as_matrix()

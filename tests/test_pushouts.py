@@ -16,7 +16,7 @@ from finmet.harness import GenConfig, gen_metric, sample_cost_below
 from finmet.limits import coproduct, is_pullback_square
 from finmet.maps import (FinMap, compose, is_embedding, is_nonexpansive,
                          subspace)
-from finmet.minplus import IntMatrix, pointwise
+from finmet.minplus import IntMatrix, minplus_closure, pointwise
 from finmet.pushouts import (cokernel_pair, pushout_along_embedding,
                              pushout_closure_oracle, verify_pushout_universal)
 from finmet.quotients import Submetric, kernel_metric, quotient_by_submetric
@@ -31,6 +31,28 @@ def worked_instance():
     x = FinSpace(("p", "x"), ((ZERO, fin(1)), (fin(1), ZERO)))
     b = FinSpace(("q", "b"), ((ZERO, fin(2)), (fin(2), ZERO)))
     return FinMap(a, x, ("p",)), FinMap(a, b, ("q",))
+
+
+def glue_arcs(i, f, costs):
+    """costs on B + X with the entries between f(a) and i(a) set to 0,
+    both ways, for every glue point a."""
+    nb = f.target.n
+    rows = [list(row) for row in costs.rows]
+    for a in f.source.labels:
+        p, q = f.target.index(f(a)), nb + i.target.index(i(a))
+        rows[p][q] = rows[q][p] = 0
+    return IntMatrix(costs.den, rows)
+
+
+def full_closure(m):
+    """Floyd-Warshall through every point, on m's own ints."""
+    d = [list(row) for row in m.rows]
+    for k, row_k in enumerate(d):
+        for row_i in d:
+            for j, dkj in enumerate(row_k):
+                if row_i[k] != math.inf and dkj != math.inf:
+                    row_i[j] = min(row_i[j], row_i[k] + dkj)
+    return IntMatrix(m.den, d)
 
 
 def rand_instance(rng, max_points=5):
@@ -79,6 +101,33 @@ def test_formula_agrees_with_closure_oracle():
         assert is_separated(result.apex)
         assert validate_metric(result.apex) == []
         assert result.square.commutes()
+
+
+def test_oracle_is_the_full_closure_of_the_glued_coproduct():
+    """The oracle relaxes through the glue points only; on the suite-4
+    spans that is the closure through every point of B + X."""
+    for seed in range(200):
+        i, f = _pushout_instance(seed)
+        bx, _, _ = coproduct(f.target, i.target)
+        assert (pushout_closure_oracle(i, f).gamma
+                == full_closure(glue_arcs(i, f, bx.dist)))
+
+
+def test_oracle_never_calls_the_formulas_product(monkeypatch):
+    """The oracle and the universal check close the glued coproduct and
+    never take the pushout formula's min-plus products."""
+    spans = [worked_instance()] + [_pushout_instance(s) for s in range(8)]
+    results = [pushout_along_embedding(i, f) for i, f in spans]
+    lowered = [_corrupt_lower(r) for r in results]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle called int_product")
+
+    monkeypatch.setattr(pushouts, "int_product", refuse)
+    for (i, f), result, bad in zip(spans, results, lowered):
+        assert pushout_closure_oracle(i, f).gamma == result.gamma.gamma
+        assert verify_pushout_universal(result)
+        assert bad is None or not verify_pushout_universal(bad)
 
 
 def test_empty_glue_gives_coproduct():
@@ -130,7 +179,10 @@ def _reference_cocones(result, trials, seed):
             for a in f.source.labels]
 
     def glued(costs):
-        closed = pushouts._glue_and_close(i, f, costs)
+        closed = pushouts._glue_and_close(i, f, minplus_closure(costs))
+        # Closing first changes nothing: closure(glue(closure c)) is
+        # closure(glue(c)), so the cocones are those of the raw costs.
+        assert closed == full_closure(glue_arcs(i, f, costs))
         return quotient_by_submetric(Submetric(bx, closed))
 
     rng = random.Random(seed)

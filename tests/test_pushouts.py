@@ -104,8 +104,9 @@ def test_formula_agrees_with_closure_oracle():
 
 
 def test_oracle_is_the_full_closure_of_the_glued_coproduct():
-    """The oracle relaxes through the glue points only; on the suite-4
-    spans that is the closure through every point of B + X."""
+    """The oracle relaxes through the glue points only; on 200 spans of
+    suite 4's generator that is the closure through every point of
+    B + X."""
     for seed in range(200):
         i, f = _pushout_instance(seed)
         bx, _, _ = coproduct(f.target, i.target)

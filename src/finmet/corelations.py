@@ -16,7 +16,7 @@ from .maps import is_surjective
 from .minplus import (IntMatrix, equals_own_square, int_product, pointwise,
                       scale)
 from .quotients import kernel_metric, validate_submetric
-from .spaces import Frozen, Violation, is_metric, is_separated
+from .spaces import Frozen, Violation, is_separated
 
 
 class BlockMetric(Frozen):
@@ -64,19 +64,6 @@ def validate_blockmetric(bm):
     return validate_submetric(space, bm.as_matrix())
 
 
-def is_valid_blockmetric(bm):
-    """Whether validate_blockmetric(bm) is empty.  Stops at the first
-    violation and formats none.
-
-    The coproduct metric on X + X is d within a summand and INF across,
-    so only the diagonal blocks can lie above it.
-    """
-    d = bm.base.dist
-    return (not any(pointwise(bm.g00, d, gt))
-            and not any(pointwise(bm.g11, d, gt))
-            and is_metric(bm.as_matrix()))
-
-
 def corelation_from_cospan(q0, q1):
     """The block metric of a cospan q0, q1: X -> S, via the kernel metric
     of the copairing X + X -> S; the copairing must be surjective."""
@@ -91,10 +78,11 @@ def corelation_from_cospan(q0, q1):
 
 
 def _gamma(bm, x, i, y, j):
-    """The name and the value of gamma((x, i), (y, j)); x, y are indices."""
+    """The name and the value token of gamma((x, i), (y, j)); x, y are
+    indices."""
     labels = bm.base.labels
     return ("gamma((%s,%d),(%s,%d))" % (labels[x], i, labels[y], j),
-            bm.block(i, j)[x][y])
+            bm.block(i, j).token(x, y))
 
 
 def reflexive_witness(bm):
@@ -107,7 +95,7 @@ def reflexive_witness(bm):
             return Violation("non-reflexive", (
                 summand_label(i, labels[x]), summand_label(j, labels[y])),
                 "d(%s,%s) = %s > %s = %s" % (
-                    labels[x], labels[y], dist[x][y], value, name))
+                    labels[x], labels[y], dist.token(x, y), value, name))
     return None
 
 

@@ -22,8 +22,7 @@ from operator import attrgetter
 
 
 class Frozen:
-    """An immutable object whose fields are its class's __slots__, unless
-    the class declares them: class C(Frozen, fields=("a", "b")).
+    """An immutable object whose fields are its class's __slots__.
 
     A subclass's __init__ sets each slot once through
     object.__setattr__.  == holds between instances of one class with
@@ -34,8 +33,8 @@ class Frozen:
 
     __slots__ = ()
 
-    def __init_subclass__(cls, fields=None):
-        cls._fields = fields = fields or cls.__slots__
+    def __init_subclass__(cls):
+        cls._fields = fields = cls.__slots__
         get = attrgetter(*fields)
         # attrgetter of one name gives the bare value, not a 1-tuple.
         cls._values = (get if len(fields) > 1

@@ -10,17 +10,15 @@ from __future__ import annotations
 
 import itertools
 import random
+from math import inf
 
-from .extarith import INF, ZERO, fin
 from .maps import FinMap, compose, is_nonexpansive
 from .minplus import IntMatrix, minplus_closure, scale
 from .quotients import Submetric, quotient_by_submetric
 from .spaces import FinSpace, Frozen, zero_classes
 
-DEFAULT_GRID = (ZERO, fin(1, 2), fin(1), fin(2), INF)
-# The grid as one row of ints; a draw from it picks the same index as a
-# draw from DEFAULT_GRID.
-_GRID = IntMatrix.of([DEFAULT_GRID])
+# The value grid 0, 1/2, 1, 2, inf, as one row of ints over denominator 2.
+_GRID = IntMatrix(2, [(0, 1, 2, 4, inf)])
 MAP_ATTEMPTS = 50  # random draws before the constant-map fallback
 ISO_CAP = 7        # brute_iso_check's largest space: 7! permutations
 MEDIATOR_CAP = 4096  # enumerate_mediators' largest raw search space

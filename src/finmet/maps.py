@@ -65,7 +65,8 @@ def check_nonexpansive(f):
     labels, dist = f.source.labels, f.source.dist
     target, idx = f.target.dist, target_indices(f)
     return [Violation("expansive", (labels[i], labels[j]),
-                      "%s > %s" % (target[idx[i]][idx[j]], dist[i][j]))
+                      "%s > %s" % (target.token(idx[i], idx[j]),
+                                   dist.token(i, j)))
             for i, j in pointwise(target, dist, gt, idx)]
 
 

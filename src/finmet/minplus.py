@@ -2,12 +2,13 @@
 
 An IntMatrix holds its entries as plain ints over one common
 denominator, with math.inf for INF; it is how every space, submetric,
-block and cost matrix stores its distances.  Reading a row or an entry
-gives ExtValue, so callers that index, iterate or take len() see nested
-ExtValue sequences.  Nested ExtValue literals become an IntMatrix only
-through the classmethod of, which the record constructors,
-harness._GRID and one selftest fixture call; the workspace loader reads
-tokens straight to ints.  The kernels take IntMatrix operands.
+block and cost matrix stores its distances, and finmet reads and
+reports them as those ints (rows, and token for a report).  Indexing
+or iterating a matrix builds ExtValue rows on each read, for callers
+only.  Nested ExtValue literals become an IntMatrix only through the
+classmethod of, which the record constructors call; the workspace
+loader reads tokens straight to ints.  The kernels take IntMatrix
+operands.
 
 One product kernel serves square and rectangular operands alike; the
 pushout formula builds its mixed blocks from it, and the idempotence
@@ -29,10 +30,10 @@ on plain ints, and a matrix result is again an IntMatrix.  math.inf is
 the one float.  It is compared with ints, which Python does exactly for
 ints of any size, and it is never an operand of +, * or //, which could
 overflow or give nan on ints beyond float range.  The closure, the
-product and the triangle check (under spaces.metric_violations and
-spaces.is_metric) loop only over finite terms, the columns that
-finite_columns lists: a sum with an INF term is INF, so it can neither
-lower a minimum nor break a triangle.
+product and the triangle check (spaces.metric_violations) loop only
+over finite terms, the columns that finite_columns lists: a sum with an
+INF term is INF, so it can neither lower a minimum nor break a
+triangle.
 """
 
 from __future__ import annotations
@@ -40,20 +41,20 @@ from __future__ import annotations
 from itertools import chain, compress, count
 from math import gcd, inf, lcm
 
-from .extarith import INF, Frozen, fin
+from .extarith import INF, Frozen, fin, token
 
 
-class IntMatrix(Frozen, fields=("den", "rows")):
+class IntMatrix(Frozen):
     """A frozen matrix over [0, inf]: entry (i, j) is rows[i][j] / den, or
     INF where rows[i][j] is math.inf.
 
     den is reduced by the gcd of the finite entries, so two matrices with
     the same entries have the same (den, rows), and == and hash compare
-    exactly that: an IntMatrix equals only an IntMatrix.  len(), indexing
-    and iteration read the ExtValue form, converted once and kept.
+    exactly that: an IntMatrix equals only an IntMatrix.  len() counts
+    the rows; indexing and iteration build ExtValue rows on each read.
     """
 
-    __slots__ = ("den", "rows", "_ext")
+    __slots__ = ("den", "rows")
 
     def __init__(self, den, rows):
         rows = tuple(map(tuple, rows))
@@ -70,7 +71,6 @@ class IntMatrix(Frozen, fields=("den", "rows")):
         set_ = object.__setattr__
         set_(self, "den", den)
         set_(self, "rows", rows)
-        set_(self, "_ext", None)
 
     @classmethod
     def of(cls, matrix):
@@ -106,29 +106,30 @@ class IntMatrix(Frozen, fields=("den", "rows")):
     def is_square(self, n):
         return len(self.rows) == n and all(len(row) == n for row in self.rows)
 
-    def ext(self):
-        """The entries as a tuple of tuples of ExtValue."""
-        ext = self._ext
-        if ext is None:
-            den = self.den
-            value = {x: INF if x == inf else fin(x, den)
-                     for x in set(chain.from_iterable(self.rows))}.__getitem__
-            ext = tuple(tuple(map(value, row)) for row in self.rows)
-            object.__setattr__(self, "_ext", ext)
-        return ext
+    def token(self, i, j):
+        """The canonical token of entry (i, j)."""
+        return token(self.rows[i][j], self.den)
+
+    def _ext_rows(self, rows):
+        """rows, some of this matrix's, as tuples of ExtValue; each
+        distinct int is converted once."""
+        den = self.den
+        value = {x: INF if x == inf else fin(x, den)
+                 for x in set(chain.from_iterable(rows))}.__getitem__
+        return [tuple(map(value, row)) for row in rows]
 
     def __len__(self):
         return len(self.rows)
 
     def __getitem__(self, i):
-        return self.ext()[i]
+        return self._ext_rows([self.rows[i]])[0]
 
     def __iter__(self):
-        return iter(self.ext())
+        return iter(self._ext_rows(self.rows))
 
     def __repr__(self):
-        return "IntMatrix(%r)" % ([[v.token() for v in row]
-                                   for row in self.ext()],)
+        return "IntMatrix(%r)" % ([[token(x, self.den) for x in row]
+                                   for row in self.rows],)
 
 
 def scale(*matrices):

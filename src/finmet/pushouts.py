@@ -72,6 +72,9 @@ def pushout_along_embedding(i, f):
     X-X is the pointwise min of d_X and the detour X->B->X, the X->B
     block on the fA columns times d_X[iA, :].  The apex is the
     separation quotient.
+
+    A, B and X must be metrics.  That is not checked again here, as
+    every caller has checked it (Workspace.get, the generators).
     """
     _check_pushout_inputs(i, f)
     x_space, b_space = i.target, f.target
@@ -120,7 +123,8 @@ def pushout_closure_oracle(i, f):
     Start from the coproduct metric on B + X, glue f(a) to i(a) at zero
     cost and saturate with the min-plus closure, relaxed through the
     glue points only, since the coproduct metric is closed.  Must agree
-    exactly with the formula route, which it never calls.
+    exactly with the formula route, which it never calls.  A, B and X
+    must be metrics, not checked again here, as for the formula.
     """
     _check_pushout_inputs(i, f)
     bx, _, _ = coproduct(f.target, i.target)

@@ -36,16 +36,14 @@ def validate_submetric(base, gamma):
     labels = base.labels
     return metric_violations(labels, gamma) + [
         Violation("above-ambient", (labels[i], labels[j]),
-                  "%s > %s" % (gamma[i][j], base.dist[i][j]))
+                  "%s > %s" % (gamma.token(i, j), base.dist.token(i, j)))
         for i, j in pointwise(gamma, base.dist, gt)]
 
 
 def kernel_metric(f):
     """kappa_f(x, y) = d_target(f(x), f(y)); below d_source by non-expansiveness."""
-    pulled = pulled_metric(f)
-    if any(pointwise(pulled, f.source.dist, gt)):
-        require_nonexpansive(f)
-    return Submetric(f.source, pulled)
+    require_nonexpansive(f)
+    return Submetric(f.source, pulled_metric(f))
 
 
 def quotient_by_submetric(sm):

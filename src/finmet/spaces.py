@@ -1,12 +1,12 @@
 """Finite separated Lawvere metric spaces.
 
 A FinSpace is a finite labelled point set with a distance matrix, an
-exact IntMatrix whose entries read as ExtValue, required to satisfy
-only d(x,x) = 0 and the triangle inequality; neither symmetry nor
-finiteness of distances is assumed.  Separation (d(x,y) = 0 = d(y,x)
-implies x = y) is the metric analogue of antisymmetry and is checked,
-not assumed.  The checks here run on the matrix's ints, where an
-infinite distance is math.inf, which they compare but never add.
+exact IntMatrix, required to satisfy only d(x,x) = 0 and the triangle
+inequality; neither symmetry nor finiteness of distances is assumed.
+Separation (d(x,y) = 0 = d(y,x) implies x = y) is the metric analogue
+of antisymmetry and is checked, not assumed.  The checks here run on
+the matrix's ints, where an infinite distance is math.inf, which they
+compare but never add, and write their reports as tokens of the ints.
 """
 
 from __future__ import annotations
@@ -84,41 +84,26 @@ def validate_metric(space):
 
 
 def metric_violations(labels, dist):
-    """Axiom check on a labelled IntMatrix (shared with submetric validation)."""
-    out = []
-    for kind, idx in _broken_axioms(dist.rows):
-        points = tuple(labels[i] for i in idx)
-        if kind == "triangle":
-            i, j, k = idx
-            detail = "%s > %s + %s" % (dist[i][k], dist[i][j], dist[j][k])
-        else:
-            detail = "d(x,x) = %s" % dist[idx[0]][idx[0]]
-        out.append(Violation(kind, points, detail))
-    return out
-
-
-def is_metric(dist):
-    """Whether metric_violations finds nothing in the IntMatrix dist.
-    Stops at the first violation and formats none."""
-    return next(_broken_axioms(dist.rows), None) is None
-
-
-def _broken_axioms(ints):
-    """Yield, lazily and in metric_violations' order, each violated axiom
-    instance of a square int matrix as (kind, point indices)."""
-    for i, row in enumerate(ints):
-        if row[i] != 0:
-            yield "nonzero-diagonal", (i,)
+    """Every metric-axiom violation of a labelled IntMatrix, as a list of
+    Violations (shared with submetric validation); empty means valid."""
+    rows = dist.rows
+    out = [Violation("nonzero-diagonal", (labels[i],),
+                     "d(x,x) = %s" % dist.token(i, i))
+           for i, row in enumerate(rows) if row[i] != 0]
     # An INF d(i, j) or d(j, k) cannot break d(i, k) <= d(i, j) + d(j, k),
     # so only finite ones are visited; an INF d(i, k) is still compared.
-    finite = [finite_columns(row) for row in ints]
-    for i, row_i in enumerate(ints):
+    finite = [finite_columns(row) for row in rows]
+    for i, row_i in enumerate(rows):
         for j in finite[i]:
             dij = row_i[j]
-            row_j = ints[j]
+            row_j = rows[j]
             for k in finite[j]:
                 if row_i[k] > dij + row_j[k]:
-                    yield "triangle", (i, j, k)
+                    out.append(Violation(
+                        "triangle", (labels[i], labels[j], labels[k]),
+                        "%s > %s + %s" % (dist.token(i, k), dist.token(i, j),
+                                          dist.token(j, k))))
+    return out
 
 
 def is_separated(space):

@@ -8,8 +8,7 @@ must meet.  Matrices are row-major lists of lists of value tokens
 related and 0 elsewhere; it loads as its cost matrix over {0, inf}.
 Serialization round-trips bit-exactly because tokens are canonical.
 Tokens are read straight to an IntMatrix's ints over one common
-denominator and written back from them (extarith.ratio and token), with
-no ExtValue between.
+denominator and written back from them (extarith.ratio and token).
 
 The loader checks only the shape of each entry; a contract is checked
 when its object is first asked for.  `Workspace.get` (so `ws.space`,

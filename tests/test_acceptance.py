@@ -14,6 +14,7 @@ import pytest
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 from cli_cases import CASES, GOLDEN_DIR, golden_text, run_case
+from finmet.extarith import ExtValue
 from finmet.selftest import SUITES, run_suite
 
 SUITE_ORDER = list(SUITES)
@@ -64,7 +65,8 @@ def test_criterion(name, seed):
     assert result.line() == LINES[name]
 
 
-def test_criterion12_cli_golden():
+def _golden_mismatches():
+    """The names of the CLI cases whose output differs from its golden."""
     mismatches = []
     for case_name, argv in CASES:
         code, out = run_case(argv)
@@ -73,10 +75,27 @@ def test_criterion12_cli_golden():
             want = fh.read()
         if golden_text(code, out) != want:
             mismatches.append(case_name)
+    return mismatches
+
+
+def test_criterion12_cli_golden():
+    mismatches = _golden_mismatches()
     line = "criterion 12 cli-golden             %s  (%d cases)" % (
         "FAIL" if mismatches else "PASS", len(CASES))
     print(line)
     assert not mismatches, "output drifted for: %s" % ", ".join(mismatches)
+
+
+def test_no_extvalue_is_built_after_import(monkeypatch):
+    """finmet reads and reports its matrices as ints: with every ExtValue
+    construction made to fail, the suites and the CLI cases still give
+    their pinned output."""
+    def refuse(self, frac):
+        raise AssertionError("ExtValue(%r) built" % (frac,))
+
+    monkeypatch.setattr(ExtValue, "__init__", refuse)
+    assert [r.line() for r in run_suite("all", 0)] == list(LINES.values())
+    assert _golden_mismatches() == []
 
 
 def test_golden_files_are_exactly_the_cases():

@@ -1,7 +1,8 @@
 """tools/bench_pairs.py refuses arguments it cannot summarise before it
 checks out or runs anything, keeps going past a failed run, flags wrong
 runs, applies the claim rule per metric, checks each metric's
-regression bound and alternates its traced pairs."""
+regression bound, alternates its traced pairs and counts each side's
+source lines."""
 
 import importlib.util
 import json
@@ -251,3 +252,36 @@ def test_traced_pairs_alternate_and_keep_each_sides_medians(monkeypatch,
     # The parent's median is over seeds 1 and 3 only.
     assert traced["medians"] == {"parent": {"layer_s": 2},
                                  "change": {"layer_s": 12}}
+
+
+def test_src_lines_are_counted_per_side(monkeypatch, tmp_path):
+    # Each side's checkout holds its own src/finmet; only its .py files
+    # count, as wc -l counts them, and a last line without a newline is
+    # not counted.
+    tool = _load()
+    files = {"parent": {"a.py": "1\n2\n3\n", "b.py": "x\ny\n",
+                        "notes.txt": "n\n" * 9},
+             "change": {"a.py": "1\n2\n", "b.py": "x\ny\nz"}}
+
+    def checkout(rev, into):
+        pkg = os.path.join(into, "src", "finmet")
+        os.makedirs(pkg)
+        for name, text in files[os.path.basename(into)].items():
+            with open(os.path.join(pkg, name), "w") as fh:
+                fh.write(text)
+        return into
+
+    rev = lambda *args, **kwargs: tool.subprocess.CompletedProcess(
+        args, 0, stdout="tree\n")
+    monkeypatch.setattr(tool.subprocess, "run", rev)
+    monkeypatch.setattr(tool, "checkout", checkout)
+    monkeypatch.setattr(tool, "run", lambda root, workload, seed, seconds,
+                        trace=0: _result(10))
+    monkeypatch.chdir(os.path.dirname(os.path.dirname(_PATH)))
+    out = tmp_path / "bench.json"
+    assert tool.main(["--parent", "P", "--change", "C", "--out", str(out),
+                      "--workload", "w", "--pairs", "2",
+                      "--first-seed", "1"]) == 0
+    report = json.loads(out.read_text())
+    assert report["src_lines"] == {"parent": 5, "change": 4}
+    assert report["src_tree"] == {"parent": "tree", "change": "tree"}

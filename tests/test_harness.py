@@ -4,8 +4,8 @@ import random
 import pytest
 
 from finmet.extarith import ZERO, fin
-from finmet.harness import (DEFAULT_GRID, MEDIATOR_CAP, GenConfig,
-                            brute_iso_check, enumerate_mediators, gen_metric,
+from finmet.harness import (_GRID, MEDIATOR_CAP, GenConfig, brute_iso_check,
+                            enumerate_mediators, gen_metric,
                             gen_nonexpansive_map, gen_submetric,
                             gen_surjection, sample_cost_below)
 from finmet.maps import is_nonexpansive, is_surjective
@@ -95,7 +95,7 @@ def test_brute_iso_check_relabelling():
 
 
 def test_grid_contains_anchor_values():
-    assert ZERO in DEFAULT_GRID and fin(1) in DEFAULT_GRID
+    assert ZERO in _GRID[0] and fin(1) in _GRID[0]
 
 
 # _draws_digest() as the generators gave it when they drew ExtValue

@@ -385,6 +385,20 @@ def test_int_matrix_protocol():
         product.den = 2
 
 
+def test_int_matrix_token_reads_the_ints():
+    m = IntMatrix(6, [(3, inf), (0, 12)])
+    assert (m.den, m.rows) == (2, ((1, inf), (0, 4)))
+    assert [[m.token(i, j) for j in range(2)] for i in range(2)] == [
+        ["1/2", "inf"], ["0", "2"]]
+    assert IntMatrix(6, [(3, 6)]).token(0, 0) == "1/2"
+
+
+def test_int_matrix_fields_are_den_and_rows():
+    """No cached view rides along: the slots are the two fields."""
+    assert IntMatrix.__slots__ == ("den", "rows")
+    assert IntMatrix._fields == ("den", "rows")
+
+
 def test_int_matrix_rejects_non_values():
     with pytest.raises(TypeError):
         IntMatrix.of([[1, 2]])
@@ -395,7 +409,7 @@ def test_int_matrix_rejects_non_values():
 @example([[TINY, SMALL, INF]])
 def test_int_matrix_round_trip_is_reduced(matrix):
     m = IntMatrix.of(matrix)
-    assert m.ext() == tuple(tuple(row) for row in matrix)
+    assert tuple(m) == tuple(tuple(row) for row in matrix)
     assert gcd(m.den, *[x for row in m.rows for x in row if x != inf]) == 1
     assert IntMatrix(m.den * 6, [[inf if x == inf else 6 * x for x in row]
                                  for row in m.rows]) == m
@@ -462,9 +476,9 @@ def test_int_matrix_equals_only_int_matrices(raw):
     """The Frozen contract with no exception: equal matrices hash alike,
     and a matrix never equals its nested ExtValue form."""
     m = IntMatrix(*raw)
-    again = IntMatrix.of(m.ext())
+    again = IntMatrix.of(tuple(m))
     assert again == m and hash(again) == hash(m)
-    assert m != m.ext() and m.ext() != m
+    assert m != tuple(m) and tuple(m) != m
 
 
 def test_scale_shares_the_rows_it_does_not_rescale():

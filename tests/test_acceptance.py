@@ -6,6 +6,7 @@ with seeds 0, 1 and 2, and each line must equal its pinned text;
 criterion 12 pins the CLI output byte-for-byte against the golden files.
 """
 
+import json
 import os
 import sys
 
@@ -13,7 +14,8 @@ import pytest
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
-from cli_cases import CASES, GOLDEN_DIR, golden_text, run_case
+from cli_cases import BAD_INPUT_CASES, CASES, GOLDEN_DIR, golden_text, run_case
+from finmet import cli
 from finmet.extarith import ExtValue
 from finmet.selftest import SUITES, run_suite
 
@@ -86,16 +88,23 @@ def test_criterion12_cli_golden():
     assert not mismatches, "output drifted for: %s" % ", ".join(mismatches)
 
 
-def test_no_extvalue_is_built_after_import(monkeypatch):
+def test_no_extvalue_is_built_after_import(monkeypatch, tmp_path, capsys):
     """finmet reads and reports its matrices as ints: with every ExtValue
     construction made to fail, the suites and the CLI cases still give
-    their pinned output."""
+    their pinned output, and each bad input, whose error line names a
+    violation, still exits 2."""
     def refuse(self, frac):
         raise AssertionError("ExtValue(%r) built" % (frac,))
 
     monkeypatch.setattr(ExtValue, "__init__", refuse)
     assert [r.line() for r in run_suite("all", 0)] == list(LINES.values())
     assert _golden_mismatches() == []
+    for name, doc, argv in BAD_INPUT_CASES:
+        if isinstance(doc, dict):
+            path = tmp_path / ("%s.json" % name)
+            path.write_text(json.dumps(doc))
+            doc = str(path)
+        assert cli.main(argv if doc is None else ["-w", doc] + argv) == 2
 
 
 def test_golden_files_are_exactly_the_cases():

@@ -8,6 +8,12 @@ input or an output closed before the report was written.
 A command reads objects through the workspace getters, which refuse
 (exit 2) one that breaks its kind's contract; `validate` and
 `corelation check` report the violations instead (exit 1).
+
+A call pays only for the command it runs.  Each handler imports its
+construction module when it runs, and the loader needs no module but
+spaces for its records.  parse_args builds the subparsers of the
+command named in argv alone, and all of them only to print help or an
+argparse error, so those texts are the full parser's.
 """
 
 from __future__ import annotations
@@ -16,12 +22,8 @@ import argparse
 import json
 import os
 import sys
-from typing import NamedTuple
 
-from . import corelations, idempotents
-from .limits import coproduct, equalizer, pair_label, product, split_labels
-from .maps import factorize
-from .quotients import kernel_metric, quotient_by_submetric, quotient_leq
+from .extarith import Frozen
 from .workspace import (blockmetric_entry, load_workspace_file,
                         matrix_tokens, space_entry)
 
@@ -77,6 +79,8 @@ def cmd_validate(ws, args):
 
 
 def cmd_product(ws, args):
+    from .limits import product
+
     space, p1, p2 = product(ws.space(args.left), ws.space(args.right))
     lines = _space_lines("product %s x %s" % (args.left, args.right), space)
     lines += _map_lines("projection 1", p1) + _map_lines("projection 2", p2)
@@ -84,6 +88,8 @@ def cmd_product(ws, args):
 
 
 def cmd_coproduct(ws, args):
+    from .limits import coproduct
+
     space, j1, j2 = coproduct(ws.space(args.left), ws.space(args.right))
     lines = _space_lines("coproduct %s + %s" % (args.left, args.right), space)
     lines += _map_lines("injection 1", j1) + _map_lines("injection 2", j2)
@@ -91,6 +97,8 @@ def cmd_coproduct(ws, args):
 
 
 def cmd_equalizer(ws, args):
+    from .limits import equalizer
+
     incl = equalizer(ws.map(args.left), ws.map(args.right))
     lines = _space_lines("equalizer of %s, %s" % (args.left, args.right),
                          incl.source)
@@ -100,8 +108,6 @@ def cmd_equalizer(ws, args):
 
 
 def cmd_pushout(ws, args):
-    # Only this command and cokernel-pair build pushouts, so the other
-    # commands do not pay for compiling and importing them.
     from . import pushouts
 
     i = ws.map(args.embedding)
@@ -139,6 +145,8 @@ def cmd_cokernel_pair(ws, args):
 
 
 def cmd_factorize(ws, args):
+    from .maps import factorize
+
     q, i = factorize(ws.map(args.map))
     lines = _space_lines("image of %s" % args.map, q.target)
     lines += _map_lines("surjection", q) + _map_lines("embedding", i)
@@ -148,6 +156,8 @@ def cmd_factorize(ws, args):
 
 
 def cmd_kernel_metric(ws, args):
+    from .quotients import kernel_metric
+
     sm = kernel_metric(ws.map(args.map))
     lines = _matrix_lines("kernel metric of %s" % args.map,
                           sm.base.labels, sm.gamma)
@@ -155,6 +165,8 @@ def cmd_kernel_metric(ws, args):
 
 
 def cmd_quotient(ws, args):
+    from .quotients import quotient_by_submetric
+
     proj = quotient_by_submetric(ws.submetric(args.submetric))
     lines = _space_lines("quotient by %s" % args.submetric, proj.target)
     lines += _map_lines("projection", proj)
@@ -163,6 +175,8 @@ def cmd_quotient(ws, args):
 
 
 def cmd_quotient_leq(ws, args):
+    from .quotients import quotient_leq
+
     verdict = quotient_leq(ws.map(args.left), ws.map(args.right))
     lines = ["quotient-leq %s %s: %s"
              % (args.left, args.right, "true" if verdict else "false")]
@@ -170,6 +184,8 @@ def cmd_quotient_leq(ws, args):
 
 
 def cmd_corelation_check(ws, args):
+    from . import corelations
+
     bad = ws.violations("blockmetric", args.name)
     if bad:
         return _report_violations("corelation %s" % args.name, bad)
@@ -195,6 +211,8 @@ def cmd_corelation_check(ws, args):
 
 
 def cmd_corelation_effective(ws, args):
+    from . import corelations
+
     bm = ws.blockmetric(args.name)
     try:
         locus = corelations.zero_locus(bm)
@@ -209,12 +227,17 @@ def cmd_corelation_effective(ws, args):
 
 
 def cmd_corelation_from_subset(ws, args):
+    from . import corelations
+    from .limits import split_labels
+
     space = ws.space(args.space)
     subset = () if args.subset in ("", "-") else tuple(
         split_labels(args.subset))
-    if len(subset) > 1 and args.subset in space.labels:
-        raise ValueError("subset %r is both a point label and a list of "
-                         "%d labels" % (args.subset, len(subset)))
+    # A point label must name that one point, and nothing else.
+    if len(subset) != 1 and args.subset in space.labels:
+        raise ValueError("subset %r is both a point label and %s" % (
+            args.subset, "a list of %d labels" % len(subset) if subset
+            else "the empty subset"))
     bm = corelations.gamma_from_subset(space, subset)
     lines = []
     for name in ("g00", "g01", "g10", "g11"):
@@ -223,6 +246,8 @@ def cmd_corelation_from_subset(ws, args):
 
 
 def cmd_idempotent_check(ws, args):
+    from . import idempotents
+
     cm = ws.costmatrix(args.name)
     verdict = idempotents.is_idempotent(cm)
     lines = ["idempotent %s: %s" % (args.name, "true" if verdict else "false")]
@@ -230,6 +255,9 @@ def cmd_idempotent_check(ws, args):
 
 
 def cmd_idempotent_factor(ws, args):
+    from . import idempotents
+    from .limits import pair_label
+
     cm = ws.costmatrix(args.name)
     try:
         report = idempotents.factor_through_zero_diagonal(cm)
@@ -252,6 +280,8 @@ def cmd_idempotent_factor(ws, args):
 
 
 def cmd_relation_witness(ws, args):
+    from . import idempotents
+
     rel = ws.relation(args.name)
     try:
         w = idempotents.relation_density_witness(rel, args.x, args.y)
@@ -262,8 +292,6 @@ def cmd_relation_witness(ws, args):
 
 
 def cmd_selftest(_ws, args):
-    # Only this command needs the suites and their generators, so the
-    # other commands do not pay for importing them.
     from . import selftest
 
     results = selftest.run_suite(args.suite, seed=args.seed)
@@ -274,16 +302,20 @@ def cmd_selftest(_ws, args):
     return (EXIT_OK if ok else EXIT_FALSE), lines, payload
 
 
-class Command(NamedTuple):
+class Command(Frozen):
     """A leaf command; each argument is a name or a (name, options) pair
     for add_argument.  Its handler is cmd_ followed by its words, read
     from the module when the parser is built, so a wrapper bound over
     that name is what runs."""
 
-    words: str
-    help: str
-    args: tuple
-    needs_ws: bool = True
+    __slots__ = ("words", "help", "args", "needs_ws")
+
+    def __init__(self, words, help, args, needs_ws=True):
+        set_ = object.__setattr__
+        set_(self, "words", words)
+        set_(self, "help", help)
+        set_(self, "args", args)
+        set_(self, "needs_ws", needs_ws)
 
 
 # The help of each group: the first word of a two-word command.
@@ -328,8 +360,33 @@ COMMANDS = (
 )
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
+class _Retry(Exception):
+    """A partial parser met a request for help or an error."""
+
+
+class _PartialParser(argparse.ArgumentParser):
+    """A parser of some of the commands.  Where the full parser would
+    print help or an error it raises _Retry instead and prints nothing,
+    so that the full parser can print it."""
+
+    def error(self, message):
+        raise _Retry
+
+    def print_help(self, file=None):
+        raise _Retry
+
+    def _get_formatter(self):
+        # add_argument builds a formatter to check each argument.  Given
+        # a width, it does not import shutil to read the terminal's,
+        # and this parser prints nothing.
+        return self.formatter_class(prog=self.prog, width=80)
+
+
+def build_parser(argv=None):
+    """The parser of every command; given argv, a _PartialParser of only
+    the commands whose words all appear in argv."""
+    words = None if argv is None else set(argv)
+    parser = (argparse.ArgumentParser if argv is None else _PartialParser)(
         prog="finmet",
         description="Finite separated Lawvere metric spaces: constructions, "
                     "quotients, pushouts, corelations.")
@@ -338,6 +395,8 @@ def build_parser():
                         help="machine-readable output")
     subs = {"": parser.add_subparsers(dest="command", required=True)}
     for cmd in COMMANDS:
+        if words is not None and not words.issuperset(cmd.words.split(" ")):
+            continue
         group, _, name = cmd.words.rpartition(" ")
         if group not in subs:
             subs[group] = subs[""].add_parser(
@@ -352,9 +411,19 @@ def build_parser():
     return parser
 
 
+def parse_args(argv):
+    """argv parsed by the full parser.  A call builds the subparsers of
+    the commands it names only, and builds them all only to print help
+    or an error: where a command's words all appear in argv, the partial
+    parser reads argv as the full one does."""
+    try:
+        return build_parser(argv).parse_args(argv)
+    except _Retry:
+        return build_parser().parse_args(argv)
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         ws = None
         if args.needs_ws:

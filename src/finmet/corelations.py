@@ -4,7 +4,9 @@ A corelation is a surjection out of X + X; under the quotient/submetric
 duality it is a metric on X + X below the coproduct metric, stored here
 as four X-indexed blocks.  The reflexive/symmetric/transitive predicates
 are the dualized relation laws; every equivalence corelation is the
-cokernel-pair corelation of its zero locus.
+cokernel-pair corelation of its zero locus.  BlockMetric itself lives
+in spaces, beside the other records a workspace holds, and is the same
+class here.
 """
 
 from __future__ import annotations
@@ -16,46 +18,7 @@ from .maps import is_surjective
 from .minplus import (IntMatrix, equals_own_square, int_product, pointwise,
                       scale)
 from .quotients import kernel_metric, validate_submetric
-from .spaces import Frozen, Violation, is_separated
-
-
-class BlockMetric(Frozen):
-    """blocks[i][j][x][y] encodes the distance from (x, i) to (y, j)."""
-
-    __slots__ = ("base", "g00", "g01", "g10", "g11")
-
-    def __init__(self, base, g00, g01, g10, g11):
-        set_ = object.__setattr__
-        set_(self, "base", base)
-        n = base.n
-        for name, block in zip(self.__slots__[1:], (g00, g01, g10, g11)):
-            block = IntMatrix.of(block)
-            if not block.is_square(n):
-                raise ValueError("block %s shape does not match base" % name)
-            set_(self, name, block)
-
-    def block(self, i, j):
-        return getattr(self, "g%d%d" % (i, j))
-
-    def as_matrix(self):
-        """The full matrix on X + X (summand 0 first)."""
-        common, (g00, g01, g10, g11) = scale(
-            self.g00, self.g01, self.g10, self.g11)
-        rows = [[*r0, *r1] for r0, r1 in zip(g00, g01)]
-        rows += [[*r0, *r1] for r0, r1 in zip(g10, g11)]
-        return IntMatrix(common, rows)
-
-    @classmethod
-    def from_matrix(cls, base, full):
-        """The block metric of a matrix on X + X (summand 0 first); the
-        inverse of as_matrix."""
-        full = IntMatrix.of(full)
-        n = base.n
-        if not full.is_square(2 * n):
-            raise ValueError("matrix shape does not match X + X")
-        halves = range(n), range(n, 2 * n)
-        return cls(base, *(full.sub(rows, cols)
-                           for rows in halves for cols in halves))
+from .spaces import BlockMetric, Violation, is_separated
 
 
 def validate_blockmetric(bm):

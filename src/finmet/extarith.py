@@ -1,7 +1,9 @@
 """Exact arithmetic on the extended non-negative reals [0, inf].
 
 Values are exact rationals (via fractions.Fraction) or the single
-infinity element.  (min, +) makes this a commutative semiring with
+infinity element.  fractions is imported only where an ExtValue is
+built, since finmet itself computes on IntMatrix ints and a CLI call
+need not pay for importing it.  (min, +) makes this a commutative semiring with
 additive identity INF and multiplicative identity 0; + saturates at INF.
 
 One token grammar reads and writes a value in a document: ratio reads a
@@ -16,7 +18,6 @@ from __future__ import annotations
 
 import functools
 import re
-from fractions import Fraction
 from math import gcd, inf
 from operator import attrgetter
 
@@ -74,6 +75,8 @@ class ExtValue(Frozen):
     def __init__(self, frac):
         # frac: Fraction or int >= 0, or None for infinity.
         if frac is not None:
+            from fractions import Fraction
+
             if not isinstance(frac, Fraction):
                 if not isinstance(frac, int):
                     raise TypeError("ExtValue needs an int or a Fraction, "
@@ -122,11 +125,12 @@ class ExtValue(Frozen):
 
 
 INF = ExtValue(None)
-ZERO = ExtValue(Fraction(0))
 
 
 def fin(numerator, denominator=1):
     """The finite value numerator/denominator as an ExtValue."""
+    from fractions import Fraction
+
     return ExtValue(Fraction(numerator, denominator))
 
 
@@ -177,4 +181,8 @@ def parse(tok):
     """The ExtValue of a canonical token, the inverse of ExtValue.token();
     a ValueError on any other input (see ratio)."""
     r = ratio(tok)
-    return INF if r is None else ExtValue(Fraction(*r))
+    if r is None:
+        return INF
+    from fractions import Fraction
+
+    return ExtValue(Fraction(*r))

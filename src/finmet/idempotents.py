@@ -9,6 +9,8 @@ The relational corollary is the lemma on the two values {0, inf}.  A
 relation R is held as its cost matrix, 0 where x R y and INF elsewhere:
 R is idempotent exactly when that matrix is, and a density witness of
 x R y is the lemma's zero-diagonal witness of the pair (x, y).
+CostMatrix itself lives in spaces, beside the other records a workspace
+holds, and is the same class here.
 """
 
 from __future__ import annotations
@@ -16,14 +18,7 @@ from __future__ import annotations
 from math import inf
 
 from .minplus import equals_own_square
-from .spaces import Frozen, freeze_labelled_square, label_index
-
-
-class CostMatrix(Frozen):
-    __slots__ = ("labels", "rho")
-
-    def __init__(self, labels, rho):
-        freeze_labelled_square(self, labels, "rho", rho, "cost matrix")
+from .spaces import CostMatrix, Frozen, label_index
 
 
 def is_idempotent(cm):

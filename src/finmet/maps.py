@@ -4,7 +4,9 @@ Includes the morphism predicates (embedding, surjective, isomorphism)
 and the (surjection, embedding) factorization through the image.  The
 predicates read the target metric along a map through its index map
 (target_indices) and build no pulled matrix; pulled_metric builds it
-for kernel_metric, whose result it is.
+for kernel_metric, whose result it is and which checks it directly.
+FinMap itself lives in spaces, beside the other records a workspace
+holds, and is the same class here.
 """
 
 from __future__ import annotations
@@ -12,34 +14,8 @@ from __future__ import annotations
 from operator import gt, ne
 
 from .minplus import pointwise
-from .spaces import (FinSpace, Frozen, Violation, is_separated,
+from .spaces import (FinMap, FinSpace, Violation, is_separated,
                      raise_first_violation)
-
-
-class FinMap(Frozen):
-    # assignment holds target labels, in source label order.
-    __slots__ = ("source", "target", "assignment")
-
-    def __init__(self, source, target, assignment):
-        assignment = tuple(assignment)
-        if len(assignment) != source.n:
-            raise ValueError("assignment length does not match source size")
-        labels = target.labels
-        for lab in assignment:
-            if lab not in labels:
-                raise ValueError("assignment hits unknown target point %r" % (lab,))
-        set_ = object.__setattr__
-        set_(self, "source", source)
-        set_(self, "target", target)
-        set_(self, "assignment", assignment)
-
-    def __call__(self, label):
-        return self.assignment[self.source.index(label)]
-
-    def image_labels(self):
-        """Hit target labels, in target label order."""
-        hit = set(self.assignment)
-        return tuple(lab for lab in self.target.labels if lab in hit)
 
 
 def identity(space):
@@ -60,14 +36,22 @@ def pulled_metric(f):
     return f.target.dist.sub(idx, idx)
 
 
+def expansive_violations(labels, image, dist, idx=None):
+    """Every pair (x_i, x_j) of labels at which image lies above dist,
+    as an expansive Violation.  image is a target metric read along a
+    map: through the index map idx when given (see minplus.pointwise),
+    else already pulled back, as pulled_metric builds it."""
+    at = range(len(labels)) if idx is None else idx
+    return [Violation("expansive", (labels[i], labels[j]),
+                      "%s > %s" % (image.token(at[i], at[j]),
+                                   dist.token(i, j)))
+            for i, j in pointwise(image, dist, gt, idx)]
+
+
 def check_nonexpansive(f):
     """All pairs with d_target(f(x), f(y)) > d_source(x, y); empty means valid."""
-    labels, dist = f.source.labels, f.source.dist
-    target, idx = f.target.dist, target_indices(f)
-    return [Violation("expansive", (labels[i], labels[j]),
-                      "%s > %s" % (target.token(idx[i], idx[j]),
-                                   dist.token(i, j)))
-            for i, j in pointwise(target, dist, gt, idx)]
+    return expansive_violations(f.source.labels, f.target.dist,
+                                f.source.dist, target_indices(f))
 
 
 def is_nonexpansive(f):

@@ -1,32 +1,18 @@
 """Quotient objects encoded internally: kernel metrics, submetrics below
 the ambient metric, quotient-by-submetric, and the antitone duality
-between surjections out of X and submetrics on X."""
+between surjections out of X and submetrics on X.  Submetric itself
+lives in spaces, beside the other records a workspace holds, and is the
+same class here."""
 
 from __future__ import annotations
 
 from operator import gt
 
-from .maps import FinMap, is_surjective, pulled_metric, require_nonexpansive
-from .minplus import IntMatrix, pointwise
-from .spaces import (Frozen, Violation, is_separated, metric_violations,
-                     quotient_by_zero_classes)
-
-
-class Submetric(Frozen):
-    """A (possibly non-separated) metric on base's points, pointwise below d."""
-
-    __slots__ = ("base", "gamma")
-
-    def __init__(self, base, gamma):
-        gamma = IntMatrix.of(gamma)
-        if not gamma.is_square(base.n):
-            raise ValueError("submetric matrix shape does not match base")
-        set_ = object.__setattr__
-        set_(self, "base", base)
-        set_(self, "gamma", gamma)
-
-    def value(self, x, y):
-        return self.gamma[self.base.index(x)][self.base.index(y)]
+from .maps import expansive_violations, is_surjective, pulled_metric
+from .minplus import pointwise
+from .spaces import (FinMap, Submetric, Violation, is_separated,
+                     metric_violations, quotient_by_zero_classes,
+                     raise_first_violation)
 
 
 def validate_submetric(base, gamma):
@@ -41,9 +27,12 @@ def validate_submetric(base, gamma):
 
 
 def kernel_metric(f):
-    """kappa_f(x, y) = d_target(f(x), f(y)); below d_source by non-expansiveness."""
-    require_nonexpansive(f)
-    return Submetric(f.source, pulled_metric(f))
+    """kappa_f(x, y) = d_target(f(x), f(y)); below d_source by
+    non-expansiveness, which is checked on that pulled matrix itself."""
+    pulled = pulled_metric(f)
+    raise_first_violation("map is not non-expansive", expansive_violations(
+        f.source.labels, pulled, f.source.dist))
+    return Submetric(f.source, pulled)
 
 
 def quotient_by_submetric(sm):

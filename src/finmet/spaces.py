@@ -1,4 +1,4 @@
-"""Finite separated Lawvere metric spaces.
+"""Finite separated Lawvere metric spaces, and the records built on them.
 
 A FinSpace is a finite labelled point set with a distance matrix, an
 exact IntMatrix, required to satisfy only d(x,x) = 0 and the triangle
@@ -7,12 +7,18 @@ Separation (d(x,y) = 0 = d(y,x) implies x = y) is the metric analogue
 of antisymmetry and is checked, not assumed.  The checks here run on
 the matrix's ints, where an infinite distance is math.inf, which they
 compare but never add, and write their reports as tokens of the ints.
+
+The records a workspace document holds live here beside FinSpace, so
+that loading one needs no other construction module: FinMap,
+Submetric, BlockMetric and CostMatrix.  Each is importable from the
+module of its operations too (maps, quotients, corelations,
+idempotents), as the same class.
 """
 
 from __future__ import annotations
 
 from .extarith import Frozen
-from .minplus import IntMatrix, finite_columns
+from .minplus import IntMatrix, finite_columns, scale
 
 
 class Violation(Frozen):
@@ -76,6 +82,95 @@ class FinSpace(Frozen):
 
     def d(self, x, y):
         return self.dist[self.index(x)][self.index(y)]
+
+
+class FinMap(Frozen):
+    # assignment holds target labels, in source label order.
+    __slots__ = ("source", "target", "assignment")
+
+    def __init__(self, source, target, assignment):
+        assignment = tuple(assignment)
+        if len(assignment) != source.n:
+            raise ValueError("assignment length does not match source size")
+        labels = target.labels
+        for lab in assignment:
+            if lab not in labels:
+                raise ValueError("assignment hits unknown target point %r" % (lab,))
+        set_ = object.__setattr__
+        set_(self, "source", source)
+        set_(self, "target", target)
+        set_(self, "assignment", assignment)
+
+    def __call__(self, label):
+        return self.assignment[self.source.index(label)]
+
+    def image_labels(self):
+        """Hit target labels, in target label order."""
+        hit = set(self.assignment)
+        return tuple(lab for lab in self.target.labels if lab in hit)
+
+
+class Submetric(Frozen):
+    """A (possibly non-separated) metric on base's points, pointwise below d."""
+
+    __slots__ = ("base", "gamma")
+
+    def __init__(self, base, gamma):
+        gamma = IntMatrix.of(gamma)
+        if not gamma.is_square(base.n):
+            raise ValueError("submetric matrix shape does not match base")
+        set_ = object.__setattr__
+        set_(self, "base", base)
+        set_(self, "gamma", gamma)
+
+    def value(self, x, y):
+        return self.gamma[self.base.index(x)][self.base.index(y)]
+
+
+class BlockMetric(Frozen):
+    """blocks[i][j][x][y] encodes the distance from (x, i) to (y, j)."""
+
+    __slots__ = ("base", "g00", "g01", "g10", "g11")
+
+    def __init__(self, base, g00, g01, g10, g11):
+        set_ = object.__setattr__
+        set_(self, "base", base)
+        n = base.n
+        for name, block in zip(self.__slots__[1:], (g00, g01, g10, g11)):
+            block = IntMatrix.of(block)
+            if not block.is_square(n):
+                raise ValueError("block %s shape does not match base" % name)
+            set_(self, name, block)
+
+    def block(self, i, j):
+        return getattr(self, "g%d%d" % (i, j))
+
+    def as_matrix(self):
+        """The full matrix on X + X (summand 0 first)."""
+        common, (g00, g01, g10, g11) = scale(
+            self.g00, self.g01, self.g10, self.g11)
+        rows = [[*r0, *r1] for r0, r1 in zip(g00, g01)]
+        rows += [[*r0, *r1] for r0, r1 in zip(g10, g11)]
+        return IntMatrix(common, rows)
+
+    @classmethod
+    def from_matrix(cls, base, full):
+        """The block metric of a matrix on X + X (summand 0 first); the
+        inverse of as_matrix."""
+        full = IntMatrix.of(full)
+        n = base.n
+        if not full.is_square(2 * n):
+            raise ValueError("matrix shape does not match X + X")
+        halves = range(n), range(n, 2 * n)
+        return cls(base, *(full.sub(rows, cols)
+                           for rows in halves for cols in halves))
+
+
+class CostMatrix(Frozen):
+    __slots__ = ("labels", "rho")
+
+    def __init__(self, labels, rho):
+        freeze_labelled_square(self, labels, "rho", rho, "cost matrix")
 
 
 def validate_metric(space):
@@ -150,8 +245,6 @@ def quotient_by_zero_classes(space, mat):
     representatives, which the triangle inequality makes well-defined;
     class labels are "[least member label]".
     """
-    from .maps import FinMap
-
     classes, assigned = zero_classes(space.labels, mat)
     qlabels = tuple("[%s]" % min(space.labels[i] for i in members)
                     for members in classes)

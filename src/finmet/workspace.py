@@ -10,9 +10,12 @@ Serialization round-trips bit-exactly because tokens are canonical.
 Tokens are read straight to an IntMatrix's ints over one common
 denominator and written back from them (extarith.ratio and token).
 
-The loader checks only the shape of each entry; a contract is checked
-when its object is first asked for.  `Workspace.get` (so `ws.space`,
-`ws.map`, ...) hands out only objects that meet it.
+The loader builds every object of the document, from the records in
+spaces, so an entry of the wrong shape is refused whichever object a
+command reads; it checks only that shape.  A contract is checked when
+its object is first asked for, and its validator module is imported
+then.  `Workspace.get` (so `ws.space`, `ws.map`, ...) hands out only
+objects that meet it.
 """
 
 from __future__ import annotations
@@ -23,12 +26,9 @@ from itertools import chain
 from math import inf, lcm
 
 from . import extarith
-from .corelations import BlockMetric, validate_blockmetric
-from .idempotents import CostMatrix
-from .maps import FinMap, check_nonexpansive
 from .minplus import IntMatrix
-from .quotients import Submetric, validate_submetric
-from .spaces import FinSpace, raise_first_violation, validate_metric
+from .spaces import (BlockMetric, CostMatrix, FinMap, FinSpace, Submetric,
+                     raise_first_violation, validate_metric)
 
 BLOCKS = ("g00", "g01", "g10", "g11")
 
@@ -84,6 +84,28 @@ def matrix_tokens(matrix):
     return [list(map(tok, row)) for row in matrix.rows]
 
 
+# The contract checks of the kinds whose validator lives outside spaces.
+# Each imports it when it runs, so a call that checks no object of the
+# kind does not pay for importing it.
+
+def _check_map(f, spaces):
+    from .maps import check_nonexpansive
+
+    return spaces(f.source, f.target) + check_nonexpansive(f)
+
+
+def _check_submetric(sm, spaces):
+    from .quotients import validate_submetric
+
+    return spaces(sm.base) + validate_submetric(sm.base, sm.gamma)
+
+
+def _check_blockmetric(bm, spaces):
+    from .corelations import validate_blockmetric
+
+    return spaces(bm.base) + validate_blockmetric(bm)
+
+
 # kind -> (load(entry, ws), dump(obj, space_name), check(obj, spaces)).
 # dump gives the fields besides kind and name, and names each space it
 # refers to through space_name.  check lists the violations of the
@@ -104,20 +126,19 @@ TABLE = {
         lambda f, space_name: {"source": space_name(f.source),
                                "target": space_name(f.target),
                                "assignment": list(f.assignment)},
-        lambda f, spaces: spaces(f.source, f.target) + check_nonexpansive(f)),
+        _check_map),
     "submetric": (
         lambda e, ws: Submetric(ws.lookup("space", e.get("base")),
                                 _matrix(e, "matrix")),
         lambda sm, space_name: {"base": space_name(sm.base),
                                 "matrix": matrix_tokens(sm.gamma)},
-        lambda sm, spaces: (spaces(sm.base)
-                            + validate_submetric(sm.base, sm.gamma))),
+        _check_submetric),
     "blockmetric": (
         lambda e, ws: BlockMetric(ws.lookup("space", e.get("base")),
                                   *(_matrix(e, b) for b in BLOCKS)),
         lambda bm, space_name: {"base": space_name(bm.base), **{
             b: matrix_tokens(getattr(bm, b)) for b in BLOCKS}},
-        lambda bm, spaces: spaces(bm.base) + validate_blockmetric(bm)),
+        _check_blockmetric),
     "costmatrix": (
         lambda e, ws: CostMatrix(_strings(e, "points"), _matrix(e, "matrix")),
         lambda cm, space_name: {"points": list(cm.labels),

@@ -154,6 +154,11 @@ BAD_INPUT_CASES = [
     ("quotient_leq_on_non_metric", TRIANGLE_X, ["quotient-leq", "id", "id"]),
     ("effective_on_non_submetric", TRIANGLE_X,
      ["corelation", "effective", "E"]),
+    # "-" spells the empty subset, so on a space with a point "-" it is
+    # ambiguous.
+    ("from_subset_dash_is_a_point",
+     _space_doc(["-", "a"], [["0", "1"], ["1", "0"]]),
+     ["corelation", "from-subset", "Z", "-"]),
 ]
 
 

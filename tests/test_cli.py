@@ -415,6 +415,31 @@ def test_unknown_label_error_line_is_unquoted(argv, capsys):
     assert captured.err == "error: no point labelled 'nope'\n"
 
 
+@pytest.mark.parametrize("label", ["-", ""])
+def test_from_subset_refuses_an_empty_subset_that_is_a_point(label,
+                                                             tmp_path,
+                                                             capsys):
+    """"-" and "" both spell the empty subset; on a space with a point of
+    that label the argument is ambiguous and exits 2."""
+    path = tmp_path / "z.json"
+    path.write_text(json.dumps({"objects": [
+        {"kind": "space", "name": "Z", "points": [label, "a"],
+         "dist": [["0", "1"], ["1", "0"]]}]}))
+    assert cli.main(["-w", str(path), "corelation", "from-subset", "Z",
+                     label]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: subset %r is both a point label and "
+                            "the empty subset\n" % label)
+
+
+@pytest.mark.parametrize("argv", [argv for _, argv in CASES],
+                         ids=[name for name, _ in CASES])
+def test_the_partial_parser_reads_argv_as_the_full_one(argv):
+    assert vars(cli.parse_args(argv)) == vars(
+        cli.build_parser().parse_args(argv))
+
+
 # Run with -S, so that no .pth file imports anything first, and with src
 # put on sys.path by hand in place of PYTHONPATH.
 _FOOTPRINT = """

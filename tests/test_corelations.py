@@ -16,7 +16,7 @@ from finmet.corelations import (BlockMetric, corelation_from_cospan,
                                 is_transitive, reflexive_witness,
                                 symmetric_witness, validate_blockmetric,
                                 zero_locus)
-from finmet.extarith import INF, ZERO, fin
+from finmet.extarith import INF, fin
 from finmet.harness import GenConfig, gen_metric, gen_subset
 from finmet.maps import FinMap
 from finmet.minplus import IntMatrix
@@ -26,7 +26,7 @@ from test_minplus import matrices, reference_product, separated_metric
 
 
 def two_point(v=fin(1)):
-    return FinSpace(("a", "b"), ((ZERO, v), (v, ZERO)))
+    return FinSpace(("a", "b"), ((fin(0), v), (v, fin(0))))
 
 
 def test_block_layout():
@@ -45,7 +45,7 @@ def test_gamma_subset_pinned_values():
     x2 = two_point()
     # through {a}: cross(b,b) = d(b,a) + d(a,b) = 2
     bm_a = gamma_from_subset(x2, ("a",))
-    assert bm_a.g01 == IntMatrix.of(((ZERO, fin(1)), (fin(1), fin(2))))
+    assert bm_a.g01 == IntMatrix.of(((fin(0), fin(1)), (fin(1), fin(2))))
     # through both points the cross block is d itself
     bm_ab = gamma_from_subset(x2, ("a", "b"))
     assert bm_ab.g01 == x2.dist
@@ -91,9 +91,9 @@ def test_reflexive_symmetric_predicates():
     assert is_reflexive(bm) and is_symmetric(bm)
     assert reflexive_witness(bm) is None and symmetric_witness(bm) is None
     # raise one cross entry so the two cross blocks disagree
-    g01 = ((ZERO, fin(1)), (fin(1), INF))
+    g01 = ((fin(0), fin(1)), (fin(1), INF))
     skew = BlockMetric(base=two_point(), g00=two_point().dist, g01=g01,
-                       g10=((ZERO, fin(1)), (fin(1), fin(2))),
+                       g10=((fin(0), fin(1)), (fin(1), fin(2))),
                        g11=two_point().dist)
     assert not is_symmetric(skew)
     assert symmetric_witness(skew) == Violation(
@@ -103,7 +103,7 @@ def test_reflexive_symmetric_predicates():
 
 def test_transitive_requires_reflexive():
     x2 = two_point()
-    zero = tuple(tuple(ZERO for _ in range(2)) for _ in range(2))
+    zero = tuple(tuple(fin(0) for _ in range(2)) for _ in range(2))
     flat = BlockMetric(base=x2, g00=zero, g01=zero, g10=zero, g11=zero)
     assert reflexive_witness(flat) == Violation(
         "non-reflexive", ("0:a", "0:b"),
@@ -135,7 +135,7 @@ def test_equivalence_checks_reflexivity_once(monkeypatch):
 
 def test_validate_blockmetric_catches_above_coproduct():
     x2 = two_point()
-    diag = ((ZERO, INF), (INF, ZERO))
+    diag = ((fin(0), INF), (INF, fin(0)))
     bm = BlockMetric(base=x2, g00=diag, g11=diag,
                      g01=((INF, fin(1)), (INF, INF)),
                      g10=((INF, INF), (fin(1), INF)))
@@ -145,7 +145,7 @@ def test_validate_blockmetric_catches_above_coproduct():
 
 def test_equivalences_on_two_points_exhaustive():
     x2 = two_point()
-    grid = (ZERO, fin(1, 2), fin(1), fin(2), INF)
+    grid = (fin(0), fin(1, 2), fin(1), fin(2), INF)
     found = 0
     for entries in itertools.product(grid, repeat=4):
         cross = ((entries[0], entries[1]), (entries[2], entries[3]))
@@ -160,7 +160,7 @@ def test_equivalences_on_two_points_exhaustive():
 
 def test_cospan_needs_joint_surjectivity():
     x2 = two_point()
-    one = FinSpace(("*", "o"), ((ZERO, INF), (INF, ZERO)))
+    one = FinSpace(("*", "o"), ((fin(0), INF), (INF, fin(0))))
     q = FinMap(x2, one, ("*", "*"))
     with pytest.raises(ValueError):
         corelation_from_cospan(q, q)

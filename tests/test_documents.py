@@ -21,7 +21,6 @@ import json
 import os
 import tempfile
 from fractions import Fraction
-from unittest import mock
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -173,15 +172,9 @@ COMMANDS = [
 ]
 
 
-# Building the parser costs more than most commands on these small
-# documents, so every run shares one.
-PARSER = cli.build_parser()
-
-
 def run(path, argv):
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
-            mock.patch.object(cli, "build_parser", lambda: PARSER):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(["-w", path] + argv)
     return code, out.getvalue(), err.getvalue()
 

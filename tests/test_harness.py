@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from finmet.extarith import ZERO, fin
+from finmet.extarith import fin
 from finmet.harness import (_GRID, MEDIATOR_CAP, GenConfig, brute_iso_check,
                             enumerate_mediators, gen_metric,
                             gen_nonexpansive_map, gen_submetric,
@@ -41,7 +41,7 @@ def test_sample_cost_below_stays_below():
         for i in range(sp.n):
             for j in range(sp.n):
                 assert cost[i][j] <= sp.dist[i][j]
-            assert cost[i][i] == ZERO
+            assert cost[i][i] == fin(0)
 
 
 def test_gen_submetric_valid():
@@ -74,7 +74,7 @@ def test_gen_nonexpansive_map_total_on_nonempty_target():
 def test_enumerate_mediators_cap():
     assert 6 ** 6 > MEDIATOR_CAP
     labels = tuple("p%d" % i for i in range(6))
-    big = FinSpace(labels, [[ZERO if i == j else fin(1) for j in range(6)]
+    big = FinSpace(labels, [[fin(0) if i == j else fin(1) for j in range(6)]
                             for i in range(6)])
     with pytest.raises(ValueError, match="exceeds cap"):
         enumerate_mediators(big, big)
@@ -95,7 +95,7 @@ def test_brute_iso_check_relabelling():
 
 
 def test_grid_contains_anchor_values():
-    assert ZERO in _GRID[0] and fin(1) in _GRID[0]
+    assert fin(0) in _GRID[0] and fin(1) in _GRID[0]
 
 
 # _draws_digest() as the generators gave it when they drew ExtValue

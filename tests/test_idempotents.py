@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
-from finmet.extarith import INF, ZERO, fin
+from finmet.extarith import INF, fin
 from finmet.idempotents import (CostMatrix, factor_through_zero_diagonal,
                                 is_idempotent, relation_density_witness)
 from finmet.idempotents import FactorReport
@@ -22,15 +22,15 @@ from test_minplus import (HUGE_A, HUGE_B, SMALL, TINY, reference_closure,
 
 
 def closed_matrix(rng, n, grid=None):
-    grid = grid or [ZERO, fin(1, 2), fin(1), fin(2), INF]
-    cost = [[ZERO if i == j else rng.choice(grid) for j in range(n)]
+    grid = grid or [fin(0), fin(1, 2), fin(1), fin(2), INF]
+    cost = [[fin(0) if i == j else rng.choice(grid) for j in range(n)]
             for i in range(n)]
     return CostMatrix(tuple("p%d" % i for i in range(n)),
                       minplus_closure(IntMatrix.of(cost)))
 
 
 def test_square_pinned():
-    cm = CostMatrix(("x", "y"), ((fin(1), fin(2)), (ZERO, INF)))
+    cm = CostMatrix(("x", "y"), ((fin(1), fin(2)), (fin(0), INF)))
     sq = minplus_matmul(cm.rho, cm.rho)
     # (x,x): min(1+1, 2+0) = 2; (y,y): min(0+2, inf+inf) = 2
     assert sq == IntMatrix.of(((fin(2), fin(3)), (fin(1), fin(2))))
@@ -53,7 +53,7 @@ def test_closures_are_idempotent():
 
 
 def test_factor_requires_idempotent():
-    cm = CostMatrix(("x", "y"), ((fin(1), fin(2)), (ZERO, INF)))
+    cm = CostMatrix(("x", "y"), ((fin(1), fin(2)), (fin(0), INF)))
     assert not is_idempotent(cm)
     with pytest.raises(ValueError):
         factor_through_zero_diagonal(cm)
@@ -70,15 +70,15 @@ def test_factor_witnesses_attain_the_value():
             if a is None:
                 continue
             i, j, k = idx[x], idx[y], idx[a]
-            assert cm.rho[k][k] == ZERO
+            assert cm.rho[k][k] == fin(0)
             assert cm.rho[i][k] + cm.rho[k][j] == cm.rho[i][j]
 
 
 def test_factor_with_nonzero_diagonal_point():
     # an idempotent matrix with an infinitely self-distant point
     rho = (
-        (ZERO, fin(1), INF),
-        (fin(1), ZERO, INF),
+        (fin(0), fin(1), INF),
+        (fin(1), fin(0), INF),
         (INF, INF, INF))
     cm = CostMatrix(("x", "y", "z"), rho)
     assert is_idempotent(cm)
@@ -91,9 +91,9 @@ def test_factor_with_nonzero_diagonal_point():
 
 def test_least_index_tie_break():
     rho = (
-        (ZERO, ZERO, fin(1)),
-        (ZERO, ZERO, fin(1)),
-        (fin(1), fin(1), ZERO))
+        (fin(0), fin(0), fin(1)),
+        (fin(0), fin(0), fin(1)),
+        (fin(1), fin(1), fin(0)))
     cm = CostMatrix(("x", "y", "z"), rho)
     report = factor_through_zero_diagonal(cm)
     # both x and y attain the routed value; the least index wins
@@ -102,7 +102,7 @@ def test_least_index_tie_break():
 
 
 def test_exhaustive_small_idempotents_factor():
-    grid = (ZERO, fin(1), INF)
+    grid = (fin(0), fin(1), INF)
     for n in (1, 2):
         labels = tuple("p%d" % i for i in range(n))
         for cells in itertools.product(grid, repeat=n * n):
@@ -126,7 +126,7 @@ def reference_bool_compose(rel_a, rel_b):
 def as_relation(rel):
     """The {0, INF} cost matrix of a boolean relation on p0, p1, ..."""
     return CostMatrix(tuple("p%d" % i for i in range(len(rel))),
-                      [[ZERO if c else INF for c in row] for row in rel])
+                      [[fin(0) if c else INF for c in row] for row in rel])
 
 
 def test_relation_witness_exhaustive_small():
@@ -210,7 +210,7 @@ def test_relation_witness_matches_any_loop(rel, i, j):
 
 def reference_factor(labels, rho):
     n = len(labels)
-    a_idx = [i for i in range(n) if rho[i][i] == ZERO]
+    a_idx = [i for i in range(n) if rho[i][i] == fin(0)]
     witnesses = {}
     failures = []
     for x in range(n):
@@ -235,9 +235,9 @@ def routed_costs(draw):
     idempotent, with a zero diagonal at least on T.  Sometimes one entry
     is raised afterwards, which usually breaks idempotence."""
     n = draw(st.integers(1, 5))
-    cost = draw(st.lists(st.lists(st.just(ZERO) | values, min_size=n,
+    cost = draw(st.lists(st.lists(st.just(fin(0)) | values, min_size=n,
                                   max_size=n), min_size=n, max_size=n))
-    x = reference_closure([[ZERO if i == j else v for j, v in enumerate(row)]
+    x = reference_closure([[fin(0) if i == j else v for j, v in enumerate(row)]
                            for i, row in enumerate(cost)])
     t = draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True))
     rho = [list(row) for row in reference_product(
@@ -251,8 +251,8 @@ def routed_costs(draw):
 
 @settings(deadline=None)
 @given(routed_costs())
-@example([[ZERO, TINY], [INF, SMALL]])
-@example([[ZERO, TINY], [SMALL, SMALL + TINY]])
+@example([[fin(0), TINY], [INF, SMALL]])
+@example([[fin(0), TINY], [SMALL, SMALL + TINY]])
 def test_factor_matches_extvalue_loop(rho):
     labels = tuple("p%d" % i for i in range(len(rho)))
     cm = CostMatrix(labels, rho)
@@ -270,16 +270,16 @@ def test_factor_matches_extvalue_loop(rho):
 
 @st.composite
 def cost_matrices(draw):
-    """A square cost matrix, up to 4 points, over values, ZERO and
+    """A square cost matrix, up to 4 points, over values, fin(0) and
     entries whose ints over a common denominator are beyond float range.
     Half the time it is closed with a zero diagonal, which makes it
     idempotent."""
     n = draw(st.integers(0, 4))
-    entry = values | st.just(ZERO) | st.sampled_from(HUGE_A + HUGE_B)
+    entry = values | st.just(fin(0)) | st.sampled_from(HUGE_A + HUGE_B)
     rho = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
                         min_size=n, max_size=n))
     if draw(st.booleans()):
-        rho = reference_closure([[ZERO if i == j else v
+        rho = reference_closure([[fin(0) if i == j else v
                                   for j, v in enumerate(row)]
                                  for i, row in enumerate(rho)])
     return rho
@@ -289,12 +289,12 @@ def cost_matrices(draw):
 @given(cost_matrices())
 @example([])
 @example([[INF]])
-@example([[ZERO, INF], [fin(1, 3), ZERO]])
-@example([[ZERO, HUGE_A[1]], [INF, ZERO]])
-@example([[ZERO, HUGE_A[0]], [HUGE_B[0], ZERO]])
+@example([[fin(0), INF], [fin(1, 3), fin(0)]])
+@example([[fin(0), HUGE_A[1]], [INF, fin(0)]])
+@example([[fin(0), HUGE_A[0]], [HUGE_B[0], fin(0)]])
 # The square differs from the matrix in its last row only: (1, 1) is
 # min(1/3 + 1/3, 1/3 + 1/3) = 2/3.
-@example([[ZERO, fin(1, 3)], [fin(1, 3), fin(1, 3)]])
+@example([[fin(0), fin(1, 3)], [fin(1, 3), fin(1, 3)]])
 def test_is_idempotent_matches_the_product(rho):
     m = IntMatrix.of(rho)
     cm = CostMatrix(tuple("p%d" % i for i in range(len(rho))), m)
@@ -305,18 +305,18 @@ def test_is_idempotent_matches_the_product(rho):
 
 @st.composite
 def partial_zero_diagonals(draw):
-    """A square matrix, up to 5 points, over values, ZERO and entries
+    """A square matrix, up to 5 points, over values, fin(0) and entries
     beyond float range, whose diagonal is often zero in part only: either
     min over a in T of X(x, a) + X(a, y) for a closed zero-diagonal X,
     zero on T and mostly positive elsewhere, or a random matrix squared
     until it is stable, at most six times.  Half the time one entry is
     then redrawn, which usually breaks idempotence."""
     n = draw(st.integers(1, 5))
-    entry = values | st.just(ZERO) | st.sampled_from(HUGE_A + HUGE_B)
+    entry = values | st.just(fin(0)) | st.sampled_from(HUGE_A + HUGE_B)
     cost = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
                          min_size=n, max_size=n))
     if draw(st.booleans()):
-        x = reference_closure([[ZERO if i == j else v
+        x = reference_closure([[fin(0) if i == j else v
                                 for j, v in enumerate(row)]
                                for i, row in enumerate(cost)])
         t = draw(st.lists(st.integers(0, n - 1), unique=True))
@@ -333,7 +333,7 @@ def partial_zero_diagonals(draw):
     if draw(st.booleans()):
         # Half of these land between two zero-diagonal points, where only
         # a route outside them can show that the entry is too high.
-        zero = [z for z in range(n) if rho[z][z] == ZERO]
+        zero = [z for z in range(n) if rho[z][z] == fin(0)]
         ends = st.integers(0, n - 1)
         if zero and draw(st.booleans()):
             ends = st.sampled_from(zero)
@@ -346,14 +346,15 @@ def partial_zero_diagonals(draw):
 @given(partial_zero_diagonals())
 # Z = {0}: every entry routes through point 0, and point 1's own loop
 # costs 1 + 1 = 2 by way of 0 and itself.
-@example([[ZERO, fin(1)], [fin(1), fin(2)]])
-@example([[ZERO, HUGE_A[0], INF], [HUGE_B[1], HUGE_A[0] + HUGE_B[1], INF],
+@example([[fin(0), fin(1)], [fin(1), fin(2)]])
+@example([[fin(0), HUGE_A[0], INF], [HUGE_B[1], HUGE_A[0] + HUGE_B[1], INF],
           [INF, INF, INF]])
 @example([[INF, INF], [INF, INF]])
 # Z = {0, 2}: the square is 2v at (2, 0), routed through point 1 only.
-@example([[ZERO, ZERO, ZERO], [fin(1), fin(1), ZERO], [INF, fin(1), ZERO]])
-@example([[ZERO, ZERO, ZERO], [HUGE_A[1], HUGE_A[1], ZERO],
-          [INF, HUGE_A[1], ZERO]])
+@example([[fin(0), fin(0), fin(0)], [fin(1), fin(1), fin(0)],
+          [INF, fin(1), fin(0)]])
+@example([[fin(0), fin(0), fin(0)], [HUGE_A[1], HUGE_A[1], fin(0)],
+          [INF, HUGE_A[1], fin(0)]])
 def test_equals_own_square_matches_the_full_square(rho):
     square = reference_product(rho, tuple(zip(*rho)))
     assert equals_own_square(IntMatrix.of(rho)) == (
@@ -364,8 +365,9 @@ def test_the_triangle_clause_outside_the_zero_diagonal_is_needed():
     """Z = {0, 2} and m = m[:, Z] * m[Z, :], yet m is not idempotent:
     its square is 2 at (2, 0), through point 1, outside Z, where m is
     INF.  So the first clause alone does not decide."""
-    rho = ((ZERO, ZERO, ZERO), (fin(1), fin(1), ZERO), (INF, fin(1), ZERO))
-    zero = [z for z in range(3) if rho[z][z] == ZERO]
+    rho = ((fin(0), fin(0), fin(0)), (fin(1), fin(1), fin(0)),
+           (INF, fin(1), fin(0)))
+    zero = [z for z in range(3) if rho[z][z] == fin(0)]
     assert zero == [0, 2]
     assert reference_product([[row[z] for z in zero] for row in rho],
                              [[rho[z][j] for z in zero]

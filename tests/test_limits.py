@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
-from finmet.extarith import INF, ZERO, fin
+from finmet.extarith import INF, fin
 from finmet.harness import (GenConfig, enumerate_mediators, gen_metric,
                             gen_nonexpansive_map)
 from finmet.limits import (Square, coproduct, copair, equalizer,
@@ -22,7 +22,7 @@ from test_minplus import SMALL, TINY, square
 
 
 def two_point(v=fin(1)):
-    return FinSpace(("a", "b"), ((ZERO, v), (v, ZERO)))
+    return FinSpace(("a", "b"), ((fin(0), v), (v, fin(0))))
 
 
 def test_product_sup_metric_pinned():
@@ -60,7 +60,7 @@ def test_product_universal_property_brute():
 
 def test_coproduct_cross_inf():
     m1 = two_point()
-    m2 = FinSpace(("*",), ((ZERO,),))
+    m2 = FinSpace(("*",), ((fin(0),),))
     cop, j1, j2 = coproduct(m1, m2)
     assert cop.labels == ("0:a", "0:b", "1:*")
     assert cop.d("0:a", "1:*") == INF and cop.d("1:*", "0:b") == INF
@@ -175,8 +175,8 @@ def test_is_pullback_raises_on_noncommuting():
 # -- product labels ---------------------------------------------------------
 
 def test_product_labels_with_commas_stay_distinct():
-    x = FinSpace(("a,b", "a"), ((ZERO, fin(1)), (fin(1), ZERO)))
-    y = FinSpace(("c", "b,c"), ((ZERO, fin(2)), (fin(2), ZERO)))
+    x = FinSpace(("a,b", "a"), ((fin(0), fin(1)), (fin(1), fin(0))))
+    y = FinSpace(("c", "b,c"), ((fin(0), fin(2)), (fin(2), fin(0))))
     prod, p1, p2 = product(x, y)
     assert prod.labels == ('("a,b",c)', '("a,b","b,c")', "(a,c)",
                            '(a,"b,c")')
@@ -188,11 +188,11 @@ def test_product_labels_with_commas_stay_distinct():
 
 
 def test_pullback_square_over_labels_with_commas():
-    x = FinSpace(("a,b", "a", 'q"'), ((ZERO, fin(1), fin(2)),
-                                      (fin(1), ZERO, fin(1)),
-                                      (fin(2), fin(1), ZERO)))
-    y = FinSpace(("c", "b,c"), ((ZERO, fin(2)), (fin(2), ZERO)))
-    t = FinSpace((")",), ((ZERO,),))
+    x = FinSpace(("a,b", "a", 'q"'), ((fin(0), fin(1), fin(2)),
+                                      (fin(1), fin(0), fin(1)),
+                                      (fin(2), fin(1), fin(0))))
+    y = FinSpace(("c", "b,c"), ((fin(0), fin(2)), (fin(2), fin(0))))
+    t = FinSpace((")",), ((fin(0),),))
     f = FinMap(x, t, (")",) * 3)
     g = FinMap(y, t, (")",) * 2)
     sq = pullback(f, g)
@@ -263,7 +263,7 @@ def reference_coproduct_dist(m1, m2):
 
 @settings(deadline=None)
 @given(square, square)
-@example([[TINY, INF], [SMALL, ZERO]], [[SMALL]])
+@example([[TINY, INF], [SMALL, fin(0)]], [[SMALL]])
 @example([], [[INF]])
 def test_product_and_coproduct_match_extvalue_loops(d1, d2):
     m1, m2 = labelled(d1, "x"), labelled(d2, "y")

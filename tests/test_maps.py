@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 from finmet import maps as maps_module
-from finmet.extarith import INF, ZERO, fin
+from finmet.extarith import INF, fin
 from finmet.harness import GenConfig, gen_metric, gen_nonexpansive_map
 from finmet.maps import (FinMap, check_nonexpansive, compose, factorize,
                          identity, is_embedding, is_injective, is_isomorphism,
@@ -22,13 +22,13 @@ from test_minplus import matrices
 
 def three_chain():
     return FinSpace(("u", "v", "w"), (
-        (ZERO, fin(1), fin(2)),
-        (fin(1), ZERO, fin(1)),
-        (fin(2), fin(1), ZERO)))
+        (fin(0), fin(1), fin(2)),
+        (fin(1), fin(0), fin(1)),
+        (fin(2), fin(1), fin(0))))
 
 
 def two_point(v=fin(1)):
-    return FinSpace(("a", "b"), ((ZERO, v), (v, ZERO)))
+    return FinSpace(("a", "b"), ((fin(0), v), (v, fin(0))))
 
 
 def test_assignment_validation():
@@ -159,7 +159,7 @@ def test_map_predicates_build_no_pulled_matrix(monkeypatch):
 
 
 def test_factorize_requires_separation():
-    glued = FinSpace(("a", "b"), ((ZERO, ZERO), (ZERO, ZERO)))
+    glued = FinSpace(("a", "b"), ((fin(0), fin(0)), (fin(0), fin(0))))
     f = FinMap(glued, two_point(INF), ("a", "a"))
     with pytest.raises(ValueError):
         factorize(f)

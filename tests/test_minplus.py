@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from finmet.corelations import BlockMetric
-from finmet.extarith import INF, ZERO, ExtValue, fin
+from finmet.extarith import INF, ExtValue, fin
 from finmet.limits import coproduct
 from finmet.maps import FinMap
 from finmet.minplus import (IntMatrix, int_product, minplus_closure,
@@ -18,17 +18,17 @@ from finmet.spaces import FinSpace
 
 
 def rand_cost(rng, n, zero_diag=False):
-    grid = [ZERO, fin(1, 2), fin(1), fin(2), fin(3), INF]
+    grid = [fin(0), fin(1, 2), fin(1), fin(2), fin(3), INF]
     return IntMatrix.of([
-        [ZERO if (zero_diag and i == j) else rng.choice(grid)
+        [fin(0) if (zero_diag and i == j) else rng.choice(grid)
          for j in range(n)]
         for i in range(n)
     ])
 
 
 def test_matmul_small_pinned():
-    a = IntMatrix.of(((fin(1), INF), (ZERO, fin(2))))
-    b = IntMatrix.of(((fin(3), fin(1)), (INF, ZERO)))
+    a = IntMatrix.of(((fin(1), INF), (fin(0), fin(2))))
+    b = IntMatrix.of(((fin(3), fin(1)), (INF, fin(0))))
     # entry (0,0): min(1+3, inf+inf) = 4; (1,1): min(0+1, 2+0) = 1
     out = minplus_matmul(a, b)
     assert out == IntMatrix.of(((fin(4), fin(2)), (fin(3), fin(1))))
@@ -71,7 +71,7 @@ def test_closure_vs_path_enumeration():
                     for mids in itertools.permutations(
                             [m for m in range(n) if m not in (i, j)], k):
                         seq = (i,) + mids + (j,)
-                        w = ZERO
+                        w = fin(0)
                         for u, v in zip(seq, seq[1:]):
                             w = w + cost[u][v]
                         if w < best:
@@ -80,8 +80,9 @@ def test_closure_vs_path_enumeration():
 
 
 def test_closure_disconnected_stays_inf():
-    cost = IntMatrix.of([[ZERO, INF], [INF, ZERO]])
-    assert minplus_closure(cost) == IntMatrix.of(((ZERO, INF), (INF, ZERO)))
+    cost = IntMatrix.of([[fin(0), INF], [INF, fin(0)]])
+    assert minplus_closure(cost) == IntMatrix.of(
+        ((fin(0), INF), (INF, fin(0))))
 
 
 # -- the integer kernel against the ExtValue loops it replaced -------------
@@ -155,7 +156,7 @@ def separated_metric(n):
     """A separated metric on n points: the closure of positive costs."""
     return st.lists(st.lists(positive, min_size=n, max_size=n),
                     min_size=n, max_size=n).map(lambda rows: reference_closure(
-                        [[ZERO if i == j else v for j, v in enumerate(row)]
+                        [[fin(0) if i == j else v for j, v in enumerate(row)]
                          for i, row in enumerate(rows)]))
 
 
@@ -165,7 +166,7 @@ def separated_metric(n):
 @example([[fin(2)]])
 @example([[INF, INF], [INF, INF]])
 @example([[fin(1), INF], [SMALL, TINY]])
-@example([[ZERO, TINY, INF], [INF, fin(3), SMALL], [SMALL, INF, INF]])
+@example([[fin(0), TINY, INF], [INF, fin(3), SMALL], [SMALL, INF, INF]])
 # The diagonal closes as a cycle through all n points, n arcs of the
 # largest finite value.
 @example([[INF, fin(1), INF], [INF, INF, fin(1)], [fin(1), INF, INF]])
@@ -175,8 +176,8 @@ def separated_metric(n):
 @example([[fin(1), fin(2), INF], [INF, INF, INF], [SMALL, INF, fin(3)]])
 # Pivot 0 makes d(1, 2) finite, and pivot 1 must then route d(3, 2)
 # through it: row 1's finite entries are read when 1 is the pivot.
-@example([[ZERO, INF, fin(1), INF], [fin(1), ZERO, INF, INF],
-          [INF, INF, ZERO, INF], [INF, TINY, INF, ZERO]])
+@example([[fin(0), INF, fin(1), INF], [fin(1), fin(0), INF, INF],
+          [INF, INF, fin(0), INF], [INF, TINY, INF, fin(0)]])
 def test_closure_matches_extvalue_loop(cost):
     assert minplus_closure(IntMatrix.of(cost)) == IntMatrix.of(
         reference_closure(cost))
@@ -188,8 +189,8 @@ def test_closure_matches_extvalue_loop(cost):
 @example(([[INF, INF], [fin(1), TINY]], [[SMALL, fin(2)], [INF, INF]]))
 # The second operand, given by its columns, has an all-INF row (index 1
 # of every column) and an all-INF column (the last).
-@example(([[fin(1), ZERO, TINY], [INF, fin(2), SMALL]],
-          [[ZERO, INF, fin(3)], [TINY, INF, INF], [INF, INF, INF]]))
+@example(([[fin(1), fin(0), TINY], [INF, fin(2), SMALL]],
+          [[fin(0), INF, fin(3)], [TINY, INF, INF], [INF, INF, INF]]))
 def test_product_matches_extvalue_loop(pair):
     rows, cols = pair
     out = int_route_product(rows, cols)
@@ -230,10 +231,10 @@ def read_through(draw):
 
 @settings(deadline=None)
 @given(read_through(), st.sampled_from((gt, ne)))
-@example(([[ZERO, fin(1, 3)], [INF, fin(2)]], [1, 1, 0],
-          [[fin(2), fin(2), INF], [fin(2), ZERO, INF],
-           [fin(1, 3), fin(1, 3), ZERO]]), gt)
-@example(([[ZERO]], [], []), ne)
+@example(([[fin(0), fin(1, 3)], [INF, fin(2)]], [1, 1, 0],
+          [[fin(2), fin(2), INF], [fin(2), fin(0), INF],
+           [fin(1, 3), fin(1, 3), fin(0)]]), gt)
+@example(([[fin(0)]], [], []), ne)
 @example(([], [], []), gt)
 def test_pointwise_through_idx_matches_the_pulled_matrix(case, op):
     a, idx, b = case
@@ -254,7 +255,7 @@ def benchmark_sized_cost(seed, n=24):
              if i != j and not i >= half > j]
     rng.shuffle(cells)
     n_inf = len(cells) // 4
-    cost = [[ZERO if i == j else INF for j in range(n)] for i in range(n)]
+    cost = [[fin(0) if i == j else INF for j in range(n)] for i in range(n)]
     for k, (i, j) in enumerate(cells[n_inf:]):
         den = (1, 2, 3, 4, 5, 7)[k % 6]
         cost[i][j] = fin(rng.randint(1, 4 * den), den)
@@ -276,9 +277,9 @@ def test_empty_inner_dimension_is_inf():
 
 
 def test_large_common_denominator_is_exact():
-    cost = IntMatrix.of([[ZERO, TINY], [SMALL, ZERO]])
+    cost = IntMatrix.of([[fin(0), TINY], [SMALL, fin(0)]])
     assert minplus_matmul(cost, cost) == IntMatrix.of(
-        ((ZERO, TINY), (SMALL, ZERO)))
+        ((fin(0), TINY), (SMALL, fin(0))))
     cycle = minplus_closure(IntMatrix.of([[TINY, TINY], [SMALL, INF]]))
     assert cycle[1][1] == TINY + SMALL
     assert cycle[1][1].frac.denominator > 2 ** 64
@@ -293,8 +294,8 @@ HUGE_B = (fin(7 ** 379, 5 ** 458), fin(1, 10 ** 320 + 3))
 
 
 def huge_cost(rng, n, grid):
-    """An n x n cost matrix over ZERO, INF and grid."""
-    return [[rng.choice((ZERO, INF) + grid) for _ in range(n)]
+    """An n x n cost matrix over fin(0), INF and grid."""
+    return [[rng.choice((fin(0), INF) + grid) for _ in range(n)]
             for _ in range(n)]
 
 
@@ -318,19 +319,19 @@ def test_kernels_are_exact_beyond_float_range():
 @st.composite
 def closed_with_arcs(draw):
     """(cost, pivots): a closed metric on up to 6 points, over values,
-    ZERO, INF and entries beyond float range, with some entries between
+    fin(0), INF and entries beyond float range, with some entries between
     two pivots lowered to 0 or to a drawn value."""
     n = draw(st.integers(1, 6))
-    entry = values | st.just(ZERO) | st.sampled_from(HUGE_A + HUGE_B)
+    entry = values | st.just(fin(0)) | st.sampled_from(HUGE_A + HUGE_B)
     cost = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
                          min_size=n, max_size=n))
     rows = [list(row) for row in reference_closure(
-        [[ZERO if i == j else v for j, v in enumerate(row)]
+        [[fin(0) if i == j else v for j, v in enumerate(row)]
          for i, row in enumerate(cost)])]
     pivots = draw(st.lists(st.integers(0, n - 1), unique=True))
     if pivots:
         ends = st.sampled_from(pivots)
-        for p, q, v in draw(st.lists(st.tuples(ends, ends, st.just(ZERO)
+        for p, q, v in draw(st.lists(st.tuples(ends, ends, st.just(fin(0))
                                                | entry), max_size=6)):
             rows[p][q] = min(rows[p][q], v)
     return rows, pivots
@@ -340,11 +341,11 @@ def closed_with_arcs(draw):
 @given(closed_with_arcs())
 # d(i, j) = |i - j| with arcs 0 -> 1 and 1 -> 2 at 0: (0, 3) routes
 # through both arcs and then d(2, 3), and point 3 is no pivot.
-@example(([[ZERO, ZERO, fin(2), fin(3)], [fin(1), ZERO, ZERO, fin(2)],
-           [fin(2), fin(1), ZERO, fin(1)], [fin(3), fin(2), fin(1), ZERO]],
+@example(([[fin(0), fin(0), fin(2), fin(3)], [fin(1), fin(0), fin(0), fin(2)],
+           [fin(2), fin(1), fin(0), fin(1)], [fin(3), fin(2), fin(1), fin(0)]],
           [0, 1, 2]))
-@example(([[ZERO, HUGE_A[1], INF], [HUGE_A[1], ZERO, HUGE_B[0]],
-           [INF, HUGE_B[0], ZERO]], [1, 2]))
+@example(([[fin(0), HUGE_A[1], INF], [HUGE_A[1], fin(0), HUGE_B[0]],
+           [INF, HUGE_B[0], fin(0)]], [1, 2]))
 def test_closure_through_the_arcs_ends_is_the_full_closure(case):
     rows, pivots = case
     assert minplus_closure(IntMatrix.of(rows), pivots) == IntMatrix.of(
@@ -354,8 +355,8 @@ def test_closure_through_the_arcs_ends_is_the_full_closure(case):
 def test_pivots_need_a_closed_matrix():
     """0 -> 1 -> 2 is not closed, and pivot 0 alone cannot route it:
     (0, 2) stays INF where the full closure gives 2."""
-    cost = IntMatrix.of([[ZERO, fin(1), INF], [INF, ZERO, fin(1)],
-                         [INF, INF, ZERO]])
+    cost = IntMatrix.of([[fin(0), fin(1), INF], [INF, fin(0), fin(1)],
+                         [INF, INF, fin(0)]])
     assert minplus_closure(cost, (0,)) == cost
     assert minplus_closure(cost)[0][2] == fin(2)
 
@@ -482,7 +483,7 @@ def test_int_matrix_equals_only_int_matrices(raw):
 
 
 def test_scale_shares_the_rows_it_does_not_rescale():
-    m = IntMatrix.of([[ZERO, fin(1, 2)], [fin(1, 2), INF]])
+    m = IntMatrix.of([[fin(0), fin(1, 2)], [fin(1, 2), INF]])
     assert scale(m)[1][0] is m.rows
     half = IntMatrix.of([[fin(3, 2)]])
     whole = IntMatrix.of([[fin(5)]])
@@ -494,13 +495,15 @@ def test_scale_shares_the_rows_it_does_not_rescale():
 def test_kernels_and_constructions_leave_operands_unchanged():
     """Rows from scale are shared with their matrix, so a kernel that
     writes must copy them; every operand reads the same afterwards."""
-    a = FinSpace(("s",), ((ZERO,),))
-    x = FinSpace(("p", "x"), ((ZERO, fin(1, 2)), (fin(1, 2), ZERO)))
-    b = FinSpace(("q", "b"), ((ZERO, fin(2)), (fin(2), ZERO)))
+    a = FinSpace(("s",), ((fin(0),),))
+    x = FinSpace(("p", "x"), ((fin(0), fin(1, 2)), (fin(1, 2), fin(0))))
+    b = FinSpace(("q", "b"), ((fin(0), fin(2)), (fin(2), fin(0))))
     i, f = FinMap(a, x, ("p",)), FinMap(a, b, ("q",))
     bx, _, _ = coproduct(b, x)
-    cost = IntMatrix.of([[ZERO, INF, fin(3), INF], [INF, ZERO, INF, fin(1)],
-                         [fin(1, 3), INF, ZERO, INF], [INF, INF, INF, ZERO]])
+    cost = IntMatrix.of([[fin(0), INF, fin(3), INF],
+                         [INF, fin(0), INF, fin(1)],
+                         [fin(1, 3), INF, fin(0), INF],
+                         [INF, INF, INF, fin(0)]])
     blocks = (x.dist, IntMatrix.of([[fin(1), fin(1)], [fin(1), fin(1)]]),
               IntMatrix.of([[fin(1, 3), INF], [INF, fin(1, 3)]]), x.dist)
     operands = (a.dist, x.dist, b.dist, bx.dist) + blocks

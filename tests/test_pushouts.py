@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 from finmet import pushouts
-from finmet.extarith import INF, ZERO, fin
+from finmet.extarith import INF, fin
 from finmet.harness import GenConfig, gen_metric, sample_cost_below
 from finmet.limits import coproduct, is_pullback_square
 from finmet.maps import (FinMap, compose, is_embedding, is_nonexpansive,
@@ -27,9 +27,9 @@ from test_minplus import positive, reference_closure, separated_metric
 
 
 def worked_instance():
-    a = FinSpace(("s",), ((ZERO,),))
-    x = FinSpace(("p", "x"), ((ZERO, fin(1)), (fin(1), ZERO)))
-    b = FinSpace(("q", "b"), ((ZERO, fin(2)), (fin(2), ZERO)))
+    a = FinSpace(("s",), ((fin(0),),))
+    x = FinSpace(("p", "x"), ((fin(0), fin(1)), (fin(1), fin(0))))
+    b = FinSpace(("q", "b"), ((fin(0), fin(2)), (fin(2), fin(0))))
     return FinMap(a, x, ("p",)), FinMap(a, b, ("q",))
 
 
@@ -76,7 +76,7 @@ def test_worked_instance_pinned():
     result = pushout_along_embedding(i, f)
     g = result.gamma
     # glue point: q is identified with p, so they sit at distance 0
-    assert g.value("0:q", "1:p") == ZERO and g.value("1:p", "0:q") == ZERO
+    assert g.value("0:q", "1:p") == fin(0) and g.value("1:p", "0:q") == fin(0)
     assert g.value("0:q", "1:x") == fin(1)
     assert g.value("1:x", "0:b") == fin(3)   # x -> p=q -> b
     apex = result.apex
@@ -132,8 +132,8 @@ def test_oracle_never_calls_the_formulas_product(monkeypatch):
 
 
 def test_empty_glue_gives_coproduct():
-    x = FinSpace(("p",), ((ZERO,),))
-    b = FinSpace(("q",), ((ZERO,),))
+    x = FinSpace(("p",), ((fin(0),),))
+    b = FinSpace(("q",), ((fin(0),),))
     empty = FinSpace((), ())
     i = FinMap(empty, x, ())
     f = FinMap(empty, b, ())
@@ -265,16 +265,16 @@ def test_universal_check_draws_nothing(monkeypatch):
 
 
 def test_requires_embedding():
-    x2 = FinSpace(("a", "b"), ((ZERO, fin(1)), (fin(1), ZERO)))
-    one = FinSpace(("*",), ((ZERO,),))
+    x2 = FinSpace(("a", "b"), ((fin(0), fin(1)), (fin(1), fin(0))))
+    one = FinSpace(("*",), ((fin(0),),))
     squash = FinMap(x2, one, ("*", "*"))
     with pytest.raises(ValueError):
         pushout_along_embedding(squash, squash)
 
 
 def test_requires_nonexpansive_leg():
-    a = FinSpace(("s", "t"), ((ZERO, fin(1)), (fin(1), ZERO)))
-    b = FinSpace(("u", "v"), ((ZERO, fin(3)), (fin(3), ZERO)))
+    a = FinSpace(("s", "t"), ((fin(0), fin(1)), (fin(1), fin(0))))
+    b = FinSpace(("u", "v"), ((fin(0), fin(3)), (fin(3), fin(0))))
     i = FinMap(a, a, ("s", "t"))
     stretch = FinMap(a, b, ("u", "v"))
     with pytest.raises(ValueError):
@@ -303,8 +303,8 @@ def test_pushout_of_embeddings_legs_are_embeddings():
 
 
 def test_cokernel_pair_diagonal():
-    x2 = FinSpace(("a", "b"), ((ZERO, fin(1)), (fin(1), ZERO)))
-    one = FinSpace(("a",), ((ZERO,),))
+    x2 = FinSpace(("a", "b"), ((fin(0), fin(1)), (fin(1), fin(0))))
+    one = FinSpace(("a",), ((fin(0),),))
     i = FinMap(one, x2, ("a",))
     q0, q1, apex = cokernel_pair(i)
     # the two copies of b stay apart, the two copies of a merge
@@ -328,7 +328,7 @@ def spans(draw):
     fa = draw(st.lists(st.integers(0, m - 1), min_size=a.n, max_size=a.n))
     cost = draw(st.lists(st.lists(positive, min_size=m, max_size=m),
                          min_size=m, max_size=m))
-    cost = [[ZERO if p == q else v for q, v in enumerate(row)]
+    cost = [[fin(0) if p == q else v for q, v in enumerate(row)]
             for p, row in enumerate(cost)]
     for s in range(a.n):
         for t in range(a.n):
@@ -352,12 +352,12 @@ def test_detour_of_three_finite_arcs():
     # x -> p, then f(p) -> f(q) in B, then q -> y: three finite arcs of
     # the largest value, while d_X(x, y) is infinite.
     x = FinSpace(("x", "p", "q", "y"), (
-        (ZERO, fin(1), INF, INF),
-        (INF, ZERO, INF, INF),
-        (INF, INF, ZERO, fin(1)),
-        (INF, INF, INF, ZERO)))
+        (fin(0), fin(1), INF, INF),
+        (INF, fin(0), INF, INF),
+        (INF, INF, fin(0), fin(1)),
+        (INF, INF, INF, fin(0))))
     a, i = subspace(x, ("p", "q"))
-    b = FinSpace(("b1", "b2"), ((ZERO, fin(1)), (INF, ZERO)))
+    b = FinSpace(("b1", "b2"), ((fin(0), fin(1)), (INF, fin(0))))
     f = FinMap(a, b, ("b1", "b2"))
     result = pushout_along_embedding(i, f)
     assert result.gamma.value("1:x", "1:y") == fin(3)

@@ -10,7 +10,7 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 from finmet import maps as maps_module
 from finmet import quotients as quotients_module
-from finmet.extarith import INF, ZERO, fin
+from finmet.extarith import INF, fin
 from finmet.harness import (GenConfig, enumerate_mediators, gen_metric,
                             gen_submetric, gen_surjection)
 from finmet.maps import FinMap, compose, is_isomorphism, is_nonexpansive, is_surjective
@@ -26,9 +26,9 @@ from test_spaces import reference_violations
 
 def three_chain():
     return FinSpace(("u", "v", "w"), (
-        (ZERO, fin(1), fin(2)),
-        (fin(1), ZERO, fin(1)),
-        (fin(2), fin(1), ZERO)))
+        (fin(0), fin(1), fin(2)),
+        (fin(1), fin(0), fin(1)),
+        (fin(2), fin(1), fin(0))))
 
 
 def test_submetric_validation():
@@ -44,10 +44,10 @@ def test_submetric_validation():
 
 def test_kernel_metric_pinned():
     sp = three_chain()
-    x2 = FinSpace(("a", "b"), ((ZERO, fin(1)), (fin(1), ZERO)))
+    x2 = FinSpace(("a", "b"), ((fin(0), fin(1)), (fin(1), fin(0))))
     f = FinMap(sp, x2, ("a", "a", "b"))
     km = kernel_metric(f)
-    assert km.value("u", "v") == ZERO
+    assert km.value("u", "v") == fin(0)
     assert km.value("u", "w") == fin(1)
     assert not validate_submetric(km.base, km.gamma)
 
@@ -66,10 +66,10 @@ def test_kernel_metric_pulls_the_metric_once(monkeypatch):
     monkeypatch.setattr(maps_module, "pulled_metric", counted)
     monkeypatch.setattr(quotients_module, "pulled_metric", counted)
     sp = three_chain()
-    x2 = FinSpace(("a", "b"), ((ZERO, fin(1)), (fin(1), ZERO)))
+    x2 = FinSpace(("a", "b"), ((fin(0), fin(1)), (fin(1), fin(0))))
     kernel_metric(FinMap(sp, x2, ("a", "a", "b")))
     assert len(calls) == 1
-    far = FinSpace(("a", "b"), ((ZERO, fin(3)), (fin(3), ZERO)))
+    far = FinSpace(("a", "b"), ((fin(0), fin(3)), (fin(3), fin(0))))
     stretch = FinMap(sp, far, ("a", "b", "b"))
     with pytest.raises(ValueError) as raised:
         kernel_metric(stretch)
@@ -89,9 +89,9 @@ def test_kernel_metric_below_d_random():
 def test_quotient_by_submetric_pinned():
     sp = three_chain()
     gamma = (
-        (ZERO, ZERO, fin(1)),
-        (ZERO, ZERO, fin(1)),
-        (fin(1), fin(1), ZERO))
+        (fin(0), fin(0), fin(1)),
+        (fin(0), fin(0), fin(1)),
+        (fin(1), fin(1), fin(0)))
     p = quotient_by_submetric(Submetric(sp, gamma))
     assert p.target.labels == ("[u]", "[w]")
     assert p.assignment == ("[u]", "[u]", "[w]")
@@ -140,20 +140,20 @@ def test_quotient_leq_antitone_in_kernel():
     sp = three_chain()
     ident_q = quotient_by_submetric(Submetric(sp, sp.dist))
     all_zero = quotient_by_submetric(Submetric(
-        sp, tuple(tuple(ZERO for _ in range(3)) for _ in range(3))))
+        sp, tuple(tuple(fin(0) for _ in range(3)) for _ in range(3))))
     assert quotient_leq(ident_q, all_zero)
     assert not quotient_leq(all_zero, ident_q)
 
 
 def test_quotient_requires_separated_base():
-    glued = FinSpace(("a", "b"), ((ZERO, ZERO), (ZERO, ZERO)))
+    glued = FinSpace(("a", "b"), ((fin(0), fin(0)), (fin(0), fin(0))))
     with pytest.raises(ValueError):
         quotient_by_submetric(Submetric(glued, glued.dist))
 
 
 def test_quotient_leq_requires_surjections():
     sp = three_chain()
-    x2 = FinSpace(("a", "b"), ((ZERO, INF), (INF, ZERO)))
+    x2 = FinSpace(("a", "b"), ((fin(0), INF), (INF, fin(0))))
     not_surj = FinMap(sp, x2, ("a", "a", "a"))
     surj = FinMap(sp, x2, ("a", "a", "b"))
     with pytest.raises(ValueError):

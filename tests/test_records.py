@@ -9,9 +9,10 @@ from math import inf
 
 import pytest
 
-from finmet import extarith
+from finmet import corelations, extarith, idempotents, maps, quotients, spaces
+from finmet.cli import Command
 from finmet.corelations import BlockMetric
-from finmet.extarith import ExtValue, ZERO, fin
+from finmet.extarith import ExtValue, fin
 from finmet.harness import GenConfig
 from finmet.idempotents import CostMatrix, FactorReport
 from finmet.limits import Square
@@ -24,7 +25,7 @@ from finmet.spaces import FinSpace, Frozen, Violation
 
 LABELS = ("a", "b")
 MATRIX = IntMatrix(1, [[0, 1], [1, 0]])
-ONE = FinSpace(("c",), ((ZERO,),))
+ONE = FinSpace(("c",), ((fin(0),),))
 
 
 def _space():
@@ -53,6 +54,7 @@ FACTORIES = {
     "FactorReport": lambda: FactorReport(("a",), {("a", "a"): "a"}, ()),
     "GenConfig": lambda: GenConfig(seed=3, max_points=5),
     "CriterionResult": lambda: CriterionResult(1, "metric-laws", True, "ok"),
+    "Command": lambda: Command("product", "binary product", ("left", "right")),
 }
 # A dict field makes a record unhashable, as it made the frozen dataclass.
 UNHASHABLE = {"FactorReport"}
@@ -106,6 +108,15 @@ def test_deepcopy_and_pickle_round_trip(name):
             assert hash(clone) == hash(obj)
 
 
+def test_loaded_records_live_in_spaces_under_their_old_names():
+    """The workspace loader builds its records from spaces alone; each is
+    the same class in the module of its operations."""
+    assert maps.FinMap is spaces.FinMap
+    assert quotients.Submetric is spaces.Submetric
+    assert corelations.BlockMetric is spaces.BlockMetric
+    assert idempotents.CostMatrix is spaces.CostMatrix
+
+
 def test_parsed_value_cannot_be_deleted():
     value = extarith.parse("1")
     with pytest.raises(AttributeError):
@@ -141,14 +152,14 @@ def test_repr_names_the_fields():
 
 
 def test_constructors_normalise_their_fields():
-    space = FinSpace(["a", "b"], ((ZERO, fin(1)), (fin(1), ZERO)))
+    space = FinSpace(["a", "b"], ((fin(0), fin(1)), (fin(1), fin(0))))
     assert space.labels == LABELS and space.dist == MATRIX
     assert isinstance(space.dist, IntMatrix)
     f = FinMap(space, space, ["b", "a"])
     assert f.assignment == ("b", "a")
     assert isinstance(CostMatrix(["a", "b"], MATRIX).labels, tuple)
     bm = BlockMetric(base=space, g00=space.dist, g01=MATRIX, g10=MATRIX,
-                     g11=((ZERO, fin(1)), (fin(1), ZERO)))
+                     g11=((fin(0), fin(1)), (fin(1), fin(0))))
     assert bm.g11 == MATRIX and isinstance(bm.g11, IntMatrix)
 
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
-from finmet.extarith import INF, ZERO, fin
+from finmet.extarith import INF, fin
 from finmet.harness import GenConfig, gen_metric
 from finmet.minplus import IntMatrix
 from finmet.spaces import (FinSpace, Violation, is_separated,
@@ -20,14 +20,14 @@ from test_minplus import (HUGE_A, HUGE_B, SMALL, TINY, benchmark_sized_cost,
 
 
 def two_point(v=fin(1)):
-    return FinSpace(("a", "b"), ((ZERO, v), (v, ZERO)))
+    return FinSpace(("a", "b"), ((fin(0), v), (v, fin(0))))
 
 
 def test_constructor_shape_checks():
     with pytest.raises(ValueError):
-        FinSpace(("a", "a"), ((ZERO, ZERO), (ZERO, ZERO)))
+        FinSpace(("a", "a"), ((fin(0), fin(0)), (fin(0), fin(0))))
     with pytest.raises(ValueError):
-        FinSpace(("a", "b"), ((ZERO,),))
+        FinSpace(("a", "b"), ((fin(0),),))
 
 
 def test_valid_metric_no_violations():
@@ -44,9 +44,9 @@ def test_diagonal_violation_reported():
 
 def test_triangle_violation_reported():
     sp = FinSpace(("a", "b", "c"), (
-        (ZERO, fin(1), fin(5)),
-        (fin(1), ZERO, fin(1)),
-        (fin(5), fin(1), ZERO)))
+        (fin(0), fin(1), fin(5)),
+        (fin(1), fin(0), fin(1)),
+        (fin(5), fin(1), fin(0))))
     kinds = {v.kind for v in validate_metric(sp)}
     assert kinds == {"triangle"}
     witnesses = {v.points for v in validate_metric(sp)}
@@ -54,25 +54,25 @@ def test_triangle_violation_reported():
 
 
 def test_asymmetric_distances_allowed():
-    sp = FinSpace(("a", "b"), ((ZERO, fin(1)), (fin(2), ZERO)))
+    sp = FinSpace(("a", "b"), ((fin(0), fin(1)), (fin(2), fin(0))))
     assert validate_metric(sp) == []
     assert is_separated(sp)
 
 
 def test_separation():
     assert is_separated(two_point())
-    glued = FinSpace(("a", "b"), ((ZERO, ZERO), (ZERO, ZERO)))
+    glued = FinSpace(("a", "b"), ((fin(0), fin(0)), (fin(0), fin(0))))
     assert not is_separated(glued)
     # one-sided zero does not break separation
-    oneway = FinSpace(("a", "b"), ((ZERO, ZERO), (fin(1), ZERO)))
+    oneway = FinSpace(("a", "b"), ((fin(0), fin(0)), (fin(1), fin(0))))
     assert is_separated(oneway)
 
 
 def test_sep_reflection_collapses_zero_pairs():
     sp = FinSpace(("a", "b", "c"), (
-        (ZERO, ZERO, fin(1)),
-        (ZERO, ZERO, fin(1)),
-        (fin(1), fin(1), ZERO)))
+        (fin(0), fin(0), fin(1)),
+        (fin(0), fin(0), fin(1)),
+        (fin(1), fin(1), fin(0))))
     q, proj = sep_reflection(sp)
     assert q.labels == ("[a]", "[c]")
     assert proj.assignment == ("[a]", "[a]", "[c]")
@@ -90,7 +90,8 @@ def test_sep_reflection_identity_on_separated():
 
 
 def test_zero_classes_first_occurrence_order():
-    mat = IntMatrix.of(((ZERO, INF, ZERO), (INF, ZERO, INF), (ZERO, INF, ZERO)))
+    mat = IntMatrix.of(((fin(0), INF, fin(0)), (INF, fin(0), INF),
+                        (fin(0), INF, fin(0))))
     classes, assigned = zero_classes(("x", "y", "z"), mat)
     assert classes == [(0, 2), (1,)]
     assert assigned == [0, 1, 0]
@@ -98,7 +99,7 @@ def test_zero_classes_first_occurrence_order():
 
 def test_metric_violations_on_raw_matrix():
     bad = metric_violations(("p", "q"),
-                            IntMatrix.of(((ZERO, ZERO), (fin(1), fin(2)))))
+                            IntMatrix.of(((fin(0), fin(0)), (fin(1), fin(2)))))
     assert any(v.kind == "nonzero-diagonal" and v.points == ("q",) for v in bad)
 
 
@@ -106,7 +107,7 @@ def reference_violations(labels, dist):
     out = []
     n = len(labels)
     for i in range(n):
-        if dist[i][i] != ZERO:
+        if dist[i][i] != fin(0):
             out.append(Violation("nonzero-diagonal", (labels[i],),
                                  "d(x,x) = %s" % dist[i][i]))
     for i in range(n):
@@ -124,9 +125,11 @@ def reference_violations(labels, dist):
 @example([], False)
 @example([[fin(1)]], False)
 @example([[INF, INF], [INF, INF]], False)
-@example([[ZERO, TINY, fin(1)], [INF, ZERO, SMALL], [INF, INF, ZERO]], False)
+@example([[fin(0), TINY, fin(1)], [INF, fin(0), SMALL], [INF, INF, fin(0)]],
+          False)
 # d(0, 2) is INF while d(0, 1) + d(1, 2) is finite.
-@example([[ZERO, TINY, INF], [INF, ZERO, SMALL], [INF, INF, ZERO]], False)
+@example([[fin(0), TINY, INF], [INF, fin(0), SMALL], [INF, INF, fin(0)]],
+          False)
 def test_violations_match_extvalue_loop(dist, closed):
     if closed:
         dist = reference_closure(dist)
@@ -167,7 +170,8 @@ def reference_zero_classes(n, mat):
         members = [i]
         assigned[i] = len(classes)
         for j in range(i + 1, n):
-            if assigned[j] is None and mat[i][j] == ZERO and mat[j][i] == ZERO:
+            if (assigned[j] is None and mat[i][j] == fin(0)
+                    and mat[j][i] == fin(0)):
                 members.append(j)
                 assigned[j] = len(classes)
         classes.append(tuple(members))
@@ -175,19 +179,20 @@ def reference_zero_classes(n, mat):
 
 
 def reference_is_separated(n, mat):
-    return not any(i != j and mat[i][j] == ZERO and mat[j][i] == ZERO
+    return not any(i != j and mat[i][j] == fin(0) and mat[j][i] == fin(0)
                    for i in range(n) for j in range(n))
 
 
 # Zeros are common, so zero classes of several points show up.
 zero_heavy = st.integers(0, 6).flatmap(lambda n: st.lists(
-    st.lists(st.just(ZERO) | values, min_size=n, max_size=n),
+    st.lists(st.just(fin(0)) | values, min_size=n, max_size=n),
     min_size=n, max_size=n))
 
 
 @settings(deadline=None)
 @given(zero_heavy)
-@example([[ZERO, TINY, ZERO], [INF, ZERO, ZERO], [ZERO, ZERO, SMALL]])
+@example([[fin(0), TINY, fin(0)], [INF, fin(0), fin(0)],
+          [fin(0), fin(0), SMALL]])
 def test_zero_classes_match_extvalue_loop(mat):
     n = len(mat)
     labels = tuple("p%d" % i for i in range(n))
@@ -215,9 +220,9 @@ def zero_arcs(draw):
         point = st.integers(0, n - 1)
         for i, j, both in draw(st.lists(st.tuples(point, point,
                                                   st.booleans()))):
-            mat[i][j] = ZERO
+            mat[i][j] = fin(0)
             if both:
-                mat[j][i] = ZERO
+                mat[j][i] = fin(0)
     return mat
 
 
@@ -225,13 +230,15 @@ def brute_zero_pairs(mat):
     """Every ordered pair of distinct points at 0 both ways."""
     n = len(mat)
     return {(i, j) for i in range(n) for j in range(n)
-            if i != j and mat[i][j] == ZERO and mat[j][i] == ZERO}
+            if i != j and mat[i][j] == fin(0) and mat[j][i] == fin(0)}
 
 
 @settings(deadline=None)
 @given(zero_arcs())
-@example([[fin(1), ZERO, INF], [fin(2), ZERO, ZERO], [fin(1), ZERO, fin(3)]])
-@example([[ZERO, ZERO, fin(1)], [ZERO, ZERO, ZERO], [fin(1), ZERO, ZERO]])
+@example([[fin(1), fin(0), INF], [fin(2), fin(0), fin(0)],
+          [fin(1), fin(0), fin(3)]])
+@example([[fin(0), fin(0), fin(1)], [fin(0), fin(0), fin(0)],
+          [fin(1), fin(0), fin(0)]])
 def test_separation_and_zero_classes_match_all_pairs(mat):
     n = len(mat)
     labels = tuple("p%d" % i for i in range(n))

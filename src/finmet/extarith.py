@@ -1,10 +1,10 @@
 """Exact arithmetic on the extended non-negative reals [0, inf].
 
 Values are exact rationals (via fractions.Fraction) or the single
-infinity element.  fractions is imported only where an ExtValue is
-built, since finmet itself computes on IntMatrix ints and a CLI call
-need not pay for importing it.  (min, +) makes this a commutative semiring with
+infinity element.  (min, +) makes this a commutative semiring with
 additive identity INF and multiplicative identity 0; + saturates at INF.
+fractions is imported only where an ExtValue is built: finmet itself
+computes on IntMatrix ints, so a CLI call need not pay for importing it.
 
 One token grammar reads and writes a value in a document: ratio reads a
 token to (numerator, denominator) and token writes x / den back, and

@@ -25,7 +25,7 @@ _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
 # Every call imports these: cli imports the loader, and the loader
 # builds every record from spaces.
 LOADER = ("extarith", "minplus", "spaces", "workspace")
-MAPS = ("maps", "quotients")
+QUOTIENTS = ("maps", "quotients")
 LIMITS = ("limits", "maps")
 CORELATIONS = ("corelations", "limits", "maps", "quotients")
 PUSHOUTS = ("limits", "maps", "pushouts", "quotients")
@@ -39,9 +39,9 @@ FOOTPRINT = {
     "pushout": ("pushout_worked", PUSHOUTS),
     "cokernel-pair": ("cokernel_pair_i", PUSHOUTS),
     "factorize": ("factorize_collapse", ("maps",)),
-    "kernel-metric": ("kernel_metric_collapse", MAPS),
-    "quotient": ("quotient_gammay", MAPS),
-    "quotient-leq": ("quotient_leq_true", MAPS),
+    "kernel-metric": ("kernel_metric_collapse", QUOTIENTS),
+    "quotient": ("quotient_gammay", QUOTIENTS),
+    "quotient-leq": ("quotient_leq_true", QUOTIENTS),
     "corelation check": ("corelation_check_single", CORELATIONS),
     "corelation effective": ("corelation_effective_equiva", CORELATIONS),
     "corelation from-subset": ("corelation_from_subset_a", CORELATIONS),
@@ -93,9 +93,8 @@ def test_a_command_imports_only_what_it_runs(words):
 
 # The space X and, beside it, one object whose entry cannot be built,
 # with the error line that refuses the document.
-_X = {"kind": "space", "name": "X", "points": ["a", "b"],
-      "dist": [["0", "1"], ["1", "0"]]}
 _D = [["0", "1"], ["1", "0"]]
+_X = {"kind": "space", "name": "X", "points": ["a", "b"], "dist": _D}
 UNBUILDABLE = [
     ({"kind": "map", "name": "m", "source": "X", "target": "nope",
       "assignment": ["a", "b"]},

@@ -1,14 +1,12 @@
-"""Exact arithmetic on the extended non-negative reals [0, inf].
+"""Values of [0, inf] in documents: the token grammar, Frozen, and the
+ExtValue read view.
 
-Values are exact rationals (via fractions.Fraction) or the single
-infinity element.  (min, +) makes this a commutative semiring with
-additive identity INF and multiplicative identity 0; + saturates at INF.
-fractions is imported only where an ExtValue is built: finmet itself
-computes on IntMatrix ints, so a CLI call need not pay for importing it.
-
-One token grammar reads and writes a value in a document: ratio reads a
-token to (numerator, denominator) and token writes x / den back, and
-parse and ExtValue.token are thin wrappers over the two.
+finmet computes on IntMatrix ints (minplus), and a value from outside
+enters as a canonical token.  ratio reads a token to (numerator,
+denominator) and token writes x / den back.  ExtValue is what reading
+an entry of an IntMatrix gives (is_inf, frac, token()), with no
+arithmetic, and parse reads a token to one.  fractions is imported
+only where an ExtValue is built, so a CLI call need not import it.
 
 Frozen, the immutable base of every finmet value and record, lives here
 at the bottom of the import graph.
@@ -66,9 +64,9 @@ class Frozen:
             "%s=%r" % (name, getattr(self, name)) for name in self._fields))
 
 
-@functools.total_ordering
 class ExtValue(Frozen):
-    """A point of [0, inf]: a non-negative rational in lowest terms, or INF."""
+    """A point of [0, inf] as read from an IntMatrix: a non-negative
+    rational in lowest terms, or INF."""
 
     __slots__ = ("_frac",)
 
@@ -97,22 +95,6 @@ class ExtValue(Frozen):
             raise ValueError("infinite value has no finite part")
         return self._frac
 
-    def __lt__(self, other):
-        if not isinstance(other, ExtValue):
-            return NotImplemented
-        if self._frac is None:
-            return False
-        if other._frac is None:
-            return True
-        return self._frac < other._frac
-
-    def __add__(self, other):
-        if not isinstance(other, ExtValue):
-            return NotImplemented
-        if self._frac is None or other._frac is None:
-            return INF
-        return ExtValue(self._frac + other._frac)
-
     def __repr__(self):
         return "ExtValue(%r)" % self.token()
 
@@ -125,13 +107,6 @@ class ExtValue(Frozen):
 
 
 INF = ExtValue(None)
-
-
-def fin(numerator, denominator=1):
-    """The finite value numerator/denominator as an ExtValue."""
-    from fractions import Fraction
-
-    return ExtValue(Fraction(numerator, denominator))
 
 
 _TOKEN = re.compile(r"(0|[1-9][0-9]*)(?:/([1-9][0-9]*))?")

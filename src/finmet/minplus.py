@@ -2,13 +2,13 @@
 
 An IntMatrix holds its entries as plain ints over one common
 denominator, with math.inf for INF; it is how every space, submetric,
-block and cost matrix stores its distances, and finmet reads and
-reports them as those ints (rows, and token for a report).  Indexing
-or iterating a matrix builds ExtValue rows on each read, for callers
-only.  Nested ExtValue literals become an IntMatrix only through the
-classmethod of, which the record constructors call; the workspace
-loader reads tokens straight to ints.  The kernels take IntMatrix
-operands.
+block and cost matrix stores its distances, and the only matrix form a
+record accepts.  finmet reads and reports them as those ints (rows, and
+token for a report).  Values from outside enter as rows of canonical
+tokens, through the classmethod from_tokens, which the workspace
+loader calls; finmet's own code builds IntMatrix(den, rows) directly.
+Indexing or iterating a matrix builds ExtValue rows on each read, for
+callers only.  The kernels take IntMatrix operands.
 
 One product kernel serves square and rectangular operands alike; the
 pushout formula builds its mixed blocks from it, and the idempotence
@@ -41,7 +41,7 @@ from __future__ import annotations
 from itertools import chain, compress, count
 from math import gcd, inf, lcm
 
-from .extarith import INF, Frozen, fin, token
+from .extarith import INF, ExtValue, Frozen, ratio, token
 
 
 class IntMatrix(Frozen):
@@ -52,6 +52,8 @@ class IntMatrix(Frozen):
     the same entries have the same (den, rows), and == and hash compare
     exactly that: an IntMatrix equals only an IntMatrix.  len() counts
     the rows; indexing and iteration build ExtValue rows on each read.
+    finmet builds IntMatrix(den, rows) from its own ints; values from
+    outside enter through from_tokens, which checks each token.
     """
 
     __slots__ = ("den", "rows")
@@ -73,21 +75,24 @@ class IntMatrix(Frozen):
         set_(self, "rows", rows)
 
     @classmethod
-    def of(cls, matrix):
-        """matrix itself if it is an IntMatrix, else the IntMatrix of a
-        nested sequence of ExtValue; TypeError for any other entry."""
-        if isinstance(matrix, cls):
-            return matrix
-        try:
-            # _frac is the Fraction, or None for INF.
-            fracs = [[v._frac for v in row] for row in matrix]
-        except AttributeError:
-            raise TypeError("matrix entries must be ExtValue") from None
-        den = lcm(*{f.denominator for row in fracs for f in row
-                    if f is not None})
-        return cls(den, [[inf if f is None
-                          else f.numerator * (den // f.denominator)
-                          for f in row] for row in fracs])
+    def from_tokens(cls, rows):
+        """The IntMatrix of rows of canonical tokens (extarith.ratio),
+        over the lcm of their denominators; a ValueError naming the
+        first bad token in row-major order.
+
+        Each distinct token is read once, in the order of first
+        occurrence."""
+        tokens = list(chain.from_iterable(rows))
+        if not set(map(type, tokens)) <= {str}:
+            # A list or object cannot key a dict; reading in order stops at
+            # the first bad token, at the latest at the first non-string.
+            for tok in tokens:
+                ratio(tok)
+        ratios = {tok: ratio(tok) for tok in dict.fromkeys(tokens)}
+        den = lcm(*[r[1] for r in ratios.values() if r is not None])
+        ints = {tok: inf if r is None else r[0] * (den // r[1])
+                for tok, r in ratios.items()}.__getitem__
+        return cls(den, [tuple(map(ints, row)) for row in rows])
 
     def scaled(self, factor):
         """The rows as read-only tuples, each finite entry times factor;
@@ -103,9 +108,6 @@ class IntMatrix(Frozen):
         return IntMatrix(self.den, [[rows[i][j] for j in col_idx]
                                     for i in row_idx])
 
-    def is_square(self, n):
-        return len(self.rows) == n and all(len(row) == n for row in self.rows)
-
     def token(self, i, j):
         """The canonical token of entry (i, j)."""
         return token(self.rows[i][j], self.den)
@@ -113,8 +115,10 @@ class IntMatrix(Frozen):
     def _ext_rows(self, rows):
         """rows, some of this matrix's, as tuples of ExtValue; each
         distinct int is converted once."""
+        from fractions import Fraction
+
         den = self.den
-        value = {x: INF if x == inf else fin(x, den)
+        value = {x: INF if x == inf else ExtValue(Fraction(x, den))
                  for x in set(chain.from_iterable(rows))}.__getitem__
         return [tuple(map(value, row)) for row in rows]
 

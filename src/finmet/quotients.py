@@ -10,15 +10,14 @@ from operator import gt
 
 from .maps import expansive_violations, is_surjective, pulled_metric
 from .minplus import pointwise
-from .spaces import (FinMap, Submetric, Violation, is_separated,
-                     metric_violations, quotient_by_zero_classes,
-                     raise_first_violation)
+from .spaces import (FinMap, Submetric, Violation, check_square,
+                     is_separated, metric_violations,
+                     quotient_by_zero_classes, raise_first_violation)
 
 
 def validate_submetric(base, gamma):
     """Metric-axiom and below-d violations of the IntMatrix gamma on base."""
-    if not gamma.is_square(base.n):
-        raise ValueError("submetric matrix shape does not match base")
+    check_square(gamma, base.n, "submetric matrix", "base")
     labels = base.labels
     return metric_violations(labels, gamma) + [
         Violation("above-ambient", (labels[i], labels[j]),

@@ -12,7 +12,8 @@ The records a workspace document holds live here beside FinSpace, so
 that loading one needs no other construction module: FinMap,
 Submetric, BlockMetric and CostMatrix.  Each is importable from the
 module of its operations too (maps, quotients, corelations,
-idempotents), as the same class.
+idempotents), as the same class.  A record takes only IntMatrix
+matrices, which check_square checks.
 """
 
 from __future__ import annotations
@@ -42,18 +43,26 @@ def raise_first_violation(what, violations):
         raise ValueError("%s: %s" % (what, violations[0]))
 
 
+def check_square(matrix, n, what, over):
+    """A TypeError unless matrix is an IntMatrix, and a ValueError unless
+    it has n rows of n entries."""
+    if not isinstance(matrix, IntMatrix):
+        raise TypeError("%s must be an IntMatrix, not %s"
+                        % (what, type(matrix).__name__))
+    rows = matrix.rows
+    if len(rows) != n or any(len(row) != n for row in rows):
+        raise ValueError("%s shape does not match %s" % (what, over))
+
+
 def freeze_labelled_square(obj, labels, field, matrix, what):
-    """Set obj.labels to labels as a tuple and obj.<field> to matrix as
-    an IntMatrix, once the labels are unique and the matrix is square
-    over them.  Shared by every frozen labels-plus-square-matrix
-    class."""
+    """Set obj.labels to labels as a tuple and obj.<field> to matrix,
+    once the labels are unique and matrix is an IntMatrix square over
+    them.  Shared by every frozen labels-plus-square-matrix class."""
     labels = tuple(labels)
-    matrix = IntMatrix.of(matrix)
     n = len(labels)
     if len(set(labels)) != n:
         raise ValueError("duplicate point labels")
-    if not matrix.is_square(n):
-        raise ValueError("%s shape does not match label count" % what)
+    check_square(matrix, n, what, "label count")
     object.__setattr__(obj, "labels", labels)
     object.__setattr__(obj, field, matrix)
 
@@ -116,9 +125,7 @@ class Submetric(Frozen):
     __slots__ = ("base", "gamma")
 
     def __init__(self, base, gamma):
-        gamma = IntMatrix.of(gamma)
-        if not gamma.is_square(base.n):
-            raise ValueError("submetric matrix shape does not match base")
+        check_square(gamma, base.n, "submetric matrix", "base")
         set_ = object.__setattr__
         set_(self, "base", base)
         set_(self, "gamma", gamma)
@@ -137,9 +144,7 @@ class BlockMetric(Frozen):
         set_(self, "base", base)
         n = base.n
         for name, block in zip(self.__slots__[1:], (g00, g01, g10, g11)):
-            block = IntMatrix.of(block)
-            if not block.is_square(n):
-                raise ValueError("block %s shape does not match base" % name)
+            check_square(block, n, "block " + name, "base")
             set_(self, name, block)
 
     def block(self, i, j):
@@ -157,10 +162,8 @@ class BlockMetric(Frozen):
     def from_matrix(cls, base, full):
         """The block metric of a matrix on X + X (summand 0 first); the
         inverse of as_matrix."""
-        full = IntMatrix.of(full)
         n = base.n
-        if not full.is_square(2 * n):
-            raise ValueError("matrix shape does not match X + X")
+        check_square(full, 2 * n, "matrix", "X + X")
         halves = range(n), range(n, 2 * n)
         return cls(base, *(full.sub(rows, cols)
                            for rows in halves for cols in halves))

@@ -8,7 +8,8 @@ must meet.  Matrices are row-major lists of lists of value tokens
 related and 0 elsewhere; it loads as its cost matrix over {0, inf}.
 Serialization round-trips bit-exactly because tokens are canonical.
 Tokens are read straight to an IntMatrix's ints over one common
-denominator and written back from them (extarith.ratio and token).
+denominator (IntMatrix.from_tokens) and written back from them
+(extarith.token).
 
 The loader builds every object of the document, from the records in
 spaces, so an entry of the wrong shape is refused whichever object a
@@ -23,7 +24,7 @@ from __future__ import annotations
 import json
 from functools import partialmethod
 from itertools import chain
-from math import inf, lcm
+from math import inf
 
 from . import extarith
 from .minplus import IntMatrix
@@ -49,23 +50,9 @@ def _strings(entry, key):
 
 
 def _matrix(entry, key):
-    """The tokens as an IntMatrix over the lcm of their denominators.
-
-    Each distinct token is read once, in the order of first occurrence,
-    so an error names the first bad token in row-major order."""
-    rows = _list(entry, key, lambda row: isinstance(row, list),
-                 "a list of lists")
-    tokens = list(chain.from_iterable(rows))
-    if not set(map(type, tokens)) <= {str}:
-        # A list or object cannot key a dict; reading in order stops at
-        # the first bad token, at the latest at the first non-string.
-        for tok in tokens:
-            extarith.ratio(tok)
-    ratios = {tok: extarith.ratio(tok) for tok in dict.fromkeys(tokens)}
-    den = lcm(*[r[1] for r in ratios.values() if r is not None])
-    ints = {tok: inf if r is None else r[0] * (den // r[1])
-            for tok, r in ratios.items()}.__getitem__
-    return IntMatrix(den, [tuple(map(ints, row)) for row in rows])
+    """The tokens as an IntMatrix (IntMatrix.from_tokens)."""
+    return IntMatrix.from_tokens(_list(
+        entry, key, lambda row: isinstance(row, list), "a list of lists"))
 
 
 def _cells(entry, key):

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction as F
 
 import pytest
 
@@ -9,8 +10,8 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 from cli_cases import BAD_INPUT_CASES, CASES, TRIANGLE_X, WORKSPACE, run_case
 from finmet import cli, corelations
-from finmet.extarith import fin
 from finmet.workspace import dump_workspace, load_workspace, load_workspace_file
+from reference import token
 
 
 def test_exit_code_contract():
@@ -199,10 +200,10 @@ def test_pushout_oracle_flag_reports_agreement():
 # near 10**320.  X and B have different denominators, so a construction
 # on both puts each over a common one by a factor near 10**320, and the
 # factoring of R meets an INF beside BIG.
-_HUGE = {"H1": fin(3 ** 671, 2 ** 1063), "H2": fin(7 ** 379, 5 ** 458),
-         "BIG": fin(10 ** 320 + 1), "SMALL": fin(1, 10 ** 320 + 3)}
+_HUGE = {"H1": F(3 ** 671, 2 ** 1063), "H2": F(7 ** 379, 5 ** 458),
+         "BIG": F(10 ** 320 + 1), "SMALL": F(1, 10 ** 320 + 3)}
 _HUGE["H12"] = _HUGE["H1"] + _HUGE["H2"]
-_HUGE_TOKENS = {name: v.token() for name, v in _HUGE.items()}
+_HUGE_TOKENS = {name: token(v) for name, v in _HUGE.items()}
 _HUGE_DOC = {"objects": [
     {"kind": "space", "name": "A", "points": ["s"], "dist": [["0"]]},
     {"kind": "space", "name": "X", "points": ["p", "x"],

@@ -19,44 +19,21 @@ import contextlib
 import io
 import json
 import os
+import sys
 import tempfile
 from fractions import Fraction
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+
 from finmet import cli
 from finmet.workspace import dump_workspace, load_workspace
+from reference import add, closure, least, token, tokens
 
 GRID = (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2), None)
 LABELS = ("a", "b", "c")
-
-
-def token(v):
-    return "inf" if v is None else str(v)
-
-
-def add(u, v):
-    return None if u is None or v is None else u + v
-
-
-def least(u, v):
-    return v if u is None else u if v is None else min(u, v)
-
-
-def closure(m):
-    """The least matrix below m that satisfies the triangle inequality."""
-    m = [list(row) for row in m]
-    n = len(m)
-    for k in range(n):
-        for i in range(n):
-            for j in range(n):
-                m[i][j] = least(m[i][j], add(m[i][k], m[k][j]))
-    return m
-
-
-def tokens(m):
-    return [[token(v) for v in row] for row in m]
 
 
 @st.composite

@@ -1,17 +1,26 @@
+"""The token grammar and the ExtValue read view, and the Fraction
+reference arithmetic that the tests' reference loops use in place of
+arithmetic on values."""
+
+import os
 import random
-from fractions import Fraction
+import sys
+from fractions import Fraction as F
 
 import pytest
 
-from finmet.extarith import INF, ExtValue, fin, parse
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+
+from finmet.extarith import INF, ExtValue, parse
+from reference import add, le, least
 
 
 def test_token_round_trip_basics():
     assert parse("inf") == INF
-    assert parse("0") == fin(0)
-    assert parse("3/2") == fin(3, 2)
-    assert fin(3, 2).token() == "3/2"
-    assert fin(4, 2).token() == "2"
+    assert parse("0") == ExtValue(0)
+    assert parse("3/2") == ExtValue(F(3, 2))
+    assert ExtValue(F(3, 2)).token() == "3/2"
+    assert ExtValue(F(4, 2)).token() == "2"
     assert INF.token() == "inf"
 
 
@@ -21,13 +30,15 @@ def test_token_round_trip_random():
         if rng.random() < 0.1:
             v = INF
         else:
-            v = fin(rng.randrange(0, 1000), rng.randrange(1, 60))
+            v = ExtValue(F(rng.randrange(0, 1000), rng.randrange(1, 60)))
         assert parse(v.token()) == v
 
 
 def test_negative_rejected():
     with pytest.raises(ValueError):
-        fin(-1)
+        ExtValue(-1)
+    with pytest.raises(ValueError):
+        ExtValue(F(-1, 2))
     with pytest.raises(ValueError):
         parse("-1/2")
 
@@ -50,49 +61,62 @@ def test_non_rational_value_rejected():
         ExtValue(0.1)
     with pytest.raises(TypeError):
         ExtValue("1")
-    assert ExtValue(3) == fin(3)
+    assert ExtValue(3) == ExtValue(F(3))
 
 
 def test_inf_absorbs_addition():
-    assert INF + fin(3) == INF
-    assert fin(3) + INF == INF
-    assert INF + INF == INF
+    assert add(None, 3) is None
+    assert add(3, None) is None
+    assert add(None, None) is None
 
 
 def test_order_total_with_top():
-    vals = [fin(0), fin(1, 3), fin(1, 2), fin(1), fin(7, 2), INF]
+    vals = [0, F(1, 3), F(1, 2), 1, F(7, 2), None]
     for i, a in enumerate(vals):
         for j, b in enumerate(vals):
-            assert (a <= b) == (i <= j)
-            assert (a < b) == (i < j)
+            assert le(a, b) == (i <= j)
+            assert (not le(b, a)) == (i < j)
 
 
 def test_min_and_empty_min():
-    assert min(fin(2), fin(3)) == fin(2)
-    assert min(INF, fin(3)) == fin(3)
+    assert least(2, 3) == 2
+    assert least(None, 3) == 3
+    assert least(3, None) == 3
+    assert least(None, None) is None
 
 
 def test_exactness_no_drift():
     # 1/3 summed three times is exactly 1, not approximately
-    third = fin(1, 3)
-    assert third + third + third == fin(1)
-    assert (third + third + third)._frac == Fraction(1)
+    third = F(1, 3)
+    assert add(add(third, third), third) == 1
+    assert type(add(add(third, third), third)) is F
 
 
 def test_semiring_laws_sampled():
     rng = random.Random(23)
-    pool = [INF] + [fin(rng.randrange(0, 20), rng.randrange(1, 7))
-                    for _ in range(30)]
+    pool = [None] + [F(rng.randrange(0, 20), rng.randrange(1, 7))
+                     for _ in range(30)]
     for _ in range(800):
         a, b, c = (rng.choice(pool) for _ in range(3))
-        assert min(a, b) == min(b, a)
-        assert min(a, min(b, c)) == min(min(a, b), c)
-        assert a + min(b, c) == min(a + b, a + c)
-        assert min(a, INF) == a
-        assert a + fin(0) == a
+        assert least(a, b) == least(b, a)
+        assert least(a, least(b, c)) == least(least(a, b), c)
+        assert add(a, least(b, c)) == least(add(a, b), add(a, c))
+        assert least(a, None) == a
+        assert add(a, 0) == a
+
+
+def test_value_view_has_no_arithmetic():
+    """ExtValue is what reading a matrix entry gives; it neither adds
+    nor orders."""
+    with pytest.raises(TypeError):
+        ExtValue(1) + ExtValue(2)
+    with pytest.raises(TypeError):
+        ExtValue(1) < ExtValue(2)
+    with pytest.raises(TypeError):
+        min(INF, ExtValue(3))
 
 
 def test_is_inf_flag():
     assert INF.is_inf
-    assert not fin(5).is_inf
+    assert not ExtValue(5).is_inf
     assert isinstance(parse("7"), ExtValue)

@@ -1,16 +1,21 @@
 import hashlib
+import os
 import random
+import sys
 
 import pytest
 
-from finmet.extarith import fin
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+
 from finmet.harness import (_GRID, MEDIATOR_CAP, GenConfig, brute_iso_check,
                             enumerate_mediators, gen_metric,
                             gen_nonexpansive_map, gen_submetric,
                             gen_surjection, sample_cost_below)
 from finmet.maps import is_nonexpansive, is_surjective
+from finmet.minplus import IntMatrix
 from finmet.quotients import validate_submetric
 from finmet.spaces import FinSpace, is_separated, validate_metric
+from reference import fracs, le, matrix
 
 
 def test_gen_metric_deterministic():
@@ -37,11 +42,11 @@ def test_sample_cost_below_stays_below():
     rng = random.Random(1)
     for seed in range(50):
         sp = gen_metric(GenConfig(seed=seed, max_points=5))
-        cost = sample_cost_below(sp, rng)
+        cost, d = fracs(sample_cost_below(sp, rng)), fracs(sp.dist)
         for i in range(sp.n):
             for j in range(sp.n):
-                assert cost[i][j] <= sp.dist[i][j]
-            assert cost[i][i] == fin(0)
+                assert le(cost[i][j], d[i][j])
+            assert cost[i][i] == 0
 
 
 def test_gen_submetric_valid():
@@ -74,8 +79,9 @@ def test_gen_nonexpansive_map_total_on_nonempty_target():
 def test_enumerate_mediators_cap():
     assert 6 ** 6 > MEDIATOR_CAP
     labels = tuple("p%d" % i for i in range(6))
-    big = FinSpace(labels, [[fin(0) if i == j else fin(1) for j in range(6)]
-                            for i in range(6)])
+    big = FinSpace(labels, IntMatrix(1, [[0 if i == j else 1
+                                          for j in range(6)]
+                                         for i in range(6)]))
     with pytest.raises(ValueError, match="exceeds cap"):
         enumerate_mediators(big, big)
 
@@ -84,18 +90,17 @@ def test_brute_iso_check_relabelling():
     sp = gen_metric(GenConfig(seed=9, max_points=4))
     shuffled_labels = tuple(reversed(sp.labels))
     perm = [sp.index(lab) for lab in shuffled_labels]
-    dist = tuple(tuple(sp.dist[i][j] for j in perm) for i in perm)
-    other = FinSpace(shuffled_labels, dist)
+    other = FinSpace(shuffled_labels, sp.dist.sub(perm, perm))
     assert brute_iso_check(sp, other)
     # changing one distance breaks the isomorphism
-    if sp.n >= 2 and sp.dist[0][1] != fin(99):
-        rows = [list(r) for r in sp.dist]
-        rows[0][1] = fin(99)
-        assert not brute_iso_check(FinSpace(sp.labels, rows), sp)
+    rows = fracs(sp.dist)
+    if sp.n >= 2 and rows[0][1] != 99:
+        rows[0][1] = 99
+        assert not brute_iso_check(FinSpace(sp.labels, matrix(rows)), sp)
 
 
 def test_grid_contains_anchor_values():
-    assert fin(0) in _GRID[0] and fin(1) in _GRID[0]
+    assert 0 in fracs(_GRID)[0] and 1 in fracs(_GRID)[0]
 
 
 # _draws_digest() as the generators gave it when they drew ExtValue

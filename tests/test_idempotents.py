@@ -2,8 +2,8 @@ import itertools
 import os
 import random
 import sys
+from fractions import Fraction as F
 from math import inf
-from operator import add
 
 import pytest
 from hypothesis import example, given, settings
@@ -11,34 +11,33 @@ from hypothesis import strategies as st
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
-from finmet.extarith import INF, fin
 from finmet.idempotents import (CostMatrix, factor_through_zero_diagonal,
                                 is_idempotent, relation_density_witness)
 from finmet.idempotents import FactorReport
 from finmet.minplus import (IntMatrix, equals_own_square, minplus_closure,
                             minplus_matmul)
-from test_minplus import (HUGE_A, HUGE_B, SMALL, TINY, reference_closure,
-                          reference_product, values)
+from reference import add, closure, fracs, matrix, product
+from test_minplus import HUGE_A, HUGE_B, SMALL, TINY, values
 
 
 def closed_matrix(rng, n, grid=None):
-    grid = grid or [fin(0), fin(1, 2), fin(1), fin(2), INF]
-    cost = [[fin(0) if i == j else rng.choice(grid) for j in range(n)]
+    grid = grid or [F(0), F(1, 2), F(1), F(2), None]
+    cost = [[F(0) if i == j else rng.choice(grid) for j in range(n)]
             for i in range(n)]
     return CostMatrix(tuple("p%d" % i for i in range(n)),
-                      minplus_closure(IntMatrix.of(cost)))
+                      minplus_closure(matrix(cost)))
 
 
 def test_square_pinned():
-    cm = CostMatrix(("x", "y"), ((fin(1), fin(2)), (fin(0), INF)))
+    cm = CostMatrix(("x", "y"), IntMatrix(1, [[1, 2], [0, inf]]))
     sq = minplus_matmul(cm.rho, cm.rho)
     # (x,x): min(1+1, 2+0) = 2; (y,y): min(0+2, inf+inf) = 2
-    assert sq == IntMatrix.of(((fin(2), fin(3)), (fin(1), fin(2))))
+    assert sq == IntMatrix(1, [[2, 3], [1, 2]])
 
 
 def test_empty_matrix_is_its_own_square():
-    cm = CostMatrix((), ())
-    assert minplus_matmul(cm.rho, cm.rho) == cm.rho == IntMatrix.of(())
+    cm = CostMatrix((), IntMatrix(1, []))
+    assert minplus_matmul(cm.rho, cm.rho) == cm.rho == IntMatrix(1, [])
     assert is_idempotent(cm)
     report = factor_through_zero_diagonal(cm)
     assert report == FactorReport(zero_diagonal=(), witnesses={}, failures=())
@@ -53,7 +52,7 @@ def test_closures_are_idempotent():
 
 
 def test_factor_requires_idempotent():
-    cm = CostMatrix(("x", "y"), ((fin(1), fin(2)), (fin(0), INF)))
+    cm = CostMatrix(("x", "y"), IntMatrix(1, [[1, 2], [0, inf]]))
     assert not is_idempotent(cm)
     with pytest.raises(ValueError):
         factor_through_zero_diagonal(cm)
@@ -70,16 +69,14 @@ def test_factor_witnesses_attain_the_value():
             if a is None:
                 continue
             i, j, k = idx[x], idx[y], idx[a]
-            assert cm.rho[k][k] == fin(0)
-            assert cm.rho[i][k] + cm.rho[k][j] == cm.rho[i][j]
+            rho = fracs(cm.rho)
+            assert rho[k][k] == 0
+            assert add(rho[i][k], rho[k][j]) == rho[i][j]
 
 
 def test_factor_with_nonzero_diagonal_point():
     # an idempotent matrix with an infinitely self-distant point
-    rho = (
-        (fin(0), fin(1), INF),
-        (fin(1), fin(0), INF),
-        (INF, INF, INF))
+    rho = IntMatrix(1, [[0, 1, inf], [1, 0, inf], [inf, inf, inf]])
     cm = CostMatrix(("x", "y", "z"), rho)
     assert is_idempotent(cm)
     report = factor_through_zero_diagonal(cm)
@@ -90,10 +87,7 @@ def test_factor_with_nonzero_diagonal_point():
 
 
 def test_least_index_tie_break():
-    rho = (
-        (fin(0), fin(0), fin(1)),
-        (fin(0), fin(0), fin(1)),
-        (fin(1), fin(1), fin(0)))
+    rho = IntMatrix(1, [[0, 0, 1], [0, 0, 1], [1, 1, 0]])
     cm = CostMatrix(("x", "y", "z"), rho)
     report = factor_through_zero_diagonal(cm)
     # both x and y attain the routed value; the least index wins
@@ -102,13 +96,13 @@ def test_least_index_tie_break():
 
 
 def test_exhaustive_small_idempotents_factor():
-    grid = (fin(0), fin(1), INF)
+    grid = (F(0), F(1), None)
     for n in (1, 2):
         labels = tuple("p%d" % i for i in range(n))
         for cells in itertools.product(grid, repeat=n * n):
             rho = tuple(tuple(cells[i * n + j] for j in range(n))
                         for i in range(n))
-            cm = CostMatrix(labels, rho)
+            cm = CostMatrix(labels, matrix(rho))
             if not is_idempotent(cm):
                 continue
             assert factor_through_zero_diagonal(cm).ok, rho
@@ -126,7 +120,8 @@ def reference_bool_compose(rel_a, rel_b):
 def as_relation(rel):
     """The {0, INF} cost matrix of a boolean relation on p0, p1, ..."""
     return CostMatrix(tuple("p%d" % i for i in range(len(rel))),
-                      [[fin(0) if c else INF for c in row] for row in rel])
+                      IntMatrix(1, [[0 if c else inf for c in row]
+                                    for row in rel]))
 
 
 def test_relation_witness_exhaustive_small():
@@ -206,21 +201,21 @@ def test_relation_witness_matches_any_loop(rel, i, j):
         assert relation_density_witness(r, x, y) == r.labels[k]
 
 
-# -- the integer idempotent checks against the ExtValue loops ---------------
+# -- the integer idempotent checks against the reference loops --------------
 
 def reference_factor(labels, rho):
     n = len(labels)
-    a_idx = [i for i in range(n) if rho[i][i] == fin(0)]
+    a_idx = [i for i in range(n) if rho[i][i] == F(0)]
     witnesses = {}
     failures = []
     for x in range(n):
         for y in range(n):
             pair = (labels[x], labels[y])
-            if rho[x][y].is_inf:
+            if rho[x][y] is None:
                 witnesses[pair] = None
                 continue
             for a in a_idx:
-                if rho[x][a] + rho[a][y] == rho[x][y]:
+                if add(rho[x][a], rho[a][y]) == rho[x][y]:
                     witnesses[pair] = labels[a]
                     break
             else:
@@ -235,28 +230,28 @@ def routed_costs(draw):
     idempotent, with a zero diagonal at least on T.  Sometimes one entry
     is raised afterwards, which usually breaks idempotence."""
     n = draw(st.integers(1, 5))
-    cost = draw(st.lists(st.lists(st.just(fin(0)) | values, min_size=n,
+    cost = draw(st.lists(st.lists(st.just(F(0)) | values, min_size=n,
                                   max_size=n), min_size=n, max_size=n))
-    x = reference_closure([[fin(0) if i == j else v for j, v in enumerate(row)]
+    x = closure([[F(0) if i == j else v for j, v in enumerate(row)]
                            for i, row in enumerate(cost)])
     t = draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True))
-    rho = [list(row) for row in reference_product(
+    rho = [list(row) for row in product(
         [[row[a] for a in t] for row in x],
         [[x[a][y] for a in t] for y in range(n)])]
     if draw(st.booleans()):
         i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
-        rho[i][j] = rho[i][j] + draw(values)
+        rho[i][j] = add(rho[i][j], draw(values))
     return rho
 
 
 @settings(deadline=None)
 @given(routed_costs())
-@example([[fin(0), TINY], [INF, SMALL]])
-@example([[fin(0), TINY], [SMALL, SMALL + TINY]])
+@example([[F(0), TINY], [None, SMALL]])
+@example([[F(0), TINY], [SMALL, SMALL + TINY]])
 def test_factor_matches_extvalue_loop(rho):
     labels = tuple("p%d" % i for i in range(len(rho)))
-    cm = CostMatrix(labels, rho)
-    idempotent = reference_product(rho, tuple(zip(*rho))) == tuple(
+    cm = CostMatrix(labels, matrix(rho))
+    idempotent = product(rho, tuple(zip(*rho))) == tuple(
         tuple(row) for row in rho)
     assert is_idempotent(cm) == idempotent
     if not idempotent:
@@ -270,16 +265,16 @@ def test_factor_matches_extvalue_loop(rho):
 
 @st.composite
 def cost_matrices(draw):
-    """A square cost matrix, up to 4 points, over values, fin(0) and
+    """A square cost matrix, up to 4 points, over values, 0 and
     entries whose ints over a common denominator are beyond float range.
     Half the time it is closed with a zero diagonal, which makes it
     idempotent."""
     n = draw(st.integers(0, 4))
-    entry = values | st.just(fin(0)) | st.sampled_from(HUGE_A + HUGE_B)
+    entry = values | st.just(F(0)) | st.sampled_from(HUGE_A + HUGE_B)
     rho = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
                         min_size=n, max_size=n))
     if draw(st.booleans()):
-        rho = reference_closure([[fin(0) if i == j else v
+        rho = closure([[F(0) if i == j else v
                                   for j, v in enumerate(row)]
                                  for i, row in enumerate(rho)])
     return rho
@@ -288,15 +283,15 @@ def cost_matrices(draw):
 @settings(deadline=None)
 @given(cost_matrices())
 @example([])
-@example([[INF]])
-@example([[fin(0), INF], [fin(1, 3), fin(0)]])
-@example([[fin(0), HUGE_A[1]], [INF, fin(0)]])
-@example([[fin(0), HUGE_A[0]], [HUGE_B[0], fin(0)]])
+@example([[None]])
+@example([[F(0), None], [F(1, 3), F(0)]])
+@example([[F(0), HUGE_A[1]], [None, F(0)]])
+@example([[F(0), HUGE_A[0]], [HUGE_B[0], F(0)]])
 # The square differs from the matrix in its last row only: (1, 1) is
 # min(1/3 + 1/3, 1/3 + 1/3) = 2/3.
-@example([[fin(0), fin(1, 3)], [fin(1, 3), fin(1, 3)]])
+@example([[F(0), F(1, 3)], [F(1, 3), F(1, 3)]])
 def test_is_idempotent_matches_the_product(rho):
-    m = IntMatrix.of(rho)
+    m = matrix(rho)
     cm = CostMatrix(tuple("p%d" % i for i in range(len(rho))), m)
     assert is_idempotent(cm) == (minplus_matmul(m, m) == m)
 
@@ -305,27 +300,27 @@ def test_is_idempotent_matches_the_product(rho):
 
 @st.composite
 def partial_zero_diagonals(draw):
-    """A square matrix, up to 5 points, over values, fin(0) and entries
+    """A square matrix, up to 5 points, over values, 0 and entries
     beyond float range, whose diagonal is often zero in part only: either
     min over a in T of X(x, a) + X(a, y) for a closed zero-diagonal X,
     zero on T and mostly positive elsewhere, or a random matrix squared
     until it is stable, at most six times.  Half the time one entry is
     then redrawn, which usually breaks idempotence."""
     n = draw(st.integers(1, 5))
-    entry = values | st.just(fin(0)) | st.sampled_from(HUGE_A + HUGE_B)
+    entry = values | st.just(F(0)) | st.sampled_from(HUGE_A + HUGE_B)
     cost = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
                          min_size=n, max_size=n))
     if draw(st.booleans()):
-        x = reference_closure([[fin(0) if i == j else v
+        x = closure([[F(0) if i == j else v
                                 for j, v in enumerate(row)]
                                for i, row in enumerate(cost)])
         t = draw(st.lists(st.integers(0, n - 1), unique=True))
-        rho = reference_product([[row[a] for a in t] for row in x],
+        rho = product([[row[a] for a in t] for row in x],
                                 [[x[a][y] for a in t] for y in range(n)])
     else:
         rho = tuple(map(tuple, cost))
         for _ in range(6):
-            square = reference_product(rho, tuple(zip(*rho)))
+            square = product(rho, tuple(zip(*rho)))
             if square == rho:
                 break
             rho = square
@@ -333,7 +328,7 @@ def partial_zero_diagonals(draw):
     if draw(st.booleans()):
         # Half of these land between two zero-diagonal points, where only
         # a route outside them can show that the entry is too high.
-        zero = [z for z in range(n) if rho[z][z] == fin(0)]
+        zero = [z for z in range(n) if rho[z][z] == F(0)]
         ends = st.integers(0, n - 1)
         if zero and draw(st.booleans()):
             ends = st.sampled_from(zero)
@@ -346,18 +341,18 @@ def partial_zero_diagonals(draw):
 @given(partial_zero_diagonals())
 # Z = {0}: every entry routes through point 0, and point 1's own loop
 # costs 1 + 1 = 2 by way of 0 and itself.
-@example([[fin(0), fin(1)], [fin(1), fin(2)]])
-@example([[fin(0), HUGE_A[0], INF], [HUGE_B[1], HUGE_A[0] + HUGE_B[1], INF],
-          [INF, INF, INF]])
-@example([[INF, INF], [INF, INF]])
+@example([[F(0), F(1)], [F(1), F(2)]])
+@example([[F(0), HUGE_A[0], None], [HUGE_B[1], HUGE_A[0] + HUGE_B[1], None],
+          [None, None, None]])
+@example([[None, None], [None, None]])
 # Z = {0, 2}: the square is 2v at (2, 0), routed through point 1 only.
-@example([[fin(0), fin(0), fin(0)], [fin(1), fin(1), fin(0)],
-          [INF, fin(1), fin(0)]])
-@example([[fin(0), fin(0), fin(0)], [HUGE_A[1], HUGE_A[1], fin(0)],
-          [INF, HUGE_A[1], fin(0)]])
+@example([[F(0), F(0), F(0)], [F(1), F(1), F(0)],
+          [None, F(1), F(0)]])
+@example([[F(0), F(0), F(0)], [HUGE_A[1], HUGE_A[1], F(0)],
+          [None, HUGE_A[1], F(0)]])
 def test_equals_own_square_matches_the_full_square(rho):
-    square = reference_product(rho, tuple(zip(*rho)))
-    assert equals_own_square(IntMatrix.of(rho)) == (
+    square = product(rho, tuple(zip(*rho)))
+    assert equals_own_square(matrix(rho)) == (
         square == tuple(map(tuple, rho)))
 
 
@@ -365,15 +360,15 @@ def test_the_triangle_clause_outside_the_zero_diagonal_is_needed():
     """Z = {0, 2} and m = m[:, Z] * m[Z, :], yet m is not idempotent:
     its square is 2 at (2, 0), through point 1, outside Z, where m is
     INF.  So the first clause alone does not decide."""
-    rho = ((fin(0), fin(0), fin(0)), (fin(1), fin(1), fin(0)),
-           (INF, fin(1), fin(0)))
-    zero = [z for z in range(3) if rho[z][z] == fin(0)]
+    rho = ((F(0), F(0), F(0)), (F(1), F(1), F(0)),
+           (None, F(1), F(0)))
+    zero = [z for z in range(3) if rho[z][z] == F(0)]
     assert zero == [0, 2]
-    assert reference_product([[row[z] for z in zero] for row in rho],
+    assert product([[row[z] for z in zero] for row in rho],
                              [[rho[z][j] for z in zero]
                               for j in range(3)]) == rho
-    assert reference_product(rho, tuple(zip(*rho)))[2][0] == fin(2)
-    assert not equals_own_square(IntMatrix.of(rho))
+    assert product(rho, tuple(zip(*rho)))[2][0] == F(2)
+    assert not equals_own_square(matrix(rho))
 
 
 def test_equals_own_square_on_every_matrix_over_a_small_grid():
@@ -388,7 +383,7 @@ def test_equals_own_square_on_every_matrix_over_a_small_grid():
         for cells in itertools.product(grid, repeat=n * n):
             rows = tuple(cells[i * n:(i + 1) * n] for i in range(n))
             cols = tuple(zip(*rows))
-            verdict = all(min(map(add, row, col)) == x
+            verdict = all(min(u + v for u, v in zip(row, col)) == x
                           for row in rows for col, x in zip(cols, row))
             assert equals_own_square(IntMatrix(1, rows)) == verdict, rows
             count += verdict

@@ -2,6 +2,7 @@ import itertools
 import os
 import random
 import sys
+from fractions import Fraction as F
 
 import pytest
 from hypothesis import example, given, settings
@@ -9,7 +10,6 @@ from hypothesis import strategies as st
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
-from finmet.extarith import INF, fin
 from finmet.harness import (GenConfig, enumerate_mediators, gen_metric,
                             gen_nonexpansive_map)
 from finmet.limits import (Square, coproduct, copair, equalizer,
@@ -18,21 +18,18 @@ from finmet.limits import (Square, coproduct, copair, equalizer,
 from finmet.maps import FinMap, compose, identity, is_embedding, is_nonexpansive
 from finmet.minplus import IntMatrix
 from finmet.spaces import FinSpace, is_separated, validate_metric
+from reference import le, matrix, two_point
 from test_minplus import SMALL, TINY, square
 
 
-def two_point(v=fin(1)):
-    return FinSpace(("a", "b"), ((fin(0), v), (v, fin(0))))
-
-
 def test_product_sup_metric_pinned():
-    m1 = two_point(fin(1))
-    m2 = two_point(fin(3))
+    m1 = two_point(1)
+    m2 = two_point(3)
     prod, p1, p2 = product(m1, m2)
     assert prod.n == 4
-    assert prod.d("(a,a)", "(b,b)") == fin(3)   # sup(1, 3)
-    assert prod.d("(a,a)", "(b,a)") == fin(1)   # sup(1, 0)
-    assert prod.d("(a,a)", "(a,b)") == fin(3)
+    assert prod.d("(a,a)", "(b,b)").frac == 3   # sup(1, 3)
+    assert prod.d("(a,a)", "(b,a)").frac == 1   # sup(1, 0)
+    assert prod.d("(a,a)", "(a,b)").frac == 3
     assert p1("(b,a)") == "b" and p2("(b,a)") == "a"
     assert validate_metric(prod) == []
 
@@ -60,11 +57,11 @@ def test_product_universal_property_brute():
 
 def test_coproduct_cross_inf():
     m1 = two_point()
-    m2 = FinSpace(("*",), ((fin(0),),))
+    m2 = FinSpace(("*",), IntMatrix(1, [[0]]))
     cop, j1, j2 = coproduct(m1, m2)
     assert cop.labels == ("0:a", "0:b", "1:*")
-    assert cop.d("0:a", "1:*") == INF and cop.d("1:*", "0:b") == INF
-    assert cop.d("0:a", "0:b") == fin(1)
+    assert cop.d("0:a", "1:*").is_inf and cop.d("1:*", "0:b").is_inf
+    assert cop.d("0:a", "0:b").frac == 1
     assert is_embedding(j1) and is_embedding(j2)
 
 
@@ -155,7 +152,7 @@ def test_pullback_square_recognized():
 def test_non_pullback_square_rejected():
     # apex too small: empty space over a cospan with a real pullback
     x2 = two_point()
-    empty = FinSpace((), ())
+    empty = FinSpace((), IntMatrix(1, []))
     f = identity(x2)
     sq = Square(left=FinMap(empty, x2, ()), top=FinMap(empty, x2, ()),
                 bottom=f, right=f)
@@ -175,8 +172,8 @@ def test_is_pullback_raises_on_noncommuting():
 # -- product labels ---------------------------------------------------------
 
 def test_product_labels_with_commas_stay_distinct():
-    x = FinSpace(("a,b", "a"), ((fin(0), fin(1)), (fin(1), fin(0))))
-    y = FinSpace(("c", "b,c"), ((fin(0), fin(2)), (fin(2), fin(0))))
+    x = FinSpace(("a,b", "a"), IntMatrix(1, [[0, 1], [1, 0]]))
+    y = FinSpace(("c", "b,c"), IntMatrix(1, [[0, 2], [2, 0]]))
     prod, p1, p2 = product(x, y)
     assert prod.labels == ('("a,b",c)', '("a,b","b,c")', "(a,c)",
                            '(a,"b,c")')
@@ -188,11 +185,11 @@ def test_product_labels_with_commas_stay_distinct():
 
 
 def test_pullback_square_over_labels_with_commas():
-    x = FinSpace(("a,b", "a", 'q"'), ((fin(0), fin(1), fin(2)),
-                                      (fin(1), fin(0), fin(1)),
-                                      (fin(2), fin(1), fin(0))))
-    y = FinSpace(("c", "b,c"), ((fin(0), fin(2)), (fin(2), fin(0))))
-    t = FinSpace((")",), ((fin(0),),))
+    x = FinSpace(("a,b", "a", 'q"'), IntMatrix(1, [[0, 1, 2],
+                                                   [1, 0, 1],
+                                                   [2, 1, 0]]))
+    y = FinSpace(("c", "b,c"), IntMatrix(1, [[0, 2], [2, 0]]))
+    t = FinSpace((")",), IntMatrix(1, [[0]]))
     f = FinMap(x, t, (")",) * 3)
     g = FinMap(y, t, (")",) * 2)
     sq = pullback(f, g)
@@ -231,47 +228,47 @@ def test_split_labels_reads_back_pair_labels(parts):
     assert split_labels(",".join(labels)) == (labels or [""])
 
 
-# -- the integer sup and block assembly against the ExtValue loops ----------
+# -- the integer sup and block assembly against the reference loops --------
 
 def labelled(dist, prefix):
     return FinSpace(tuple("%s%d" % (prefix, i) for i in range(len(dist))),
-                    dist)
+                    matrix(dist))
 
 
-def reference_product_dist(m1, m2):
-    pairs = [(i, j) for i in range(m1.n) for j in range(m2.n)]
+def reference_product_dist(d1, d2):
+    pairs = [(i, j) for i in range(len(d1)) for j in range(len(d2))]
 
     def sup(u, v):
-        return u if v <= u else v
+        return u if le(v, u) else v
 
-    return tuple(tuple(sup(m1.dist[i1][j1], m2.dist[i2][j2])
+    return tuple(tuple(sup(d1[i1][j1], d2[i2][j2])
                        for (j1, j2) in pairs) for (i1, i2) in pairs)
 
 
-def reference_coproduct_dist(m1, m2):
-    n1, n = m1.n, m1.n + m2.n
+def reference_coproduct_dist(d1, d2):
+    n1, n = len(d1), len(d1) + len(d2)
 
     def entry(i, j):
         if i < n1 and j < n1:
-            return m1.dist[i][j]
+            return d1[i][j]
         if i >= n1 and j >= n1:
-            return m2.dist[i - n1][j - n1]
-        return INF
+            return d2[i - n1][j - n1]
+        return None
 
     return tuple(tuple(entry(i, j) for j in range(n)) for i in range(n))
 
 
 @settings(deadline=None)
 @given(square, square)
-@example([[TINY, INF], [SMALL, fin(0)]], [[SMALL]])
-@example([], [[INF]])
+@example([[TINY, None], [SMALL, F(0)]], [[SMALL]])
+@example([], [[None]])
 def test_product_and_coproduct_match_extvalue_loops(d1, d2):
     m1, m2 = labelled(d1, "x"), labelled(d2, "y")
     prod, p1, p2 = product(m1, m2)
-    assert prod.dist == IntMatrix.of(reference_product_dist(m1, m2))
+    assert prod.dist == matrix(reference_product_dist(d1, d2))
     assert prod.labels == tuple("(%s,%s)" % (x, y) for x in m1.labels
                                 for y in m2.labels)
     assert [(p1(lab), p2(lab)) for lab in prod.labels] == [
         (x, y) for x in m1.labels for y in m2.labels]
     coprod, _, _ = coproduct(m1, m2)
-    assert coprod.dist == IntMatrix.of(reference_coproduct_dist(m1, m2))
+    assert coprod.dist == matrix(reference_coproduct_dist(d1, d2))

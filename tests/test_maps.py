@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 from finmet import maps as maps_module
-from finmet.extarith import INF, fin
 from finmet.harness import GenConfig, gen_metric, gen_nonexpansive_map
 from finmet.maps import (FinMap, check_nonexpansive, compose, factorize,
                          identity, is_embedding, is_injective, is_isomorphism,
@@ -17,18 +16,8 @@ from finmet.maps import (FinMap, check_nonexpansive, compose, factorize,
 from finmet.minplus import IntMatrix
 from finmet.quotients import quotient_leq
 from finmet.spaces import FinSpace, Violation
+from reference import fracs, le, matrix, three_chain, token, two_point
 from test_minplus import matrices
-
-
-def three_chain():
-    return FinSpace(("u", "v", "w"), (
-        (fin(0), fin(1), fin(2)),
-        (fin(1), fin(0), fin(1)),
-        (fin(2), fin(1), fin(0))))
-
-
-def two_point(v=fin(1)):
-    return FinSpace(("a", "b"), ((fin(0), v), (v, fin(0))))
 
 
 def test_assignment_validation():
@@ -50,8 +39,8 @@ def test_identity_and_compose():
 
 
 def test_nonexpansive_witnesses():
-    src = two_point(fin(1))
-    tgt = two_point(fin(2))
+    src = two_point(1)
+    tgt = two_point(2)
     f = FinMap(src, tgt, ("a", "b"))
     bad = check_nonexpansive(f)
     assert {v.points for v in bad} == {("a", "b"), ("b", "a")}
@@ -77,7 +66,7 @@ def test_subspace_keeps_target_order():
     sp = three_chain()
     sub, incl = subspace(sp, ("w", "u"))
     assert sub.labels == ("u", "w")
-    assert sub.d("u", "w") == fin(2)
+    assert sub.d("u", "w").frac == 2
     assert is_embedding(incl)
 
 
@@ -122,7 +111,7 @@ def test_predicates_build_no_violations(monkeypatch):
         raise AssertionError("a predicate built a Violation")
 
     monkeypatch.setattr(maps_module, "Violation", no_violations)
-    assert not is_nonexpansive(FinMap(two_point(fin(1)), two_point(fin(2)),
+    assert not is_nonexpansive(FinMap(two_point(1), two_point(2),
                                       ("a", "b")))
     # f glues u with v and g glues v with w: neither factors through
     # the other.
@@ -147,7 +136,7 @@ def test_map_predicates_build_no_pulled_matrix(monkeypatch):
                         counted("pulled_metric", maps_module.pulled_metric))
     monkeypatch.setattr(IntMatrix, "sub", counted("sub", IntMatrix.sub))
     sp, x2 = three_chain(), two_point()
-    stretch = FinMap(two_point(fin(1)), two_point(fin(2)), ("a", "b"))
+    stretch = FinMap(two_point(1), two_point(2), ("a", "b"))
     for f in (FinMap(sp, x2, ("a", "a", "b")), stretch, identity(sp)):
         check_nonexpansive(f)
         is_nonexpansive(f)
@@ -159,32 +148,34 @@ def test_map_predicates_build_no_pulled_matrix(monkeypatch):
 
 
 def test_factorize_requires_separation():
-    glued = FinSpace(("a", "b"), ((fin(0), fin(0)), (fin(0), fin(0))))
-    f = FinMap(glued, two_point(INF), ("a", "a"))
+    glued = FinSpace(("a", "b"), IntMatrix(1, [[0, 0], [0, 0]]))
+    f = FinMap(glued, two_point(None), ("a", "a"))
     with pytest.raises(ValueError):
         factorize(f)
 
 
-# -- the integer map checks against the ExtValue loops ----------------------
+# -- the integer map checks against the reference loops ---------------------
 
 def reference_check_nonexpansive(f):
     out = []
     src, tgt = f.source, f.target
+    d, e = fracs(src.dist), fracs(tgt.dist)
     idx = [tgt.index(lab) for lab in f.assignment]
     for i in range(src.n):
         for j in range(src.n):
-            if not tgt.dist[idx[i]][idx[j]] <= src.dist[i][j]:
+            if not le(e[idx[i]][idx[j]], d[i][j]):
                 out.append(Violation(
                     "expansive", (src.labels[i], src.labels[j]),
-                    "%s > %s" % (tgt.dist[idx[i]][idx[j]], src.dist[i][j])))
+                    "%s > %s" % (token(e[idx[i]][idx[j]]), token(d[i][j]))))
     return out
 
 
 def reference_is_embedding(f):
     src, tgt = f.source, f.target
+    d, e = fracs(src.dist), fracs(tgt.dist)
     idx = [tgt.index(lab) for lab in f.assignment]
     return len(set(idx)) == src.n and all(
-        src.dist[i][j] == tgt.dist[idx[i]][idx[j]]
+        d[i][j] == e[idx[i]][idx[j]]
         for i in range(src.n) for j in range(src.n))
 
 
@@ -193,15 +184,16 @@ def maps(draw):
     """A map between labelled matrices; half the time its source is the
     target restricted along an injection, so embeddings occur."""
     m = draw(st.integers(1, 5))
-    tgt = FinSpace(tuple("t%d" % k for k in range(m)), draw(matrices(m, m)))
+    tgt_dist = draw(matrices(m, m))
+    tgt = FinSpace(tuple("t%d" % k for k in range(m)), matrix(tgt_dist))
     if draw(st.booleans()):
         idx = draw(st.permutations(range(m)))[:draw(st.integers(0, m))]
-        dist = [[tgt.dist[i][j] for j in idx] for i in idx]
+        dist = [[tgt_dist[i][j] for j in idx] for i in idx]
     else:
         n = draw(st.integers(0, 4))
         idx = draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n))
         dist = draw(matrices(n, n))
-    src = FinSpace(tuple("s%d" % k for k in range(len(idx))), dist)
+    src = FinSpace(tuple("s%d" % k for k in range(len(idx))), matrix(dist))
     return FinMap(src, tgt, tuple(tgt.labels[k] for k in idx))
 
 
@@ -214,6 +206,6 @@ def test_map_checks_match_extvalue_loops(f):
     keep = set(f.assignment)
     sub, incl = subspace(f.target, keep)
     idx = [k for k, lab in enumerate(f.target.labels) if lab in keep]
-    assert sub.dist == IntMatrix.of(
-        tuple(tuple(f.target.dist[i][j] for j in idx) for i in idx))
+    e = fracs(f.target.dist)
+    assert sub.dist == matrix([[e[i][j] for j in idx] for i in idx])
     assert is_embedding(incl)

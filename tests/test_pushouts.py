@@ -1,7 +1,8 @@
-import math
 import os
 import random
 import sys
+from fractions import Fraction as F
+from math import inf
 from operator import gt
 
 import pytest
@@ -11,7 +12,6 @@ from hypothesis import strategies as st
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 from finmet import pushouts
-from finmet.extarith import INF, fin
 from finmet.harness import GenConfig, gen_metric, sample_cost_below
 from finmet.limits import coproduct, is_pullback_square
 from finmet.maps import (FinMap, compose, is_embedding, is_nonexpansive,
@@ -23,13 +23,14 @@ from finmet.quotients import Submetric, kernel_metric, quotient_by_submetric
 from finmet.selftest import (_corrupt_lower, _corrupt_merge,
                              _pushout_instance, _redirect)
 from finmet.spaces import FinSpace, is_separated, validate_metric
-from test_minplus import positive, reference_closure, separated_metric
+from reference import closure, fracs, least, matrix
+from test_minplus import positive, separated_metric
 
 
 def worked_instance():
-    a = FinSpace(("s",), ((fin(0),),))
-    x = FinSpace(("p", "x"), ((fin(0), fin(1)), (fin(1), fin(0))))
-    b = FinSpace(("q", "b"), ((fin(0), fin(2)), (fin(2), fin(0))))
+    a = FinSpace(("s",), IntMatrix(1, [[0]]))
+    x = FinSpace(("p", "x"), IntMatrix(1, [[0, 1], [1, 0]]))
+    b = FinSpace(("q", "b"), IntMatrix(1, [[0, 2], [2, 0]]))
     return FinMap(a, x, ("p",)), FinMap(a, b, ("q",))
 
 
@@ -50,7 +51,7 @@ def full_closure(m):
     for k, row_k in enumerate(d):
         for row_i in d:
             for j, dkj in enumerate(row_k):
-                if row_i[k] != math.inf and dkj != math.inf:
+                if row_i[k] != inf and dkj != inf:
                     row_i[j] = min(row_i[j], row_i[k] + dkj)
     return IntMatrix(m.den, d)
 
@@ -76,13 +77,13 @@ def test_worked_instance_pinned():
     result = pushout_along_embedding(i, f)
     g = result.gamma
     # glue point: q is identified with p, so they sit at distance 0
-    assert g.value("0:q", "1:p") == fin(0) and g.value("1:p", "0:q") == fin(0)
-    assert g.value("0:q", "1:x") == fin(1)
-    assert g.value("1:x", "0:b") == fin(3)   # x -> p=q -> b
+    assert g.value("0:q", "1:p").frac == 0 and g.value("1:p", "0:q").frac == 0
+    assert g.value("0:q", "1:x").frac == 1
+    assert g.value("1:x", "0:b").frac == 3   # x -> p=q -> b
     apex = result.apex
     assert apex.labels == ("[0:q]", "[0:b]", "[1:x]")
-    assert apex.d("[1:x]", "[0:b]") == fin(3)
-    assert apex.d("[0:q]", "[1:x]") == fin(1)
+    assert apex.d("[1:x]", "[0:b]").frac == 3
+    assert apex.d("[0:q]", "[1:x]").frac == 1
     assert result.square.commutes()
 
 
@@ -132,13 +133,13 @@ def test_oracle_never_calls_the_formulas_product(monkeypatch):
 
 
 def test_empty_glue_gives_coproduct():
-    x = FinSpace(("p",), ((fin(0),),))
-    b = FinSpace(("q",), ((fin(0),),))
-    empty = FinSpace((), ())
+    x = FinSpace(("p",), IntMatrix(1, [[0]]))
+    b = FinSpace(("q",), IntMatrix(1, [[0]]))
+    empty = FinSpace((), IntMatrix(1, []))
     i = FinMap(empty, x, ())
     f = FinMap(empty, b, ())
     result = pushout_along_embedding(i, f)
-    assert result.gamma.value("0:q", "1:p") == INF
+    assert result.gamma.value("0:q", "1:p").is_inf
     assert result.apex.n == 2
 
 
@@ -209,7 +210,7 @@ def _raise_diagonal(result):
     """result with the first apex point at distance inf from itself."""
     apex = result.apex
     rows = [list(row) for row in apex.dist.rows]
-    rows[0][0] = math.inf
+    rows[0][0] = inf
     return _redirect(result, FinSpace(apex.labels,
                                       IntMatrix(apex.dist.den, rows)),
                      lambda lab: lab)
@@ -265,16 +266,16 @@ def test_universal_check_draws_nothing(monkeypatch):
 
 
 def test_requires_embedding():
-    x2 = FinSpace(("a", "b"), ((fin(0), fin(1)), (fin(1), fin(0))))
-    one = FinSpace(("*",), ((fin(0),),))
+    x2 = FinSpace(("a", "b"), IntMatrix(1, [[0, 1], [1, 0]]))
+    one = FinSpace(("*",), IntMatrix(1, [[0]]))
     squash = FinMap(x2, one, ("*", "*"))
     with pytest.raises(ValueError):
         pushout_along_embedding(squash, squash)
 
 
 def test_requires_nonexpansive_leg():
-    a = FinSpace(("s", "t"), ((fin(0), fin(1)), (fin(1), fin(0))))
-    b = FinSpace(("u", "v"), ((fin(0), fin(3)), (fin(3), fin(0))))
+    a = FinSpace(("s", "t"), IntMatrix(1, [[0, 1], [1, 0]]))
+    b = FinSpace(("u", "v"), IntMatrix(1, [[0, 3], [3, 0]]))
     i = FinMap(a, a, ("s", "t"))
     stretch = FinMap(a, b, ("u", "v"))
     with pytest.raises(ValueError):
@@ -303,15 +304,15 @@ def test_pushout_of_embeddings_legs_are_embeddings():
 
 
 def test_cokernel_pair_diagonal():
-    x2 = FinSpace(("a", "b"), ((fin(0), fin(1)), (fin(1), fin(0))))
-    one = FinSpace(("a",), ((fin(0),),))
+    x2 = FinSpace(("a", "b"), IntMatrix(1, [[0, 1], [1, 0]]))
+    one = FinSpace(("a",), IntMatrix(1, [[0]]))
     i = FinMap(one, x2, ("a",))
     q0, q1, apex = cokernel_pair(i)
     # the two copies of b stay apart, the two copies of a merge
     assert q0("a") == q1("a")
     assert q0("b") != q1("b")
     assert apex.n == 3
-    assert apex.d(q0("b"), q1("b")) == fin(2)  # b -> a -> b'
+    assert apex.d(q0("b"), q1("b")).frac == 2  # b -> a -> b'
 
 
 @st.composite
@@ -321,20 +322,21 @@ def spans(draw):
     are capped by d_A along f before the closure, which only lowers them."""
     n = draw(st.integers(1, 5))
     x = FinSpace(tuple("x%d" % k for k in range(n)),
-                 draw(separated_metric(n)))
+                 matrix(draw(separated_metric(n))))
     keep = draw(st.lists(st.sampled_from(x.labels), unique=True))
     a, i = subspace(x, keep)
     m = draw(st.integers(1, 4))
     fa = draw(st.lists(st.integers(0, m - 1), min_size=a.n, max_size=a.n))
     cost = draw(st.lists(st.lists(positive, min_size=m, max_size=m),
                          min_size=m, max_size=m))
-    cost = [[fin(0) if p == q else v for q, v in enumerate(row)]
+    cost = [[F(0) if p == q else v for q, v in enumerate(row)]
             for p, row in enumerate(cost)]
+    d_a = fracs(a.dist)
     for s in range(a.n):
         for t in range(a.n):
-            if fa[s] != fa[t] and a.dist[s][t] < cost[fa[s]][fa[t]]:
-                cost[fa[s]][fa[t]] = a.dist[s][t]
-    b = FinSpace(tuple("b%d" % k for k in range(m)), reference_closure(cost))
+            if fa[s] != fa[t]:
+                cost[fa[s]][fa[t]] = least(cost[fa[s]][fa[t]], d_a[s][t])
+    b = FinSpace(tuple("b%d" % k for k in range(m)), matrix(closure(cost)))
     return i, FinMap(a, b, tuple(b.labels[k] for k in fa))
 
 
@@ -351,14 +353,13 @@ def test_formula_gamma_matches_oracle_on_exact_spans(span):
 def test_detour_of_three_finite_arcs():
     # x -> p, then f(p) -> f(q) in B, then q -> y: three finite arcs of
     # the largest value, while d_X(x, y) is infinite.
-    x = FinSpace(("x", "p", "q", "y"), (
-        (fin(0), fin(1), INF, INF),
-        (INF, fin(0), INF, INF),
-        (INF, INF, fin(0), fin(1)),
-        (INF, INF, INF, fin(0))))
+    x = FinSpace(("x", "p", "q", "y"), IntMatrix(1, [[0, 1, inf, inf],
+                                                     [inf, 0, inf, inf],
+                                                     [inf, inf, 0, 1],
+                                                     [inf, inf, inf, 0]]))
     a, i = subspace(x, ("p", "q"))
-    b = FinSpace(("b1", "b2"), ((fin(0), fin(1)), (INF, fin(0))))
+    b = FinSpace(("b1", "b2"), IntMatrix(1, [[0, 1], [inf, 0]]))
     f = FinMap(a, b, ("b1", "b2"))
     result = pushout_along_embedding(i, f)
-    assert result.gamma.value("1:x", "1:y") == fin(3)
+    assert result.gamma.value("1:x", "1:y").frac == 3
     assert result.gamma.gamma == pushout_closure_oracle(i, f).gamma

@@ -1,6 +1,7 @@
 import os
 import random
 import sys
+from math import inf
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,6 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 from finmet import maps as maps_module
 from finmet import quotients as quotients_module
-from finmet.extarith import INF, fin
 from finmet.harness import (GenConfig, enumerate_mediators, gen_metric,
                             gen_submetric, gen_surjection)
 from finmet.maps import FinMap, compose, is_isomorphism, is_nonexpansive, is_surjective
@@ -19,36 +19,30 @@ from finmet.quotients import (Submetric, counit_iso, kernel_metric,
                               quotient_by_submetric, quotient_leq,
                               validate_submetric)
 from finmet.spaces import FinSpace, Violation, is_separated, validate_metric
+from reference import fracs, le, matrix, three_chain, token
 from test_maps import maps
 from test_minplus import matrices
 from test_spaces import reference_violations
-
-
-def three_chain():
-    return FinSpace(("u", "v", "w"), (
-        (fin(0), fin(1), fin(2)),
-        (fin(1), fin(0), fin(1)),
-        (fin(2), fin(1), fin(0))))
 
 
 def test_submetric_validation():
     sp = three_chain()
     ok = Submetric(sp, sp.dist)
     assert not validate_submetric(ok.base, ok.gamma)
-    above = [[v for v in row] for row in sp.dist]
-    above[0][1] = fin(7)
-    bad = validate_submetric(sp, IntMatrix.of(above))
+    above = fracs(sp.dist)
+    above[0][1] = 7
+    bad = validate_submetric(sp, matrix(above))
     assert any(v.kind == "above-ambient" and v.points == ("u", "v")
                for v in bad)
 
 
 def test_kernel_metric_pinned():
     sp = three_chain()
-    x2 = FinSpace(("a", "b"), ((fin(0), fin(1)), (fin(1), fin(0))))
+    x2 = FinSpace(("a", "b"), IntMatrix(1, [[0, 1], [1, 0]]))
     f = FinMap(sp, x2, ("a", "a", "b"))
     km = kernel_metric(f)
-    assert km.value("u", "v") == fin(0)
-    assert km.value("u", "w") == fin(1)
+    assert km.value("u", "v").frac == 0
+    assert km.value("u", "w").frac == 1
     assert not validate_submetric(km.base, km.gamma)
 
 
@@ -66,10 +60,10 @@ def test_kernel_metric_pulls_the_metric_once(monkeypatch):
     monkeypatch.setattr(maps_module, "pulled_metric", counted)
     monkeypatch.setattr(quotients_module, "pulled_metric", counted)
     sp = three_chain()
-    x2 = FinSpace(("a", "b"), ((fin(0), fin(1)), (fin(1), fin(0))))
+    x2 = FinSpace(("a", "b"), IntMatrix(1, [[0, 1], [1, 0]]))
     kernel_metric(FinMap(sp, x2, ("a", "a", "b")))
     assert len(calls) == 1
-    far = FinSpace(("a", "b"), ((fin(0), fin(3)), (fin(3), fin(0))))
+    far = FinSpace(("a", "b"), IntMatrix(1, [[0, 3], [3, 0]]))
     stretch = FinMap(sp, far, ("a", "b", "b"))
     with pytest.raises(ValueError) as raised:
         kernel_metric(stretch)
@@ -88,14 +82,11 @@ def test_kernel_metric_below_d_random():
 
 def test_quotient_by_submetric_pinned():
     sp = three_chain()
-    gamma = (
-        (fin(0), fin(0), fin(1)),
-        (fin(0), fin(0), fin(1)),
-        (fin(1), fin(1), fin(0)))
+    gamma = IntMatrix(1, [[0, 0, 1], [0, 0, 1], [1, 1, 0]])
     p = quotient_by_submetric(Submetric(sp, gamma))
     assert p.target.labels == ("[u]", "[w]")
     assert p.assignment == ("[u]", "[u]", "[w]")
-    assert p.target.d("[u]", "[w]") == fin(1)
+    assert p.target.d("[u]", "[w]").frac == 1
     assert is_surjective(p) and is_nonexpansive(p)
     assert is_separated(p.target)
 
@@ -140,36 +131,36 @@ def test_quotient_leq_antitone_in_kernel():
     sp = three_chain()
     ident_q = quotient_by_submetric(Submetric(sp, sp.dist))
     all_zero = quotient_by_submetric(Submetric(
-        sp, tuple(tuple(fin(0) for _ in range(3)) for _ in range(3))))
+        sp, IntMatrix(1, [[0] * 3] * 3)))
     assert quotient_leq(ident_q, all_zero)
     assert not quotient_leq(all_zero, ident_q)
 
 
 def test_quotient_requires_separated_base():
-    glued = FinSpace(("a", "b"), ((fin(0), fin(0)), (fin(0), fin(0))))
+    glued = FinSpace(("a", "b"), IntMatrix(1, [[0, 0], [0, 0]]))
     with pytest.raises(ValueError):
         quotient_by_submetric(Submetric(glued, glued.dist))
 
 
 def test_quotient_leq_requires_surjections():
     sp = three_chain()
-    x2 = FinSpace(("a", "b"), ((fin(0), INF), (INF, fin(0))))
+    x2 = FinSpace(("a", "b"), IntMatrix(1, [[0, inf], [inf, 0]]))
     not_surj = FinMap(sp, x2, ("a", "a", "a"))
     surj = FinMap(sp, x2, ("a", "a", "b"))
     with pytest.raises(ValueError):
         quotient_leq(not_surj, surj)
 
 
-# -- the integer submetric checks against the ExtValue loops ----------------
+# -- the integer submetric checks against the reference loops --------------
 
-def reference_validate_submetric(base, gamma):
-    out = reference_violations(base.labels, gamma)
-    for i in range(base.n):
-        for j in range(base.n):
-            if not gamma[i][j] <= base.dist[i][j]:
+def reference_validate_submetric(labels, dist, gamma):
+    out = reference_violations(labels, gamma)
+    for i in range(len(labels)):
+        for j in range(len(labels)):
+            if not le(gamma[i][j], dist[i][j]):
                 out.append(Violation(
-                    "above-ambient", (base.labels[i], base.labels[j]),
-                    "%s > %s" % (gamma[i][j], base.dist[i][j])))
+                    "above-ambient", (labels[i], labels[j]),
+                    "%s > %s" % (token(gamma[i][j]), token(dist[i][j]))))
     return out
 
 
@@ -178,9 +169,9 @@ def reference_validate_submetric(base, gamma):
                                                      matrices(n, n))))
 def test_validate_submetric_matches_extvalue_loop(pair):
     dist, gamma = pair
-    base = FinSpace(tuple("p%d" % i for i in range(len(dist))), dist)
-    assert validate_submetric(base, IntMatrix.of(gamma)) == (
-        reference_validate_submetric(base, gamma))
+    base = FinSpace(tuple("p%d" % i for i in range(len(dist))), matrix(dist))
+    assert validate_submetric(base, matrix(gamma)) == (
+        reference_validate_submetric(base.labels, dist, gamma))
 
 
 @settings(deadline=None)
@@ -192,5 +183,5 @@ def test_kernel_metric_matches_extvalue_loop(f):
         return
     idx = [f.target.index(lab) for lab in f.assignment]
     kappa = kernel_metric(f).gamma
-    assert kappa == IntMatrix.of(
-        tuple(tuple(f.target.dist[i][j] for j in idx) for i in idx))
+    e = fracs(f.target.dist)
+    assert kappa == matrix([[e[i][j] for j in idx] for i in idx])

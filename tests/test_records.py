@@ -5,6 +5,7 @@ ValueError text as before."""
 
 import copy
 import pickle
+from fractions import Fraction
 from math import inf
 
 import pytest
@@ -12,7 +13,7 @@ import pytest
 from finmet import corelations, extarith, idempotents, maps, quotients, spaces
 from finmet.cli import Command
 from finmet.corelations import BlockMetric
-from finmet.extarith import ExtValue, fin
+from finmet.extarith import ExtValue
 from finmet.harness import GenConfig
 from finmet.idempotents import CostMatrix, FactorReport
 from finmet.limits import Square
@@ -25,7 +26,7 @@ from finmet.spaces import FinSpace, Frozen, Violation
 
 LABELS = ("a", "b")
 MATRIX = IntMatrix(1, [[0, 1], [1, 0]])
-ONE = FinSpace(("c",), ((fin(0),),))
+ONE = FinSpace(("c",), IntMatrix(1, [[0]]))
 
 
 def _space():
@@ -39,7 +40,7 @@ def _square():
 
 # Each factory builds a new instance with the same fields on every call.
 FACTORIES = {
-    "ExtValue": lambda: fin(1, 2),
+    "ExtValue": lambda: ExtValue(Fraction(1, 2)),
     "IntMatrix": lambda: IntMatrix(2, [[0, 1], [inf, 0]]),
     "Violation": lambda: Violation("triangle", ("a", "b", "c"), "2 > 1 + 0"),
     "FinSpace": _space,
@@ -152,15 +153,14 @@ def test_repr_names_the_fields():
 
 
 def test_constructors_normalise_their_fields():
-    space = FinSpace(["a", "b"], ((fin(0), fin(1)), (fin(1), fin(0))))
+    space = FinSpace(["a", "b"], IntMatrix(3, [[0, 3], [3, 0]]))
     assert space.labels == LABELS and space.dist == MATRIX
-    assert isinstance(space.dist, IntMatrix)
     f = FinMap(space, space, ["b", "a"])
     assert f.assignment == ("b", "a")
     assert isinstance(CostMatrix(["a", "b"], MATRIX).labels, tuple)
     bm = BlockMetric(base=space, g00=space.dist, g01=MATRIX, g10=MATRIX,
-                     g11=((fin(0), fin(1)), (fin(1), fin(0))))
-    assert bm.g11 == MATRIX and isinstance(bm.g11, IntMatrix)
+                     g11=IntMatrix.from_tokens([["0", "1"], ["1", "0"]]))
+    assert bm.g11 == MATRIX
 
 
 # P is the two-point space and ONE the one-point space.
@@ -203,3 +203,37 @@ def test_constructor_refusals_keep_their_text(name):
     with pytest.raises(ValueError) as exc:
         build()
     assert str(exc.value) == text
+
+
+# Each record constructor, with a matrix argument of the right shape.
+FULL = BlockMetric(P, MATRIX, MATRIX, MATRIX, MATRIX).as_matrix()
+MATRIX_TAKERS = {
+    "FinSpace": (lambda m: FinSpace(LABELS, m), MATRIX),
+    "CostMatrix": (lambda m: CostMatrix(LABELS, m), MATRIX),
+    "Submetric": (lambda m: Submetric(P, m), MATRIX),
+    "BlockMetric_g00": (lambda m: BlockMetric(P, m, MATRIX, MATRIX, MATRIX),
+                        MATRIX),
+    "BlockMetric_g01": (lambda m: BlockMetric(P, MATRIX, m, MATRIX, MATRIX),
+                        MATRIX),
+    "BlockMetric_g10": (lambda m: BlockMetric(P, MATRIX, MATRIX, m, MATRIX),
+                        MATRIX),
+    "BlockMetric_g11": (lambda m: BlockMetric(P, MATRIX, MATRIX, MATRIX, m),
+                        MATRIX),
+    "BlockMetric.from_matrix": (lambda m: BlockMetric.from_matrix(P, m), FULL),
+}
+# The same entries in every form but an IntMatrix.
+OTHER_FORMS = {
+    "extvalues": lambda m: tuple(m),
+    "ints": lambda m: [list(row) for row in m.rows],
+    "tokens": lambda m: [[m.token(i, j) for j in range(len(row))]
+                         for i, row in enumerate(m.rows)],
+}
+
+
+@pytest.mark.parametrize("form", sorted(OTHER_FORMS))
+@pytest.mark.parametrize("taker", sorted(MATRIX_TAKERS))
+def test_constructors_take_only_an_int_matrix(taker, form):
+    build, good = MATRIX_TAKERS[taker]
+    build(good)
+    with pytest.raises(TypeError):
+        build(OTHER_FORMS[form](good))

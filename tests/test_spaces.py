@@ -1,6 +1,8 @@
 import os
 import random
 import sys
+from fractions import Fraction as F
+from math import inf
 
 import pytest
 from hypothesis import example, given, settings
@@ -8,45 +10,39 @@ from hypothesis import strategies as st
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
-from finmet.extarith import INF, fin
 from finmet.harness import GenConfig, gen_metric
 from finmet.minplus import IntMatrix
 from finmet.spaces import (FinSpace, Violation, is_separated,
                            metric_violations, quotient_by_zero_classes,
                            sep_reflection, validate_metric, zero_classes)
+from reference import add, closure, le, matrix, token, two_point
 from test_minplus import (HUGE_A, HUGE_B, SMALL, TINY, benchmark_sized_cost,
-                          huge_cost, positive, reference_closure, square,
-                          values)
-
-
-def two_point(v=fin(1)):
-    return FinSpace(("a", "b"), ((fin(0), v), (v, fin(0))))
+                          huge_cost, positive, square, values)
 
 
 def test_constructor_shape_checks():
     with pytest.raises(ValueError):
-        FinSpace(("a", "a"), ((fin(0), fin(0)), (fin(0), fin(0))))
+        FinSpace(("a", "a"), IntMatrix(1, [[0, 0], [0, 0]]))
     with pytest.raises(ValueError):
-        FinSpace(("a", "b"), ((fin(0),),))
+        FinSpace(("a", "b"), IntMatrix(1, [[0]]))
 
 
 def test_valid_metric_no_violations():
     assert validate_metric(two_point()) == []
-    assert not validate_metric(two_point(INF))
+    assert not validate_metric(two_point(None))
 
 
 def test_diagonal_violation_reported():
-    sp = FinSpace(("a",), ((fin(1),),))
+    sp = FinSpace(("a",), IntMatrix(1, [[1]]))
     bad = validate_metric(sp)
     assert [v.kind for v in bad] == ["nonzero-diagonal"]
     assert bad[0].points == ("a",)
 
 
 def test_triangle_violation_reported():
-    sp = FinSpace(("a", "b", "c"), (
-        (fin(0), fin(1), fin(5)),
-        (fin(1), fin(0), fin(1)),
-        (fin(5), fin(1), fin(0))))
+    sp = FinSpace(("a", "b", "c"), IntMatrix(1, [[0, 1, 5],
+                                                 [1, 0, 1],
+                                                 [5, 1, 0]]))
     kinds = {v.kind for v in validate_metric(sp)}
     assert kinds == {"triangle"}
     witnesses = {v.points for v in validate_metric(sp)}
@@ -54,29 +50,28 @@ def test_triangle_violation_reported():
 
 
 def test_asymmetric_distances_allowed():
-    sp = FinSpace(("a", "b"), ((fin(0), fin(1)), (fin(2), fin(0))))
+    sp = FinSpace(("a", "b"), IntMatrix(1, [[0, 1], [2, 0]]))
     assert validate_metric(sp) == []
     assert is_separated(sp)
 
 
 def test_separation():
     assert is_separated(two_point())
-    glued = FinSpace(("a", "b"), ((fin(0), fin(0)), (fin(0), fin(0))))
+    glued = FinSpace(("a", "b"), IntMatrix(1, [[0, 0], [0, 0]]))
     assert not is_separated(glued)
     # one-sided zero does not break separation
-    oneway = FinSpace(("a", "b"), ((fin(0), fin(0)), (fin(1), fin(0))))
+    oneway = FinSpace(("a", "b"), IntMatrix(1, [[0, 0], [1, 0]]))
     assert is_separated(oneway)
 
 
 def test_sep_reflection_collapses_zero_pairs():
-    sp = FinSpace(("a", "b", "c"), (
-        (fin(0), fin(0), fin(1)),
-        (fin(0), fin(0), fin(1)),
-        (fin(1), fin(1), fin(0))))
+    sp = FinSpace(("a", "b", "c"), IntMatrix(1, [[0, 0, 1],
+                                                 [0, 0, 1],
+                                                 [1, 1, 0]]))
     q, proj = sep_reflection(sp)
     assert q.labels == ("[a]", "[c]")
     assert proj.assignment == ("[a]", "[a]", "[c]")
-    assert q.d("[a]", "[c]") == fin(1)
+    assert q.d("[a]", "[c]").frac == 1
     assert is_separated(q)
 
 
@@ -90,8 +85,7 @@ def test_sep_reflection_identity_on_separated():
 
 
 def test_zero_classes_first_occurrence_order():
-    mat = IntMatrix.of(((fin(0), INF, fin(0)), (INF, fin(0), INF),
-                        (fin(0), INF, fin(0))))
+    mat = IntMatrix(1, [[0, inf, 0], [inf, 0, inf], [0, inf, 0]])
     classes, assigned = zero_classes(("x", "y", "z"), mat)
     assert classes == [(0, 2), (1,)]
     assert assigned == [0, 1, 0]
@@ -99,7 +93,7 @@ def test_zero_classes_first_occurrence_order():
 
 def test_metric_violations_on_raw_matrix():
     bad = metric_violations(("p", "q"),
-                            IntMatrix.of(((fin(0), fin(0)), (fin(1), fin(2)))))
+                            IntMatrix(1, [[0, 0], [1, 2]]))
     assert any(v.kind == "nonzero-diagonal" and v.points == ("q",) for v in bad)
 
 
@@ -107,44 +101,45 @@ def reference_violations(labels, dist):
     out = []
     n = len(labels)
     for i in range(n):
-        if dist[i][i] != fin(0):
+        if dist[i][i] != 0:
             out.append(Violation("nonzero-diagonal", (labels[i],),
-                                 "d(x,x) = %s" % dist[i][i]))
+                                 "d(x,x) = %s" % token(dist[i][i])))
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                if not dist[i][k] <= dist[i][j] + dist[j][k]:
+                if not le(dist[i][k], add(dist[i][j], dist[j][k])):
                     out.append(Violation(
                         "triangle", (labels[i], labels[j], labels[k]),
-                        "%s > %s + %s" % (dist[i][k], dist[i][j], dist[j][k])))
+                        "%s > %s + %s" % (token(dist[i][k]), token(dist[i][j]),
+                                          token(dist[j][k]))))
     return out
 
 
 @settings(deadline=None)
 @given(square, st.booleans())
 @example([], False)
-@example([[fin(1)]], False)
-@example([[INF, INF], [INF, INF]], False)
-@example([[fin(0), TINY, fin(1)], [INF, fin(0), SMALL], [INF, INF, fin(0)]],
+@example([[F(1)]], False)
+@example([[None, None], [None, None]], False)
+@example([[F(0), TINY, F(1)], [None, F(0), SMALL], [None, None, F(0)]],
           False)
 # d(0, 2) is INF while d(0, 1) + d(1, 2) is finite.
-@example([[fin(0), TINY, INF], [INF, fin(0), SMALL], [INF, INF, fin(0)]],
+@example([[F(0), TINY, None], [None, F(0), SMALL], [None, None, F(0)]],
           False)
 def test_violations_match_extvalue_loop(dist, closed):
     if closed:
-        dist = reference_closure(dist)
+        dist = closure(dist)
     labels = tuple("p%d" % i for i in range(len(dist)))
     want = reference_violations(labels, dist)
-    assert metric_violations(labels, IntMatrix.of(dist)) == want
+    assert metric_violations(labels, matrix(dist)) == want
 
 
 def test_violations_match_extvalue_loop_at_benchmark_size():
     cost = benchmark_sized_cost(17)
     labels = tuple("p%d" % i for i in range(len(cost)))
-    raw = metric_violations(labels, IntMatrix.of(cost))
+    raw = metric_violations(labels, matrix(cost))
     assert raw and raw == reference_violations(labels, cost)
-    closed = reference_closure(cost)
-    assert metric_violations(labels, IntMatrix.of(closed)) == []
+    closed = closure(cost)
+    assert metric_violations(labels, matrix(closed)) == []
     assert reference_violations(labels, closed) == []
 
 
@@ -154,12 +149,12 @@ def test_violations_match_extvalue_loop_beyond_float_range():
         n = rng.randint(1, 4)
         cost = huge_cost(rng, n, HUGE_A + HUGE_B)
         labels = tuple("p%d" % i for i in range(n))
-        for dist in (cost, reference_closure(cost)):
+        for dist in (cost, closure(cost)):
             want = reference_violations(labels, dist)
-            assert metric_violations(labels, IntMatrix.of(dist)) == want
+            assert metric_violations(labels, matrix(dist)) == want
 
 
-# -- zero classes on ints against the ExtValue loops ------------------------
+# -- zero classes on ints against the reference loops -----------------------
 
 def reference_zero_classes(n, mat):
     assigned = [None] * n
@@ -170,8 +165,8 @@ def reference_zero_classes(n, mat):
         members = [i]
         assigned[i] = len(classes)
         for j in range(i + 1, n):
-            if (assigned[j] is None and mat[i][j] == fin(0)
-                    and mat[j][i] == fin(0)):
+            if (assigned[j] is None and mat[i][j] == F(0)
+                    and mat[j][i] == F(0)):
                 members.append(j)
                 assigned[j] = len(classes)
         classes.append(tuple(members))
@@ -179,29 +174,29 @@ def reference_zero_classes(n, mat):
 
 
 def reference_is_separated(n, mat):
-    return not any(i != j and mat[i][j] == fin(0) and mat[j][i] == fin(0)
+    return not any(i != j and mat[i][j] == F(0) and mat[j][i] == F(0)
                    for i in range(n) for j in range(n))
 
 
 # Zeros are common, so zero classes of several points show up.
 zero_heavy = st.integers(0, 6).flatmap(lambda n: st.lists(
-    st.lists(st.just(fin(0)) | values, min_size=n, max_size=n),
+    st.lists(st.just(F(0)) | values, min_size=n, max_size=n),
     min_size=n, max_size=n))
 
 
 @settings(deadline=None)
 @given(zero_heavy)
-@example([[fin(0), TINY, fin(0)], [INF, fin(0), fin(0)],
-          [fin(0), fin(0), SMALL]])
+@example([[F(0), TINY, F(0)], [None, F(0), F(0)],
+          [F(0), F(0), SMALL]])
 def test_zero_classes_match_extvalue_loop(mat):
     n = len(mat)
     labels = tuple("p%d" % i for i in range(n))
     classes, assigned = reference_zero_classes(n, mat)
-    assert zero_classes(labels, IntMatrix.of(mat)) == (classes, assigned)
-    space = FinSpace(labels, mat)
+    assert zero_classes(labels, matrix(mat)) == (classes, assigned)
+    space = FinSpace(labels, matrix(mat))
     assert is_separated(space) == reference_is_separated(n, mat)
-    proj = quotient_by_zero_classes(space, IntMatrix.of(mat))
-    assert proj.target.dist == IntMatrix.of(
+    proj = quotient_by_zero_classes(space, matrix(mat))
+    assert proj.target.dist == matrix(
         tuple(tuple(mat[ci[0]][cj[0]] for cj in classes) for ci in classes))
     assert proj.assignment == tuple(proj.target.labels[c] for c in assigned)
 
@@ -220,9 +215,9 @@ def zero_arcs(draw):
         point = st.integers(0, n - 1)
         for i, j, both in draw(st.lists(st.tuples(point, point,
                                                   st.booleans()))):
-            mat[i][j] = fin(0)
+            mat[i][j] = F(0)
             if both:
-                mat[j][i] = fin(0)
+                mat[j][i] = F(0)
     return mat
 
 
@@ -230,20 +225,20 @@ def brute_zero_pairs(mat):
     """Every ordered pair of distinct points at 0 both ways."""
     n = len(mat)
     return {(i, j) for i in range(n) for j in range(n)
-            if i != j and mat[i][j] == fin(0) and mat[j][i] == fin(0)}
+            if i != j and mat[i][j] == F(0) and mat[j][i] == F(0)}
 
 
 @settings(deadline=None)
 @given(zero_arcs())
-@example([[fin(1), fin(0), INF], [fin(2), fin(0), fin(0)],
-          [fin(1), fin(0), fin(3)]])
-@example([[fin(0), fin(0), fin(1)], [fin(0), fin(0), fin(0)],
-          [fin(1), fin(0), fin(0)]])
+@example([[F(1), F(0), None], [F(2), F(0), F(0)],
+          [F(1), F(0), F(3)]])
+@example([[F(0), F(0), F(1)], [F(0), F(0), F(0)],
+          [F(1), F(0), F(0)]])
 def test_separation_and_zero_classes_match_all_pairs(mat):
     n = len(mat)
     labels = tuple("p%d" % i for i in range(n))
     pairs = brute_zero_pairs(mat)
-    assert is_separated(FinSpace(labels, mat)) == (not pairs)
+    assert is_separated(FinSpace(labels, matrix(mat))) == (not pairs)
     # Each class is the first unassigned point and every later unassigned
     # point at 0 both ways from it.
     classes, assigned = [], [None] * n
@@ -254,4 +249,4 @@ def test_separation_and_zero_classes_match_all_pairs(mat):
             for j in members:
                 assigned[j] = len(classes)
             classes.append(members)
-    assert zero_classes(labels, IntMatrix.of(mat)) == (classes, assigned)
+    assert zero_classes(labels, matrix(mat)) == (classes, assigned)

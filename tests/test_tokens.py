@@ -2,14 +2,16 @@
 writes them back from the ints.  On random matrices of canonical tokens,
 with "inf", denominators above 1 and ints near 10**320:
 
-- the loaded matrix is the one the per-token route gives,
-  IntMatrix.of([[parse(t) ...]]);
+- the loaded matrix holds, entry by entry, the Fraction each token
+  reads as, with INF for "inf";
 - with bad tokens planted, the error names the first bad token in
   row-major order;
 - matrix_tokens writes what ExtValue.token() writes, entry by entry,
   and dump(load(doc)) is doc.
 """
 
+import os
+import sys
 from fractions import Fraction
 from math import inf
 
@@ -17,21 +19,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+
 from finmet.cli import _matrix_lines
-from finmet.extarith import parse
 from finmet.minplus import IntMatrix
 from finmet.workspace import dump_workspace, load_workspace, matrix_tokens
+from reference import fracs, token
 
 HUGE = 10 ** 320
 
 ints = st.one_of(st.integers(0, 12), st.integers(HUGE - 5, HUGE + 5))
 dens = st.one_of(st.integers(1, 12), st.just(HUGE + 1))
 values = st.one_of(st.none(), st.builds(Fraction, ints, dens))
-
-
-def token(v):
-    """The canonical token of a Fraction, or "inf" for None."""
-    return "inf" if v is None else str(v)
 
 
 @st.composite
@@ -54,8 +53,8 @@ def load_rho(tokens):
 @settings(max_examples=100, deadline=None)
 @given(token_matrices())
 def test_loaded_matrix_is_the_per_token_one(tokens):
-    assert load_rho(tokens) == IntMatrix.of(
-        [[parse(t) for t in row] for row in tokens])
+    assert fracs(load_rho(tokens)) == [
+        [None if t == "inf" else Fraction(t) for t in row] for row in tokens]
 
 
 # Each bad token with the error that names it.

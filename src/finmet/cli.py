@@ -24,8 +24,7 @@ import os
 import sys
 
 from .extarith import Frozen
-from .workspace import (blockmetric_entry, load_workspace_file,
-                        matrix_tokens, space_entry)
+from .workspace import blockmetric_entry, load_workspace_file, space_entry
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -50,7 +49,7 @@ def _map_lines(title, fmap):
 def _matrix_lines(title, labels, matrix):
     lines = ["%s:" % title,
              "  points: %s" % (" ".join(labels) if labels else "-")]
-    for row in matrix_tokens(matrix):
+    for row in matrix.tokens():
         lines.append("    " + " ".join(row))
     return lines
 
@@ -118,7 +117,7 @@ def cmd_pushout(ws, args):
     lines += _space_lines("apex", result.apex)
     lines += _map_lines("leg from %s" % args.along, result.leg_b)
     lines += _map_lines("leg from %s" % args.embedding, result.leg_x)
-    payload = {"gamma": matrix_tokens(g.gamma),
+    payload = {"gamma": g.gamma.tokens(),
                "apex": space_entry("apex", result.apex)}
     code = EXIT_OK
     if args.oracle:
@@ -126,7 +125,7 @@ def cmd_pushout(ws, args):
         lines += _matrix_lines("oracle gamma", oracle.base.labels, oracle.gamma)
         agree = oracle.gamma == g.gamma
         lines.append("formula vs oracle: %s" % ("AGREE" if agree else "DISAGREE"))
-        payload["oracle_gamma"] = matrix_tokens(oracle.gamma)
+        payload["oracle_gamma"] = oracle.gamma.tokens()
         payload["agree"] = agree
         if not agree:
             code = EXIT_FALSE
@@ -161,7 +160,7 @@ def cmd_kernel_metric(ws, args):
     sm = kernel_metric(ws.map(args.map))
     lines = _matrix_lines("kernel metric of %s" % args.map,
                           sm.base.labels, sm.gamma)
-    return EXIT_OK, lines, {"matrix": matrix_tokens(sm.gamma)}
+    return EXIT_OK, lines, {"matrix": sm.gamma.tokens()}
 
 
 def cmd_quotient(ws, args):
@@ -374,12 +373,6 @@ class _PartialParser(argparse.ArgumentParser):
 
     def print_help(self, file=None):
         raise _Retry
-
-    def _get_formatter(self):
-        # add_argument builds a formatter to check each argument.  Given
-        # a width, it does not import shutil to read the terminal's,
-        # and this parser prints nothing.
-        return self.formatter_class(prog=self.prog, width=80)
 
 
 def build_parser(argv=None):

@@ -1,12 +1,12 @@
 """Values of [0, inf] in documents: the token grammar, Frozen, and the
-ExtValue read view.
+ExtValue view.
 
-finmet computes on IntMatrix ints (minplus), and a value from outside
-enters as a canonical token.  ratio reads a token to (numerator,
-denominator) and token writes x / den back.  ExtValue is what reading
-an entry of an IntMatrix gives (is_inf, frac, token()), with no
-arithmetic, and parse reads a token to one.  fractions is imported
-only where an ExtValue is built, so a CLI call need not import it.
+finmet computes on IntMatrix ints (minplus), and a value enters and
+leaves as a canonical token: ratio reads a token to (numerator,
+denominator) and token writes x / den back.  ExtValue is what
+iterating an IntMatrix gives (is_inf, frac), with no arithmetic, and
+parse reads a token to one.  fractions is imported only where an
+ExtValue is built, so a CLI call need not import it.
 
 Frozen, the immutable base of every finmet value and record, lives here
 at the bottom of the import graph.
@@ -65,8 +65,8 @@ class Frozen:
 
 
 class ExtValue(Frozen):
-    """A point of [0, inf] as read from an IntMatrix: a non-negative
-    rational in lowest terms, or INF."""
+    """A point of [0, inf] as iterating an IntMatrix gives it: a
+    non-negative rational in lowest terms, or INF."""
 
     __slots__ = ("_frac",)
 
@@ -94,16 +94,6 @@ class ExtValue(Frozen):
         if self._frac is None:
             raise ValueError("infinite value has no finite part")
         return self._frac
-
-    def __repr__(self):
-        return "ExtValue(%r)" % self.token()
-
-    def token(self):
-        """Serialize: "p/q", "p" for integers, "inf" for infinity."""
-        f = self._frac
-        return "inf" if f is None else token(f.numerator, f.denominator)
-
-    __str__ = token
 
 
 INF = ExtValue(None)
@@ -153,8 +143,8 @@ def token(x, den):
 
 
 def parse(tok):
-    """The ExtValue of a canonical token, the inverse of ExtValue.token();
-    a ValueError on any other input (see ratio)."""
+    """The ExtValue of a canonical token "p/q", "p" or "inf", written by
+    token(p, q); a ValueError on any other input (see ratio)."""
     r = ratio(tok)
     if r is None:
         return INF

@@ -3,12 +3,14 @@
 An IntMatrix holds its entries as plain ints over one common
 denominator, with math.inf for INF; it is how every space, submetric,
 block and cost matrix stores its distances, and the only matrix form a
-record accepts.  finmet reads and reports them as those ints (rows, and
-token for a report).  Values from outside enter as rows of canonical
-tokens, through the classmethod from_tokens, which the workspace
-loader calls; finmet's own code builds IntMatrix(den, rows) directly.
-Indexing or iterating a matrix builds ExtValue rows on each read, for
-callers only.  The kernels take IntMatrix operands.
+record accepts.  finmet computes on those ints (rows), and an entry
+leaves as ints or as a canonical token: token(i, j) for one entry,
+tokens() for the whole matrix, which reports and dumps write.  Values
+from outside enter as rows of canonical tokens, through the
+classmethod from_tokens, which the workspace loader calls; finmet's
+own code builds IntMatrix(den, rows) directly.  Iterating a matrix
+builds ExtValue rows on each pass, for callers only.  The kernels take
+IntMatrix operands.
 
 One product kernel serves square and rectangular operands alike; the
 pushout formula builds its mixed blocks from it, and the idempotence
@@ -51,7 +53,7 @@ class IntMatrix(Frozen):
     den is reduced by the gcd of the finite entries, so two matrices with
     the same entries have the same (den, rows), and == and hash compare
     exactly that: an IntMatrix equals only an IntMatrix.  len() counts
-    the rows; indexing and iteration build ExtValue rows on each read.
+    the rows; iteration builds ExtValue rows on each pass.
     finmet builds IntMatrix(den, rows) from its own ints; values from
     outside enter through from_tokens, which checks each token.
     """
@@ -112,28 +114,28 @@ class IntMatrix(Frozen):
         """The canonical token of entry (i, j)."""
         return token(self.rows[i][j], self.den)
 
-    def _ext_rows(self, rows):
-        """rows, some of this matrix's, as tuples of ExtValue; each
-        distinct int is converted once."""
-        from fractions import Fraction
-
+    def tokens(self):
+        """The matrix as rows of canonical tokens, each distinct int
+        written once."""
         den = self.den
-        value = {x: INF if x == inf else ExtValue(Fraction(x, den))
-                 for x in set(chain.from_iterable(rows))}.__getitem__
-        return [tuple(map(value, row)) for row in rows]
+        tok = {x: token(x, den)
+               for x in set(chain.from_iterable(self.rows))}.__getitem__
+        return [list(map(tok, row)) for row in self.rows]
 
     def __len__(self):
         return len(self.rows)
 
-    def __getitem__(self, i):
-        return self._ext_rows([self.rows[i]])[0]
-
     def __iter__(self):
-        return iter(self._ext_rows(self.rows))
+        # Rows of ExtValue, each distinct int converted once.
+        from fractions import Fraction
+
+        den = self.den
+        value = {x: INF if x == inf else ExtValue(Fraction(x, den))
+                 for x in set(chain.from_iterable(self.rows))}.__getitem__
+        return iter([tuple(map(value, row)) for row in self.rows])
 
     def __repr__(self):
-        return "IntMatrix(%r)" % ([[token(x, self.den) for x in row]
-                                   for row in self.rows],)
+        return "IntMatrix(%r)" % (self.tokens(),)
 
 
 def scale(*matrices):

@@ -341,16 +341,14 @@ def suite_effective_exhaustive(seed):
 
 # -- suite 10: idempotence lemma ------------------------------------------
 
-# The grid's ints are small, so a float sum with _INT_INF is exactly inf.
-_INT_INF = inf
-_INT_GRID = (0, 1, 2, _INT_INF)
+_INT_GRID = (0, 1, 2, inf)
 
 
 def _int_idempotent(rho, n):
     for i in range(n):
         row = rho[i]
         for j in range(n):
-            best = _INT_INF
+            best = inf
             for k in range(n):
                 s = row[k] + rho[k][j]
                 if s < best:
@@ -361,7 +359,7 @@ def _int_idempotent(rho, n):
 
 
 def _grid_idempotents(grid, n):
-    """Every n x n matrix over grid (ints, _INT_INF for inf) that equals
+    """Every n x n matrix over grid (ints and math.inf) that equals
     its min-plus square, as a list of rows, in itertools.product order.
 
     Cells are filled row by row, each with the grid's values in order,
@@ -458,7 +456,7 @@ def suite_idempotence(seed):
     # the relational corollary's density witnesses.
     generated = 200
     checked = []
-    for grid, sizes in ((_INT_GRID, (1, 2, 3)), ((_INT_INF, 0), (1, 2, 3, 4))):
+    for grid, sizes in ((_INT_GRID, (1, 2, 3)), ((inf, 0), (1, 2, 3, 4))):
         count = 0
         for n in sizes:
             for rho in _grid_idempotents(grid, n):
@@ -469,7 +467,7 @@ def suite_idempotence(seed):
     # Pre-filter soundness spot check on random matrices, about half of
     # the relations not idempotent.
     for grid, top, count, s in ((_INT_GRID, 3, 2000, _seed(seed, 10, 0)),
-                                ((_INT_INF, 0), 4, 1000, _seed(seed, 10, 1))):
+                                ((inf, 0), 4, 1000, _seed(seed, 10, 1))):
         rng = random.Random(s)
         for _ in range(count):
             n = rng.randint(1, top)

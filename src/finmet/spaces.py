@@ -7,6 +7,8 @@ Separation (d(x,y) = 0 = d(y,x) implies x = y) is the metric analogue
 of antisymmetry and is checked, not assumed.  The checks here run on
 the matrix's ints, where an infinite distance is math.inf, which they
 compare but never add, and write their reports as tokens of the ints.
+A distance is read off a record's matrix: its ints, or
+IntMatrix.token(i, j) at the points' indices (index).
 
 The records a workspace document holds live here beside FinSpace, so
 that loading one needs no other construction module: FinMap,
@@ -89,9 +91,6 @@ class FinSpace(Frozen):
     def index(self, label):
         return label_index(self.labels, label)
 
-    def d(self, x, y):
-        return self.dist[self.index(x)][self.index(y)]
-
 
 class FinMap(Frozen):
     # assignment holds target labels, in source label order.
@@ -130,12 +129,9 @@ class Submetric(Frozen):
         set_(self, "base", base)
         set_(self, "gamma", gamma)
 
-    def value(self, x, y):
-        return self.gamma[self.base.index(x)][self.base.index(y)]
-
 
 class BlockMetric(Frozen):
-    """blocks[i][j][x][y] encodes the distance from (x, i) to (y, j)."""
+    """block(i, j) holds the distance from (x, i) to (y, j) at (x, y)."""
 
     __slots__ = ("base", "g00", "g01", "g10", "g11")
 

@@ -9,7 +9,7 @@ related and 0 elsewhere; it loads as its cost matrix over {0, inf}.
 Serialization round-trips bit-exactly because tokens are canonical.
 Tokens are read straight to an IntMatrix's ints over one common
 denominator (IntMatrix.from_tokens) and written back from them
-(extarith.token).
+(IntMatrix.tokens).
 
 The loader builds every object of the document, from the records in
 spaces, so an entry of the wrong shape is refused whichever object a
@@ -23,10 +23,8 @@ from __future__ import annotations
 
 import json
 from functools import partialmethod
-from itertools import chain
 from math import inf
 
-from . import extarith
 from .minplus import IntMatrix
 from .spaces import (BlockMetric, CostMatrix, FinMap, FinSpace, Submetric,
                      raise_first_violation, validate_metric)
@@ -63,14 +61,6 @@ def _cells(entry, key):
     return IntMatrix(1, [[0 if c else inf for c in row] for row in rows])
 
 
-def matrix_tokens(matrix):
-    """The IntMatrix as rows of tokens, each distinct int written once."""
-    den = matrix.den
-    tok = {x: extarith.token(x, den)
-           for x in set(chain.from_iterable(matrix.rows))}.__getitem__
-    return [list(map(tok, row)) for row in matrix.rows]
-
-
 # The contract checks of the kinds whose validator lives outside spaces.
 # Each imports it when it runs, so a call that checks no object of the
 # kind does not pay for importing it.
@@ -104,7 +94,7 @@ TABLE = {
     "space": (
         lambda e, ws: FinSpace(_strings(e, "points"), _matrix(e, "dist")),
         lambda sp, space_name: {"points": list(sp.labels),
-                                "dist": matrix_tokens(sp.dist)},
+                                "dist": sp.dist.tokens()},
         lambda sp, spaces: validate_metric(sp)),
     "map": (
         lambda e, ws: FinMap(ws.lookup("space", e.get("source")),
@@ -118,18 +108,18 @@ TABLE = {
         lambda e, ws: Submetric(ws.lookup("space", e.get("base")),
                                 _matrix(e, "matrix")),
         lambda sm, space_name: {"base": space_name(sm.base),
-                                "matrix": matrix_tokens(sm.gamma)},
+                                "matrix": sm.gamma.tokens()},
         _check_submetric),
     "blockmetric": (
         lambda e, ws: BlockMetric(ws.lookup("space", e.get("base")),
                                   *(_matrix(e, b) for b in BLOCKS)),
         lambda bm, space_name: {"base": space_name(bm.base), **{
-            b: matrix_tokens(getattr(bm, b)) for b in BLOCKS}},
+            b: getattr(bm, b).tokens() for b in BLOCKS}},
         _check_blockmetric),
     "costmatrix": (
         lambda e, ws: CostMatrix(_strings(e, "points"), _matrix(e, "matrix")),
         lambda cm, space_name: {"points": list(cm.labels),
-                                "matrix": matrix_tokens(cm.rho)},
+                                "matrix": cm.rho.tokens()},
         lambda obj, spaces: []),
     "relation": (
         lambda e, ws: CostMatrix(_strings(e, "points"), _cells(e, "rel")),

@@ -23,17 +23,17 @@ from finmet.maps import FinMap
 from finmet.minplus import IntMatrix
 from finmet.pushouts import cokernel_pair
 from finmet.spaces import FinSpace, Violation
-from reference import fracs, le, matrix, product, two_point
-from test_minplus import matrices, separated_metric
+from reference import (fracs, le, matrices, matrix, product,
+                       separated_metric, two_point)
 
 
 def test_block_layout():
     x2 = two_point()
     bm = gamma_from_subset(x2, ("a",))
-    assert bm.block(0, 1)[0][1].frac == 1  # (a,0) to (b,1)
-    assert bm.block(0, 1)[1][1].frac == 2  # (b,0) to (b,1)
+    assert fracs(bm.block(0, 1))[0][1] == 1  # (a,0) to (b,1)
+    assert fracs(bm.block(0, 1))[1][1] == 2  # (b,0) to (b,1)
     full = bm.as_matrix()
-    assert full[0][3].frac == 1  # (a,0) to (b,1)
+    assert fracs(full)[0][3] == 1  # (a,0) to (b,1)
     assert BlockMetric.from_matrix(x2, full) == bm
     with pytest.raises(ValueError):
         BlockMetric.from_matrix(x2, x2.dist)

@@ -1,17 +1,20 @@
-"""The token grammar and the ExtValue read view, and the Fraction
-reference arithmetic that the tests' reference loops use in place of
-arithmetic on values."""
+"""The token grammar and the ExtValue view that iterating a matrix
+gives, and the Fraction reference arithmetic that the tests' reference
+loops use in place of arithmetic on values."""
 
 import os
 import random
 import sys
 from fractions import Fraction as F
+from math import inf
 
 import pytest
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
-from finmet.extarith import INF, ExtValue, parse
+from finmet.extarith import INF, ExtValue, parse, token
+from finmet.minplus import IntMatrix
+from finmet.spaces import FinSpace, Submetric
 from reference import add, le, least
 
 
@@ -19,19 +22,20 @@ def test_token_round_trip_basics():
     assert parse("inf") == INF
     assert parse("0") == ExtValue(0)
     assert parse("3/2") == ExtValue(F(3, 2))
-    assert ExtValue(F(3, 2)).token() == "3/2"
-    assert ExtValue(F(4, 2)).token() == "2"
-    assert INF.token() == "inf"
+    assert token(3, 2) == "3/2"
+    assert token(4, 2) == "2"
+    assert token(inf, 1) == "inf"
 
 
 def test_token_round_trip_random():
     rng = random.Random(11)
     for _ in range(500):
         if rng.random() < 0.1:
-            v = INF
+            v, tok = INF, token(inf, 1)
         else:
-            v = ExtValue(F(rng.randrange(0, 1000), rng.randrange(1, 60)))
-        assert parse(v.token()) == v
+            p, q = rng.randrange(0, 1000), rng.randrange(1, 60)
+            v, tok = ExtValue(F(p, q)), token(p, q)
+        assert parse(tok) == v
 
 
 def test_negative_rejected():
@@ -106,14 +110,21 @@ def test_semiring_laws_sampled():
 
 
 def test_value_view_has_no_arithmetic():
-    """ExtValue is what reading a matrix entry gives; it neither adds
-    nor orders."""
+    """ExtValue is what iterating a matrix gives; it neither adds nor
+    orders, and no reader takes an index or a point label."""
     with pytest.raises(TypeError):
         ExtValue(1) + ExtValue(2)
     with pytest.raises(TypeError):
         ExtValue(1) < ExtValue(2)
     with pytest.raises(TypeError):
         min(INF, ExtValue(3))
+    assert not hasattr(IntMatrix, "__getitem__")
+    assert not hasattr(FinSpace, "d") and not hasattr(Submetric, "value")
+    assert not hasattr(ExtValue, "token")
+    rows = tuple(IntMatrix(2, [[0, 1], [inf, 4]]))
+    assert rows == ((ExtValue(0), ExtValue(F(1, 2))), (INF, ExtValue(2)))
+    assert rows[1][0].is_inf and not rows[1][1].is_inf
+    assert rows[0][1].frac == F(1, 2) and rows[1][1].frac == 2
 
 
 def test_is_inf_flag():

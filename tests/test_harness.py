@@ -118,8 +118,8 @@ def _draws_digest():
         h.update(("|".join(parts) + "\n").encode())
 
     def put_matrix(matrix):
-        for row in matrix:
-            put(*(v.token() for v in row))
+        for row in matrix.tokens():
+            put(*row)
 
     for seed in range(120):
         sp = gen_metric(GenConfig(seed=seed, max_points=seed % 8))

@@ -16,8 +16,8 @@ from finmet.idempotents import (CostMatrix, factor_through_zero_diagonal,
 from finmet.idempotents import FactorReport
 from finmet.minplus import (IntMatrix, equals_own_square, minplus_closure,
                             minplus_matmul)
-from reference import add, closure, fracs, matrix, product
-from test_minplus import HUGE_A, HUGE_B, SMALL, TINY, values
+from reference import (HUGE_A, HUGE_B, SMALL, TINY, add, closure, fracs,
+                       matrix, product, values)
 
 
 def closed_matrix(rng, n, grid=None):

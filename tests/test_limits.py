@@ -18,8 +18,7 @@ from finmet.limits import (Square, coproduct, copair, equalizer,
 from finmet.maps import FinMap, compose, identity, is_embedding, is_nonexpansive
 from finmet.minplus import IntMatrix
 from finmet.spaces import FinSpace, is_separated, validate_metric
-from reference import le, matrix, two_point
-from test_minplus import SMALL, TINY, square
+from reference import SMALL, TINY, at, le, matrix, square, two_point
 
 
 def test_product_sup_metric_pinned():
@@ -27,9 +26,9 @@ def test_product_sup_metric_pinned():
     m2 = two_point(3)
     prod, p1, p2 = product(m1, m2)
     assert prod.n == 4
-    assert prod.d("(a,a)", "(b,b)").frac == 3   # sup(1, 3)
-    assert prod.d("(a,a)", "(b,a)").frac == 1   # sup(1, 0)
-    assert prod.d("(a,a)", "(a,b)").frac == 3
+    assert at(prod, "(a,a)", "(b,b)") == 3   # sup(1, 3)
+    assert at(prod, "(a,a)", "(b,a)") == 1   # sup(1, 0)
+    assert at(prod, "(a,a)", "(a,b)") == 3
     assert p1("(b,a)") == "b" and p2("(b,a)") == "a"
     assert validate_metric(prod) == []
 
@@ -60,8 +59,8 @@ def test_coproduct_cross_inf():
     m2 = FinSpace(("*",), IntMatrix(1, [[0]]))
     cop, j1, j2 = coproduct(m1, m2)
     assert cop.labels == ("0:a", "0:b", "1:*")
-    assert cop.d("0:a", "1:*").is_inf and cop.d("1:*", "0:b").is_inf
-    assert cop.d("0:a", "0:b").frac == 1
+    assert at(cop, "0:a", "1:*") is None and at(cop, "1:*", "0:b") is None
+    assert at(cop, "0:a", "0:b") == 1
     assert is_embedding(j1) and is_embedding(j2)
 
 

@@ -4,7 +4,6 @@ import sys
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
@@ -16,8 +15,8 @@ from finmet.maps import (FinMap, check_nonexpansive, compose, factorize,
 from finmet.minplus import IntMatrix
 from finmet.quotients import quotient_leq
 from finmet.spaces import FinSpace, Violation
-from reference import fracs, le, matrix, three_chain, token, two_point
-from test_minplus import matrices
+from reference import (at, fracs, le, maps, matrix, three_chain, token,
+                       two_point)
 
 
 def test_assignment_validation():
@@ -66,7 +65,7 @@ def test_subspace_keeps_target_order():
     sp = three_chain()
     sub, incl = subspace(sp, ("w", "u"))
     assert sub.labels == ("u", "w")
-    assert sub.d("u", "w").frac == 2
+    assert at(sub, "u", "w") == 2
     assert is_embedding(incl)
 
 
@@ -177,24 +176,6 @@ def reference_is_embedding(f):
     return len(set(idx)) == src.n and all(
         d[i][j] == e[idx[i]][idx[j]]
         for i in range(src.n) for j in range(src.n))
-
-
-@st.composite
-def maps(draw):
-    """A map between labelled matrices; half the time its source is the
-    target restricted along an injection, so embeddings occur."""
-    m = draw(st.integers(1, 5))
-    tgt_dist = draw(matrices(m, m))
-    tgt = FinSpace(tuple("t%d" % k for k in range(m)), matrix(tgt_dist))
-    if draw(st.booleans()):
-        idx = draw(st.permutations(range(m)))[:draw(st.integers(0, m))]
-        dist = [[tgt_dist[i][j] for j in idx] for i in idx]
-    else:
-        n = draw(st.integers(0, 4))
-        idx = draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n))
-        dist = draw(matrices(n, n))
-    src = FinSpace(tuple("s%d" % k for k in range(len(idx))), matrix(dist))
-    return FinMap(src, tgt, tuple(tgt.labels[k] for k in idx))
 
 
 @settings(deadline=None)

@@ -20,8 +20,9 @@ from finmet.minplus import (IntMatrix, int_product, minplus_closure,
                             minplus_matmul, pointwise, scale)
 from finmet.pushouts import _glue_and_close, pushout_along_embedding
 from finmet.spaces import FinSpace
-from reference import (add, closure, fracs, le, least, matrix, product,
-                       tokens)
+from reference import (HUGE_A, HUGE_B, SMALL, TINY, add, benchmark_sized_cost,
+                       closure, fracs, huge_cost, le, least, matrices,
+                       matrix, product, square, tokens, values)
 
 
 def rand_cost(rng, n, zero_diag=False):
@@ -91,32 +92,11 @@ def test_closure_disconnected_stays_inf():
 
 # -- the integer kernels against the Fraction reference loops ---------------
 
-# Two Mersenne primes: a common denominator of both exceeds 2**64.
-BIG_DENOMINATORS = (2 ** 61 - 1, 2 ** 31 - 1)
-
-values = st.one_of(
-    st.just(None),
-    st.builds(F, st.integers(0, 6) | st.integers(0, 2 ** 70),
-              st.sampled_from((1, 2, 3, 7) + BIG_DENOMINATORS)))
-
-
-def matrices(n_rows, n_cols):
-    return st.lists(st.lists(values, min_size=n_cols, max_size=n_cols),
-                    min_size=n_rows, max_size=n_rows)
-
-
-square = st.integers(0, 5).flatmap(lambda n: matrices(n, n))
-positive = st.one_of(
-    st.just(None),
-    st.builds(F, st.integers(1, 6) | st.integers(1, 2 ** 70),
-              st.sampled_from((1, 2, 3, 7) + BIG_DENOMINATORS)))
 # (rows, cols) operands of int_route_product, the inner dimension possibly 0.
 operands = st.tuples(st.integers(0, 4), st.integers(0, 4),
                      st.integers(0, 4)).flatmap(
     lambda s: st.tuples(matrices(s[0], s[2]), matrices(s[1], s[2])))
 
-TINY = F(1, BIG_DENOMINATORS[0])
-SMALL = F(1, BIG_DENOMINATORS[1])
 
 
 def int_route_product(rows, cols):
@@ -125,14 +105,6 @@ def int_route_product(rows, cols):
     zero still fixes the output shape."""
     common, (rows, cols) = scale(matrix(rows), matrix(cols))
     return IntMatrix(common, int_product(rows, list(zip(*cols)), len(cols)))
-
-
-def separated_metric(n):
-    """A separated metric on n points: the closure of positive costs."""
-    return st.lists(st.lists(positive, min_size=n, max_size=n),
-                    min_size=n, max_size=n).map(lambda rows: closure(
-                        [[F(0) if i == j else v for j, v in enumerate(row)]
-                         for i, row in enumerate(rows)]))
 
 
 @settings(deadline=None)
@@ -220,24 +192,6 @@ def test_pointwise_through_idx_matches_the_pulled_matrix(case, op):
     assert list(pointwise(a, b, op, tuple(idx))) == want
 
 
-def benchmark_sized_cost(seed, n=24):
-    """A seeded n-point cost matrix shaped like the benchmark's: zero
-    diagonal, arcs from the second half back to the first INF, a quarter
-    of the other arcs INF and the rest positive, with denominators
-    cycling through 1, 2, 3, 4, 5 and 7."""
-    rng = random.Random(seed)
-    half = n // 2
-    cells = [(i, j) for i in range(n) for j in range(n)
-             if i != j and not i >= half > j]
-    rng.shuffle(cells)
-    n_inf = len(cells) // 4
-    cost = [[F(0) if i == j else None for j in range(n)] for i in range(n)]
-    for k, (i, j) in enumerate(cells[n_inf:]):
-        den = (1, 2, 3, 4, 5, 7)[k % 6]
-        cost[i][j] = F(rng.randint(1, 4 * den), den)
-    return cost
-
-
 def test_kernels_match_extvalue_loops_at_benchmark_size():
     cost = benchmark_sized_cost(17)
     closed = minplus_closure(matrix(cost))
@@ -258,20 +212,6 @@ def test_large_common_denominator_is_exact():
     cycle = fracs(minplus_closure(matrix([[TINY, TINY], [SMALL, None]])))
     assert cycle[1][1] == TINY + SMALL
     assert cycle[1][1].denominator > 2 ** 64
-
-
-# Values whose ints lie beyond float range: numerators and denominators
-# near 10**320.  The two grids have different denominators, so putting a
-# matrix of each over one multiplies both by a factor near 10**320; a
-# float inf met by such an int in +, * or // would overflow.
-HUGE_A = (F(3 ** 671, 2 ** 1063), F(10 ** 320 + 1))
-HUGE_B = (F(7 ** 379, 5 ** 458), F(1, 10 ** 320 + 3))
-
-
-def huge_cost(rng, n, grid):
-    """An n x n cost matrix over 0, INF and grid."""
-    return [[rng.choice((F(0), None) + grid) for _ in range(n)]
-            for _ in range(n)]
 
 
 def test_kernels_are_exact_beyond_float_range():
@@ -355,7 +295,7 @@ def test_int_matrix_protocol():
     assert all(isinstance(row, tuple) for row in rows)
     assert all(isinstance(v, ExtValue) for row in rows for v in row)
     assert rows == list(view)
-    assert square[1][0].frac == 2 and square[0][1].is_inf
+    assert rows[1][0].frac == 2 and rows[0][1].is_inf
     with pytest.raises(AttributeError):
         square.den = 2
 
@@ -380,7 +320,7 @@ def test_int_matrix_fields_are_den_and_rows():
 def test_int_matrix_round_trip_is_reduced(rows):
     m = matrix(rows)
     assert fracs(m) == rows
-    assert [[v.token() for v in row] for row in m] == tokens(rows)
+    assert m.tokens() == tokens(rows)
     assert gcd(m.den, *[x for row in m.rows for x in row if x != inf]) == 1
     assert IntMatrix(m.den * 6, [[inf if x == inf else 6 * x for x in row]
                                  for row in m.rows]) == m

@@ -23,8 +23,8 @@ from finmet.quotients import Submetric, kernel_metric, quotient_by_submetric
 from finmet.selftest import (_corrupt_lower, _corrupt_merge,
                              _pushout_instance, _redirect)
 from finmet.spaces import FinSpace, is_separated, validate_metric
-from reference import closure, fracs, least, matrix
-from test_minplus import positive, separated_metric
+from reference import (at, closure, fracs, least, matrix, positive,
+                       separated_metric)
 
 
 def worked_instance():
@@ -77,13 +77,13 @@ def test_worked_instance_pinned():
     result = pushout_along_embedding(i, f)
     g = result.gamma
     # glue point: q is identified with p, so they sit at distance 0
-    assert g.value("0:q", "1:p").frac == 0 and g.value("1:p", "0:q").frac == 0
-    assert g.value("0:q", "1:x").frac == 1
-    assert g.value("1:x", "0:b").frac == 3   # x -> p=q -> b
+    assert at(g, "0:q", "1:p") == 0 and at(g, "1:p", "0:q") == 0
+    assert at(g, "0:q", "1:x") == 1
+    assert at(g, "1:x", "0:b") == 3   # x -> p=q -> b
     apex = result.apex
     assert apex.labels == ("[0:q]", "[0:b]", "[1:x]")
-    assert apex.d("[1:x]", "[0:b]").frac == 3
-    assert apex.d("[0:q]", "[1:x]").frac == 1
+    assert at(apex, "[1:x]", "[0:b]") == 3
+    assert at(apex, "[0:q]", "[1:x]") == 1
     assert result.square.commutes()
 
 
@@ -139,7 +139,7 @@ def test_empty_glue_gives_coproduct():
     i = FinMap(empty, x, ())
     f = FinMap(empty, b, ())
     result = pushout_along_embedding(i, f)
-    assert result.gamma.value("0:q", "1:p").is_inf
+    assert at(result.gamma, "0:q", "1:p") is None
     assert result.apex.n == 2
 
 
@@ -312,7 +312,7 @@ def test_cokernel_pair_diagonal():
     assert q0("a") == q1("a")
     assert q0("b") != q1("b")
     assert apex.n == 3
-    assert apex.d(q0("b"), q1("b")).frac == 2  # b -> a -> b'
+    assert at(apex, q0("b"), q1("b")) == 2  # b -> a -> b'
 
 
 @st.composite
@@ -361,5 +361,5 @@ def test_detour_of_three_finite_arcs():
     b = FinSpace(("b1", "b2"), IntMatrix(1, [[0, 1], [inf, 0]]))
     f = FinMap(a, b, ("b1", "b2"))
     result = pushout_along_embedding(i, f)
-    assert result.gamma.value("1:x", "1:y").frac == 3
+    assert at(result.gamma, "1:x", "1:y") == 3
     assert result.gamma.gamma == pushout_closure_oracle(i, f).gamma

@@ -9,6 +9,7 @@ pin how many full matrices reach its second product.
 
 import itertools
 import operator
+from math import inf
 
 import pytest
 
@@ -78,7 +79,7 @@ def test_grid_idempotents_match_full_scan():
     """The pruned search keeps exactly the idempotents of the unpruned
     scan, in the same order: cost matrices over the grid up to 3 points,
     {inf, 0} relations up to 4."""
-    for grid, top in ((selftest._INT_GRID, 3), ((selftest._INT_INF, 0), 4)):
+    for grid, top in ((selftest._INT_GRID, 3), ((inf, 0), 4)):
         for n in range(top + 1):
             scan = []
             for flat in itertools.product(grid, repeat=n * n):
@@ -97,7 +98,7 @@ def test_grid_search_prunes_unattained_pairs(monkeypatch):
                         lambda rho, n: calls.append(n) or real(rho, n))
     kept = sum(len(list(selftest._grid_idempotents(grid, n)))
                for grid, sizes in ((selftest._INT_GRID, (1, 2, 3)),
-                                   ((selftest._INT_INF, 0), (1, 2, 3, 4)))
+                                   ((inf, 0), (1, 2, 3, 4)))
                for n in sizes)
     assert kept == 3224 + 2496
     assert len(calls) == 10574

@@ -6,7 +6,7 @@ with "inf", denominators above 1 and ints near 10**320:
   reads as, with INF for "inf";
 - with bad tokens planted, the error names the first bad token in
   row-major order;
-- matrix_tokens writes what ExtValue.token() writes, entry by entry,
+- IntMatrix.tokens writes what IntMatrix.token writes, entry by entry,
   and dump(load(doc)) is doc.
 """
 
@@ -23,7 +23,7 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 from finmet.cli import _matrix_lines
 from finmet.minplus import IntMatrix
-from finmet.workspace import dump_workspace, load_workspace, matrix_tokens
+from finmet.workspace import dump_workspace, load_workspace
 from reference import fracs, token
 
 HUGE = 10 ** 320
@@ -97,10 +97,11 @@ def int_matrices(draw):
 @settings(max_examples=100, deadline=None)
 @given(int_matrices())
 def test_matrix_tokens_are_the_values_tokens(m):
-    want = [[v.token() for v in row] for row in m]
+    want = [[m.token(i, j) for j in range(len(row))]
+            for i, row in enumerate(m.rows)]
     assert want == [[token(None if x == inf else Fraction(x, m.den))
                      for x in row] for row in m.rows]
-    assert matrix_tokens(m) == want
+    assert m.tokens() == want
     assert _matrix_lines("m", (), m)[2:] == ["    " + " ".join(row)
                                               for row in want]
 

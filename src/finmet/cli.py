@@ -416,6 +416,11 @@ def parse_args(argv):
 
 
 def main(argv=None):
+    # Exact values may need more digits than Python's int/str conversion
+    # limit (4300 since 3.11), so lift it: tokens of any length are read
+    # and written.
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         ws = None

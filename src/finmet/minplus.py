@@ -19,12 +19,12 @@ matrix through its zero-diagonal points on its own ints, which is the
 full square only when the whole diagonal is zero.  The closure here is
 the all-pairs shortest-path saturation: the least matrix below the given
 costs that satisfies the triangle inequality.  It doubles as the
-independent oracle for the explicit pushout formula, which relaxes
-through the glue points only, and as the repair step of the
-random-space generator.  The entrywise comparison serves
-every order check of two matrices: non-expansive maps and embeddings
-(reading the target through the map's index map), submetrics below d,
-the order of quotients and the corelation laws.
+closure step of pushouts.glue, the independent oracle's route for the
+explicit pushout formula, which relaxes through the glue points only,
+and as the repair step of the random-space generator.  The entrywise
+comparison serves every order check of two matrices: non-expansive maps
+and embeddings (reading the target through the map's index map),
+submetrics below d, the order of quotients and the corelation laws.
 
 Every kernel is exact integer arithmetic: its operands are put over one
 common denominator (a no-op when they already share it), the loops run

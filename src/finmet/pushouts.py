@@ -4,8 +4,9 @@ The pushout of B <- A -> X (with A -> X an embedding and A -> B
 non-expansive) is the separation quotient of B + X under a submetric
 gamma whose mixed blocks are min-plus products over the glue points.
 Every pushout goes through this one formula, cokernel pairs included.
-An independent shortest-path closure oracle recomputes gamma from the
-raw gluing costs so the two routes can be compared exactly.
+An independent oracle recomputes gamma as the coproduct metric glued
+at the glue points (glue, a shortest-path closure), so the two routes
+can be compared exactly.
 
 The universal property is decided exactly, with no sampling: each
 cocone counts as its kernel metric k on B + X, a mediator out of the
@@ -100,35 +101,34 @@ def pushout_along_embedding(i, f):
     return PushoutResult(square=square, gamma=gamma)
 
 
-def _glue_and_close(i, f, closed):
-    """Closure of a closed matrix on B + X after adding zero-cost arcs
-    between f(a) and i(a), both ways, for every glue point a.
+def glue(space, pairs):
+    """The least metric below d on space that is 0 both ways at each
+    index pair (p, q), as a Submetric on space.  As d is closed, only
+    the pairs' points are relaxed through (minplus_closure's pivots)."""
+    cost = [list(row) for row in space.dist.rows]
+    for p, q in pairs:
+        cost[p][q] = cost[q][p] = 0
+    ends = sorted({x for pair in pairs for x in pair})
+    return Submetric(space, minplus_closure(IntMatrix(space.dist.den, cost),
+                                            ends))
 
-    As the matrix is closed, only the arcs' endpoints, at most 2|A|
-    points, are relaxed through (minplus_closure's pivots).
-    """
+
+def _glued_coproduct(i, f):
+    """glue on B + X at each glue pair (f(a), i(a)), for any span."""
+    bx, _, _ = coproduct(f.target, i.target)
     nb = f.target.n
-    den, (cost,) = scale(closed)
-    cost = [list(row) for row in cost]
-    ends = set()
-    for p, q in zip(target_indices(f), target_indices(i)):
-        cost[p][nb + q] = cost[nb + q][p] = 0
-        ends.update((p, nb + q))
-    return minplus_closure(IntMatrix(den, cost), sorted(ends))
+    return glue(bx, [(p, nb + q) for p, q in zip(target_indices(f),
+                                                 target_indices(i))])
 
 
 def pushout_closure_oracle(i, f):
-    """Independent recomputation of the pushout submetric.
-
-    Start from the coproduct metric on B + X, glue f(a) to i(a) at zero
-    cost and saturate with the min-plus closure, relaxed through the
-    glue points only, since the coproduct metric is closed.  Must agree
-    exactly with the formula route, which it never calls.  A, B and X
-    must be metrics, not checked again here, as for the formula.
+    """Independent recomputation of the pushout submetric: the coproduct
+    metric on B + X glued at each pair (f(a), i(a)).  Must agree exactly
+    with the formula route, which it never calls.  A, B and X must be
+    metrics, not checked again here, as for the formula.
     """
     _check_pushout_inputs(i, f)
-    bx, _, _ = coproduct(f.target, i.target)
-    return Submetric(bx, _glue_and_close(i, f, bx.dist))
+    return _glued_coproduct(i, f)
 
 
 def cokernel_pair(i):
@@ -150,10 +150,10 @@ def verify_pushout_universal(result):
     K make u well defined.
 
     Every k_h is a metric below d_{B+X} that vanishes both ways at each
-    glue pair, so it lies below the min-plus closure of d_{B+X} with
-    those entries set to 0.  That closure is itself the kernel of a
-    cocone, the projection onto its quotient, so every cocone has a
-    mediator iff this greatest one does, and one comparison decides.
+    glue pair, so it lies below B + X glued at those pairs (glue).  That
+    is itself the kernel of a cocone, the projection onto its quotient,
+    so every cocone has a mediator iff this greatest one does, and one
+    comparison decides.  Any span is decided, embedding or not.
     """
     sq, apex = result.square, result.apex
     if set(sq.bottom.assignment + sq.right.assignment) != set(apex.labels):
@@ -164,6 +164,5 @@ def verify_pushout_universal(result):
                                       for p in legs])
     # Built from the span, not from result.gamma, so the check does not
     # trust the result it checks.
-    i, f = sq.top, sq.left
-    bx, _, _ = coproduct(f.target, i.target)
-    return not any(pointwise(bound, _glue_and_close(i, f, bx.dist), lt))
+    glued = _glued_coproduct(sq.top, sq.left).gamma
+    return not any(pointwise(bound, glued, lt))

@@ -301,6 +301,27 @@ def test_values_beyond_float_range_are_exact(argv, want, tmp_path, capsys):
     assert captured.out == want.format(**_HUGE_TOKENS)
 
 
+def test_values_of_any_length_are_read_and_written(tmp_path, capsys):
+    """Exact values beyond Python's 4300-digit int/str limit: the cross
+    entry 1/p + 1/q of the subset corelation at b has a 4401-digit
+    denominator, and a 4401-digit token is read."""
+    p, q = 10 ** 2200 + 3, 10 ** 2200 + 7
+    ab, bc, ac = "1/%d" % p, "1/%d" % q, "1/1" + "0" * 2300
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({"objects": [
+        {"kind": "space", "name": "Z", "points": ["a", "b", "c"],
+         "dist": [["0", ab, ac], [ab, "0", bc], [ac, bc, "0"]]},
+        {"kind": "space", "name": "W", "points": ["u", "v"],
+         "dist": [["0", "1/1" + "0" * 4400], ["1/1" + "0" * 4400, "0"]]}]}))
+    assert cli.main(["-w", str(path), "--json", "corelation", "from-subset",
+                     "Z", "b"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert F(json.loads(captured.out)["g01"][0][2]) == F(1, p) + F(1, q)
+    assert cli.main(["-w", str(path), "validate", "space", "W"]) == 0
+    assert capsys.readouterr().out == "validate space W: VALID\n"
+
+
 _NOT_IDEMPOTENT = {"objects": [
     {"kind": "costmatrix", "name": "C", "points": ["x", "y"],
      "matrix": [["1", "1"], ["inf", "0"]]}]}

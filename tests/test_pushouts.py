@@ -12,12 +12,12 @@ from hypothesis import strategies as st
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 from finmet import pushouts
-from finmet.harness import GenConfig, gen_metric, sample_cost_below
-from finmet.limits import coproduct, is_pullback_square
-from finmet.maps import (FinMap, compose, is_embedding, is_nonexpansive,
-                         subspace)
+from finmet.harness import (GenConfig, gen_metric, gen_nonexpansive_map,
+                            sample_cost_below)
+from finmet.limits import Square, coproduct, is_pullback_square
+from finmet.maps import FinMap, is_embedding, is_nonexpansive, subspace
 from finmet.minplus import IntMatrix, minplus_closure, pointwise
-from finmet.pushouts import (cokernel_pair, pushout_along_embedding,
+from finmet.pushouts import (cokernel_pair, glue, pushout_along_embedding,
                              pushout_closure_oracle, verify_pushout_universal)
 from finmet.quotients import Submetric, kernel_metric, quotient_by_submetric
 from finmet.selftest import (_corrupt_lower, _corrupt_merge,
@@ -115,6 +115,28 @@ def test_oracle_is_the_full_closure_of_the_glued_coproduct():
                 == full_closure(glue_arcs(i, f, bx.dist)))
 
 
+def test_glue_is_the_full_closure_with_each_pair_zeroed():
+    """On generated spaces, not only coproducts, and random index pairs,
+    glue relaxes through the pairs' points only; that is the closure
+    through every point of the space's matrix with each pair at 0 both
+    ways.  With no pairs it is the space's own metric."""
+    rng = random.Random(31)
+    for _ in range(200):
+        space = gen_metric(GenConfig(seed=rng.getrandbits(63),
+                                     max_points=rng.randint(0, 6)))
+        assert glue(space, []) == Submetric(space, space.dist)
+        if space.n == 0:
+            continue
+        pairs = [(rng.randrange(space.n), rng.randrange(space.n))
+                 for _ in range(rng.randint(1, 3))]
+        rows = [list(row) for row in space.dist.rows]
+        for p, q in pairs:
+            rows[p][q] = rows[q][p] = 0
+        glued = glue(space, pairs)
+        assert glued.base == space
+        assert glued.gamma == full_closure(IntMatrix(space.dist.den, rows))
+
+
 def test_oracle_never_calls_the_formulas_product(monkeypatch):
     """The oracle and the universal check close the glued coproduct and
     never take the pushout formula's min-plus products."""
@@ -177,11 +199,12 @@ def _reference_cocones(result, trials, seed):
     assignments into small random targets."""
     f, i = result.square.left, result.square.top
     bx, _, _ = coproduct(f.target, i.target)
-    glue = [(f.target.index(f(a)), f.target.n + i.target.index(i(a)))
-            for a in f.source.labels]
+    pairs = [(f.target.index(f(a)), f.target.n + i.target.index(i(a)))
+             for a in f.source.labels]
 
     def glued(costs):
-        closed = pushouts._glue_and_close(i, f, minplus_closure(costs))
+        closed = glue(FinSpace(bx.labels, minplus_closure(costs)),
+                      pairs).gamma
         # Closing first changes nothing: closure(glue(closure c)) is
         # closure(glue(c)), so the cocones are those of the raw costs.
         assert closed == full_closure(glue_arcs(i, f, costs))
@@ -200,7 +223,7 @@ def _reference_cocones(result, trials, seed):
             kind, h = "raw", FinMap(bx, t_space, tuple(
                 rng.choice(t_space.labels) for _ in bx.labels))
             if not is_nonexpansive(h) or any(
-                    h.assignment[p] != h.assignment[q] for p, q in glue):
+                    h.assignment[p] != h.assignment[q] for p, q in pairs):
                 continue
         checked += 1
         yield kind, h
@@ -263,6 +286,57 @@ def test_universal_check_draws_nothing(monkeypatch):
     result = pushout_along_embedding(*worked_instance())
     assert verify_pushout_universal(result)
     assert not verify_pushout_universal(_corrupt_lower(result))
+
+
+def glued_result(i, f):
+    """A hand-built pushout square of any span: the apex is the quotient
+    of B + X by glue at the glue pairs, the legs its two restrictions."""
+    bx, _, _ = coproduct(f.target, i.target)
+    nb = f.target.n
+    gamma = glue(bx, [(f.target.index(f(a)), nb + i.target.index(i(a)))
+                      for a in f.source.labels])
+    proj = quotient_by_submetric(gamma)
+    apex = proj.target
+    return pushouts.PushoutResult(Square(
+        f, i, FinMap(f.target, apex, proj.assignment[:nb]),
+        FinMap(i.target, apex, proj.assignment[nb:])), gamma)
+
+
+def test_universal_check_decides_spans_that_are_not_embeddings():
+    """verify_pushout_universal runs no embedding check: on spans whose
+    i is not an embedding it accepts the glued square, refuses its
+    lowered corruption, and agrees with the sampled mediator route."""
+    a = FinSpace(("s", "t"), IntMatrix(1, [[0, 2], [2, 0]]))
+    x = FinSpace(("p", "x"), IntMatrix(1, [[0, 1], [1, 0]]))
+    b = FinSpace(("q", "b"), IntMatrix(1, [[0, 2], [2, 0]]))
+    shrink, f = FinMap(a, x, ("p", "x")), FinMap(a, b, ("q", "b"))
+    result = glued_result(shrink, f)
+    # q is glued to p and b to x, so d(q, b) drops from 2 to d(p, x) = 1.
+    assert result.apex.n == 2 and at(result.gamma, "0:q", "0:b") == 1
+    cases = [(shrink, f)]
+    rng = random.Random(37)
+    while len(cases) < 25:
+        a = gen_metric(GenConfig(seed=rng.getrandbits(63), max_points=3))
+        i = gen_nonexpansive_map(a, gen_metric(GenConfig(
+            seed=rng.getrandbits(63), max_points=rng.randint(1, 3))), rng)
+        f = gen_nonexpansive_map(a, gen_metric(GenConfig(
+            seed=rng.getrandbits(63), max_points=rng.randint(1, 3))), rng)
+        if i is not None and f is not None and not is_embedding(i):
+            cases.append((i, f))
+    refused = 0
+    for seed, (i, f) in enumerate(cases):
+        result = glued_result(i, f)
+        assert result.square.commutes()
+        assert verify_pushout_universal(result)
+        bad = _corrupt_lower(result)
+        if bad is not None:
+            refused += 1
+            assert not verify_pushout_universal(bad)
+        for r in filter(None, (result, bad)):
+            assert verify_pushout_universal(r) == all(
+                _reference_mediator_exists(r, h)
+                for _, h in _reference_cocones(r, 10, seed))
+    assert refused > 0
 
 
 def test_requires_embedding():

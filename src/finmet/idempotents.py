@@ -9,27 +9,22 @@ The relational corollary is the lemma on the two values {0, inf}.  A
 relation R is held as its cost matrix, 0 where x R y and INF elsewhere:
 R is idempotent exactly when that matrix is, and a density witness of
 x R y is the lemma's zero-diagonal witness of the pair (x, y).
+Deciding idempotence and factoring are one pass
+(minplus.zero_diagonal_witnesses): the routed product through the
+zero-diagonal points that keeps each entry's least attaining point.
 CostMatrix itself lives in spaces, beside the other records a workspace
 holds, and is the same class here.
 """
 
 from __future__ import annotations
 
-from math import inf
-
-from .minplus import equals_own_square
+from .minplus import equals_own_square, zero_diagonal_witnesses
 from .spaces import CostMatrix, Frozen, label_index
 
 
 def is_idempotent(cm):
-    """Whether rho equals its min-plus square.
-
-    Decided through the zero-diagonal points Z, as the lemma allows
-    (minplus.equals_own_square): rho must equal rho[:, Z] * rho[Z, :],
-    and no point outside Z may route two points of Z below their entry.
-    Both run on rho's own ints over its denominator, which is the
-    square's denominator too, so equal ints mean equal entries.
-    """
+    """Whether rho equals its min-plus square, decided through its
+    zero-diagonal points (minplus.zero_diagonal_witnesses)."""
     return equals_own_square(cm.rho)
 
 
@@ -37,7 +32,8 @@ class FactorReport(Frozen):
     """Witness table for routing an idempotent matrix through its
     zero-diagonal points: zero_diagonal holds the labels with
     rho(a, a) = 0, witnesses maps (x, y) to a label or None, and
-    failures lists the finite pairs with no witness."""
+    failures lists the finite pairs with no witness, always () in a
+    report that factor_through_zero_diagonal returns."""
 
     __slots__ = ("zero_diagonal", "witnesses", "failures")
 
@@ -58,29 +54,16 @@ def factor_through_zero_diagonal(cm):
     Pairs with infinite cost are vacuous: rho = rho * rho makes every
     route between them infinite.  Ties break to the least point index.
     """
-    if not is_idempotent(cm):
+    table = zero_diagonal_witnesses(cm.rho)
+    if table is None:
         raise ValueError("input is not min-plus idempotent")
     labels = cm.labels
-    rho = cm.rho.rows
-    a_idx = [i for i, row in enumerate(rho) if row[i] == 0]
-    witnesses = {}
-    failures = []
-    for x, row in enumerate(rho):
-        for y, target in enumerate(row):
-            pair = (labels[x], labels[y])
-            if target == inf:
-                witnesses[pair] = None
-                continue
-            for a in a_idx:
-                # row[a] + rho[a][y] == target, with no sum taken of inf.
-                if row[a] <= target and rho[a][y] == target - row[a]:
-                    witnesses[pair] = labels[a]
-                    break
-            else:
-                failures.append(pair)
-    return FactorReport(zero_diagonal=tuple(cm.labels[i] for i in a_idx),
-                        witnesses=witnesses,
-                        failures=tuple(failures))
+    witnesses = {(x, y): None if z is None else labels[z]
+                 for x, row in zip(labels, table)
+                 for y, z in zip(labels, row)}
+    return FactorReport(zero_diagonal=tuple(
+        lab for a, lab in enumerate(labels) if cm.rho.rows[a][a] == 0),
+        witnesses=witnesses)
 
 
 def relation_density_witness(relation, x, y):

@@ -12,19 +12,20 @@ own code builds IntMatrix(den, rows) directly.  Iterating a matrix
 builds ExtValue rows on each pass, for callers only.  The kernels take
 IntMatrix operands.
 
-One product kernel serves square and rectangular operands alike; the
-pushout formula builds its mixed blocks from it, and the idempotence
-test of a cost matrix or a cross block (equals_own_square) routes the
-matrix through its zero-diagonal points on its own ints, which is the
-full square only when the whole diagonal is zero.  The closure here is
-the all-pairs shortest-path saturation: the least matrix below the given
-costs that satisfies the triangle inequality.  It doubles as the
-closure step of pushouts.glue, the independent oracle's route for the
-explicit pushout formula, which relaxes through the glue points only,
-and as the repair step of the random-space generator.  The entrywise
-comparison serves every order check of two matrices: non-expansive maps
-and embeddings (reading the target through the map's index map),
-submetrics below d, the order of quotients and the corelation laws.
+One product kernel, its minima starting from given rows or INF, serves
+square and rectangular operands alike; the pushout formula builds its
+blocks from it.  The idempotence test (zero_diagonal_witnesses) is one
+pass through a matrix's zero-diagonal points on its own ints, keeping
+each entry's least witness: the full square only when the whole diagonal
+is zero.  The closure here is the all-pairs shortest-path saturation:
+the least matrix below the given costs that satisfies the triangle
+inequality.  It doubles as the closure step of pushouts.glue, the
+independent oracle's route for the explicit pushout formula, which
+relaxes through the glue points only, and as the repair step of the
+random-space generator.  The entrywise comparison serves every order
+check of two matrices: non-expansive maps and embeddings (reading the
+target through the map's index map), submetrics below d, the order of
+quotients and the corelation laws.
 
 Every kernel is exact integer arithmetic: its operands are put over one
 common denominator (a no-op when they already share it), the loops run
@@ -40,7 +41,7 @@ triangle.
 
 from __future__ import annotations
 
-from itertools import chain, compress, count
+from itertools import chain, compress, count, repeat
 from math import gcd, inf, lcm
 
 from .extarith import INF, ExtValue, Frozen, ratio, token
@@ -156,18 +157,18 @@ def finite_columns(row):
     return [j for j, x in enumerate(row) if x != inf]
 
 
-def int_product(rows, other, ncols):
-    """out[i][j] = min_k rows[i][k] + other[k][j] on scaled ints, with
-    ncols columns; an empty minimum, and every INF one, is inf.
+def int_product(rows, other, ncols, start=None):
+    """out[i][j] = min(start[i][j], min_k rows[i][k] + other[k][j]) on
+    scaled ints, with ncols columns; start defaults to all inf, so an
+    empty minimum, and every INF one, is inf.
 
     Only finite terms are visited: each finite rows[i][k] is added to
     the finite entries of other[k], and the sums are kept in row i's
-    running minima.
+    running minima, which start from start[i].
     """
     finite = [finite_columns(o_row) for o_row in other]
     out = []
-    for row in rows:
-        acc = [inf] * ncols
+    for row, acc in zip(rows, map(list, start or repeat((inf,) * ncols))):
         for w, o_row, cols in zip(row, other, finite):
             if w != inf:
                 for j in cols:
@@ -198,8 +199,10 @@ def pointwise(a, b, op, idx=None):
             yield i, j
 
 
-def equals_own_square(m):
-    """Whether the square IntMatrix m equals its min-plus square.
+def zero_diagonal_witnesses(m):
+    """None if the square IntMatrix m is not its own min-plus square,
+    else its witnesses: rows of the least z with m[z][z] = 0 and m[x][z]
+    + m[z][y] = m[x][y] at each finite (x, y), and None at INF.
 
     Let Z be the points with m[z][z] = 0.  m equals its square exactly
     when
@@ -215,31 +218,45 @@ def equals_own_square(m):
     those through k outside Z lie above it.  So m * m = P (Q P) Q =
     P M Q = P Q = m.
 
-    That takes n^2 |Z| + |Z|^2 (n - |Z|) steps, never more than the n^3
-    of the full square, and n^3 when every diagonal entry is 0.  A
-    product of matrices over one denominator is over it too, so both
-    clauses run on m's own ints, and equal ints mean equal entries.
+    Both clauses take n^2 |Z| + |Z|^2 (n - |Z|) steps, at most n^3.
     """
     rows = m.rows
-    n = len(rows)
-    zero = [z for z in range(n) if rows[z][z] == 0]
-    routed = int_product([[row[z] for z in zero] for row in rows],
-                         [rows[z] for z in zero], n)
-    if tuple(map(tuple, routed)) != rows:
-        return False
+    zero = [z for z, row in enumerate(rows) if row[z] == 0]
+    # Z decreasing, so the least z is written last; finite terms only.
+    routes = [(z, [(j, x) for j, x in enumerate(rows[z]) if x != inf])
+              for z in reversed(zero)]
+    table = []
+    for row in rows:
+        witness = [None] * len(rows)
+        for z, finite in routes:
+            w = row[z]
+            if w != inf:
+                for j, x in finite:
+                    s = w + x
+                    if s <= row[j]:
+                        if s < row[j]:
+                            return None
+                        witness[j] = z
+        if witness.count(None) != row.count(inf):  # a finite entry unmet
+            return None
+        table.append(witness)
     for k, row_k in enumerate(rows):
         if row_k[k] == 0:
             continue
         # The Z columns at which row k is finite; INF terms break nothing.
-        back = [b for b in zero if row_k[b] != inf]
-        for a in zero:
-            row_a = rows[a]
+        back = [(b, row_k[b]) for b in zero if row_k[b] != inf]
+        for row_a in [rows[a] for a in zero]:
             w = row_a[k]
             if w != inf:
-                for b in back:
-                    if w + row_k[b] < row_a[b]:
-                        return False
-    return True
+                for b, x in back:
+                    if w + x < row_a[b]:
+                        return None
+    return table
+
+
+def equals_own_square(m):
+    """Whether the square IntMatrix m equals its min-plus square."""
+    return zero_diagonal_witnesses(m) is not None
 
 
 def minplus_matmul(a, b):

@@ -25,8 +25,8 @@ from .maps import (compose, is_embedding, require_nonexpansive,
                    target_indices)
 from .minplus import (IntMatrix, int_product, minplus_closure, pointwise,
                       scale)
-from .quotients import Submetric, quotient_by_submetric
-from .spaces import Frozen, is_separated
+from .spaces import (Frozen, Submetric, is_separated,
+                     quotient_by_zero_classes)
 
 
 class PushoutResult(Frozen):
@@ -59,7 +59,7 @@ def _check_pushout_inputs(i, f):
     if not is_embedding(i):
         raise ValueError("pushout is only computed along an embedding")
     require_nonexpansive(f)
-    for sp in (i.source, i.target, f.target):
+    for sp in (i.target, f.target):  # A is separated if X is
         if not is_separated(sp):
             raise ValueError("pushout requires separated spaces")
 
@@ -71,8 +71,8 @@ def pushout_along_embedding(i, f):
     through one glue point, each a min-plus product over A:
     B->X = d_B[:, fA] * d_X[iA, :] and X->B = d_X[:, iA] * d_B[fA, :].
     X-X is the pointwise min of d_X and the detour X->B->X, the X->B
-    block on the fA columns times d_X[iA, :].  The apex is the
-    separation quotient.
+    block on the fA columns times d_X[iA, :] with minima from d_X.  The
+    apex is the zero-class quotient of B + X, separated as B and X are.
 
     A, B and X must be metrics.  That is not checked again here, as
     every caller has checked it (Workspace.get, the generators).
@@ -87,15 +87,14 @@ def pushout_along_embedding(i, f):
                          x_space.n)
     x_to_b = int_product([[row[s] for s in ia] for row in d_x],
                          [d_b[t] for t in fa], b_space.n)
-    detour = int_product([[row[t] for t in fa] for row in x_to_b], x_glue,
-                         x_space.n)
-    x_to_x = [list(map(min, direct, via)) for direct, via in zip(d_x, detour)]
+    x_to_x = int_product([[row[t] for t in fa] for row in x_to_b], x_glue,
+                         x_space.n, d_x)
 
     bx, iota_b, iota_x = coproduct(b_space, x_space)
     rows = [[*d, *m] for d, m in zip(d_b, b_to_x)]
     rows += [[*m, *d] for m, d in zip(x_to_b, x_to_x)]
     gamma = Submetric(bx, IntMatrix(common, rows))
-    proj = quotient_by_submetric(gamma)
+    proj = quotient_by_zero_classes(bx, gamma.gamma)
     square = Square(left=f, top=i,
                     bottom=compose(iota_b, proj), right=compose(iota_x, proj))
     return PushoutResult(square=square, gamma=gamma)

@@ -213,7 +213,7 @@ def block_metrics(draw):
 
 @settings(deadline=None)
 @given(block_metrics())
-def test_block_checks_match_extvalue_loops(bm):
+def test_block_checks_match_reference(bm):
     assert points(reflexive_witness(bm)) == reference_reflexive_witness(bm)
     assert points(symmetric_witness(bm)) == reference_symmetric_witness(bm)
     g00, g01, g10, g11 = (fracs(bm.block(i, j)) for i in (0, 1)
@@ -227,7 +227,7 @@ def test_block_checks_match_extvalue_loops(bm):
 @settings(deadline=None)
 @given(st.integers(1, 5).flatmap(lambda n: st.tuples(
     separated_metric(n), st.sets(st.integers(0, n - 1)))))
-def test_gamma_from_subset_matches_extvalue_product(case):
+def test_gamma_from_subset_matches_reference_product(case):
     dist, subset = case
     x = FinSpace(tuple("x%d" % k for k in range(len(dist))), matrix(dist))
     idx = sorted(subset)

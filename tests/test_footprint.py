@@ -28,7 +28,7 @@ LOADER = ("extarith", "minplus", "spaces", "workspace")
 QUOTIENTS = ("maps", "quotients")
 LIMITS = ("limits", "maps")
 CORELATIONS = ("corelations", "limits", "maps", "quotients")
-PUSHOUTS = ("limits", "maps", "pushouts", "quotients")
+PUSHOUTS = ("limits", "maps", "pushouts")
 # The golden case each command runs, and the finmet modules it imports
 # besides the loader's.
 FOOTPRINT = {

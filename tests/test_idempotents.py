@@ -248,7 +248,7 @@ def routed_costs(draw):
 @given(routed_costs())
 @example([[F(0), TINY], [None, SMALL]])
 @example([[F(0), TINY], [SMALL, SMALL + TINY]])
-def test_factor_matches_extvalue_loop(rho):
+def test_factor_matches_reference(rho):
     labels = tuple("p%d" % i for i in range(len(rho)))
     cm = CostMatrix(labels, matrix(rho))
     idempotent = product(rho, tuple(zip(*rho))) == tuple(
@@ -375,17 +375,38 @@ def test_equals_own_square_on_every_matrix_over_a_small_grid():
     """All 4**9 matrices of 3 x 3 over {0, 1, 2, inf}, and the smaller
     ones, against their square's entries taken one by one.  The entries
     are small ints or inf, so a float sum is exact.  The idempotents
-    number 3224 over sizes 1 to 3, the count of selftest's suite 10."""
+    number 3224 over sizes 1 to 3, the count of selftest's suite 10.
+    factor_through_zero_diagonal raises exactly on the others, the
+    matrix whose triangle clause alone fails among them, and on the
+    idempotents reports what reference_factor does."""
     grid = (0, 1, 2, inf)
+    # The matrix of the triangle-clause test below.
+    triangle_only = ((0, 0, 0), (1, 1, 0), (inf, 1, 0))
     idempotent = []
+    refused = []
     for n in range(4):
+        labels = tuple("p%d" % i for i in range(n))
         count = 0
         for cells in itertools.product(grid, repeat=n * n):
             rows = tuple(cells[i * n:(i + 1) * n] for i in range(n))
             cols = tuple(zip(*rows))
             verdict = all(min(u + v for u, v in zip(row, col)) == x
                           for row in rows for col, x in zip(cols, row))
-            assert equals_own_square(IntMatrix(1, rows)) == verdict, rows
+            m = IntMatrix(1, rows)
+            assert equals_own_square(m) == verdict, rows
+            try:
+                report = factor_through_zero_diagonal(CostMatrix(labels, m))
+            except ValueError:
+                assert not verdict, rows
+                if rows == triangle_only:
+                    refused.append(rows)
+            else:
+                assert verdict, rows
+                rho = [[None if x == inf else F(x) for x in row]
+                       for row in rows]
+                assert report == reference_factor(labels, rho), rows
+                assert report.failures == ()
             count += verdict
         idempotent.append(count)
     assert idempotent == [1, 2, 41, 3181]
+    assert refused == [triangle_only]

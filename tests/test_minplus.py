@@ -145,6 +145,39 @@ def test_product_matches_reference(pair):
     assert all(len(row) == len(cols) for row in out)
 
 
+# (rows, cols, start) operands of int_product with start rows, one per
+# row of rows and one entry per column of cols, over values and entries
+# whose ints over a common denominator are beyond float range.
+entries = values | st.sampled_from(HUGE_A + HUGE_B)
+
+
+def entry_matrices(n_rows, n_cols):
+    return st.lists(st.lists(entries, min_size=n_cols, max_size=n_cols),
+                    min_size=n_rows, max_size=n_rows)
+
+
+seeded = st.tuples(st.integers(0, 4), st.integers(0, 4),
+                   st.integers(0, 4)).flatmap(
+    lambda s: st.tuples(entry_matrices(s[0], s[2]),
+                        entry_matrices(s[1], s[2]),
+                        entry_matrices(s[0], s[1])))
+
+
+@settings(deadline=None)
+@given(seeded)
+@example(([[], []], [[], [], []], [[F(1), None, TINY], [None, None, F(0)]]))
+@example(([[F(1), None]], [[F(2), F(0)], [None, None]], [[F(4), None]]))
+@example(([[HUGE_A[0], F(0)]], [[HUGE_B[1], HUGE_A[1]]], [[HUGE_B[0]]]))
+def test_product_from_start_rows_matches_reference(case):
+    rows, cols, start = case
+    common, (r, c, s) = scale(matrix(rows), matrix(cols), matrix(start))
+    out = int_product(r, list(zip(*c)), len(cols), s)
+    assert IntMatrix(common, out) == matrix(
+        [[least(u, v) for u, v in zip(s_row, p_row)]
+         for s_row, p_row in zip(start, product(rows, cols))])
+    assert len(out) == len(rows)
+
+
 # Each order test on the Fraction reference values.
 REFERENCE_OP = {gt: lambda u, v: not le(u, v), ne: ne}
 # Two matrices of one shape, either dimension possibly 0.
@@ -417,15 +450,19 @@ def test_kernels_and_constructions_leave_operands_unchanged():
     operands = (a.dist, x.dist, b.dist, bx.dist) + blocks
     before = [(m.den, m.rows) for m in operands]
     cost_before = IntMatrix(cost.den, cost.rows)
+    start = [[5, inf], [inf, 5]]
 
     minplus_closure(x.dist)
     minplus_closure(bx.dist)
     minplus_closure(cost)
     glue(bx, [(0, 2)])
     minplus_closure(cost, (0, 2))
+    int_product(x.dist.rows, x.dist.rows, 2, b.dist.rows)
+    int_product(x.dist.rows, x.dist.rows, 2, start)
     coproduct(x, b)
     pushout_along_embedding(i, f)
     BlockMetric(x, *blocks).as_matrix()
 
     assert [(m.den, m.rows) for m in operands] == before
     assert cost == cost_before
+    assert start == [[5, inf], [inf, 5]]

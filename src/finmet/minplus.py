@@ -15,12 +15,12 @@ IntMatrix operands.
 One product kernel, its minima starting from given rows or INF, serves
 square and rectangular operands alike; the pushout formula builds its
 blocks from it.  The idempotence test (zero_diagonal_witnesses) is one
-pass through a matrix's zero-diagonal points on its own ints, keeping
-each entry's least witness: the full square only when the whole diagonal
-is zero.  The closure here is the all-pairs shortest-path saturation:
-the least matrix below the given costs that satisfies the triangle
-inequality.  It doubles as the closure step of pushouts.glue, the
-independent oracle's route for the explicit pushout formula, which
+pass through a matrix's zero-diagonal points on its own ints that keeps
+each entry's least witness; it costs the full square only when the whole
+diagonal is zero.  The closure here is the all-pairs shortest-path
+saturation: the least matrix below the given costs that satisfies the
+triangle inequality.  It doubles as the closure step of pushouts.glue,
+the independent oracle's route for the explicit pushout formula, which
 relaxes through the glue points only, and as the repair step of the
 random-space generator.  The entrywise comparison serves every order
 check of two matrices: non-expansive maps and embeddings (reading the
@@ -218,7 +218,8 @@ def zero_diagonal_witnesses(m):
     those through k outside Z lie above it.  So m * m = P (Q P) Q =
     P M Q = P Q = m.
 
-    Both clauses take n^2 |Z| + |Z|^2 (n - |Z|) steps, at most n^3.
+    Both clauses take n^2 |Z| + |Z|^2 (n - |Z|) steps, at most n^3, on
+    m's own ints, which are exact as the square is over m's denominator.
     """
     rows = m.rows
     zero = [z for z, row in enumerate(rows) if row[z] == 0]

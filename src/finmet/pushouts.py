@@ -25,8 +25,7 @@ from .maps import (compose, is_embedding, require_nonexpansive,
                    target_indices)
 from .minplus import (IntMatrix, int_product, minplus_closure, pointwise,
                       scale)
-from .spaces import (Frozen, Submetric, is_separated,
-                     quotient_by_zero_classes)
+from .spaces import Frozen, Submetric, is_separated, quotient_by_zero_classes
 
 
 class PushoutResult(Frozen):

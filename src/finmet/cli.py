@@ -273,9 +273,8 @@ def cmd_idempotent_factor(ws, args):
     # hold commas still give one key per pair.
     payload = {"zero_diagonal": list(report.zero_diagonal),
                "witnesses": {pair_label(*k)[1:-1]: v
-                             for k, v in report.witnesses.items()},
-               "ok": report.ok}
-    return (EXIT_OK if report.ok else EXIT_FALSE), lines, payload
+                             for k, v in report.witnesses.items()}}
+    return EXIT_OK, lines, payload
 
 
 def cmd_relation_witness(ws, args):

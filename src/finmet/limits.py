@@ -90,15 +90,17 @@ def split_labels(text):
 
 def product(m1, m2):
     """All pairs with the sup-metric; returns (space, p1, p2)."""
-    labels = tuple(pair_label(x, y) for x in m1.labels for y in m2.labels)
+    parts2 = [_pair_part(y) for y in m2.labels]  # pair_label's, each once
+    labels = tuple(["(%s,%s)" % (u, v) for u in map(_pair_part, m1.labels)
+                    for v in parts2])
     # Pair (x, y) has index x * n2 + y, so row (x, y) of the sup metric
     # runs over x' then y'.
     common, (a, b) = scale(m1.dist, m2.dist)
     rows = [[u if u >= v else v for u in a_row for v in b_row]
             for a_row in a for b_row in b]
     space = FinSpace(labels, IntMatrix(common, rows))
-    p1 = FinMap(space, m1, tuple(x for x in m1.labels for _ in m2.labels))
-    p2 = FinMap(space, m2, tuple(y for _ in m1.labels for y in m2.labels))
+    p1 = FinMap(space, m1, tuple([x for x in m1.labels for _ in m2.labels]))
+    p2 = FinMap(space, m2, m2.labels * m1.n)
     return space, p1, p2
 
 

@@ -68,7 +68,8 @@ def compose(f, g):
     """The composite g . f (apply f first); boundary mismatch is an error."""
     if f.target != g.source:
         raise ValueError("target of first map differs from source of second")
-    return FinMap(f.source, g.target, tuple(g(lab) for lab in f.assignment))
+    image = dict(zip(g.source.labels, g.assignment)).__getitem__
+    return FinMap(f.source, g.target, tuple(map(image, f.assignment)))
 
 
 def is_injective(f):

@@ -36,13 +36,16 @@ overflow or give nan on ints beyond float range.  The closure, the
 product and the triangle check (spaces.metric_violations) loop only
 over finite terms, the columns that finite_columns lists: a sum with an
 INF term is INF, so it can neither lower a minimum nor break a
-triangle.
+triangle.  Nor can a term through a diagonal entry, which is >= 0: the
+closure skips the pivot's row and column, and the triangle check the
+triples with j = i or k = j.
 """
 
 from __future__ import annotations
 
 from itertools import chain, compress, count, repeat
 from math import gcd, inf, lcm
+from operator import itemgetter
 
 from .extarith import INF, ExtValue, Frozen, ratio, token
 
@@ -107,9 +110,10 @@ class IntMatrix(Frozen):
 
     def sub(self, row_idx, col_idx):
         """The matrix of entries (i, j) for i in row_idx, j in col_idx."""
-        rows = self.rows
-        return IntMatrix(self.den, [[rows[i][j] for j in col_idx]
-                                    for i in row_idx])
+        # itemgetter of one index gives the bare entry, and of none fails.
+        pick = (itemgetter(*col_idx) if len(col_idx) > 1
+                else lambda row: [row[j] for j in col_idx])
+        return IntMatrix(self.den, [pick(self.rows[i]) for i in row_idx])
 
     def token(self, i, j):
         """The canonical token of entry (i, j)."""
@@ -279,15 +283,17 @@ def minplus_closure(cost, pivots=None):
     removed, the matrix is closed.  A shortest path then is a chain of
     single closed entries joined by arcs, so every point inside it is a
     pivot.  On any other matrix the result may lie above the closure.
+
+    Pivoting on k skips row and column k, as entries are >= 0: d(k, k) +
+    d(k, j) >= d(k, j) and d(i, k) + d(k, k) >= d(i, k).
     """
     common, (dist,) = scale(cost)
     dist = [list(row) for row in dist]
     for k in range(len(dist)) if pivots is None else pivots:
-        # Row k stays fixed while k is the pivot, as d(k, k) >= 0; its
-        # INF entries relax nothing.
+        # Row and column k stay fixed; row k's INF entries relax nothing.
         row_k = dist[k]
-        cols = finite_columns(row_k)
-        for row_i in dist:
+        cols = [j for j, x in enumerate(row_k) if x != inf and j != k]
+        for row_i in dist[:k] + dist[k + 1:]:
             dik = row_i[k]
             if dik == inf:
                 continue

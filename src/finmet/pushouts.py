@@ -2,8 +2,10 @@
 
 The pushout of B <- A -> X (with A -> X an embedding and A -> B
 non-expansive) is the separation quotient of B + X under a submetric
-gamma whose mixed blocks are min-plus products over the glue points.
-Every pushout goes through this one formula, cokernel pairs included.
+gamma whose mixed blocks are min-plus products over the glue points,
+and whose X-X block takes the detour through B at the distinct glue
+images f(A) only, with the B->X rows there.  Every pushout goes through
+this one formula, cokernel pairs included.
 An independent oracle recomputes gamma as the coproduct metric glued
 at the glue points (glue, a shortest-path closure), so the two routes
 can be compared exactly.
@@ -69,9 +71,13 @@ def pushout_along_embedding(i, f):
     gamma on B + X has four blocks.  B-B is d_B.  The mixed blocks route
     through one glue point, each a min-plus product over A:
     B->X = d_B[:, fA] * d_X[iA, :] and X->B = d_X[:, iA] * d_B[fA, :].
-    X-X is the pointwise min of d_X and the detour X->B->X, the X->B
-    block on the fA columns times d_X[iA, :] with minima from d_X.  The
-    apex is the zero-class quotient of B + X, separated as B and X are.
+    X-X is the pointwise min of d_X and the detour X->B->X through the
+    distinct glue images F: the X->B block on the F columns times the
+    B->X rows at F, with minima from d_X.  As min over t in F of
+    d_B(fa, t) + d_B(t, fa') is d_B(fa, fa') by B's triangle inequality,
+    that is the detour through every glue point, in |F| <= |A| terms.
+    The apex is the zero-class quotient of B + X, separated as B and X
+    are.
 
     A, B and X must be metrics.  That is not checked again here, as
     every caller has checked it (Workspace.get, the generators).
@@ -81,13 +87,13 @@ def pushout_along_embedding(i, f):
     ia, fa = target_indices(i), target_indices(f)
     common, (d_b, d_x) = scale(b_space.dist, x_space.dist)
 
-    x_glue = [d_x[s] for s in ia]
-    b_to_x = int_product([[row[t] for t in fa] for row in d_b], x_glue,
-                         x_space.n)
+    b_to_x = int_product([[row[t] for t in fa] for row in d_b],
+                         [d_x[s] for s in ia], x_space.n)
     x_to_b = int_product([[row[s] for s in ia] for row in d_x],
                          [d_b[t] for t in fa], b_space.n)
-    x_to_x = int_product([[row[t] for t in fa] for row in x_to_b], x_glue,
-                         x_space.n, d_x)
+    hit = sorted(set(fa))  # F
+    x_to_x = int_product([[row[t] for t in hit] for row in x_to_b],
+                         [b_to_x[t] for t in hit], x_space.n, d_x)
 
     bx, iota_b, iota_x = coproduct(b_space, x_space)
     rows = [[*d, *m] for d, m in zip(d_b, b_to_x)]

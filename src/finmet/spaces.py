@@ -20,8 +20,10 @@ matrices, which check_square checks.
 
 from __future__ import annotations
 
+from math import inf
+
 from .extarith import Frozen
-from .minplus import IntMatrix, finite_columns, scale
+from .minplus import IntMatrix, scale
 
 
 class Violation(Frozen):
@@ -52,7 +54,7 @@ def check_square(matrix, n, what, over):
         raise TypeError("%s must be an IntMatrix, not %s"
                         % (what, type(matrix).__name__))
     rows = matrix.rows
-    if len(rows) != n or any(len(row) != n for row in rows):
+    if len(rows) != n or not {n}.issuperset(map(len, rows)):
         raise ValueError("%s shape does not match %s" % (what, over))
 
 
@@ -101,7 +103,11 @@ class FinMap(Frozen):
         if len(assignment) != source.n:
             raise ValueError("assignment length does not match source size")
         labels = target.labels
-        for lab in assignment:
+        try:
+            known = set(labels).issuperset(assignment)
+        except TypeError:  # an unhashable label is unknown
+            known = False
+        for lab in () if known else assignment:
             if lab not in labels:
                 raise ValueError("assignment hits unknown target point %r" % (lab,))
         set_ = object.__setattr__
@@ -186,12 +192,15 @@ def metric_violations(labels, dist):
            for i, row in enumerate(rows) if row[i] != 0]
     # An INF d(i, j) or d(j, k) cannot break d(i, k) <= d(i, j) + d(j, k),
     # so only finite ones are visited; an INF d(i, k) is still compared.
-    finite = [finite_columns(row) for row in rows]
+    # Nor can j = i or k = j, as entries are >= 0: d(i, k) <= d(i, i) +
+    # d(i, k) and d(i, j) <= d(i, j) + d(j, j).  k = i is still visited.
+    off = [[j for j, x in enumerate(row) if x != inf and j != i]
+           for i, row in enumerate(rows)]
     for i, row_i in enumerate(rows):
-        for j in finite[i]:
+        for j in off[i]:
             dij = row_i[j]
             row_j = rows[j]
-            for k in finite[j]:
+            for k in off[j]:
                 if row_i[k] > dij + row_j[k]:
                     out.append(Violation(
                         "triangle", (labels[i], labels[j], labels[k]),
@@ -206,6 +215,8 @@ def is_separated(space):
     rows = space.dist.rows
     n = len(rows)
     for i, row in enumerate(rows):
+        if row.count(0) == (row[i] == 0):  # no zero off the diagonal
+            continue
         for j in range(i + 1, n):
             if row[j] == 0 and rows[j][i] == 0:
                 return False
@@ -228,10 +239,11 @@ def zero_classes(labels, mat):
         members = [i]
         assigned[i] = len(classes)
         row = rows[i]
-        for j in range(i + 1, n):
-            if row[j] == 0 and rows[j][i] == 0 and assigned[j] is None:
-                members.append(j)
-                assigned[j] = len(classes)
+        if row.count(0) != (row[i] == 0):  # a zero off the diagonal
+            for j in range(i + 1, n):
+                if row[j] == 0 and rows[j][i] == 0 and assigned[j] is None:
+                    members.append(j)
+                    assigned[j] = len(classes)
         classes.append(tuple(members))
     return classes, assigned
 
@@ -245,12 +257,11 @@ def quotient_by_zero_classes(space, mat):
     class labels are "[least member label]".
     """
     classes, assigned = zero_classes(space.labels, mat)
-    qlabels = tuple("[%s]" % min(space.labels[i] for i in members)
-                    for members in classes)
+    label = space.labels.__getitem__
+    qlabels = tuple("[%s]" % min(map(label, members)) for members in classes)
     reps = [members[0] for members in classes]
     quotient = FinSpace(qlabels, mat.sub(reps, reps))
-    return FinMap(space, quotient,
-                  tuple(qlabels[assigned[i]] for i in range(space.n)))
+    return FinMap(space, quotient, tuple(map(qlabels.__getitem__, assigned)))
 
 
 def sep_reflection(space):

@@ -62,12 +62,13 @@ def at(record, x, y):
     return fracs(m)[labels.index(x)][labels.index(y)]
 
 
-def closure(cost):
+def closure(cost, pivots=None):
     """The least matrix below a square cost matrix that satisfies the
-    triangle inequality, by relaxing through each point in turn."""
+    triangle inequality, by relaxing every entry through each point in
+    turn; with pivots, through those points only, in their order."""
     dist = [list(row) for row in cost]
     n = len(dist)
-    for k in range(n):
+    for k in range(n) if pivots is None else pivots:
         for i in range(n):
             for j in range(n):
                 dist[i][j] = least(dist[i][j], add(dist[i][k], dist[k][j]))

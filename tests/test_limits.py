@@ -215,6 +215,22 @@ def test_pair_label_is_injective(pairs):
 
 
 @settings(deadline=None)
+@given(st.lists(delimiter_labels, unique=True, max_size=4),
+       st.lists(delimiter_labels, unique=True, max_size=4))
+def test_product_labels_are_pair_labels(xs, ys):
+    """product writes each factor label's part once, and its labels and
+    projections are those of pair_label."""
+    x = FinSpace(xs, IntMatrix(1, [[0 if i == j else 1 for j in xs]
+                                   for i in xs]))
+    y = FinSpace(ys, IntMatrix(1, [[0 if i == j else 2 for j in ys]
+                                   for i in ys]))
+    prod, p1, p2 = product(x, y)
+    assert prod.labels == tuple(pair_label(u, v) for u in xs for v in ys)
+    assert p1.assignment == tuple(u for u in xs for _ in ys)
+    assert p2.assignment == tuple(v for _ in xs for v in ys)
+
+
+@settings(deadline=None)
 @given(st.lists(st.tuples(delimiter_labels, delimiter_labels,
                           st.booleans()), max_size=6))
 @example([("a)", "b", False), ('"', "(", True)])
@@ -260,7 +276,7 @@ def reference_coproduct_dist(d1, d2):
 @given(square, square)
 @example([[TINY, None], [SMALL, F(0)]], [[SMALL]])
 @example([], [[None]])
-def test_product_and_coproduct_match_extvalue_loops(d1, d2):
+def test_product_and_coproduct_match_reference(d1, d2):
     m1, m2 = labelled(d1, "x"), labelled(d2, "y")
     prod, p1, p2 = product(m1, m2)
     assert prod.dist == matrix(reference_product_dist(d1, d2))

@@ -180,7 +180,7 @@ def reference_is_embedding(f):
 
 @settings(deadline=None)
 @given(maps())
-def test_map_checks_match_extvalue_loops(f):
+def test_map_checks_match_reference(f):
     assert check_nonexpansive(f) == reference_check_nonexpansive(f)
     assert is_nonexpansive(f) == (not reference_check_nonexpansive(f))
     assert is_embedding(f) == reference_is_embedding(f)

@@ -22,7 +22,7 @@ from finmet.pushouts import glue, pushout_along_embedding
 from finmet.spaces import FinSpace
 from reference import (HUGE_A, HUGE_B, SMALL, TINY, add, benchmark_sized_cost,
                        closure, fracs, huge_cost, le, least, matrices,
-                       matrix, product, square, tokens, values)
+                       matrix, positive, product, square, tokens, values)
 
 
 def rand_cost(rng, n, zero_diag=False):
@@ -306,7 +306,77 @@ def test_pivots_need_a_closed_matrix():
     assert fracs(minplus_closure(cost))[0][2] == F(2)
 
 
+@st.composite
+def off_zero_diagonal(draw):
+    """(cost, pivots): a square cost matrix on up to 6 points whose
+    diagonal is positive or INF, with pivots in any order, repeats
+    allowed, or None for every point."""
+    n = draw(st.integers(1, 6))
+    cost = draw(matrices(n, n))
+    for i, v in enumerate(draw(st.lists(positive | st.sampled_from(HUGE_A),
+                                        min_size=n, max_size=n))):
+        cost[i][i] = v
+    pivots = draw(st.none() | st.lists(st.integers(0, n - 1), max_size=8))
+    return cost, pivots
+
+
+@settings(deadline=None)
+@given(off_zero_diagonal())
+# A pivot's own positive d(k, k) and its INF diagonal: each relaxes
+# nothing through k, so row k and column k are skipped.
+@example(([[F(1), F(2), None], [F(1), F(3), F(1)], [SMALL, None, None]],
+          None))
+@example(([[F(1), F(2), None], [F(1), F(3), F(1)], [SMALL, None, None]],
+          [1, 1, 2, 0]))
+@example(([[TINY, F(1)], [F(2), HUGE_A[0]]], [0]))
+def test_closure_off_a_zero_diagonal_matches_reference(case):
+    cost, pivots = case
+    assert minplus_closure(matrix(cost), pivots) == matrix(
+        closure(cost, pivots))
+
+
 # -- the IntMatrix protocol -------------------------------------------------
+
+@st.composite
+def picks(draw):
+    """A square matrix of up to 4 points and row and column indices into
+    it, in any order, repeats allowed, possibly none."""
+    n = draw(st.integers(0, 4))
+    index = st.lists(st.integers(0, n - 1), max_size=6) if n else st.just([])
+    return draw(matrices(n, n)), draw(index), draw(index)
+
+
+@settings(deadline=None)
+@given(picks())
+def test_sub_matches_reference(case):
+    """Rows and columns in any order, repeats allowed, as lists, tuples
+    and ranges, with 0, 1 or many columns."""
+    rows, row_idx, col_idx = case
+    m = matrix(rows)
+    want = matrix([[rows[i][j] for j in col_idx] for i in row_idx])
+    for ri, ci in ((row_idx, col_idx), (tuple(row_idx), tuple(col_idx))):
+        got = m.sub(ri, ci)
+        assert got == want
+        assert len(got) == len(row_idx)
+        assert all(len(row) == len(col_idx) for row in got.rows)
+    for start in range(len(rows) + 1):
+        for stop in range(start, len(rows) + 1):
+            span = range(start, stop)
+            assert m.sub(span, span) == matrix(
+                [[rows[i][j] for j in span] for i in span])
+            assert m.sub(row_idx, span) == matrix(
+                [[rows[i][j] for j in span] for i in row_idx])
+
+
+def test_sub_keeps_its_shape_with_no_or_one_column():
+    m = matrix([[F(0), F(1, 2), None], [F(3), F(0), F(1)]])
+    assert m.sub([1, 0, 1], []).rows == ((), (), ())
+    assert m.sub([1, 0], [2]) == matrix([[F(1)], [None]])
+    assert m.sub(range(2), range(2, 3)) == matrix([[None], [F(1)]])
+    assert m.sub([], [0, 1]).rows == ()
+    assert m.sub([0], [2, 2, 1]) == matrix([[None, None, F(1, 2)]])
+
+
 
 def test_int_matrix_protocol():
     a = matrix(((F(1, 2), None), (F(3, 2), F(1, 2))))

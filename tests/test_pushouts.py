@@ -23,8 +23,8 @@ from finmet.quotients import Submetric, kernel_metric, quotient_by_submetric
 from finmet.selftest import (_corrupt_lower, _corrupt_merge,
                              _pushout_instance, _redirect)
 from finmet.spaces import FinSpace, is_separated, validate_metric
-from reference import (at, closure, fracs, least, matrix, positive,
-                       separated_metric)
+from reference import (at, benchmark_sized_cost, closure, fracs, least,
+                       matrix, positive, separated_metric)
 
 
 def worked_instance():
@@ -389,20 +389,12 @@ def test_cokernel_pair_diagonal():
     assert at(apex, q0("b"), q1("b")) == 2  # b -> a -> b'
 
 
-@st.composite
-def spans(draw):
-    """An embedding i: A -> X of a subspace and a non-expansive f: A -> B
-    on separated metrics with mixed denominators and INF rows: B's costs
-    are capped by d_A along f before the closure, which only lowers them."""
-    n = draw(st.integers(1, 5))
-    x = FinSpace(tuple("x%d" % k for k in range(n)),
-                 matrix(draw(separated_metric(n))))
-    keep = draw(st.lists(st.sampled_from(x.labels), unique=True))
+def capped_span(x, keep, fa, cost):
+    """The embedding of keep into x and the map f: A -> B sending A's
+    s-th point to B's point fa[s], where B is the closure of cost (zero
+    diagonal, positive arcs) capped by d_A along f, so f is
+    non-expansive."""
     a, i = subspace(x, keep)
-    m = draw(st.integers(1, 4))
-    fa = draw(st.lists(st.integers(0, m - 1), min_size=a.n, max_size=a.n))
-    cost = draw(st.lists(st.lists(positive, min_size=m, max_size=m),
-                         min_size=m, max_size=m))
     cost = [[F(0) if p == q else v for q, v in enumerate(row)]
             for p, row in enumerate(cost)]
     d_a = fracs(a.dist)
@@ -410,8 +402,45 @@ def spans(draw):
         for t in range(a.n):
             if fa[s] != fa[t]:
                 cost[fa[s]][fa[t]] = least(cost[fa[s]][fa[t]], d_a[s][t])
-    b = FinSpace(tuple("b%d" % k for k in range(m)), matrix(closure(cost)))
+    b = FinSpace(tuple("b%d" % k for k in range(len(cost))),
+                 matrix(closure(cost)))
     return i, FinMap(a, b, tuple(b.labels[k] for k in fa))
+
+
+@st.composite
+def spans(draw, fold=False):
+    """An embedding i: A -> X of a subspace and a non-expansive f: A -> B
+    on separated metrics with mixed denominators and INF rows: B's costs
+    are capped by d_A along f before the closure, which only lowers them.
+    With fold, f is not injective: A has at least two points, and f sends
+    the first and the last to one point, or all of A to one point."""
+    n = draw(st.integers(2 if fold else 1, 5))
+    x = FinSpace(tuple("x%d" % k for k in range(n)),
+                 matrix(draw(separated_metric(n))))
+    keep = draw(st.lists(st.sampled_from(x.labels), unique=True,
+                         min_size=2 if fold else 0))
+    m = draw(st.integers(1, 4))
+    fa = draw(st.lists(st.integers(0, m - 1), min_size=len(keep),
+                       max_size=len(keep)))
+    if fold:
+        fa[-1] = fa[0]
+        if draw(st.booleans()):
+            fa = [fa[0]] * len(fa)
+    cost = draw(st.lists(st.lists(positive, min_size=m, max_size=m),
+                         min_size=m, max_size=m))
+    return capped_span(x, keep, fa, cost)
+
+
+def reference_glued(i, f):
+    """The reference closure of B + X, INF across, with d(f(a), i(a)) = 0
+    both ways at each glue point a."""
+    nb, nx = f.target.n, i.target.n
+    cost = ([row + [None] * nx for row in fracs(f.target.dist)]
+            + [[None] * nb + row for row in fracs(i.target.dist)])
+    for lab in f.source.labels:
+        p, q = f.target.index(f(lab)), nb + i.target.index(i(lab))
+        cost[p][q] = cost[q][p] = F(0)
+    return matrix(closure(cost))
 
 
 @settings(deadline=None)
@@ -422,6 +451,37 @@ def test_formula_gamma_matches_oracle_on_exact_spans(span):
     assert result.gamma.gamma == pushout_closure_oracle(i, f).gamma
     assert validate_metric(result.apex) == []
     assert result.square.commutes()
+
+
+@settings(deadline=None)
+@given(spans(fold=True))
+def test_formula_and_oracle_match_reference_on_folding_spans(span):
+    """The X-X block routes through the distinct images f(A) only, which
+    are fewer than A's points here."""
+    i, f = span
+    want = reference_glued(i, f)
+    assert pushout_along_embedding(i, f).gamma.gamma == want
+    assert pushout_closure_oracle(i, f).gamma == want
+
+
+@pytest.mark.parametrize("fold", ["pair", "constant"])
+def test_formula_and_oracle_match_reference_at_benchmark_size(fold):
+    """Spans shaped like the benchmark's: X on 24 points, A on 5, B on 8,
+    with f folding two glue points, or all five, onto one."""
+    rng = random.Random(fold)
+    x = FinSpace(tuple("x%d" % k for k in range(24)),
+                 matrix(closure(benchmark_sized_cost(33))))
+    keep = rng.sample(x.labels, 5)
+    fa = ([rng.randrange(8)] * 5 if fold == "constant"
+          else [rng.randrange(8) for _ in range(4)])
+    if fold == "pair":
+        fa.append(fa[0])
+    cost = [[rng.choice((None, F(rng.randint(1, 12), rng.choice((1, 2, 3)))))
+             for _ in range(8)] for _ in range(8)]
+    i, f = capped_span(x, keep, fa, cost)
+    want = reference_glued(i, f)
+    assert pushout_along_embedding(i, f).gamma.gamma == want
+    assert pushout_closure_oracle(i, f).gamma == want
 
 
 def test_detour_of_three_finite_arcs():

@@ -205,6 +205,23 @@ def test_constructor_refusals_keep_their_text(name):
     assert str(exc.value) == text
 
 
+@pytest.mark.parametrize("assignment, named", [
+    (("zzz", "yyy"), "'zzz'"),
+    (("a", "yyy"), "'yyy'"),
+    (("a", ["b"]), "['b']"),
+    ((["b"], "zzz"), "['b']"),
+    (("zzz", {"b": 1}), "'zzz'"),
+    ((1, "a"), "1"),
+], ids=["first_of_two", "second", "unhashable", "unhashable_first",
+        "before_unhashable", "int"])
+def test_unknown_target_point_is_named_in_order(assignment, named):
+    """FinMap names the first label, in assignment order, that is no
+    target point, whether or not the labels hash."""
+    with pytest.raises(ValueError) as exc:
+        FinMap(P, P, assignment)
+    assert str(exc.value) == "assignment hits unknown target point " + named
+
+
 # Each record constructor, with a matrix argument of the right shape.
 FULL = BlockMetric(P, MATRIX, MATRIX, MATRIX, MATRIX).as_matrix()
 MATRIX_TAKERS = {

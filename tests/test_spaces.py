@@ -107,7 +107,7 @@ def test_metric_violations_on_raw_matrix():
 # d(0, 2) is INF while d(0, 1) + d(1, 2) is finite.
 @example([[F(0), TINY, None], [None, F(0), SMALL], [None, None, F(0)]],
           False)
-def test_violations_match_extvalue_loop(dist, closed):
+def test_violations_match_reference(dist, closed):
     if closed:
         dist = closure(dist)
     labels = tuple("p%d" % i for i in range(len(dist)))
@@ -115,7 +115,7 @@ def test_violations_match_extvalue_loop(dist, closed):
     assert metric_violations(labels, matrix(dist)) == want
 
 
-def test_violations_match_extvalue_loop_at_benchmark_size():
+def test_violations_match_reference_at_benchmark_size():
     cost = benchmark_sized_cost(17)
     labels = tuple("p%d" % i for i in range(len(cost)))
     raw = metric_violations(labels, matrix(cost))
@@ -125,7 +125,7 @@ def test_violations_match_extvalue_loop_at_benchmark_size():
     assert reference_violations(labels, closed) == []
 
 
-def test_violations_match_extvalue_loop_beyond_float_range():
+def test_violations_match_reference_beyond_float_range():
     rng = random.Random(18)
     for _ in range(25):
         n = rng.randint(1, 4)
@@ -134,6 +134,40 @@ def test_violations_match_extvalue_loop_beyond_float_range():
         for dist in (cost, closure(cost)):
             want = reference_violations(labels, dist)
             assert metric_violations(labels, matrix(dist)) == want
+
+
+@st.composite
+def off_zero_diagonal(draw):
+    """A square matrix on up to 6 points whose diagonal is positive or
+    INF, so the triangle's terms through d(i, i) and d(j, j) are live."""
+    n = draw(st.integers(1, 6))
+    dist = draw(st.lists(st.lists(st.just(F(0)) | values, min_size=n,
+                                  max_size=n), min_size=n, max_size=n))
+    for i, v in enumerate(draw(st.lists(positive, min_size=n, max_size=n))):
+        dist[i][i] = v
+    return dist
+
+
+@settings(deadline=None)
+@given(off_zero_diagonal())
+# d(0, 0) > d(0, 1) + d(1, 0): the triangle (p0, p1, p0), with k = i.
+@example([[F(3), F(1)], [F(1), F(0)]])
+@example([[TINY, None, F(0)], [F(0), SMALL, None], [F(1), F(0), None]])
+def test_violations_off_a_zero_diagonal_match_reference(dist):
+    labels = tuple("p%d" % i for i in range(len(dist)))
+    assert metric_violations(labels, matrix(dist)) == reference_violations(
+        labels, dist)
+
+
+def test_violations_off_a_zero_diagonal_at_benchmark_size():
+    rng = random.Random(33)
+    cost = benchmark_sized_cost(33)
+    for i, row in enumerate(cost):
+        row[i] = rng.choice((F(0), F(1, 3), F(5), None))
+    labels = tuple("p%d" % i for i in range(len(cost)))
+    for dist in (cost, closure(cost)):
+        want = reference_violations(labels, dist)
+        assert want and metric_violations(labels, matrix(dist)) == want
 
 
 # -- zero classes on ints against the reference loops -----------------------
@@ -170,7 +204,7 @@ zero_heavy = st.integers(0, 6).flatmap(lambda n: st.lists(
 @given(zero_heavy)
 @example([[F(0), TINY, F(0)], [None, F(0), F(0)],
           [F(0), F(0), SMALL]])
-def test_zero_classes_match_extvalue_loop(mat):
+def test_zero_classes_match_reference(mat):
     n = len(mat)
     labels = tuple("p%d" % i for i in range(n))
     classes, assigned = reference_zero_classes(n, mat)

@@ -50,7 +50,7 @@ def gen_metric(cfg):
             for i in range(n)]
     closed = minplus_closure(IntMatrix(_GRID.den, cost))
     labels = tuple("p%d" % i for i in range(n))
-    classes, _ = zero_classes(labels, closed)
+    classes, _ = zero_classes(closed)
     if len(classes) < n:
         reps = [members[0] for members in classes]
         closed = closed.sub(reps, reps)

@@ -5,6 +5,8 @@ and the (surjection, embedding) factorization through the image.  The
 predicates read the target metric along a map through its index map
 (target_indices) and build no pulled matrix; pulled_metric builds it
 for kernel_metric, whose result it is and which checks it directly.
+check_nonexpansive lists the stretched pairs with
+spaces.excess_violations, the one writer of order excesses.
 FinMap itself lives in spaces, beside the other records a workspace
 holds, and is the same class here.
 """
@@ -14,7 +16,7 @@ from __future__ import annotations
 from operator import gt, ne
 
 from .minplus import pointwise
-from .spaces import (FinMap, FinSpace, Violation, is_separated,
+from .spaces import (FinMap, FinSpace, excess_violations, is_separated,
                      raise_first_violation)
 
 
@@ -36,22 +38,10 @@ def pulled_metric(f):
     return f.target.dist.sub(idx, idx)
 
 
-def expansive_violations(labels, image, dist, idx=None):
-    """Every pair (x_i, x_j) of labels at which image lies above dist,
-    as an expansive Violation.  image is a target metric read along a
-    map: through the index map idx when given (see minplus.pointwise),
-    else already pulled back, as pulled_metric builds it."""
-    at = range(len(labels)) if idx is None else idx
-    return [Violation("expansive", (labels[i], labels[j]),
-                      "%s > %s" % (image.token(at[i], at[j]),
-                                   dist.token(i, j)))
-            for i, j in pointwise(image, dist, gt, idx)]
-
-
 def check_nonexpansive(f):
     """All pairs with d_target(f(x), f(y)) > d_source(x, y); empty means valid."""
-    return expansive_violations(f.source.labels, f.target.dist,
-                                f.source.dist, target_indices(f))
+    return excess_violations("expansive", f.source.labels, f.target.dist,
+                             f.source.dist, target_indices(f))
 
 
 def is_nonexpansive(f):

@@ -10,23 +10,19 @@ An independent oracle recomputes gamma as the coproduct metric glued
 at the glue points (glue, a shortest-path closure), so the two routes
 can be compared exactly.
 
-The universal property is decided exactly, with no sampling: each
-cocone counts as its kernel metric k on B + X, a mediator out of the
-apex exists iff k <= K (the apex metric read along the legs, 0 where
-two legs meet), and every k lies below the kernel of the greatest
-cocone, the glued closure of B + X, so checking that one cocone decides
-them all.
+The universal property is decided exactly, with no sampling, by one
+matrix equality: the apex metric read along the legs must be the glued
+closure of B + X, the kernel of the greatest cocone, and the apex must
+be separated.  A square whose legs stretch or disagree on A, so that
+it is no cocone, is refused.
 """
 
 from __future__ import annotations
 
-from operator import lt
-
 from .limits import Square, coproduct
 from .maps import (compose, is_embedding, require_nonexpansive,
                    target_indices)
-from .minplus import (IntMatrix, int_product, minplus_closure, pointwise,
-                      scale)
+from .minplus import IntMatrix, int_product, minplus_closure, scale
 from .spaces import Frozen, Submetric, is_separated, quotient_by_zero_classes
 
 
@@ -146,27 +142,29 @@ def verify_pushout_universal(result):
 
     A cocone under B <- A -> X is one non-expansive map h out of B + X
     with h(f(a)) = h(i(a)) for every glue point a.  Each cocone counts
-    only as its kernel metric k_h(p, q) = d_T(h(p), h(q)).  A mediator u
-    with u . leg = h exists iff k_h <= K pointwise, K(p, q) = d_apex(leg
-    p, leg q) or 0 where leg p = leg q.  That is exact as the legs are
-    jointly surjective (checked first), so u is forced and non-expansive
-    iff k_h <= K, and as every cocone target is separated, so the 0s of
-    K make u well defined.
+    only as its kernel metric k_h(p, q) = d_T(h(p), h(q)), a metric
+    below d_{B+X} that vanishes both ways at each glue pair, so it lies
+    below G, B + X glued at those pairs (glue).  G is itself the kernel
+    of a cocone, the projection onto its quotient.
 
-    Every k_h is a metric below d_{B+X} that vanishes both ways at each
-    glue pair, so it lies below B + X glued at those pairs (glue).  That
-    is itself the kernel of a cocone, the projection onto its quotient,
-    so every cocone has a mediator iff this greatest one does, and one
-    comparison decides.  Any span is decided, embedding or not.
+    Let K(p, q) = d_apex(leg p, leg q).  If the square's own legs form a
+    cocone, K is its kernel, so K <= G.  With jointly surjective legs
+    and a separated apex (checked first), a mediator u with u . leg = h
+    is forced, and it is well defined (cocone targets are separated)
+    and non-expansive iff k_h <= K, so every cocone has one iff G <= K.
+    The square is the pushout exactly when K = G, one comparison of two
+    reduced IntMatrix values: K = G also makes the apex a metric, as
+    every apex distance is an entry of K, and the legs a cocone, as G
+    is one's kernel and the apex is separated.  A square whose legs
+    stretch or disagree on A, or whose apex has a nonzero diagonal
+    entry, is refused.  Any span is decided, embedding or not.
     """
     sq, apex = result.square, result.apex
     if set(sq.bottom.assignment + sq.right.assignment) != set(apex.labels):
         return False  # an unreachable apex point breaks uniqueness
+    if not is_separated(apex):
+        return False  # else K = G need not make the legs agree on A
     legs = target_indices(sq.bottom) + target_indices(sq.right)
-    d = apex.dist.rows
-    bound = IntMatrix(apex.dist.den, [[0 if p == q else d[p][q] for q in legs]
-                                      for p in legs])
     # Built from the span, not from result.gamma, so the check does not
     # trust the result it checks.
-    glued = _glued_coproduct(sq.top, sq.left).gamma
-    return not any(pointwise(bound, glued, lt))
+    return apex.dist.sub(legs, legs) == _glued_coproduct(sq.top, sq.left).gamma

@@ -1,16 +1,18 @@
 """Quotient objects encoded internally: kernel metrics, submetrics below
 the ambient metric, quotient-by-submetric, and the antitone duality
-between surjections out of X and submetrics on X.  Submetric itself
-lives in spaces, beside the other records a workspace holds, and is the
-same class here."""
+between surjections out of X and submetrics on X.  The entries of a
+submetric above d, and of a kernel metric above d_source, are listed
+by spaces.excess_violations, the writer check_nonexpansive uses too.
+Submetric itself lives in spaces, beside the other records a workspace
+holds, and is the same class here."""
 
 from __future__ import annotations
 
 from operator import gt
 
-from .maps import expansive_violations, is_surjective, pulled_metric
+from .maps import is_surjective, pulled_metric
 from .minplus import pointwise
-from .spaces import (FinMap, Submetric, Violation, check_square,
+from .spaces import (FinMap, Submetric, check_square, excess_violations,
                      is_separated, metric_violations,
                      quotient_by_zero_classes, raise_first_violation)
 
@@ -19,18 +21,16 @@ def validate_submetric(base, gamma):
     """Metric-axiom and below-d violations of the IntMatrix gamma on base."""
     check_square(gamma, base.n, "submetric matrix", "base")
     labels = base.labels
-    return metric_violations(labels, gamma) + [
-        Violation("above-ambient", (labels[i], labels[j]),
-                  "%s > %s" % (gamma.token(i, j), base.dist.token(i, j)))
-        for i, j in pointwise(gamma, base.dist, gt)]
+    return metric_violations(labels, gamma) + excess_violations(
+        "above-ambient", labels, gamma, base.dist)
 
 
 def kernel_metric(f):
     """kappa_f(x, y) = d_target(f(x), f(y)); below d_source by
     non-expansiveness, which is checked on that pulled matrix itself."""
     pulled = pulled_metric(f)
-    raise_first_violation("map is not non-expansive", expansive_violations(
-        f.source.labels, pulled, f.source.dist))
+    raise_first_violation("map is not non-expansive", excess_violations(
+        "expansive", f.source.labels, pulled, f.source.dist))
     return Submetric(f.source, pulled)
 
 

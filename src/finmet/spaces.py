@@ -4,11 +4,15 @@ A FinSpace is a finite labelled point set with a distance matrix, an
 exact IntMatrix, required to satisfy only d(x,x) = 0 and the triangle
 inequality; neither symmetry nor finiteness of distances is assumed.
 Separation (d(x,y) = 0 = d(y,x) implies x = y) is the metric analogue
-of antisymmetry and is checked, not assumed.  The checks here run on
-the matrix's ints, where an infinite distance is math.inf, which they
-compare but never add, and write their reports as tokens of the ints.
+of antisymmetry and is checked, not assumed: one zero class per point
+(zero_classes).  The checks here run on the matrix's ints, where an
+infinite distance is math.inf, which they compare but never add, and
+write their reports as tokens of the ints.
 A distance is read off a record's matrix: its ints, or
-IntMatrix.token(i, j) at the points' indices (index).
+IntMatrix.token(i, j) at the points' indices (index).  Where one
+matrix must lie below another (a map that is non-expansive, a
+submetric below d), excess_violations is the one writer of the
+entries above, each "a > b".
 
 The records a workspace document holds live here beside FinSpace, so
 that loading one needs no other construction module: FinMap,
@@ -21,9 +25,10 @@ matrices, which check_square checks.
 from __future__ import annotations
 
 from math import inf
+from operator import gt
 
 from .extarith import Frozen
-from .minplus import IntMatrix, scale
+from .minplus import IntMatrix, pointwise, scale
 
 
 class Violation(Frozen):
@@ -209,28 +214,32 @@ def metric_violations(labels, dist):
     return out
 
 
+def excess_violations(kind, labels, upper, lower, idx=None):
+    """Every pair (x_i, x_j) of labels at which upper lies above lower,
+    as a Violation of kind written "a > b".  upper is read through the
+    index map idx when given (see minplus.pointwise), as a target
+    metric read along a map; else it has lower's shape."""
+    at = range(len(labels)) if idx is None else idx
+    return [Violation(kind, (labels[i], labels[j]),
+                      "%s > %s" % (upper.token(at[i], at[j]),
+                                   lower.token(i, j)))
+            for i, j in pointwise(upper, lower, gt, idx)]
+
+
 def is_separated(space):
     """No distinct pair at distance 0 in both directions: one zero class
-    per point.  Stops at the first such pair."""
-    rows = space.dist.rows
-    n = len(rows)
-    for i, row in enumerate(rows):
-        if row.count(0) == (row[i] == 0):  # no zero off the diagonal
-            continue
-        for j in range(i + 1, n):
-            if row[j] == 0 and rows[j][i] == 0:
-                return False
-    return True
+    per point."""
+    return len(zero_classes(space.dist)[0]) == space.n
 
 
-def zero_classes(labels, mat):
+def zero_classes(mat):
     """Partition by x ~ y iff mat(x,y) = mat(y,x) = 0, for an IntMatrix mat.
 
     Classes are ordered by first occurrence; members keep label order.
     Well-defined for any matrix satisfying the metric axioms.
     """
     rows = mat.rows
-    n = len(labels)
+    n = len(rows)
     assigned = [None] * n
     classes = []
     for i in range(n):
@@ -256,7 +265,7 @@ def quotient_by_zero_classes(space, mat):
     representatives, which the triangle inequality makes well-defined;
     class labels are "[least member label]".
     """
-    classes, assigned = zero_classes(space.labels, mat)
+    classes, assigned = zero_classes(mat)
     label = space.labels.__getitem__
     qlabels = tuple("[%s]" % min(map(label, members)) for members in classes)
     reps = [members[0] for members in classes]

@@ -254,14 +254,10 @@ def test_traced_pairs_alternate_and_keep_each_sides_medians(monkeypatch,
                                  "change": {"layer_s": 12}}
 
 
-def test_src_lines_are_counted_per_side(monkeypatch, tmp_path):
-    # Each side's checkout holds its own src/finmet; only its .py files
-    # count, as wc -l counts them, and a last line without a newline is
-    # not counted.
+def _line_report(files, monkeypatch, tmp_path):
+    """The report of a two-pair run whose sides hold the given
+    src/finmet files: side name to file name to text."""
     tool = _load()
-    files = {"parent": {"a.py": "1\n2\n3\n", "b.py": "x\ny\n",
-                        "notes.txt": "n\n" * 9},
-             "change": {"a.py": "1\n2\n", "b.py": "x\ny\nz"}}
 
     def checkout(rev, into):
         pkg = os.path.join(into, "src", "finmet")
@@ -282,6 +278,46 @@ def test_src_lines_are_counted_per_side(monkeypatch, tmp_path):
     assert tool.main(["--parent", "P", "--change", "C", "--out", str(out),
                       "--workload", "w", "--pairs", "2",
                       "--first-seed", "1"]) == 0
-    report = json.loads(out.read_text())
+    return json.loads(out.read_text())
+
+
+def test_src_lines_are_counted_per_side(monkeypatch, tmp_path):
+    # Each side's checkout holds its own src/finmet; only its .py files
+    # count, as wc -l counts them, and a last line without a newline is
+    # not counted.
+    files = {"parent": {"a.py": "1\n2\n3\n", "b.py": "x\ny\n",
+                        "notes.txt": "n\n" * 9},
+             "change": {"a.py": "1\n2\n", "b.py": "x\ny\nz"}}
+    report = _line_report(files, monkeypatch, tmp_path)
     assert report["src_lines"] == {"parent": 5, "change": 4}
     assert report["src_tree"] == {"parent": "tree", "change": "tree"}
+
+
+_DOCUMENTED = '''"""Module
+docstring."""
+
+# a comment
+class C:
+    """Class docstring."""
+
+    def f(self):
+        \'\'\'Function
+        docstring.\'\'\'
+        x = 1  # code with a comment
+        s = """not a
+        docstring"""
+        return x, s
+'''
+
+
+def test_code_lines_are_counted_per_side(monkeypatch, tmp_path):
+    # Blank lines, lines holding only a comment and the lines of module,
+    # class and function docstrings are not code; a string that is not
+    # the first statement of its body is, and so is a last line without a
+    # newline.  Only .py files count.
+    files = {"parent": {"a.py": _DOCUMENTED, "notes.txt": "n = 1\n" * 9},
+             "change": {"a.py": "# only\n\n    # comments\n",
+                        "b.py": "x = 1\ny = 2"}}
+    report = _line_report(files, monkeypatch, tmp_path)
+    assert report["code_lines"] == {"parent": 6, "change": 2}
+    assert report["src_lines"] == {"parent": 14, "change": 4}

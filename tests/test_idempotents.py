@@ -16,6 +16,7 @@ from finmet.idempotents import (CostMatrix, factor_through_zero_diagonal,
 from finmet.idempotents import FactorReport
 from finmet.minplus import (IntMatrix, equals_own_square, minplus_closure,
                             minplus_matmul)
+from finmet.selftest import _grid_idempotents
 from reference import (HUGE_A, HUGE_B, SMALL, TINY, add, closure, fracs,
                        matrix, product, values)
 
@@ -40,8 +41,8 @@ def test_empty_matrix_is_its_own_square():
     assert minplus_matmul(cm.rho, cm.rho) == cm.rho == IntMatrix(1, [])
     assert is_idempotent(cm)
     report = factor_through_zero_diagonal(cm)
-    assert report == FactorReport(zero_diagonal=(), witnesses={}, failures=())
-    assert report.ok
+    assert report == FactorReport(zero_diagonal=(), witnesses={})
+    assert report.failures == ()
 
 
 def test_closures_are_idempotent():
@@ -63,13 +64,14 @@ def test_factor_witnesses_attain_the_value():
     for t in range(150):
         cm = closed_matrix(rng, rng.randint(1, 5))
         report = factor_through_zero_diagonal(cm)
-        assert report.ok
         idx = {lab: k for k, lab in enumerate(cm.labels)}
+        rho = fracs(cm.rho)
+        assert len(report.witnesses) == len(rho) ** 2
         for (x, y), a in report.witnesses.items():
-            if a is None:
+            if a is None:  # only an infinite entry has no witness
+                assert rho[idx[x]][idx[y]] is None
                 continue
             i, j, k = idx[x], idx[y], idx[a]
-            rho = fracs(cm.rho)
             assert rho[k][k] == 0
             assert add(rho[i][k], rho[k][j]) == rho[i][j]
 
@@ -81,7 +83,8 @@ def test_factor_with_nonzero_diagonal_point():
     assert is_idempotent(cm)
     report = factor_through_zero_diagonal(cm)
     assert report.zero_diagonal == ("x", "y")
-    assert report.ok
+    assert [pair for pair, a in report.witnesses.items() if a is None] == [
+        ("x", "z"), ("y", "z"), ("z", "x"), ("z", "y"), ("z", "z")]
     assert report.witnesses[("x", "y")] == "x"   # least index tie-break
     assert report.witnesses[("z", "z")] is None  # infinite, vacuous
 
@@ -105,7 +108,10 @@ def test_exhaustive_small_idempotents_factor():
             cm = CostMatrix(labels, matrix(rho))
             if not is_idempotent(cm):
                 continue
-            assert factor_through_zero_diagonal(cm).ok, rho
+            witnesses = factor_through_zero_diagonal(cm).witnesses
+            assert [pair for pair, a in witnesses.items() if a is None] == [
+                (labels[i], labels[j]) for i in range(n) for j in range(n)
+                if rho[i][j] is None], rho
 
 
 def reference_bool_compose(rel_a, rel_b):
@@ -142,6 +148,18 @@ def test_relation_witness_exhaustive_small():
                     a = relation_density_witness(r, labels[i], labels[j])
                     k = labels.index(a)
                     assert rel[i][k] and rel[k][k] and rel[k][j]
+    # Every idempotent relation up to 4 points, as suite 10 scans them:
+    # the density witness of each related pair is the factor's witness.
+    for n in (1, 2, 3, 4):
+        labels = tuple("p%d" % i for i in range(n))
+        for rho in _grid_idempotents((inf, 0), n):
+            r = CostMatrix(labels, IntMatrix(1, rho))
+            witnesses = factor_through_zero_diagonal(r).witnesses
+            for i, j in itertools.product(range(n), repeat=2):
+                if rho[i][j] == 0:
+                    x, y = labels[i], labels[j]
+                    assert relation_density_witness(r, x, y) == witnesses[
+                        (x, y)], (rho, x, y)
 
 
 def test_relation_witness_errors():
@@ -207,21 +225,20 @@ def reference_factor(labels, rho):
     n = len(labels)
     a_idx = [i for i in range(n) if rho[i][i] == F(0)]
     witnesses = {}
-    failures = []
     for x in range(n):
         for y in range(n):
             pair = (labels[x], labels[y])
             if rho[x][y] is None:
                 witnesses[pair] = None
                 continue
+            # A finite pair with no witness is left out, so no report
+            # equals this one.
             for a in a_idx:
                 if add(rho[x][a], rho[a][y]) == rho[x][y]:
                     witnesses[pair] = labels[a]
                     break
-            else:
-                failures.append(pair)
     return FactorReport(zero_diagonal=tuple(labels[i] for i in a_idx),
-                        witnesses=witnesses, failures=tuple(failures))
+                        witnesses=witnesses)
 
 
 @st.composite

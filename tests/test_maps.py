@@ -105,11 +105,12 @@ def test_factorize_random_round_trip():
 
 def test_predicates_build_no_violations(monkeypatch):
     # A yes/no question stops at the first failing entry and reports
-    # nothing, so it never builds a Violation.
+    # nothing, so it never builds a Violation (which spaces'
+    # excess_violations writes for check_nonexpansive).
     def no_violations(*args):
         raise AssertionError("a predicate built a Violation")
 
-    monkeypatch.setattr(maps_module, "Violation", no_violations)
+    monkeypatch.setattr("finmet.spaces.Violation", no_violations)
     assert not is_nonexpansive(FinMap(two_point(1), two_point(2),
                                       ("a", "b")))
     # f glues u with v and g glues v with w: neither factors through
@@ -118,6 +119,9 @@ def test_predicates_build_no_violations(monkeypatch):
     f = FinMap(sp, x2, ("a", "a", "b"))
     g = FinMap(sp, x2, ("a", "b", "b"))
     assert not quotient_leq(f, g) and not quotient_leq(g, f)
+    # The report, unlike the predicates, does reach the planted writer.
+    with pytest.raises(AssertionError, match="built a Violation"):
+        check_nonexpansive(FinMap(two_point(1), two_point(2), ("a", "b")))
 
 
 def test_map_predicates_build_no_pulled_matrix(monkeypatch):

@@ -178,9 +178,23 @@ def test_universal_property_sampled():
         assert verify_pushout_universal(result)
 
 
+def _legs_form_a_cocone(result):
+    """Whether the square's legs, as one map out of B + X, are
+    non-expansive into the apex and agree on the glue points."""
+    sq = result.square
+    bx, _, _ = coproduct(sq.left.target, sq.top.target)
+    legs = FinMap(bx, result.apex, sq.bottom.assignment + sq.right.assignment)
+    return is_nonexpansive(legs) and all(
+        sq.bottom(sq.left(a)) == sq.right(sq.top(a))
+        for a in sq.left.source.labels)
+
+
 def _reference_mediator_exists(result, h):
-    """The mediator out of the apex for the cocone h, built point by
-    point and then checked well defined and non-expansive."""
+    """Whether the square is a cocone and the mediator out of its apex
+    for the cocone h, built point by point, is well defined and
+    non-expansive."""
+    if not _legs_form_a_cocone(result):
+        return False
     legs = result.leg_b.assignment + result.leg_x.assignment
     mediator = {}
     for apex_lab, want in zip(legs, h.assignment):
@@ -229,6 +243,39 @@ def _reference_cocones(result, trials, seed):
         yield kind, h
 
 
+def _corrupt_raise(result):
+    """Raise every off-diagonal apex distance to inf, which keeps the
+    apex a metric; None if that changes nothing."""
+    apex = result.apex
+    rows = [[0 if p == q else inf for q in range(apex.n)]
+            for p in range(apex.n)]
+    dist = IntMatrix(apex.dist.den, rows)
+    if dist == apex.dist:
+        return None
+    return _redirect(result, FinSpace(apex.labels, dist), lambda lab: lab)
+
+
+def _split_glued_point(result):
+    """Give the first glue point's apex point a twin at 0 both ways and
+    send the X leg's image of that glue point to the twin, so that the
+    legs disagree on it; None if A is empty."""
+    sq, apex = result.square, result.apex
+    if not sq.top.source.n:
+        return None
+    glued = sq.top.assignment[0]
+    hit = sq.right(glued)
+    k = apex.index(hit)
+    rows = [list(row) + [row[k]] for row in apex.dist.rows]
+    rows.append(rows[k][:-1] + [0])
+    twin = FinSpace(apex.labels + ("twin",), IntMatrix(apex.dist.den, rows))
+    right = FinMap(sq.right.source, twin, tuple(
+        "twin" if x == glued else y
+        for x, y in zip(sq.right.source.labels, sq.right.assignment)))
+    return pushouts.PushoutResult(Square(
+        sq.left, sq.top, FinMap(sq.bottom.source, twin, sq.bottom.assignment),
+        right), result.gamma)
+
+
 def _raise_diagonal(result):
     """result with the first apex point at distance inf from itself."""
     apex = result.apex
@@ -241,22 +288,33 @@ def _raise_diagonal(result):
 
 def test_kernel_criterion_matches_the_mediator_route():
     """The exact verdict is the verdict of building sampled cocones and
-    their mediators, on genuine pushouts, on corrupted ones and on
-    apexes with a nonzero diagonal entry, and every sampled cocone's
-    kernel metric lies below the glued closure's."""
+    their mediators, on genuine pushouts, on corrupted ones (an apex
+    distance lowered or raised, two apex points merged) and on apexes
+    with a nonzero diagonal entry, and every sampled cocone's kernel
+    metric lies below the glued closure's.  A raised apex or diagonal
+    entry makes the legs stretch, and a glued point split into two at 0
+    both ways makes them disagree on A, so the square is no cocone and
+    is refused."""
     refused = {"glued": 0, "raw": 0}
     for seed in range(40):
         result = pushout_along_embedding(*_pushout_instance(seed, 3))
         variants = [r for r in (result, _corrupt_lower(result),
                                 _corrupt_merge(result)) if r is not None]
-        for r in variants + [_raise_diagonal(r) for r in variants]:
+        no_cocones = [r for r in [_corrupt_raise(result),
+                                  _split_glued_point(result)] + [
+            _raise_diagonal(r) for r in variants] if r is not None]
+        for r in no_cocones:
+            assert not _legs_form_a_cocone(r)
+        for r in variants + no_cocones:
             cocones = list(_reference_cocones(r, 20, seed))
             no = [not _reference_mediator_exists(r, h) for _, h in cocones]
             assert verify_pushout_universal(r) == (not any(no))
             top = kernel_metric(cocones[0][1]).gamma
+            cocone = _legs_form_a_cocone(r)
             for (kind, h), refusal in zip(cocones, no):
                 assert not any(pointwise(kernel_metric(h).gamma, top, gt))
-                refused[kind] += refusal
+                # Only a cocone square's refusals come from a mediator.
+                refused[kind] += refusal and cocone
     assert refused["glued"] > 0 and refused["raw"] > 0
 
 

@@ -165,7 +165,7 @@ def reference_validate_submetric(labels, dist, gamma):
 @settings(deadline=None)
 @given(st.integers(0, 4).flatmap(lambda n: st.tuples(matrices(n, n),
                                                      matrices(n, n))))
-def test_validate_submetric_matches_extvalue_loop(pair):
+def test_validate_submetric_matches_reference(pair):
     dist, gamma = pair
     base = FinSpace(tuple("p%d" % i for i in range(len(dist))), matrix(dist))
     assert validate_submetric(base, matrix(gamma)) == (
@@ -174,7 +174,7 @@ def test_validate_submetric_matches_extvalue_loop(pair):
 
 @settings(deadline=None)
 @given(maps())
-def test_kernel_metric_matches_extvalue_loop(f):
+def test_kernel_metric_matches_reference(f):
     if not is_nonexpansive(f):
         with pytest.raises(ValueError):
             kernel_metric(f)

@@ -52,7 +52,7 @@ FACTORIES = {
     "BlockMetric": lambda: BlockMetric(_space(), MATRIX, MATRIX, MATRIX,
                                        MATRIX),
     "CostMatrix": lambda: CostMatrix(LABELS, MATRIX),
-    "FactorReport": lambda: FactorReport(("a",), {("a", "a"): "a"}, ()),
+    "FactorReport": lambda: FactorReport(("a",), {("a", "a"): "a"}),
     "GenConfig": lambda: GenConfig(seed=3, max_points=5),
     "CriterionResult": lambda: CriterionResult(1, "metric-laws", True, "ok"),
     "Command": lambda: Command("product", "binary product", ("left", "right")),

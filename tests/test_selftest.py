@@ -8,8 +8,9 @@ pin how many full matrices reach its second product.
 """
 
 import itertools
-import operator
 from math import inf
+from types import SimpleNamespace
+from unittest.mock import ANY
 
 import pytest
 
@@ -17,23 +18,31 @@ from finmet import cli, corelations, idempotents, pushouts, selftest
 
 
 @pytest.mark.parametrize("module,attr,fake,suite,line", [
-    # With <= in place of <, a cocone whose kernel metric only meets K is
-    # refused, and the genuine pushout's own cocone meets it.
-    (pushouts, "lt", operator.le, "pushout-universal",
+    # Glued with no glue pairs, the closure is the coproduct metric, which
+    # the genuine pushout's apex, glued at square 0, does not match.
+    (pushouts, "_glued_coproduct",
+     lambda i, f: pushouts.glue(pushouts.coproduct(f.target, i.target)[0],
+                                []),
+     "pushout-universal",
      "criterion  5 pushout-universal      FAIL  "
      "(genuine pushout refuted at square 0)"),
-    # The kernel criterion refuses nothing, so a corruption passes.
-    (pushouts, "lt", lambda a, b: False, "pushout-universal",
+    # A closure that equals every matrix refuses nothing, so a corruption
+    # passes.
+    (pushouts, "_glued_coproduct", lambda i, f: SimpleNamespace(gamma=ANY),
+     "pushout-universal",
      "criterion  5 pushout-universal      FAIL  "
      "(corrupted pushout accepted (attempt 1))"),
     (selftest, "is_embedding", lambda f: False, "embedding-stability",
      "criterion  6 embedding-stability    FAIL  "
      "(pushed-out leg not embedding at trial 0)"),
+    # A report with no zero-diagonal points passes the grid scan, which
+    # only asks that factoring does not raise, and is caught on the first
+    # generated matrix.
     (idempotents, "factor_through_zero_diagonal",
-     lambda cm: idempotents.FactorReport((), {}, (("p0", "p0"),)),
+     lambda cm: idempotents.FactorReport(()),
      "idempotence",
      "criterion 10 idempotence            FAIL  "
-     "(witness missing for [[0]])"),
+     "(generated matrix factors wrongly, trial 0)"),
     (selftest, "_int_idempotent", lambda rho, n: True, "idempotence",
      "criterion 10 idempotence            FAIL  "
      "(ValueError: input is not min-plus idempotent)"),

@@ -86,7 +86,7 @@ def test_sep_reflection_identity_on_separated():
 
 def test_zero_classes_first_occurrence_order():
     mat = IntMatrix(1, [[0, inf, 0], [inf, 0, inf], [0, inf, 0]])
-    classes, assigned = zero_classes(("x", "y", "z"), mat)
+    classes, assigned = zero_classes(mat)
     assert classes == [(0, 2), (1,)]
     assert assigned == [0, 1, 0]
 
@@ -208,7 +208,7 @@ def test_zero_classes_match_reference(mat):
     n = len(mat)
     labels = tuple("p%d" % i for i in range(n))
     classes, assigned = reference_zero_classes(n, mat)
-    assert zero_classes(labels, matrix(mat)) == (classes, assigned)
+    assert zero_classes(matrix(mat)) == (classes, assigned)
     space = FinSpace(labels, matrix(mat))
     assert is_separated(space) == reference_is_separated(n, mat)
     proj = quotient_by_zero_classes(space, matrix(mat))
@@ -265,4 +265,4 @@ def test_separation_and_zero_classes_match_all_pairs(mat):
             for j in members:
                 assigned[j] = len(classes)
             classes.append(members)
-    assert zero_classes(labels, matrix(mat)) == (classes, assigned)
+    assert zero_classes(matrix(mat)) == (classes, assigned)

@@ -27,11 +27,14 @@ seeds 1-3, alternating as above and flagged by the same rule, and keeps
 each traced layer's median per side.  The exit status is 1 if any run,
 traced or not, was flagged or any metric broke its bound.  Beside each
 side's tree of src/ the report keeps src_lines, the line count of its
-src/finmet/*.py, so that a claim of less code sits next to its
-numbers.
+src/finmet/*.py, and code_lines, the lines of those files that are not
+blank, not a comment alone and not inside a docstring, so that a claim
+of less code sits next to its numbers, and deleted comments or
+docstrings do not count as less code.
 """
 
 import argparse
+import ast
 import glob
 import json
 import math
@@ -58,6 +61,27 @@ def src_lines(root):
     for path in glob.glob(os.path.join(root, "src", "finmet", "*.py")):
         with open(path, "rb") as fh:
             total += fh.read().count(b"\n")
+    return total
+
+
+def code_lines(root):
+    """The number of lines of src/finmet/*.py under root that are not
+    blank, not a comment alone and not inside a module, class or
+    function docstring."""
+    owners = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+    total = 0
+    for path in glob.glob(os.path.join(root, "src", "finmet", "*.py")):
+        with open(path, "rb") as fh:
+            source = fh.read()
+        docs = set()
+        for node in ast.walk(ast.parse(source)):
+            if (isinstance(node, owners)
+                    and ast.get_docstring(node, False) is not None):
+                doc = node.body[0]
+                docs.update(range(doc.lineno, doc.end_lineno + 1))
+        total += sum(1 for k, line in enumerate(source.splitlines(), 1)
+                     if k not in docs and line.strip()
+                     and not line.lstrip().startswith(b"#"))
     return total
 
 
@@ -243,6 +267,8 @@ def main(argv=None):
                                    ("change", args.change))}
         report["src_lines"] = {side: src_lines(root)
                                for side, root in roots.items()}
+        report["code_lines"] = {side: code_lines(root)
+                                for side, root in roots.items()}
         for workload, count, first in zip(args.workload, args.pairs,
                                           args.first_seed):
             runs = run_pairs(roots, workload, first, count, args.seconds)

@@ -289,12 +289,12 @@ def _raise_diagonal(result):
 def test_kernel_criterion_matches_the_mediator_route():
     """The exact verdict is the verdict of building sampled cocones and
     their mediators, on genuine pushouts, on corrupted ones (an apex
-    distance lowered or raised, two apex points merged) and on apexes
-    with a nonzero diagonal entry, and every sampled cocone's kernel
-    metric lies below the glued closure's.  A raised apex or diagonal
-    entry makes the legs stretch, and a glued point split into two at 0
-    both ways makes them disagree on A, so the square is no cocone and
-    is refused."""
+    distance lowered, every apex distance raised to inf, two apex points
+    merged, a glued apex point split in two) and on apexes with a
+    nonzero diagonal entry, and every sampled cocone's kernel metric
+    lies below the glued closure's.  A raised apex or diagonal entry
+    makes the legs stretch, and a split point makes them disagree on A,
+    so the square is no cocone and is refused."""
     refused = {"glued": 0, "raw": 0}
     for seed in range(40):
         result = pushout_along_embedding(*_pushout_instance(seed, 3))

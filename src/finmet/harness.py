@@ -4,6 +4,9 @@ Everything is a pure function of an explicit seed.  The min-plus closure
 doubles as the universal repair step: any sampled zero-diagonal cost
 grid closes to a valid metric, and closing a grid capped below an
 ambient metric stays below it.
+
+The map sampler and the mediator search decide on target indices and
+build a FinMap only for a map they return.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ import itertools
 import random
 from math import inf
 
-from .maps import FinMap, compose, is_nonexpansive
+from .maps import FinMap, compose, identity, is_nonexpansive_at
 from .minplus import IntMatrix, minplus_closure, scale
 from .quotients import Submetric, quotient_by_submetric
 from .spaces import FinSpace, Frozen, zero_classes
@@ -84,14 +87,19 @@ def gen_surjection(space, seed):
 
 def gen_nonexpansive_map(source, target, rng):
     """A non-expansive map by rejection sampling; falls back to a constant
-    map (always non-expansive) and returns None only if target is empty."""
+    map (always non-expansive) and returns None only if target is empty.
+
+    Each attempt draws target indices, the same draws as target labels,
+    and is tested through that index map; only the kept attempt becomes
+    a FinMap.
+    """
     if target.n == 0:
         return FinMap(source, target, ()) if source.n == 0 else None
+    points = range(target.n)
     for _ in range(MAP_ATTEMPTS):
-        f = FinMap(source, target,
-                   tuple(rng.choice(target.labels) for _ in source.labels))
-        if is_nonexpansive(f):
-            return f
+        idx = [rng.choice(points) for _ in source.labels]
+        if is_nonexpansive_at(source, target, idx):
+            return FinMap(source, target, [target.labels[k] for k in idx])
     pick = rng.choice(target.labels)
     return FinMap(source, target, tuple(pick for _ in source.labels))
 
@@ -103,27 +111,45 @@ def gen_subset(space, rng):
 
 def enumerate_mediators(source, target, precompose=(), postcompose=()):
     """All non-expansive maps source -> target satisfying the given
-    commutation constraints.
+    commutation constraints, in itertools.product order of their
+    assignments.
 
     precompose: pairs (j, want) requiring h . j = want (j into source);
     postcompose: pairs (p, want) requiring p . h = want (p out of target).
-    Raises when the raw search space exceeds MEDIATOR_CAP.
+    Raises when the raw search space exceeds MEDIATOR_CAP, and, as
+    compose does, when a constraint's map does not meet source or target.
+
+    Each constraint fixes which target points some source points may
+    take, so the search runs over those choices alone, as target
+    indices, and builds a FinMap only for a non-expansive candidate.
     """
     if source.n and target.n ** source.n > MEDIATOR_CAP:
         raise ValueError("mediator search space exceeds cap")
-    out = []
-    for assignment in itertools.product(target.labels, repeat=source.n):
-        h = FinMap(source, target, assignment)
-        if not is_nonexpansive(h):
-            continue
-        if any(compose(j, h).assignment != want.assignment
-               for j, want in precompose):
-            continue
-        if any(compose(h, p).assignment != want.assignment
-               for p, want in postcompose):
-            continue
-        out.append(h)
-    return out
+    # compose raises on a map that does not meet source or target.
+    for j, _ in precompose:
+        compose(j, identity(source))
+    for p, _ in postcompose:
+        compose(identity(target), p)
+    labels = target.labels
+    # choices[i]: the target indices point i may take, in target order,
+    # so that their product keeps itertools.product's order.
+    choices = [range(target.n)] * source.n
+
+    def keep(pairs, read):
+        for i, lab in pairs:
+            choices[i] = [k for k in choices[i] if read[k] == lab]
+
+    for j, want in precompose:  # h(j(x)) = want(x)
+        if len(want.assignment) != len(j.assignment):
+            return []
+        keep(zip(map(source.index, j.assignment), want.assignment), labels)
+    for p, want in postcompose:  # p(h(x)) = want(x)
+        if len(want.assignment) != source.n:
+            return []
+        keep(enumerate(want.assignment), p.assignment)
+    return [FinMap(source, target, [labels[k] for k in idx])
+            for idx in itertools.product(*choices)
+            if is_nonexpansive_at(source, target, idx)]
 
 
 def brute_iso_check(m1, m2):

@@ -5,6 +5,8 @@ and the (surjection, embedding) factorization through the image.  The
 predicates read the target metric along a map through its index map
 (target_indices) and build no pulled matrix; pulled_metric builds it
 for kernel_metric, whose result it is and which checks it directly.
+is_nonexpansive_at decides non-expansiveness on an index map alone, so
+that a sampler or a search builds a FinMap only for a map it keeps.
 check_nonexpansive lists the stretched pairs with
 spaces.excess_violations, the one writer of order excesses.
 FinMap itself lives in spaces, beside the other records a workspace
@@ -45,8 +47,13 @@ def check_nonexpansive(f):
 
 
 def is_nonexpansive(f):
-    return not any(pointwise(f.target.dist, f.source.dist, gt,
-                             target_indices(f)))
+    return is_nonexpansive_at(f.source, f.target, target_indices(f))
+
+
+def is_nonexpansive_at(source, target, idx):
+    """Whether sending each source point i to target point idx[i] is
+    non-expansive, decided on the index map before any FinMap is built."""
+    return not any(pointwise(target.dist, source.dist, gt, idx))
 
 
 def require_nonexpansive(f):

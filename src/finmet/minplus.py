@@ -197,7 +197,8 @@ def pointwise(a, b, op, idx=None):
     """
     _, (a, b) = scale(a, b)
     if idx is not None:
-        a = [map(a[k].__getitem__, idx) for k in idx]
+        rows = a
+        a = (map(rows[k].__getitem__, idx) for k in idx)
     for i, (a_row, b_row) in enumerate(zip(a, b)):
         for j in compress(count(), map(op, a_row, b_row)):
             yield i, j

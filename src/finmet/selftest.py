@@ -449,18 +449,19 @@ def suite_idempotence(seed):
     # x and column z with no y attaining rho(x, z), which no idempotent
     # does, since rho(x, z) is the least rho(x, y) + rho(y, z).  Each full
     # matrix it keeps is checked by _int_idempotent, a second, independent
-    # product, and factor_through_zero_diagonal, which raises on a matrix
-    # that is not idempotent, re-confirms each survivor through the
-    # exact-arithmetic route.  The grid {inf, 0} gives the idempotent
-    # relations (0 for related), and the lemma's witnesses on them are
-    # the relational corollary's density witnesses.
+    # product, and idempotents.is_idempotent re-confirms each survivor
+    # through the library's own route, the zero-diagonal pass that
+    # factoring runs; no witness table is built for them.  The grid
+    # {inf, 0} gives the idempotent relations (0 for related).  Factoring
+    # and its witnesses are checked on the generated matrices below.
     generated = 200
     checked = []
     for grid, sizes in ((_INT_GRID, (1, 2, 3)), ((inf, 0), (1, 2, 3, 4))):
         count = 0
         for n in sizes:
             for rho in _grid_idempotents(grid, n):
-                idempotents.factor_through_zero_diagonal(_int_to_cost(rho, n))
+                _require(idempotents.is_idempotent(_int_to_cost(rho, n)),
+                         "grid matrix not idempotent: %r", rho)
                 count += 1
         checked.append(count)
     # Pre-filter soundness spot check on random matrices, about half of

@@ -14,10 +14,37 @@ from unittest.mock import ANY
 
 import pytest
 
-from finmet import cli, corelations, idempotents, pushouts, selftest
+from finmet import (cli, corelations, harness, idempotents, pushouts,
+                    selftest)
 
 
 @pytest.mark.parametrize("module,attr,fake,suite,line", [
+    # A mediator search that ignores its constraints finds two diagonal
+    # fillers for the first square and a mediator for a pair of
+    # surjections that is not ordered; one that finds nothing misses the
+    # one filler and the first ordered pair.
+    (selftest, "enumerate_mediators",
+     lambda s, t, precompose=(), postcompose=():
+         harness.enumerate_mediators(s, t),
+     "factorization",
+     "criterion  2 factorization          FAIL  "
+     "(2 diagonal fillers at square 0)"),
+    (selftest, "enumerate_mediators",
+     lambda s, t, precompose=(), postcompose=(): [],
+     "factorization",
+     "criterion  2 factorization          FAIL  "
+     "(0 diagonal fillers at square 0)"),
+    (selftest, "enumerate_mediators",
+     lambda s, t, precompose=(), postcompose=():
+         harness.enumerate_mediators(s, t),
+     "duality",
+     "criterion  3 duality                FAIL  "
+     "(three-way disagreement at pair 0)"),
+    (selftest, "enumerate_mediators",
+     lambda s, t, precompose=(), postcompose=(): [],
+     "duality",
+     "criterion  3 duality                FAIL  "
+     "(three-way disagreement at pair 2)"),
     # Glued with no glue pairs, the closure is the coproduct metric, which
     # the genuine pushout's apex, glued at square 0, does not match.
     (pushouts, "_glued_coproduct",
@@ -43,13 +70,17 @@ from finmet import cli, corelations, idempotents, pushouts, selftest
      "idempotence",
      "criterion 10 idempotence            FAIL  "
      "(generated matrix factors wrongly, trial 0)"),
+    # With the independent product faked, the first grid matrix that the
+    # pruned search keeps and that is not idempotent reaches the
+    # library's check.
     (selftest, "_int_idempotent", lambda rho, n: True, "idempotence",
      "criterion 10 idempotence            FAIL  "
-     "(ValueError: input is not min-plus idempotent)"),
+     "(grid matrix not idempotent: [[1]])"),
     (corelations, "is_transitive", lambda bm: True, "pinned-fixtures",
      "criterion 11 pinned-fixtures        FAIL  "
      "(corrected fixture unexpectedly transitive)"),
-], ids=["pushout_genuine_refuted", "pushout_corruption_accepted",
+], ids=["factorization_unconstrained", "factorization_none",
+        "duality_unconstrained", "duality_none", "pushout_genuine_refuted", "pushout_corruption_accepted",
         "embedding_stability", "idempotence", "idempotence_prefilter",
         "pinned_fixtures"])
 def test_planted_fault_gives_fail_line(monkeypatch, module, attr, fake,

@@ -2,9 +2,10 @@
 
 Each planted fault makes its suite stop at the first check it breaks,
 so the criterion line names that suite's number, its name and the
-formatted counterexample, or the exception the suite raised.  The last
-two tests hold suite 10's pruned enumeration to the unpruned scan and
-pin how many full matrices reach its second product.
+formatted counterexample, or the exception the suite raised.  Two
+tests hold suite 10's pruned enumeration to the unpruned scan and pin
+how many full matrices reach its second product, and the last ties
+criterion 11's fixtures to the workspace the CLI goldens read.
 """
 
 import itertools
@@ -14,8 +15,10 @@ from unittest.mock import ANY
 
 import pytest
 
+from cli_cases import WORKSPACE
 from finmet import (cli, corelations, harness, idempotents, pushouts,
                     selftest)
+from finmet.workspace import load_workspace_file
 
 
 @pytest.mark.parametrize("module,attr,fake,suite,line", [
@@ -142,3 +145,16 @@ def test_grid_search_prunes_unattained_pairs(monkeypatch):
                for n in sizes)
     assert kept == 3224 + 2496
     assert len(calls) == 10574
+
+
+def test_workspace_fixture_holds_the_pinned_fixtures():
+    """The CLI goldens read the three corelations and the two-point space
+    that criterion 11 checks.  lookup reads each whether or not it meets
+    its contract, as literal is invalid by design."""
+    ws = load_workspace_file(WORKSPACE)
+    for name, fixture in (
+            ("single", selftest.singleton_nonsymmetric_fixture),
+            ("literal", selftest.twopoint_literal_fixture),
+            ("corrected", selftest.twopoint_corrected_fixture)):
+        assert ws.lookup("blockmetric", name) == fixture(), name
+    assert ws.lookup("space", "X2") == selftest.two_point_space()

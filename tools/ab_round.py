@@ -11,13 +11,18 @@ finmet_a or finmet_b, so both run in this one process.  The inputs are
 the large-n instances of seed 1, built by perfbench/gen.py (which is
 only read) and loaded by each side's own loader.  Before any timing,
 each construction of the round (as perfbench/workloads.py runs it) is
-run once per instance on both sides, and its outputs, compared as plain
-data, must be equal; otherwise the tool exits 1 naming the first
+run once per instance on both sides, and its outputs must be equal as
+plain data (same()); otherwise the tool exits 1 naming the first
 construction that differs.  A pass then times every construction on
 every instance with time.process_time, once per side, the sides taking
-turns to go first.  For each construction and for the whole round, the
-tool prints each side's median over the passes, in ms per round, and
-b's change against a, and as its last line the same as JSON.  CPU time
+turns to go first; N passes (default 40, at least 2) give N pairs.
+Each construction and the whole round, in ms per round, go through
+bench_pairs.compare(), the rule of every A/B timing, with a as the
+parent, b as the change and lower better: each side's median and
+quartiles, b's wins, and the claim rule, which holds only if b wins at
+least nine tenths of the passes and its median beats a's by more than
+a's interquartile range.  The tool prints one line per construction
+and for the round, and as its last line the summary as JSON.  CPU time
 in one process resolves per-construction changes of a few percent,
 which one traced benchmark run, in a process of its own, cannot.
 """
@@ -28,7 +33,6 @@ import importlib
 import importlib.util
 import json
 import os
-import statistics
 import sys
 import tempfile
 from time import process_time
@@ -38,7 +42,7 @@ sys.path.insert(0, HERE)
 sys.path.insert(0, os.path.join(os.path.dirname(HERE), "perfbench"))
 
 import gen  # noqa: E402
-from bench_pairs import checkout  # noqa: E402
+from bench_pairs import checkout, compare, metric_lines  # noqa: E402
 
 SEED = 1
 SIDES = ("a", "b")
@@ -82,18 +86,24 @@ def constructions(fm, doc, subset):
     ]
 
 
-def plain(obj):
-    """obj as nested tuples of scalars, a record as its class name and
-    fields, so that outputs of the two packages compare."""
-    fields = getattr(type(obj), "_fields", None)
-    if fields is not None:
-        return (type(obj).__name__,) + tuple(
-            plain(getattr(obj, name)) for name in fields)
-    if isinstance(obj, (tuple, list)):
-        return tuple(map(plain, obj))
-    if isinstance(obj, dict):
-        return tuple((plain(k), plain(v)) for k, v in obj.items())
-    return obj
+def same(x, y):
+    """Whether x and y, outputs of the two packages, are equal as plain
+    data: a record (a class with _fields) by its class name and the
+    public fields that both x and y have, so that a field added or
+    removed between the revisions does not count, and tuples, lists and
+    dicts item by item."""
+    fields_x = getattr(type(x), "_fields", None)
+    fields_y = getattr(type(y), "_fields", None)
+    if fields_x is not None and fields_y is not None:
+        shared = [f for f in fields_x
+                  if f in fields_y and not f.startswith("_")]
+        return (type(x).__name__ == type(y).__name__
+                and all(same(getattr(x, f), getattr(y, f)) for f in shared))
+    if isinstance(x, dict) and isinstance(y, dict):
+        x, y = list(x.items()), list(y.items())
+    if isinstance(x, (tuple, list)) and isinstance(y, (tuple, list)):
+        return len(x) == len(y) and all(map(same, x, y))
+    return x == y
 
 
 def check_equal(instances):
@@ -101,7 +111,7 @@ def check_equal(instances):
     the sides on some instance."""
     for k, (calls_a, calls_b) in enumerate(zip(*instances.values())):
         for (name, call_a), (_, call_b) in zip(calls_a, calls_b):
-            if plain(call_a()) != plain(call_b()):
+            if not same(call_a(), call_b()):
                 sys.exit("error: %s differs between a and b on instance %d"
                          % (name, k))
 
@@ -124,8 +134,8 @@ def main(argv=None):
     ap.add_argument("--b", required=True)
     ap.add_argument("--passes", type=int, default=40)
     args = ap.parse_args(argv)
-    if args.passes < 1:
-        ap.error("--passes must be at least 1")
+    if args.passes < 2:
+        ap.error("--passes must be at least 2, as the quartiles need two")
     revs = {"a": args.a, "b": args.b}
     docs = [gen.large_instance(SEED, k) for k in range(gen.LARGE_POOL)]
     with tempfile.TemporaryDirectory() as tmp:
@@ -141,22 +151,20 @@ def main(argv=None):
     passes = {side: [] for side in SIDES}
     for p in range(args.passes):
         for side in SIDES if p % 2 == 0 else SIDES[::-1]:
-            passes[side].append(time_pass(instances[side]))
-    names = [name for name, _ in instances["a"][0]] + ["round"]
-    for runs in passes.values():
-        for totals in runs:
+            totals = time_pass(instances[side])
             totals["round"] = sum(totals.values())
-    ms = {name: {side: 1000 * statistics.median(
-        t[name] for t in passes[side]) / len(docs) for side in SIDES}
-        for name in names}
-    for entry in ms.values():
-        entry["change_pct"] = 100 * (entry["b"] / entry["a"] - 1)
-    for name, entry in ms.items():
-        print("%-12s a %8.4f ms  b %8.4f ms  %+6.1f %%"
-              % (name, entry["a"], entry["b"], entry["change_pct"]))
+            passes[side].append(totals)
+    summ = {}
+    for name in passes["a"][0]:
+        a, b = ([1000 * t[name] / len(docs) for t in passes[side]]
+                for side in SIDES)
+        summ[name] = compare(a, b, "lower", args.passes)
+    for line in metric_lines("large-n", summ):
+        print(line)
     print(json.dumps({"a": args.a, "b": args.b, "seed": SEED,
                       "instances": len(docs), "passes": args.passes,
-                      "ms_per_round": ms}, sort_keys=True))
+                      "unit": "ms per round", "summary": summ},
+                     sort_keys=True))
     return 0
 
 

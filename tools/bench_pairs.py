@@ -141,15 +141,15 @@ def run_pairs(roots, workload, count, seconds, trace):
         for side in order:
             pair[side] = res = run(roots[side], workload, seed, seconds, trace)
             print(workload, seed, side, json.dumps(
-                res["metrics"].get("ops_per_s") if "metrics" in res
-                else res), file=sys.stderr, flush=True)
+                {k: v for k, v in res.items() if k != "metrics"}),
+                file=sys.stderr, flush=True)
         runs.append(pair)
     return runs
 
 
 def flagged(runs):
     """Each run that exited non-zero, was malformed, reported "correct":
-    false or failed an operation.  Only a run with metrics has
+    false or failed an operation.  A run with no JSON result has no
     "correct"."""
     return [{"seed": r["seed"], "side": side, "exit": r[side]["exit"],
              "malformed": r[side].get("malformed", False),
